@@ -26,7 +26,7 @@ from .homology import ChainMapSlice, HomologyClassMap, induced_on_homology, \
     structural_chain_map
 from .intlinalg import SparseIntMatrix
 
-_U_FLAVORS = frozenset((Flavor.INFINITY, Flavor.MINUS, Flavor.PLUS))
+_U_FLAVORS = (Flavor.INFINITY, Flavor.MINUS, Flavor.PLUS)
 
 
 def _u_terms(data, gen):

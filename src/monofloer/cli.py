@@ -15,8 +15,9 @@ import sys
 import time
 
 from . import __version__
-from .actions import verify_u_homotopy
-from .complexes import Flavor, check_d_squared, default_window
+from .actions import _U_FLAVORS, verify_u_homotopy
+from .complexes import Flavor, check_d_squared, default_window, \
+    require_valid
 from .data import (
     InvalidInput,
     MonopoleData,
@@ -35,8 +36,6 @@ from .sequences import MismatchError, check_les_hat, check_les_main, hf_red
 from .spectral import ComparisonMismatch, spectral_pages, structure_theorem
 
 __all__ = ["main", "run", "verify_all"]
-
-_U_FLAVORS = (Flavor.INFINITY, Flavor.MINUS, Flavor.PLUS)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +118,7 @@ def verify_all(data: MonopoleData,
     duality package.  Returns a dict with one entry per check and an
     aggregate verdict; raises InvalidInput on invalid data.
     """
-    report = validate(data)
-    if not report.ok:
-        raise InvalidInput(f"invalid data: {report.violations[0]}")
+    require_valid(data)
     lo, hi = window if window is not None else default_window(data)
     checks: list[dict] = []
 
@@ -294,10 +291,13 @@ def _window_type(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"window must look like lo:hi, got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"window bounds must be integers, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"window {text!r} is empty")
+    return lo, hi
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,3 +453,7 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return run(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .data import THETA, InvalidInput, MonopoleData, validate
+from .data import THETA, InvalidInput, MonopoleData, _validation_report, \
+    per_dataset
 from .intlinalg import SparseIntMatrix
 
 __all__ = [
@@ -80,11 +80,6 @@ class DegreeSlice:
         return self.basis.index(gen)
 
 
-@lru_cache(maxsize=None)
-def _validation_report(data: MonopoleData):
-    return validate(data)
-
-
 def require_valid(data: MonopoleData) -> None:
     report = _validation_report(data)
     if not report.ok:
@@ -100,7 +95,7 @@ def generator_degree(data: MonopoleData, gen: Generator) -> int:
     return 2 * gen.k + grading + 1
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
     basis: list[Generator] = []
     if n % 2 == 0 and _admissible(flavor, KIND_THETA, n // 2):
@@ -156,7 +151,7 @@ def _image_terms(data: MonopoleData, gen: Generator):
     return out
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     cols = _slice(data, flavor, n)
     rows = _slice(data, flavor, n - 1)

@@ -5,7 +5,9 @@ coefficient families: n (grading gap 1, with couplings into and out of the
 implicit reducible theta at gradings 1 and -2) and m (grading gap 2 between
 irreducibles).  Validation enforces the quadratic identities that make the
 flavored differentials square to zero; orientation reversal, canonical JSON
-serialization, and seeded instance generation round out the model.
+serialization, and seeded instance generation round out the model.  Every
+result derived from a dataset is memoised in the dataset itself (see
+per_dataset), so it is freed together with the dataset.
 
 theta is never listed among the points: it always exists, has grading 0, and
 is addressed by the reserved id "theta".
@@ -13,6 +15,7 @@ is addressed by the reserved id "theta".
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "validate",
+    "per_dataset",
     "reverse_orientation",
     "parse",
     "serialize",
@@ -121,6 +125,7 @@ class MonopoleData:
         object.__setattr__(self, "_n", {(s, d): v for (s, d, v) in self.n_coeffs})
         object.__setattr__(self, "_m", {(s, d): v for (s, d, v) in self.m_coeffs})
         object.__setattr__(self, "_by_gr", {g: tuple(ids) for g, ids in by_gr.items()})
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def build(cls, name: str,
@@ -154,6 +159,20 @@ class MonopoleData:
         return tuple(sorted(self._by_gr))
 
 
+def per_dataset(fn):
+    """Memoise fn(data, *args) in the dataset's own dict, keyed by
+    (fn, *args), so every derived result lives and dies with its dataset."""
+    @functools.wraps(fn)
+    def memoised(data: MonopoleData, *args):
+        key = (fn, *args)
+        try:
+            return data._memo[key]
+        except KeyError:
+            value = data._memo[key] = fn(data, *args)
+            return value
+    return memoised
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -161,16 +180,9 @@ class ValidationReport:
 
 
 def validate(data: MonopoleData) -> ValidationReport:
-    """Check placement rules and the quadratic identities A, B, B'."""
+    """Check the quadratic identities A, B, B'; the placement rules already
+    hold, because MonopoleData rejects a misplaced coefficient."""
     violations: list[tuple[str, tuple[str, ...], int]] = []
-    gr = {p.id: p.grading for p in data.points}
-    for (src, dst, _) in data.n_coeffs:
-        if not _n_placement_ok(gr, src, dst):
-            violations.append(("placement-n", (src, dst), 0))
-    for (src, dst, _) in data.m_coeffs:
-        if not _m_placement_ok(gr, src, dst):
-            violations.append(("placement-m", (src, dst), 0))
-
     # Identity A between irreducibles two gradings apart
     for a in data.points:
         for c_id in data.ids_at(a.grading - 2):
@@ -216,6 +228,11 @@ def validate(data: MonopoleData) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+@per_dataset
+def _validation_report(data: MonopoleData) -> ValidationReport:
+    return validate(data)
+
+
 # ---------------------------------------------------------------------------
 # orientation reversal
 # ---------------------------------------------------------------------------
@@ -231,8 +248,10 @@ def _toggle_name(name: str) -> str:
     return name[1:] if name.startswith("-") else "-" + name
 
 
+@per_dataset
 def reverse_orientation(data: MonopoleData) -> MonopoleData:
-    """The dataset of the oppositely oriented manifold.
+    """The dataset of the oppositely oriented manifold, built once per
+    dataset.
 
     Gradings map to -gr - 1, endpoints swap, and coefficients transport with
     the frozen sign convention: irreducible n-coefficients negate while
@@ -240,7 +259,7 @@ def reverse_orientation(data: MonopoleData) -> MonopoleData:
     family of signs (up to simultaneous equivalences) making the duality
     pairing intertwine the differentials, and it squares to the identity.
     """
-    report = validate(data)
+    report = _validation_report(data)
     if not report.ok:
         raise InvalidInput(
             f"cannot reverse invalid data: {report.violations[0]}")

@@ -10,7 +10,6 @@ orientation into the homology of the other, degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import (
     Flavor,
@@ -25,7 +24,7 @@ from .complexes import (
     require_valid,
     structural_map,
 )
-from .data import MonopoleData, _toggle_id, reverse_orientation
+from .data import MonopoleData, _toggle_id, per_dataset, reverse_orientation
 from .homology import GradedAbelianGroup, homology_at
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -183,7 +182,7 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
     # the transposed differential raises degree by one, so the degree-n

@@ -9,12 +9,11 @@ itself.  Chain maps induce matrices on the recorded generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .complexes import Flavor, MonopoleData, _differential, _slice, \
     default_window, require_valid
-from .data import InvalidInput
+from .data import InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
     QuotientPresentation,
@@ -95,7 +94,7 @@ class HomologyClassMap:
     matrices: dict[int, SparseIntMatrix]
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def presentation_at(data: MonopoleData, flavor: Flavor,
                     n: int) -> QuotientPresentation:
     """Cycle lattice, boundary columns, and pinned generators in degree n."""
@@ -116,9 +115,7 @@ def homology_at(data: MonopoleData, flavor: Flavor,
 
 def _support_floor(data: MonopoleData, flavor: Flavor) -> int | None:
     gradings = [p.grading for p in data.points]
-    if flavor is Flavor.PLUS:
-        return min(gradings + [0])
-    if flavor is Flavor.HAT:
+    if flavor in (Flavor.PLUS, Flavor.HAT):
         return min(gradings + [0])
     if flavor is Flavor.NONEQUIVARIANT:
         return min(gradings) if gradings else 0

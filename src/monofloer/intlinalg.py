@@ -614,9 +614,12 @@ def lattice_equal(a: SparseIntMatrix, b: SparseIntMatrix) -> bool:
     return lattice_contains(a, b) and lattice_contains(b, a)
 
 
-def subquotient_invariants(z: SparseIntMatrix,
-                           b: SparseIntMatrix) -> AbelianGroupInvariants:
-    """Invariants of span(z) / span(b); columns of z must be independent."""
+def _coordinates(z: SparseIntMatrix, b: SparseIntMatrix
+                 ) -> tuple[_Factorization, SparseIntMatrix]:
+    """The factorization of z and the coordinates of b's columns in z's
+    basis; z's columns must be independent and b's must lie in span(z)."""
+    if z.rows != b.rows:
+        raise ValueError("ambient dimension mismatch")
     fz = _Factorization(z)
     if fz.rank != z.cols:
         raise ValueError("quotient numerator columns are dependent")
@@ -628,8 +631,13 @@ def subquotient_invariants(z: SparseIntMatrix,
                 f"column {j} is not an integral combination of the numerator "
                 "basis", column=j)
         coords.append(x)
-    x_mat = SparseIntMatrix.from_columns(z.cols, coords)
-    return cokernel_invariants(x_mat)
+    return fz, SparseIntMatrix.from_columns(z.cols, coords)
+
+
+def subquotient_invariants(z: SparseIntMatrix,
+                           b: SparseIntMatrix) -> AbelianGroupInvariants:
+    """Invariants of span(z) / span(b); columns of z must be independent."""
+    return cokernel_invariants(_coordinates(z, b)[1])
 
 
 @dataclass(frozen=True)
@@ -653,20 +661,7 @@ class QuotientPresentation:
                  "_fz", "_fx", "_kept")
 
     def __init__(self, z: SparseIntMatrix, b: SparseIntMatrix):
-        if z.rows != b.rows:
-            raise ValueError("ambient dimension mismatch")
-        fz = _Factorization(z)
-        if fz.rank != z.cols:
-            raise ValueError("cycle basis columns are dependent")
-        coords = []
-        for j, col in enumerate(b.columns()):
-            x = fz.solve(col)
-            if x is None:
-                raise ContainmentError(
-                    f"column {j} is not an integral combination of the cycle "
-                    "basis", column=j)
-            coords.append(x)
-        x_mat = SparseIntMatrix.from_columns(z.cols, coords)
+        fz, x_mat = _coordinates(z, b)
         fx = _Factorization(x_mat, need_uinv=True)
 
         orders = []

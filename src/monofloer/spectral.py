@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import (
     Flavor,
@@ -27,7 +26,7 @@ from .complexes import (
     default_window,
     require_valid,
 )
-from .data import InvalidInput, THETA
+from .data import InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
     GradedAbelianGroup
 from .intlinalg import (
@@ -103,7 +102,7 @@ def _filtration_levels(data: MonopoleData) -> list[int]:
     return sorted({p.grading for p in data.points} | {0})
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _sub_inclusion(data: MonopoleData, flavor: Flavor, n: int,
                    p: int) -> SparseIntMatrix:
     """Inclusion of the filtration-p part of the degree-n slice."""
@@ -113,7 +112,7 @@ def _sub_inclusion(data: MonopoleData, flavor: Flavor, n: int,
         len(basis), len(cols), [(i, j, 1) for j, i in enumerate(cols)])
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _high_rows(data: MonopoleData, flavor: Flavor, n: int,
                p: int) -> SparseIntMatrix:
     """Projection of the degree-n slice onto filtration above p."""
@@ -123,7 +122,7 @@ def _high_rows(data: MonopoleData, flavor: Flavor, n: int,
         len(rows), len(basis), [(j, i, 1) for j, i in enumerate(rows)])
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
                r: int) -> SparseIntMatrix:
     """Degree-n chains of filtration at most p whose boundary has
@@ -136,7 +135,7 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
     return incl.mul(kernel_basis(dropped))
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
                  n: int) -> SparseIntMatrix:
     below = _a_lattice(data, flavor, n, p - 1, r - 1)
@@ -145,14 +144,14 @@ def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
     return hstack(below, above)
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
           n: int) -> QuotientPresentation:
     return QuotientPresentation(_a_lattice(data, flavor, n, p, r),
                                 _den_lattice(data, flavor, r, p, n))
 
 
-@lru_cache(maxsize=None)
+@per_dataset
 def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
                n: int) -> SparseIntMatrix:
     """Page-r differential out of the cell at filtration p, degree n."""

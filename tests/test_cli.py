@@ -4,6 +4,9 @@ byte-determinism."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -110,9 +113,15 @@ def test_homology_torsion_reported(tmp_path, capsys):
 
 def test_homology_usage_errors(tmp_path, capsys):
     path = write_dataset(tmp_path, by_name("empty"))
+    chain = write_dataset(tmp_path, by_name("tail-chain"), "chain.json")
     for argv in (["homology", "--flavor", "sideways", path],
                  ["homology", "--flavor", "plus", "--window", "abc", path],
-                 ["homology", path]):
+                 ["homology", path],
+                 ["homology", "--flavor", "plus", "--window", "5:-5", chain],
+                 ["les", "main", "--window", "5:-5", chain],
+                 ["les", "hat", "--window", "5:-5", chain],
+                 ["duality", "--window", "5:-5", chain],
+                 ["verify-all", "--window", "5:-5", chain]):
         code, out, _ = run(capsys, argv)
         assert code == 2, argv
 
@@ -272,3 +281,23 @@ def test_exit_codes_never_leave_contract(tmp_path, capsys):
     for argv in incantations:
         code, _, _ = run(capsys, argv)
         assert code in (0, 1, 2), argv
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "monofloer.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    missing = module_run("validate", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
+    assert missing.stdout == b""
+
+    done = module_run("homology", "--flavor", "plus",
+                      write_dataset(tmp_path, by_name("two-step")))
+    assert done.returncode == 0
+    doc = report_of(done.stdout)
+    assert doc["dataset_name"] == "two-step"

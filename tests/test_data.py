@@ -3,8 +3,12 @@ serialization, and instance generation."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from monofloer.cli import verify_all
 from monofloer.data import (
     CriticalPoint,
     InvalidInput,
@@ -172,6 +176,16 @@ def test_reverse_gradings_and_double_reverse():
             original = p.id[:-1]
             assert p.grading == -gr[original] - 1
         assert reverse_orientation(r) == d
+
+
+def test_memo_lives_and_dies_with_its_dataset():
+    data = by_name("gap-three-chain")
+    assert reverse_orientation(data) is reverse_orientation(data)
+    ref = weakref.ref(data)
+    assert verify_all(data)["ok"]
+    del data
+    gc.collect()
+    assert ref() is None
 
 
 def test_reverse_requires_valid_input():
