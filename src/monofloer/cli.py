@@ -150,7 +150,7 @@ def verify_all(data: MonopoleData,
 
     try:
         checks.append({"name": "structure",
-                       "ok": structure_theorem(data).matches})
+                       "ok": structure_theorem(data, (lo, hi)).matches})
     except ComparisonMismatch as err:
         checks.append({"name": "structure", "ok": False,
                        "degree": err.degree})
@@ -300,6 +300,17 @@ def _window_type(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _count_type(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"count must be an integer, got {text!r}")
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count {count} is negative")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monofloer",
@@ -351,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("generate", help="emit a seeded dataset corpus")
     cmd.add_argument("--seed", type=int, required=True)
     cmd.add_argument("--size", type=int, required=True)
-    cmd.add_argument("--count", type=int, required=True)
+    cmd.add_argument("--count", type=_count_type, required=True)
 
     return parser
 

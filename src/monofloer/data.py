@@ -161,7 +161,12 @@ class MonopoleData:
 
 def per_dataset(fn):
     """Memoise fn(data, *args) in the dataset's own dict, keyed by
-    (fn, *args), so every derived result lives and dies with its dataset."""
+    (fn, *args), so every derived result lives and dies with its dataset.
+
+    The arguments may be frozen matrices: kernel questions are keyed by
+    matrix content, so equal matrices in different degrees share one
+    answer.  The dict compares keys exactly, so a hash collision cannot
+    return a wrong result."""
     @functools.wraps(fn)
     def memoised(data: MonopoleData, *args):
         key = (fn, *args)

@@ -25,13 +25,8 @@ from .complexes import (
     structural_map,
 )
 from .data import MonopoleData, _toggle_id, per_dataset, reverse_orientation
-from .homology import GradedAbelianGroup, homology_at
-from .intlinalg import (
-    AbelianGroupInvariants,
-    QuotientPresentation,
-    SparseIntMatrix,
-    kernel_basis,
-)
+from .homology import GradedAbelianGroup, _kernel, _quotient, homology_at
+from .intlinalg import AbelianGroupInvariants, SparseIntMatrix
 
 __all__ = [
     "PairingSlice",
@@ -120,7 +115,10 @@ def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     for (i, j, _) in mat.entries:
         row = _slice(data, Flavor.PLUS, n).basis[i]
         col = _slice(rev, Flavor.MINUS, -2 - n).basis[j]
-        assert generator_degree(data, row) + generator_degree(rev, col) == -2
+        if generator_degree(data, row) + generator_degree(rev, col) != -2:
+            raise AssertionError(
+                f"paired generators in degree {n} do not have degrees "
+                "summing to -2")
     return PairingSlice(n, mat)
 
 
@@ -189,7 +187,7 @@ def _cohomology_at(data: MonopoleData, flavor: Flavor,
     # cocycles are the kernel of transpose(D at n+1)
     delta_out = _differential(data, flavor, n + 1).transpose()
     delta_in = _differential(data, flavor, n).transpose()
-    return QuotientPresentation(kernel_basis(delta_out), delta_in).invariants
+    return _quotient(data, _kernel(data, delta_out), delta_in).invariants
 
 
 def cohomology(data: MonopoleData, flavor: Flavor,

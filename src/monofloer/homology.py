@@ -95,13 +95,26 @@ class HomologyClassMap:
 
 
 @per_dataset
+def _kernel(data: MonopoleData, mat: SparseIntMatrix) -> SparseIntMatrix:
+    """kernel_basis(mat), memoised by the matrix's content, so degrees whose
+    differentials are equal share one Smith reduction."""
+    return kernel_basis(mat)
+
+
+@per_dataset
+def _quotient(data: MonopoleData, z: SparseIntMatrix,
+              b: SparseIntMatrix) -> QuotientPresentation:
+    """QuotientPresentation(z, b), memoised by the content of z and b."""
+    return QuotientPresentation(z, b)
+
+
+@per_dataset
 def presentation_at(data: MonopoleData, flavor: Flavor,
                     n: int) -> QuotientPresentation:
     """Cycle lattice, boundary columns, and pinned generators in degree n."""
     require_valid(data)
-    cycles = kernel_basis(_differential(data, flavor, n))
-    boundaries = _differential(data, flavor, n + 1)
-    return QuotientPresentation(cycles, boundaries)
+    return _quotient(data, _kernel(data, _differential(data, flavor, n)),
+                     _differential(data, flavor, n + 1))
 
 
 def homology_at(data: MonopoleData, flavor: Flavor,

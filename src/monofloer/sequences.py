@@ -23,6 +23,7 @@ from .complexes import (
     require_valid,
     structural_map,
 )
+from .data import per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -188,15 +189,16 @@ def _images_of_classes(data, flavor: Flavor, degree: int,
         [chain_map.apply(g.vector) for g in pres.generators])
 
 
-def _node_report(data, degree: int, name: str, flavor: Flavor,
-                 incoming: SparseIntMatrix, outgoing: SparseIntMatrix,
-                 target_flavor: Flavor, target_degree: int) -> NodeReport:
-    cycles = presentation_at(data, flavor, degree).cycle_basis
-    bd = _differential(data, flavor, degree + 1)
+@per_dataset
+def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
+               incoming: SparseIntMatrix, outgoing_cycles: SparseIntMatrix,
+               target_bd: SparseIntMatrix
+               ) -> tuple[AbelianGroupInvariants, AbelianGroupInvariants,
+                          tuple[str, tuple[int, ...]] | None]:
+    """Image and kernel invariants at a node, and the first witness of their
+    difference; keyed by the node's matrices, not by its degree or name."""
     image_lattice = hstack(incoming, bd)
-
-    target_bd = _differential(data, target_flavor, target_degree + 1)
-    pre = preimage_lattice(outgoing.mul(cycles), target_bd)
+    pre = preimage_lattice(outgoing_cycles, target_bd)
     kernel_lattice = hstack(cycles.mul(pre), bd)
 
     witness = None
@@ -211,6 +213,17 @@ def _node_report(data, degree: int, name: str, flavor: Flavor,
                        tuple(image_lattice.column(j)))
     image_inv = subquotient_invariants(column_space_basis(image_lattice), bd)
     kernel_inv = subquotient_invariants(column_space_basis(kernel_lattice), bd)
+    return image_inv, kernel_inv, witness
+
+
+def _node_report(data, degree: int, name: str, flavor: Flavor,
+                 incoming: SparseIntMatrix, outgoing: SparseIntMatrix,
+                 target_flavor: Flavor, target_degree: int) -> NodeReport:
+    cycles = presentation_at(data, flavor, degree).cycle_basis
+    image_inv, kernel_inv, witness = _exactness(
+        data, cycles, _differential(data, flavor, degree + 1), incoming,
+        outgoing.mul(cycles),
+        _differential(data, target_flavor, target_degree + 1))
     return NodeReport(degree, name, image_inv, kernel_inv, witness is None,
                       witness)
 
@@ -256,13 +269,12 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     images = _images_of_classes(data, Flavor.INFINITY, n, proj)
     coker = subquotient_invariants(cycles, hstack(bd, images))
 
-    inc = structural_map(data, "inclusion_minus", Flavor.INFINITY, n - 1)
-    m_cycles = presentation_at(data, Flavor.MINUS, n - 1).cycle_basis
-    m_bd = _differential(data, Flavor.MINUS, n)
-    pre = preimage_lattice(inc.mul(m_cycles),
-                           _differential(data, Flavor.INFINITY, n))
-    kernel_lattice = hstack(m_cycles.mul(pre), m_bd)
-    kernel = subquotient_invariants(column_space_basis(kernel_lattice), m_bd)
+    # the kernel of the inclusion is that of the "minus" node one degree down
+    kernel = _node_report(
+        data, n - 1, "minus", Flavor.MINUS,
+        _images_of_classes(data, Flavor.PLUS, n, _delta_chain(data, n)),
+        structural_map(data, "inclusion_minus", Flavor.INFINITY, n - 1),
+        Flavor.INFINITY, n - 1).kernel
 
     if coker != kernel:
         raise MismatchError(n, coker, kernel)

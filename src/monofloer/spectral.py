@@ -28,14 +28,13 @@ from .complexes import (
 )
 from .data import InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
-    GradedAbelianGroup
+    GradedAbelianGroup, _kernel, _quotient
 from .intlinalg import (
     AbelianGroupInvariants,
     QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
     hstack,
-    kernel_basis,
     preimage_lattice,
     subquotient_invariants,
 )
@@ -132,7 +131,7 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
         return incl
     dropped = _high_rows(data, flavor, n - 1, p - r).mul(
         _differential(data, flavor, n).mul(incl))
-    return incl.mul(kernel_basis(dropped))
+    return incl.mul(_kernel(data, dropped))
 
 
 @per_dataset
@@ -147,8 +146,8 @@ def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
 @per_dataset
 def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
           n: int) -> QuotientPresentation:
-    return QuotientPresentation(_a_lattice(data, flavor, n, p, r),
-                                _den_lattice(data, flavor, r, p, n))
+    return _quotient(data, _a_lattice(data, flavor, n, p, r),
+                     _den_lattice(data, flavor, r, p, n))
 
 
 @per_dataset

@@ -121,7 +121,8 @@ def test_homology_usage_errors(tmp_path, capsys):
                  ["les", "main", "--window", "5:-5", chain],
                  ["les", "hat", "--window", "5:-5", chain],
                  ["duality", "--window", "5:-5", chain],
-                 ["verify-all", "--window", "5:-5", chain]):
+                 ["verify-all", "--window", "5:-5", chain],
+                 ["generate", "--seed", "1", "--size", "3", "--count", "-2"]):
         code, out, _ = run(capsys, argv)
         assert code == 2, argv
 
@@ -250,6 +251,20 @@ def test_verify_all_function(tmp_path):
     summary = verify_all(by_name("euler-pair"))
     assert summary["ok"] is True
     assert all(check["ok"] for check in summary["checks"])
+
+
+def test_verify_all_passes_its_window_to_structure(monkeypatch):
+    import monofloer.cli as cli
+    seen = []
+    real = cli.structure_theorem
+
+    def recording(data, window=None):
+        seen.append(window)
+        return real(data, window)
+
+    monkeypatch.setattr(cli, "structure_theorem", recording)
+    verify_all(by_name("euler-pair"), (0, 3))
+    assert seen == [(0, 3)]
 
 
 # -- plumbing ---------------------------------------------------------------

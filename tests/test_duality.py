@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import pytest
+
 from monofloer.complexes import Flavor, _differential, default_window
 from monofloer.data import MonopoleData, THETA, curated_instances, \
     reverse_orientation, validate
@@ -73,6 +75,15 @@ def test_pairing_dimensions_match_both_sides():
         mat = pairing_matrix(data, n).matrix
         assert mat.rows == len(_slice(data, Flavor.PLUS, n).basis)
         assert mat.cols == len(_slice(rev, Flavor.MINUS, -2 - n).basis)
+
+
+def test_pairing_degree_check_raises(monkeypatch):
+    import monofloer.duality as duality
+    real = duality.generator_degree
+    monkeypatch.setattr(duality, "generator_degree",
+                        lambda data, gen: real(data, gen) + 1)
+    with pytest.raises(AssertionError, match="degree 0"):
+        pairing_matrix(by_name("empty"), 0)
 
 
 # -- adjointness ------------------------------------------------------------

@@ -161,6 +161,28 @@ def test_narrow_window_has_no_unverified_tail():
     assert report.tail_below is None
 
 
+def test_kernel_work_does_not_grow_with_the_window(monkeypatch):
+    import monofloer.intlinalg as intlinalg
+    made = []
+
+    class Counting(intlinalg._Factorization):
+        def __init__(self, *args, **kwargs):
+            made.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_Factorization", Counting)
+    counts = []
+    for window in ((-20, 20), (-200, 200)):
+        made.clear()
+        graded_homology(by_name("tail-chain"), Flavor.PLUS, window)
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0
+
+    data = by_name("tail-chain")
+    assert presentation_at(data, Flavor.INFINITY, 40) is presentation_at(
+        data, Flavor.INFINITY, 42)
+
+
 # -- induced maps -----------------------------------------------------------
 
 def test_identity_induces_identity():
