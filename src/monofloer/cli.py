@@ -33,7 +33,8 @@ from .duality import DualityMismatch, duality_check
 from .homology import GradedAbelianGroup, graded_homology
 from .intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from .sequences import MismatchError, check_les_hat, check_les_main, hf_red
-from .spectral import ComparisonMismatch, spectral_pages, structure_theorem
+from .spectral import ComparisonMismatch, max_page, spectral_pages, \
+    structure_theorem
 
 __all__ = ["main", "run", "verify_all"]
 
@@ -207,9 +208,7 @@ def _cmd_les(data, args):
 
 
 def _cmd_spectral(data, args):
-    gradings = [p.grading for p in data.points] + [0]
-    cap = 2 * (max(gradings) - min(gradings)) + 3
-    pages = args.pages if args.pages is not None else min(3, cap)
+    pages = args.pages if args.pages is not None else min(3, max_page(data))
     results = {"flavor": "plus", "pages": []}
     for page in spectral_pages(data, Flavor.PLUS, pages):
         cells = [{"p": p, "q": q, "group": _invariants_doc(g)}
@@ -285,6 +284,9 @@ def _cmd_generate(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+_MAX_WINDOW_DEGREES = 2001
+
+
 def _window_type(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
@@ -297,7 +299,13 @@ def _window_type(text: str) -> tuple[int, int]:
             f"window bounds must be integers, got {text!r}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"window {text!r} is empty")
+    if hi - lo + 1 > _MAX_WINDOW_DEGREES:
+        raise argparse.ArgumentTypeError(
+            f"window {text!r} spans more than {_MAX_WINDOW_DEGREES} degrees")
     return lo, hi
+
+
+_MAX_COUNT = 1000
 
 
 def _count_type(text: str) -> int:
@@ -308,6 +316,9 @@ def _count_type(text: str) -> int:
             f"count must be an integer, got {text!r}")
     if count < 0:
         raise argparse.ArgumentTypeError(f"count {count} is negative")
+    if count > _MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"count {count} exceeds {_MAX_COUNT}")
     return count
 
 
@@ -437,19 +448,18 @@ def run(argv: list[str]) -> int:
             window = _window_of(args)
             if window is None and args.command != "reverse":
                 window = default_window(data)
+        report = {
+            "command": args.command,
+            "engine_version": __version__,
+            "dataset_name": name,
+            "dataset_hash": digest,
+            "window": list(window) if window is not None else None,
+            "results": results,
+        }
+        _emit(report, args.out)
     except (ParseError, SchemaError, InvalidInput, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-
-    report = {
-        "command": args.command,
-        "engine_version": __version__,
-        "dataset_name": name,
-        "dataset_hash": digest,
-        "window": list(window) if window is not None else None,
-        "results": results,
-    }
-    _emit(report, args.out)
 
     elapsed = time.perf_counter() - started
     verdict = "PASS" if ok else "FAIL"

@@ -1,8 +1,11 @@
 """Exact integer matrix algebra.
 
-Smith normal form, kernels, cokernel invariants, lattice membership,
-preimages, and quotient presentations with recorded generators.  This is the
-computational substrate for every homology calculation in the package.
+Smith normal form, kernels, cokernel invariants, preimages, and quotient
+presentations with recorded generators.  `QuotientPresentation` is the one
+quotient routine: it answers subquotient invariants, class coordinates and
+membership in its numerator lattice (`contains`) from the factorization it
+holds.  This is the computational substrate for every homology calculation
+in the package.
 
 All arithmetic is arbitrary precision and every result is exact.  Matrices
 are immutable values; a matrix with r rows and c columns represents a
@@ -22,13 +25,8 @@ __all__ = [
     "smith_normal_form",
     "cokernel_invariants",
     "kernel_basis",
-    "subquotient_invariants",
     "column_space_basis",
     "preimage_lattice",
-    "lattice_contains",
-    "first_column_outside",
-    "lattice_equal",
-    "solve",
     "hstack",
     "QuotientPresentation",
     "HomologyGenerator",
@@ -37,10 +35,6 @@ __all__ = [
 
 class ContainmentError(Exception):
     """A vector expected to lie in a lattice does not."""
-
-    def __init__(self, message: str, column: int | None = None):
-        super().__init__(message)
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -568,11 +562,6 @@ def kernel_basis(mat: SparseIntMatrix) -> SparseIntMatrix:
         ((i, j, v) for j, col in enumerate(cols) for i, v in col.items()))
 
 
-def solve(mat: SparseIntMatrix, vec: Sequence[int]) -> list[int] | None:
-    """An integral solution of mat * x = vec, or None."""
-    return _Factorization(mat).solve(vec)
-
-
 def column_space_basis(mat: SparseIntMatrix) -> SparseIntMatrix:
     """Independent columns spanning the same column lattice as mat."""
     f = _Factorization(mat, need_uinv=True, need_v=False)
@@ -591,53 +580,6 @@ def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMa
     ker = kernel_basis(stacked)
     items = [(i, j, v) for (i, j, v) in ker.entries if i < mat.cols]
     return SparseIntMatrix.from_entries(mat.cols, ker.cols, items)
-
-
-def first_column_outside(lattice: SparseIntMatrix,
-                         candidates: SparseIntMatrix) -> int | None:
-    """Index of the first candidate column outside the lattice span, if any."""
-    if lattice.rows != candidates.rows:
-        raise ValueError("row mismatch between lattices")
-    f = _Factorization(lattice)
-    for j, col in enumerate(candidates.columns()):
-        if f.solve(col) is None:
-            return j
-    return None
-
-
-def lattice_contains(lattice: SparseIntMatrix,
-                     candidates: SparseIntMatrix) -> bool:
-    return first_column_outside(lattice, candidates) is None
-
-
-def lattice_equal(a: SparseIntMatrix, b: SparseIntMatrix) -> bool:
-    return lattice_contains(a, b) and lattice_contains(b, a)
-
-
-def _coordinates(z: SparseIntMatrix, b: SparseIntMatrix
-                 ) -> tuple[_Factorization, SparseIntMatrix]:
-    """The factorization of z and the coordinates of b's columns in z's
-    basis; z's columns must be independent and b's must lie in span(z)."""
-    if z.rows != b.rows:
-        raise ValueError("ambient dimension mismatch")
-    fz = _Factorization(z)
-    if fz.rank != z.cols:
-        raise ValueError("quotient numerator columns are dependent")
-    coords = []
-    for j, col in enumerate(b.columns()):
-        x = fz.solve(col)
-        if x is None:
-            raise ContainmentError(
-                f"column {j} is not an integral combination of the numerator "
-                "basis", column=j)
-        coords.append(x)
-    return fz, SparseIntMatrix.from_columns(z.cols, coords)
-
-
-def subquotient_invariants(z: SparseIntMatrix,
-                           b: SparseIntMatrix) -> AbelianGroupInvariants:
-    """Invariants of span(z) / span(b); columns of z must be independent."""
-    return cokernel_invariants(_coordinates(z, b)[1])
 
 
 @dataclass(frozen=True)
@@ -661,8 +603,21 @@ class QuotientPresentation:
                  "_fz", "_fx", "_kept")
 
     def __init__(self, z: SparseIntMatrix, b: SparseIntMatrix):
-        fz, x_mat = _coordinates(z, b)
-        fx = _Factorization(x_mat, need_uinv=True)
+        if z.rows != b.rows:
+            raise ValueError("ambient dimension mismatch")
+        fz = _Factorization(z)
+        if fz.rank != z.cols:
+            raise ValueError("quotient numerator columns are dependent")
+        coords = []
+        for j, col in enumerate(b.columns()):
+            x = fz.solve(col)
+            if x is None:
+                raise ContainmentError(
+                    f"column {j} is not an integral combination of the "
+                    "numerator basis")
+            coords.append(x)
+        fx = _Factorization(SparseIntMatrix.from_columns(z.cols, coords),
+                            need_uinv=True)
 
         orders = []
         kept = []
@@ -687,6 +642,10 @@ class QuotientPresentation:
         self._fz = fz
         self._fx = fx
         self._kept = kept
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        """Whether vec lies in span(Z), the numerator lattice."""
+        return self._fz.solve(list(vec)) is not None
 
     def coordinate_of(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's class on the recorded

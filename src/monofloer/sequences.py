@@ -27,12 +27,11 @@ from .data import per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
+    QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
-    first_column_outside,
     hstack,
     preimage_lattice,
-    subquotient_invariants,
 )
 
 __all__ = [
@@ -200,20 +199,19 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
     image_lattice = hstack(incoming, bd)
     pre = preimage_lattice(outgoing_cycles, target_bd)
     kernel_lattice = hstack(cycles.mul(pre), bd)
+    image = QuotientPresentation(column_space_basis(image_lattice), bd)
+    kernel = QuotientPresentation(column_space_basis(kernel_lattice), bd)
 
     witness = None
-    j = first_column_outside(image_lattice, kernel_lattice)
-    if j is not None:
-        witness = ("kernel class outside the incoming image",
-                   tuple(kernel_lattice.column(j)))
-    else:
-        j = first_column_outside(kernel_lattice, image_lattice)
-        if j is not None:
-            witness = ("incoming image outside the kernel",
-                       tuple(image_lattice.column(j)))
-    image_inv = subquotient_invariants(column_space_basis(image_lattice), bd)
-    kernel_inv = subquotient_invariants(column_space_basis(kernel_lattice), bd)
-    return image_inv, kernel_inv, witness
+    for reason, outer, inner in (
+            ("kernel class outside the incoming image", kernel_lattice, image),
+            ("incoming image outside the kernel", image_lattice, kernel)):
+        outside = next((col for col in outer.columns()
+                        if not inner.contains(col)), None)
+        if outside is not None:
+            witness = (reason, tuple(outside))
+            break
+    return image.invariants, kernel.invariants, witness
 
 
 def _node_report(data, degree: int, name: str, flavor: Flavor,
@@ -267,7 +265,7 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     cycles = presentation_at(data, Flavor.PLUS, n).cycle_basis
     bd = _differential(data, Flavor.PLUS, n + 1)
     images = _images_of_classes(data, Flavor.INFINITY, n, proj)
-    coker = subquotient_invariants(cycles, hstack(bd, images))
+    coker = QuotientPresentation(cycles, hstack(bd, images)).invariants
 
     # the kernel of the inclusion is that of the "minus" node one degree down
     kernel = _node_report(

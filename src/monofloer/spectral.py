@@ -36,7 +36,6 @@ from .intlinalg import (
     column_space_basis,
     hstack,
     preimage_lattice,
-    subquotient_invariants,
 )
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "StructureTheoremResult",
     "nonequivariant_floer",
     "delta_map",
+    "max_page",
     "spectral_pages",
     "structure_theorem",
 ]
@@ -99,6 +99,13 @@ def _filtration_of(data: MonopoleData, gen: Generator) -> int:
 
 def _filtration_levels(data: MonopoleData) -> list[int]:
     return sorted({p.grading for p in data.points} | {0})
+
+
+def max_page(data: MonopoleData) -> int:
+    """The last page spectral_pages computes for this data: twice the span
+    of the filtration levels, plus three."""
+    levels = _filtration_levels(data)
+    return 2 * (levels[-1] - levels[0]) + 3
 
 
 @per_dataset
@@ -174,7 +181,7 @@ def _page_homology_invariants(data: MonopoleData, flavor: Flavor, r: int,
     image = _differential(data, flavor, n + 1).mul(
         _a_lattice(data, flavor, n + 1, p + r, r))
     denominator = hstack(_den_lattice(data, flavor, r, p, n), image)
-    return subquotient_invariants(numerator, denominator)
+    return QuotientPresentation(numerator, denominator).invariants
 
 
 def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,
@@ -234,10 +241,9 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
         raise InvalidInput(
             "spectral pages exist for the infinity and plus flavors only")
     levels = _filtration_levels(data)
-    span = levels[-1] - levels[0]
-    if not 0 <= up_to_r <= 2 * span + 3:
-        raise InvalidInput(
-            f"page bound must lie in [0, {2 * span + 3}] for this data")
+    cap = max_page(data)
+    if not 0 <= up_to_r <= cap:
+        raise InvalidInput(f"page bound must lie in [0, {cap}] for this data")
     lo, hi = default_window(data)
 
     pages = []

@@ -139,6 +139,17 @@ def dense_rank(mat):
     return len(dense_invariant_factors(mat))
 
 
+def dense_in_span(lattice, vec):
+    """Whether vec lies in the column span of lattice (a list of rows).
+
+    It does exactly when appending it as a column leaves the invariant
+    factors unchanged: the quotient by the larger span is then isomorphic
+    to, and a quotient of, the one by the smaller span.
+    """
+    return dense_invariant_factors(lattice) == dense_invariant_factors(
+        [row + [v] for row, v in zip(lattice, vec)])
+
+
 def dense_homology(dim_n, d_n, d_np1):
     """(free rank, torsion list) of ker(d_n)/im(d_np1).
 

@@ -3,8 +3,10 @@ byte-determinism."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -122,7 +124,15 @@ def test_homology_usage_errors(tmp_path, capsys):
                  ["les", "hat", "--window", "5:-5", chain],
                  ["duality", "--window", "5:-5", chain],
                  ["verify-all", "--window", "5:-5", chain],
-                 ["generate", "--seed", "1", "--size", "3", "--count", "-2"]):
+                 ["generate", "--seed", "1", "--size", "3", "--count", "-2"],
+                 ["generate", "--seed", "1", "--size", "3", "--count", "1001"],
+                 ["homology", "--flavor", "plus", "--window", "-1000:1001",
+                  path],
+                 ["verify-all", "--window", "0:2001", chain],
+                 ["homology", "--flavor", "plus", "--out", str(tmp_path),
+                  path],
+                 ["homology", "--flavor", "plus", "--out",
+                  str(tmp_path / "absent" / "report.json"), path]):
         code, out, _ = run(capsys, argv)
         assert code == 2, argv
 
@@ -316,3 +326,16 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 0
     doc = report_of(done.stdout)
     assert doc["dataset_name"] == "two-step"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check may rest on one
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / \
+        "monofloer"
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, (module.name, lines)

@@ -15,17 +15,23 @@ from monofloer.intlinalg import (
     column_space_basis,
     cokernel_invariants,
     kernel_basis,
-    lattice_contains,
-    lattice_equal,
     preimage_lattice,
     smith_normal_form,
-    solve,
-    subquotient_invariants,
 )
 
 
 def M(dense, cols=None):
     return SparseIntMatrix.from_dense(dense, cols=cols)
+
+
+def in_span(lattice, vectors):
+    """Every column of vectors lies in span(lattice), by the dense oracle."""
+    dense = lattice.to_dense()
+    return all(oracle.dense_in_span(dense, col) for col in vectors.columns())
+
+
+def spans_equal(a, b):
+    return in_span(a, b) and in_span(b, a)
 
 
 def check_snf(mat):
@@ -91,13 +97,13 @@ def test_kernel_examples():
 
 
 def test_subquotient_examples():
-    assert subquotient_invariants(SparseIntMatrix.identity(2), M([[1], [-1]])) == \
+    assert QuotientPresentation(SparseIntMatrix.identity(2), M([[1], [-1]])).invariants == \
         AbelianGroupInvariants(1, ())
-    assert subquotient_invariants(SparseIntMatrix.identity(1), M([[2]])) == \
+    assert QuotientPresentation(SparseIntMatrix.identity(1), M([[2]])).invariants == \
         AbelianGroupInvariants(0, (2,))
-    assert subquotient_invariants(SparseIntMatrix.identity(3), SparseIntMatrix.identity(3)) == \
+    assert QuotientPresentation(SparseIntMatrix.identity(3), SparseIntMatrix.identity(3)).invariants == \
         AbelianGroupInvariants(0, ())
-    assert subquotient_invariants(SparseIntMatrix.zero(4, 0), SparseIntMatrix.zero(4, 0)) == \
+    assert QuotientPresentation(SparseIntMatrix.zero(4, 0), SparseIntMatrix.zero(4, 0)).invariants == \
         AbelianGroupInvariants(0, ())
 
 
@@ -105,15 +111,17 @@ def test_subquotient_containment_error():
     z = M([[2], [0]])
     b = M([[1], [0]])
     with pytest.raises(ContainmentError):
-        subquotient_invariants(z, b)
+        QuotientPresentation(z, b)
 
 
 def test_solve_basic():
-    m = M([[2, 0], [0, 3]])
-    assert solve(m, [4, 3]) == [2, 1]
-    assert solve(m, [1, 0]) is None
-    assert solve(SparseIntMatrix.zero(2, 0), [0, 0]) == []
-    assert solve(SparseIntMatrix.zero(2, 0), [1, 0]) is None
+    pres = QuotientPresentation(M([[2, 0], [0, 3]]), SparseIntMatrix.zero(2, 0))
+    assert pres.contains([4, 3])
+    assert not pres.contains([1, 0])
+    empty = QuotientPresentation(SparseIntMatrix.zero(2, 0),
+                                 SparseIntMatrix.zero(2, 0))
+    assert empty.contains([0, 0])
+    assert not empty.contains([1, 0])
 
 
 def _random_matrix(rng, max_dim=8, bound=5):
@@ -170,33 +178,35 @@ def test_subquotient_vs_oracle_random():
                    for _ in range(z.cols)]
         x = M(x_dense, cols=cols_x)
         b = z.mul(x)
-        got = subquotient_invariants(z, b)
+        pres = QuotientPresentation(z, b)
         factors = oracle.dense_invariant_factors(x.to_dense())
         expect = AbelianGroupInvariants(z.cols - len(factors),
                                         tuple(f for f in factors if f > 1))
-        assert got == expect
+        assert pres.invariants == expect
+        vec = [rng.randrange(-3, 4) for _ in range(z.rows)]
+        assert pres.contains(vec) == oracle.dense_in_span(z.to_dense(), vec)
 
 
 def test_column_space_basis():
     mat = M([[2, 4, 0], [0, 0, 0]])
     basis = column_space_basis(mat)
     assert basis.cols == 1
-    assert lattice_equal(basis, M([[2], [0]]))
+    assert spans_equal(basis, M([[2], [0]]))
 
     rng = random.Random(1205)
     for _ in range(30):
         mat = _random_matrix(rng, max_dim=6)
         basis = column_space_basis(mat)
-        assert lattice_equal(basis, mat)
+        assert spans_equal(basis, mat)
         assert basis.cols == len(oracle.dense_invariant_factors(mat.to_dense()))
 
 
 def test_preimage_lattice():
     got = preimage_lattice(M([[2]]), M([[4]]))
-    assert lattice_equal(got, M([[2]]))
+    assert spans_equal(got, M([[2]]))
     # full preimage when the constraint is vacuous
     got = preimage_lattice(SparseIntMatrix.zero(1, 2), SparseIntMatrix.zero(1, 0))
-    assert lattice_equal(got, SparseIntMatrix.identity(2))
+    assert spans_equal(got, SparseIntMatrix.identity(2))
     # random consistency: every generated column satisfies the constraint
     rng = random.Random(1206)
     for _ in range(30):
@@ -205,14 +215,14 @@ def test_preimage_lattice():
               cols=2)
         pre = preimage_lattice(m, g)
         image = m.mul(pre)
-        assert lattice_contains(g, image)
+        assert in_span(g, image)
 
 
 def test_lattice_contains():
-    a = M([[2, 0], [0, 2]])
-    assert lattice_contains(a, M([[4], [2]]))
-    assert not lattice_contains(a, M([[1], [0]]))
-    assert lattice_equal(M([[1, 0], [0, 1]]), M([[1, 1], [0, 1]]))
+    pres = QuotientPresentation(M([[2, 0], [0, 2]]), SparseIntMatrix.zero(2, 0))
+    assert pres.contains([4, 2])
+    assert not pres.contains([1, 0])
+    assert spans_equal(M([[1, 0], [0, 1]]), M([[1, 1], [0, 1]]))
 
 
 def test_invariants_canonical_form():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from monofloer.complexes import Flavor, default_window
 from monofloer.data import curated_instances
 from monofloer.homology import homology_at, presentation_at
-from monofloer.intlinalg import AbelianGroupInvariants
+from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.sequences import (
     MismatchError,
     check_les_hat,
@@ -88,6 +89,63 @@ def test_composites_vanish_on_homology():
             for gen in pres_plus.generators:
                 image = inc.apply(delta.apply(gen.vector))
                 assert tgt_inf.is_zero_class(image), (data.name, n)
+
+
+def _apply(dense, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in dense]
+
+
+def test_witnesses_on_perturbed_infinity_nodes():
+    """Break the main sequence's infinity node four ways and check every
+    report, witness included, with the dense oracle alone."""
+    from monofloer.complexes import structural_map, _differential, _slice
+    from monofloer.sequences import _images_of_classes, _node_report
+
+    outside_image = "kernel class outside the incoming image"
+    outside_kernel = "incoming image outside the kernel"
+    witnesses = dict.fromkeys(
+        ("doubled", "zero-in", "zero-out", "identity-out"), 0)
+    for data in curated_instances():
+        lo, hi = default_window(data)
+        for n in range(lo, hi + 1):
+            inc = _images_of_classes(
+                data, Flavor.MINUS, n,
+                structural_map(data, "inclusion_minus", Flavor.INFINITY, n))
+            proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
+            dim = len(_slice(data, Flavor.INFINITY, n).basis)
+            d_n = _differential(data, Flavor.INFINITY, n).to_dense()
+            bd = _differential(data, Flavor.INFINITY, n + 1).to_dense()
+            cases = (
+                ("doubled", inc.scale(2), proj, Flavor.PLUS, outside_image),
+                ("zero-in", SparseIntMatrix.zero(inc.rows, inc.cols), proj,
+                 Flavor.PLUS, outside_image),
+                ("zero-out", inc, SparseIntMatrix.zero(proj.rows, proj.cols),
+                 Flavor.PLUS, outside_image),
+                ("identity-out", inc, SparseIntMatrix.identity(dim),
+                 Flavor.INFINITY, outside_kernel),
+            )
+            for label, incoming, outgoing, target, reason in cases:
+                node = _node_report(data, n, "infinity", Flavor.INFINITY,
+                                    incoming, outgoing, target, n)
+                where = (data.name, n, label)
+                assert node.exact == (node.witness is None), where
+                if node.witness is None:
+                    continue
+                witnesses[label] += 1
+                assert node.witness[0] == reason, where
+                vec = list(node.witness[1])
+                image = [a + b for a, b in zip(incoming.to_dense(), bd)]
+                target_bd = _differential(data, target, n + 1).to_dense()
+                lands = oracle.dense_in_span(
+                    target_bd, _apply(outgoing.to_dense(), vec))
+                if reason == outside_image:
+                    assert not any(_apply(d_n, vec)), where
+                    assert lands, where
+                    assert not oracle.dense_in_span(image, vec), where
+                else:
+                    assert vec in [list(col) for col in zip(*image)], where
+                    assert not lands, where
+    assert all(count >= 17 for count in witnesses.values()), witnesses
 
 
 # -- reduced group ----------------------------------------------------------
