@@ -18,10 +18,10 @@ from .complexes import (
     KIND_THETA,
     MonopoleData,
     _slice,
-    default_window,
+    checked_window,
     require_valid,
 )
-from .data import THETA, InvalidInput
+from .data import THETA, CheckFailed, InvalidInput
 from .homology import ChainMapSlice, HomologyClassMap, induced_on_homology, \
     structural_chain_map
 from .intlinalg import SparseIntMatrix
@@ -99,11 +99,7 @@ def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
     """Check u - omega_inverse = D.H + H.D degree by degree on the window."""
     from .complexes import _differential, structural_map
 
-    if flavor not in _U_FLAVORS:
-        raise InvalidInput(
-            "u is defined only on the infinity, minus, and plus flavors")
-    require_valid(data)
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     for n in range(lo, hi + 1):
         lhs = u_chain_map(data, flavor, n).sub(
             structural_map(data, "omega_inverse", flavor, n))
@@ -121,28 +117,21 @@ def u_module_structure(data: MonopoleData, flavor: Flavor,
                        ) -> HomologyClassMap:
     """Endomorphism induced by u on graded homology over the window.
 
-    Asserts degreewise equality with the map induced by omega_inverse
-    before returning.
+    Checks degreewise equality with the map induced by omega_inverse before
+    returning, and raises CheckFailed at the first degree where they differ.
     """
-    if flavor not in _U_FLAVORS:
-        raise InvalidInput(
-            "u is defined only on the infinity, minus, and plus flavors")
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     matrices = {n: u_chain_map(data, flavor, n)
                 for n in range(lo - 2, hi + 3)}
     induced = induced_on_homology(
         data, flavor, flavor,
-        ChainMapSlice(flavor, flavor, -2, matrices), window)
+        ChainMapSlice(flavor, flavor, -2, matrices), (lo, hi))
     omega = induced_on_homology(
         data, flavor, flavor,
-        structural_chain_map(data, "omega_inverse", window, flavor=flavor),
-        window)
+        structural_chain_map(data, "omega_inverse", (lo, hi), flavor=flavor),
+        (lo, hi))
     for n in range(lo, hi + 1):
         if induced.matrices[n] != omega.matrices[n]:
-            raise AssertionError(
-                "induced u differs from induced omega-inverse at degree "
-                f"{n}")
+            raise CheckFailed(
+                n, "induced u differs from induced omega-inverse")
     return induced

@@ -33,6 +33,8 @@ __all__ = [
     "structural_map",
     "default_window",
     "require_valid",
+    "MAX_WINDOW_DEGREES",
+    "checked_window",
 ]
 
 KIND_ETA = "eta"
@@ -178,8 +180,9 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
 
     Validity of the data is deliberately not required here: on defective
     coefficients this check is exactly what detects the broken identity.
+    The window is held to the bounds of checked_window.
     """
-    lo, hi = window
+    lo, hi = _window_bounds(window)
     for n in range(lo, hi + 1):
         if not _differential(data, flavor, n - 1).mul(
                 _differential(data, flavor, n)).is_zero():
@@ -240,3 +243,29 @@ def default_window(data: MonopoleData) -> tuple[int, int]:
     and 6 above."""
     gradings = [p.grading for p in data.points] + [0]
     return (min(gradings) - 4, max(gradings) + 6)
+
+
+MAX_WINDOW_DEGREES = 2001
+
+
+def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
+    # the window half of checked_window, which check_d_squared applies alone
+    lo, hi = window
+    if lo > hi:
+        raise InvalidInput(f"degree window {lo}:{hi} is empty")
+    if hi - lo + 1 > MAX_WINDOW_DEGREES:
+        raise InvalidInput(f"degree window {lo}:{hi} spans more than "
+                           f"{MAX_WINDOW_DEGREES} degrees")
+    return lo, hi
+
+
+def checked_window(data: MonopoleData,
+                   window: tuple[int, int] | None) -> tuple[int, int]:
+    """The input contract of every windowed computation: the data must be
+    valid, a missing window becomes default_window(data), and the window
+    must be non-empty and at most MAX_WINDOW_DEGREES wide.  Returns
+    (lo, hi); raises InvalidInput otherwise."""
+    require_valid(data)
+    if window is None:
+        window = default_window(data)
+    return _window_bounds(window)

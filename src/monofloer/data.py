@@ -31,6 +31,7 @@ __all__ = [
     "InvalidInput",
     "ParseError",
     "SchemaError",
+    "CheckFailed",
     "validate",
     "per_dataset",
     "reverse_orientation",
@@ -55,12 +56,25 @@ class ParseError(Exception):
         self.position = position
 
 
-class SchemaError(Exception):
-    """Well-formed document violating the data schema; names the field."""
+class SchemaError(ValueError):
+    """Well-formed document, or dataset, violating the data schema; names
+    the field."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class CheckFailed(Exception):
+    """A mathematical check failed in one degree.
+
+    values names the two sides that disagree, in report order; it is empty
+    when the failure has no pair of values to show."""
+
+    def __init__(self, degree: int, message: str, **values):
+        super().__init__(f"degree {degree}: {message}")
+        self.degree = degree
+        self.values = values
 
 
 @dataclass(frozen=True)
@@ -97,27 +111,31 @@ class MonopoleData:
         gr: dict[str, int] = {}
         for p in self.points:
             if not p.id or p.id == THETA:
-                raise ValueError(f"reserved or empty point id: {p.id!r}")
+                raise SchemaError(f"reserved or empty point id: {p.id!r}",
+                                  field="id")
             if p.id in gr:
-                raise ValueError(f"duplicate point id: {p.id!r}")
+                raise SchemaError(f"duplicate point id: {p.id!r}", field="id")
             gr[p.id] = p.grading
         if list(self.points) != sorted(self.points, key=lambda p: p.id):
-            raise ValueError("points not sorted by id")
+            raise SchemaError("points not sorted by id", field="id")
         for label, coeffs, ok in (("n", self.n_coeffs, _n_placement_ok),
                                   ("m", self.m_coeffs, _m_placement_ok)):
             seen = set()
             for (src, dst, value) in coeffs:
                 if value == 0:
-                    raise ValueError("stored zero coefficient")
+                    raise SchemaError("stored zero coefficient", field=label)
                 if (src, dst) in seen:
-                    raise ValueError(f"duplicate {label} coefficient ({src}, {dst})")
+                    raise SchemaError(
+                        f"duplicate {label} coefficient ({src}, {dst})",
+                        field=label)
                 seen.add((src, dst))
                 if not ok(gr, src, dst):
-                    raise ValueError(
+                    raise SchemaError(
                         f"{label} coefficient ({src}, {dst}) violates the "
-                        "grading placement rule")
+                        "grading placement rule", field=label)
             if list(coeffs) != sorted(coeffs):
-                raise ValueError(f"{label} coefficients not sorted")
+                raise SchemaError(f"{label} coefficients not sorted",
+                                  field=label)
         by_gr: dict[int, list[str]] = {}
         for p in self.points:
             by_gr.setdefault(p.grading, []).append(p.id)
@@ -333,24 +351,18 @@ def parse(text: bytes | str) -> MonopoleData:
 
     if not isinstance(doc["points"], list):
         raise SchemaError("field points must be an array", field="points")
-    gr: dict[str, int] = {}
+    points = []
     for item in doc["points"]:
         if not isinstance(item, dict):
             raise SchemaError("points entries must be objects", field="points")
         _require_fields(item, ("id", "gr"), "points entry")
-        pid = _require_str(item["id"], "id")
-        grading = _require_int(item["gr"], "gr")
-        if not pid or pid == THETA:
-            raise SchemaError(f"reserved or empty point id: {pid!r}", field="id")
-        if pid in gr:
-            raise SchemaError(f"duplicate point id: {pid!r}", field="id")
-        gr[pid] = grading
+        points.append((_require_str(item["id"], "id"),
+                       _require_int(item["gr"], "gr")))
 
-    def read_coeffs(key: str, placement_ok) -> list[Coefficient]:
+    def read_coeffs(key: str) -> list[Coefficient]:
         if not isinstance(doc[key], list):
             raise SchemaError(f"field {key} must be an array", field=key)
         out: list[Coefficient] = []
-        seen: set[tuple[str, str]] = set()
         for item in doc[key]:
             if not isinstance(item, dict):
                 raise SchemaError(f"{key} entries must be objects", field=key)
@@ -358,23 +370,17 @@ def parse(text: bytes | str) -> MonopoleData:
             src = _require_str(item["from"], "from")
             dst = _require_str(item["to"], "to")
             value = _require_int(item["value"], "value")
+            # build drops zero values, so a zero is rejected here
             if value == 0:
                 raise SchemaError(
                     f"zero {key} coefficient ({src}, {dst})", field="value")
-            if (src, dst) in seen:
-                raise SchemaError(
-                    f"duplicate {key} coefficient ({src}, {dst})", field=key)
-            seen.add((src, dst))
-            if not placement_ok(gr, src, dst):
-                raise SchemaError(
-                    f"{key} coefficient ({src}, {dst}) violates the grading "
-                    "placement rule", field=key)
             out.append((src, dst, value))
         return out
 
-    n = read_coeffs("n", _n_placement_ok)
-    m = read_coeffs("m", _m_placement_ok)
-    return MonopoleData.build(name, [(pid, g) for pid, g in gr.items()], n, m)
+    # MonopoleData rejects reserved, empty or duplicate ids and duplicate or
+    # misplaced coefficients with a SchemaError naming the field
+    return MonopoleData.build(name, points, read_coeffs("n"),
+                              read_coeffs("m"))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +416,10 @@ def invalid_instance() -> MonopoleData:
 
 def _structure_compatible(data: MonopoleData) -> bool:
     # the corpus promises the orbit-complex comparison holds on every member
-    from .spectral import ComparisonMismatch, structure_theorem
+    from .spectral import structure_theorem
     try:
         structure_theorem(data)
-    except ComparisonMismatch:
+    except CheckFailed:
         return False
     return True
 

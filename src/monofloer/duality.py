@@ -19,18 +19,18 @@ from .complexes import (
     KIND_THETA,
     _differential,
     _slice,
-    default_window,
+    checked_window,
     generator_degree,
     require_valid,
     structural_map,
 )
-from .data import MonopoleData, _toggle_id, per_dataset, reverse_orientation
+from .data import CheckFailed, MonopoleData, _toggle_id, per_dataset, \
+    reverse_orientation
 from .homology import GradedAbelianGroup, _kernel, _quotient, homology_at
 from .intlinalg import AbelianGroupInvariants, SparseIntMatrix
 
 __all__ = [
     "PairingSlice",
-    "DualityMismatch",
     "DualityReport",
     "pairing_matrix",
     "hat_pairing_matrix",
@@ -38,19 +38,6 @@ __all__ = [
     "cohomology",
     "duality_check",
 ]
-
-
-class DualityMismatch(Exception):
-    """A graded group of one orientation differs from its partner."""
-
-    def __init__(self, degree: int, dual_value: AbelianGroupInvariants,
-                 reversed_value: AbelianGroupInvariants):
-        super().__init__(
-            f"degree {degree}: cohomology {dual_value} does not match the "
-            f"reversed-orientation homology {reversed_value}")
-        self.degree = degree
-        self.dual_value = dual_value
-        self.reversed_value = reversed_value
 
 
 @dataclass(frozen=True)
@@ -116,9 +103,8 @@ def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
         row = _slice(data, Flavor.PLUS, n).basis[i]
         col = _slice(rev, Flavor.MINUS, -2 - n).basis[j]
         if generator_degree(data, row) + generator_degree(rev, col) != -2:
-            raise AssertionError(
-                f"paired generators in degree {n} do not have degrees "
-                "summing to -2")
+            raise CheckFailed(
+                n, "paired generators do not have degrees summing to -2")
     return PairingSlice(n, mat)
 
 
@@ -155,9 +141,8 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
         (pairing degrees n and n-2 against -n and -2-n);
       * the hat analogue of the first identity, pairing degree n against -n.
     """
-    require_valid(data)
+    lo, hi = checked_window(data, window)
     rev = reverse_orientation(data)
-    lo, hi = window
     for n in range(lo, hi + 1):
         p_n = _pairing_with(data, rev, n)
         p_prev = _pairing_with(data, rev, n - 1)
@@ -198,8 +183,7 @@ def cohomology(data: MonopoleData, flavor: Flavor,
     transposed differential raises degree by one.  No tail claims are made;
     the report carries the windowed groups only.
     """
-    require_valid(data)
-    lo, hi = window if window is not None else default_window(data)
+    lo, hi = checked_window(data, window)
     groups = {n: _cohomology_at(data, flavor, n) for n in range(lo, hi + 1)}
     return GradedAbelianGroup((lo, hi), groups, None, None)
 
@@ -215,11 +199,10 @@ def duality_check(data: MonopoleData,
     complex rather than merely comparing ranks.  Then the graded level:
     cohomology of one orientation must equal homology of the other at the
     partner degree for the (plus, minus), (minus, plus), and (hat, hat)
-    pairs, with DualityMismatch raised on the first disagreement.  Finally
+    pairs, with CheckFailed raised on the first disagreement.  Finally
     reversing twice must reproduce the original dataset exactly.
     """
-    require_valid(data)
-    lo, hi = window if window is not None else default_window(data)
+    lo, hi = checked_window(data, window)
     rev = reverse_orientation(data)
 
     double = reverse_orientation(rev)
@@ -240,21 +223,18 @@ def duality_check(data: MonopoleData,
     minus_vs_plus = {}
     hat_vs_hat = {}
     for n in range(lo, hi + 1):
-        left = _cohomology_at(data, Flavor.PLUS, n)
-        right = homology_at(rev, Flavor.MINUS, -2 - n)
-        if left != right:
-            raise DualityMismatch(n, left, right)
-        plus_vs_minus[n] = left
-        left = _cohomology_at(data, Flavor.MINUS, n)
-        right = homology_at(rev, Flavor.PLUS, -2 - n)
-        if left != right:
-            raise DualityMismatch(n, left, right)
-        minus_vs_plus[n] = left
-        left = _cohomology_at(data, Flavor.HAT, n)
-        right = homology_at(rev, Flavor.HAT, -n)
-        if left != right:
-            raise DualityMismatch(n, left, right)
-        hat_vs_hat[n] = left
+        for groups, flavor, partner, partner_degree in (
+                (plus_vs_minus, Flavor.PLUS, Flavor.MINUS, -2 - n),
+                (minus_vs_plus, Flavor.MINUS, Flavor.PLUS, -2 - n),
+                (hat_vs_hat, Flavor.HAT, Flavor.HAT, -n)):
+            left = _cohomology_at(data, flavor, n)
+            right = homology_at(rev, partner, partner_degree)
+            if left != right:
+                raise CheckFailed(
+                    n, f"cohomology {left} does not match the "
+                    f"reversed-orientation homology {right}",
+                    dual_value=left, reversed_value=right)
+            groups[n] = left
 
     return DualityReport((lo, hi), plus_vs_minus, minus_vs_plus, hat_vs_hat,
                          adjoint, perfect, double_ok,

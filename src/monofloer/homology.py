@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Flavor, MonopoleData, _differential, _slice, \
-    default_window, require_valid
-from .data import InvalidInput, per_dataset
+    checked_window, require_valid
+from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
     QuotientPresentation,
@@ -39,13 +39,11 @@ __all__ = [
 TRIVIAL = AbelianGroupInvariants(0)
 
 
-class NotChainMap(Exception):
+class NotChainMap(CheckFailed):
     """The alleged chain map fails to commute with the differentials."""
 
     def __init__(self, degree: int):
-        super().__init__(f"does not commute with the differential at degree "
-                         f"{degree}")
-        self.degree = degree
+        super().__init__(degree, "does not commute with the differential")
 
 
 class WindowTooSmall(Exception):
@@ -170,12 +168,7 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int] | None = None) -> GradedAbelianGroup:
     """Homology across the window plus tail descriptors where the complex is
     verified to repeat with period two (or to vanish) beyond the edges."""
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
-    if lo > hi:
-        raise InvalidInput("empty degree window")
+    lo, hi = checked_window(data, window)
     groups = {n: homology_at(data, flavor, n) for n in range(lo, hi + 1)}
     gradings = [p.grading for p in data.points] + [0]
 
@@ -196,7 +189,7 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
             tail_below = _empty_tail(data, flavor, lo, -1)
         elif flavor is Flavor.MINUS and lo + 1 <= min(gradings) - 3:
             tail_below = _periodic_tail(data, flavor, groups, lo, lo + 1, -1)
-    return GradedAbelianGroup(window, groups, tail_above, tail_below)
+    return GradedAbelianGroup((lo, hi), groups, tail_above, tail_below)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +204,9 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
     Commutation with the differentials is checked over the window plus one
     degree of margin; failure raises NotChainMap with the offending degree.
     """
-    require_valid(data)
+    lo, hi = checked_window(data, window)
     if chain_map.source is not source or chain_map.target is not target:
         raise InvalidInput("chain map flavors disagree with the arguments")
-    lo, hi = window
     shift = chain_map.shift
     for n in range(lo - 1, hi + 2):
         if n not in chain_map.matrices:
@@ -237,7 +229,7 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         columns = [tgt.coordinate_of(chain_map.matrices[n].apply(g.vector))
                    for g in src.generators]
         matrices[n] = SparseIntMatrix.from_columns(len(tgt.generators), columns)
-    return HomologyClassMap(source, target, shift, window, matrices)
+    return HomologyClassMap(source, target, shift, (lo, hi), matrices)
 
 
 _STRUCTURAL = {

@@ -489,11 +489,6 @@ class _Factorization:
             self.rows, self.rows,
             ((i, j, v) for i, row in self.u_rows.items() for j, v in row.items()))
 
-    def matrix_Uinv(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_entries(
-            self.rows, self.rows,
-            ((i, j, v) for j, col in self.uinv_cols.items() for i, v in col.items()))
-
     def matrix_V(self) -> SparseIntMatrix:
         return SparseIntMatrix.from_entries(
             self.cols, self.cols,
@@ -617,7 +612,7 @@ class QuotientPresentation:
                     "numerator basis")
             coords.append(x)
         fx = _Factorization(SparseIntMatrix.from_columns(z.cols, coords),
-                            need_uinv=True)
+                            need_uinv=True, need_v=False)
 
         orders = []
         kept = []

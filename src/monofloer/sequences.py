@@ -19,11 +19,11 @@ from .complexes import (
     _differential,
     _identification,
     _slice,
-    default_window,
+    checked_window,
     require_valid,
     structural_map,
 )
-from .data import per_dataset
+from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -35,8 +35,6 @@ from .intlinalg import (
 )
 
 __all__ = [
-    "LiftError",
-    "MismatchError",
     "NodeReport",
     "ExactnessReport",
     "HatSequenceReport",
@@ -45,23 +43,6 @@ __all__ = [
     "hf_red",
     "check_les_hat",
 ]
-
-
-class LiftError(Exception):
-    """A lifted cycle failed to land in the expected subcomplex."""
-
-
-class MismatchError(Exception):
-    """The two computations of the reduced group disagree in one degree."""
-
-    def __init__(self, degree: int, cokernel: AbelianGroupInvariants,
-                 kernel: AbelianGroupInvariants):
-        super().__init__(
-            f"degree {degree}: cokernel of the projection is {cokernel} but "
-            f"the kernel of the inclusion is {kernel}")
-        self.degree = degree
-        self.cokernel = cokernel
-        self.kernel = kernel
 
 
 @dataclass(frozen=True)
@@ -112,8 +93,7 @@ def _check_lands_in(data, sub: Flavor, ambient: Flavor, n: int,
     down = _restriction(data, sub, ambient, n)
     back = _identification(_slice(data, ambient, n), _slice(data, sub, n))
     if vectors != back.mul(down.mul(vectors)):
-        raise LiftError(
-            f"a lifted boundary in degree {n} escapes the subcomplex")
+        raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
 
 
 def _delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
@@ -167,8 +147,7 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     restrict = _restriction(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
     for col in restrict.mul(raw_bd).columns():
         if not target.is_zero_class(col):
-            raise LiftError(
-                f"the connecting map in degree {n} depends on the lift")
+            raise CheckFailed(n, "the connecting map depends on the lift")
 
     columns = [target.coordinate_of(col)
                for col in restrict.mul(raw).columns()]
@@ -230,10 +209,7 @@ def check_les_main(data: MonopoleData,
                    window: tuple[int, int] | None = None) -> ExactnessReport:
     """Exactness of Minus into Infinity onto Plus, closed by the
     connecting map, at every node in the window."""
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     nodes = []
     for n in range(lo, hi + 1):
         inc = structural_map(data, "inclusion_minus", Flavor.INFINITY, n)
@@ -251,7 +227,7 @@ def check_les_main(data: MonopoleData,
             data, n, "plus", Flavor.PLUS,
             _images_of_classes(data, Flavor.INFINITY, n, proj),
             _delta_chain(data, n), Flavor.MINUS, n - 1))
-    return ExactnessReport(window, tuple(nodes))
+    return ExactnessReport((lo, hi), tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +236,7 @@ def check_les_main(data: MonopoleData,
 
 def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
-    kernel at n - 1; raises MismatchError if they differ."""
+    kernel at n - 1; raises CheckFailed if they differ."""
     proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
     cycles = presentation_at(data, Flavor.PLUS, n).cycle_basis
     bd = _differential(data, Flavor.PLUS, n + 1)
@@ -275,7 +251,9 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
         Flavor.INFINITY, n - 1).kernel
 
     if coker != kernel:
-        raise MismatchError(n, coker, kernel)
+        raise CheckFailed(
+            n, f"cokernel of the projection is {coker} but the kernel of the "
+            f"inclusion is {kernel}", cokernel=coker, kernel=kernel)
     return coker
 
 
@@ -283,10 +261,7 @@ def hf_red(data: MonopoleData,
            window: tuple[int, int] | None = None) -> GradedAbelianGroup:
     """The reduced group per degree, computed both as the cokernel of the
     projection and as the kernel of the inclusion one degree down."""
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     groups = {n: _red_at(data, n) for n in range(lo, hi + 1)}
     tail_above = None
     if _red_at(data, hi + 1).is_trivial and _red_at(data, hi + 2).is_trivial:
@@ -294,7 +269,7 @@ def hf_red(data: MonopoleData,
     tail_below = None
     if _red_at(data, lo - 1).is_trivial and _red_at(data, lo - 2).is_trivial:
         tail_below = Tail(TRIVIAL, TRIVIAL, True)
-    return GradedAbelianGroup(window, groups, tail_above, tail_below)
+    return GradedAbelianGroup((lo, hi), groups, tail_above, tail_below)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +282,12 @@ def check_les_hat(data: MonopoleData,
     by the section-and-differential connecting map.
 
     The induced middle map is computed both from u and from omega-inverse
-    and asserted equal (by u_module_structure) before the node checks run;
+    and checked equal (by u_module_structure) before the node checks run;
     the report also records whether Hat and Plus homology vanish together
     over the window.
     """
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
-    u_module_structure(data, Flavor.PLUS, window)
+    lo, hi = checked_window(data, window)
+    u_module_structure(data, Flavor.PLUS, (lo, hi))
 
     nodes = []
     for n in range(lo, hi + 1):
@@ -343,5 +315,5 @@ def check_les_hat(data: MonopoleData,
     plus_nonzero = any(
         not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
         for n in range(lo, hi + 1))
-    return HatSequenceReport(window, tuple(nodes), hat_nonzero, plus_nonzero,
+    return HatSequenceReport((lo, hi), tuple(nodes), hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

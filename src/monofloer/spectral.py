@@ -23,10 +23,11 @@ from .complexes import (
     MonopoleData,
     _differential,
     _slice,
+    checked_window,
     default_window,
     require_valid,
 )
-from .data import InvalidInput, THETA, per_dataset
+from .data import CheckFailed, InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
     GradedAbelianGroup, _kernel, _quotient
 from .intlinalg import (
@@ -39,7 +40,6 @@ from .intlinalg import (
 )
 
 __all__ = [
-    "ComparisonMismatch",
     "SpectralPage",
     "StructureTheoremResult",
     "nonequivariant_floer",
@@ -50,19 +50,6 @@ __all__ = [
 ]
 
 _PAGE_FLAVORS = frozenset((Flavor.INFINITY, Flavor.PLUS))
-
-
-class ComparisonMismatch(Exception):
-    """Predicted and directly computed groups disagree in one degree."""
-
-    def __init__(self, degree: int, predicted: AbelianGroupInvariants,
-                 actual: AbelianGroupInvariants):
-        super().__init__(
-            f"degree {degree}: structure prediction {predicted} but direct "
-            f"computation {actual}")
-        self.degree = degree
-        self.predicted = predicted
-        self.actual = actual
 
 
 @dataclass(frozen=True)
@@ -221,9 +208,9 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
         predicted = [0] * len(basis_m)
         predicted[theta_idx] = total
         if target.coordinate_of(predicted) != tuple(mat.column(col)):
-            raise AssertionError(
-                f"page-3 differential at filtration 3, degree {n} deviates "
-                "from the coefficient-product formula")
+            raise CheckFailed(
+                n, "page-3 differential at filtration 3 deviates from the "
+                "coefficient-product formula")
 
 
 def spectral_pages(data: MonopoleData, flavor: Flavor,
@@ -262,12 +249,12 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
                 g.order for g in
                 _cell(data, flavor, r, p - 2 * r, n - 2).generators)
             if not _composite_vanishes(follow, mat, orders):
-                raise AssertionError(
-                    f"page-{r} differentials fail to square to zero at "
+                raise CheckFailed(
+                    n, f"page-{r} differentials fail to square to zero at "
                     f"({p}, {q})")
             if r >= 2 and r % 2 == 0 and not mat.is_zero():
-                raise AssertionError(
-                    f"even page {r} carries a nonzero differential at "
+                raise CheckFailed(
+                    n, f"even page {r} carries a nonzero differential at "
                     f"({p}, {q})")
         if flavor is Flavor.PLUS and r == 3:
             for p in levels:
@@ -296,7 +283,7 @@ def delta_map(data: MonopoleData, k: int) -> SparseIntMatrix:
 
     Pushes a class down through the even coefficient matrices from grading
     2k+1 to grading 1, then pairs with the reducible coupling column.
-    Torsion generators must map to zero and are asserted to do so.
+    Torsion generators must map to zero; CheckFailed is raised otherwise.
     """
     require_valid(data)
     if k < 0:
@@ -314,8 +301,9 @@ def delta_map(data: MonopoleData, k: int) -> SparseIntMatrix:
             gr -= 2
         value = sum(v * data.n_value(a, THETA) for a, v in x.items())
         if gen.order != 0 and value != 0:
-            raise AssertionError(
-                "a torsion class produced a nonzero obstruction value")
+            raise CheckFailed(
+                2 * k + 1, "a torsion class produced a nonzero obstruction "
+                "value")
         if value:
             entries.append((0, col, value))
     return SparseIntMatrix.from_entries(1, len(pres.generators), entries)
@@ -336,12 +324,9 @@ def structure_theorem(data: MonopoleData,
 
     Negative degrees copy the non-equivariant groups; positive odd degrees
     take the kernel of the obstruction row; even degrees adjoin the cyclic
-    tower term.  A disagreement raises ComparisonMismatch with both values.
+    tower term.  A disagreement raises CheckFailed with both values.
     """
-    require_valid(data)
-    if window is None:
-        window = default_window(data)
-    lo, hi = window
+    lo, hi = checked_window(data, window)
 
     delta = {}
     free_values = {}
@@ -370,9 +355,12 @@ def structure_theorem(data: MonopoleData,
             predicted[n] = AbelianGroupInvariants(base.free_rank - drop,
                                                   base.torsion)
 
-    actual = graded_homology(data, Flavor.PLUS, window).groups
+    actual = graded_homology(data, Flavor.PLUS, (lo, hi)).groups
     for n in range(lo, hi + 1):
         if predicted[n] != actual[n]:
-            raise ComparisonMismatch(n, predicted[n], actual[n])
-    return StructureTheoremResult(window, predicted, actual, delta, t_terms,
+            raise CheckFailed(
+                n, f"structure prediction {predicted[n]} but direct "
+                f"computation {actual[n]}",
+                predicted=predicted[n], actual=actual[n])
+    return StructureTheoremResult((lo, hi), predicted, actual, delta, t_terms,
                                   True)

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 from monofloer.cli import main, verify_all
-from monofloer.data import MonopoleData, THETA, curated_instances, \
-    invalid_instance, serialize
+from monofloer.data import CheckFailed, MonopoleData, THETA, \
+    curated_instances, invalid_instance, serialize
 
 REPORT_KEYS = ["command", "engine_version", "dataset_name", "dataset_hash",
                "window", "results"]
@@ -275,6 +275,25 @@ def test_verify_all_passes_its_window_to_structure(monkeypatch):
     monkeypatch.setattr(cli, "structure_theorem", recording)
     verify_all(by_name("euler-pair"), (0, 3))
     assert seen == [(0, 3)]
+
+
+def test_verify_all_reports_a_failed_check_and_runs_the_rest(monkeypatch):
+    import monofloer.cli as cli
+
+    def failing(data, window=None):
+        raise CheckFailed(2, "induced maps differ")
+
+    monkeypatch.setattr(cli, "check_les_hat", failing)
+    summary = verify_all(by_name("euler-pair"))
+    assert summary["ok"] is False
+    assert [check["name"] for check in summary["checks"]] == [
+        "d-squared", "infinity-pattern", "les-main", "reduced-comparison",
+        "u-homotopy", "les-hat", "structure", "duality"]
+    for check in summary["checks"]:
+        if check["name"] == "les-hat":
+            assert check == {"name": "les-hat", "ok": False, "degree": 2}
+        else:
+            assert check["ok"] is True, check
 
 
 # -- plumbing ---------------------------------------------------------------

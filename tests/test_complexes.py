@@ -19,7 +19,9 @@ from monofloer.complexes import (
     KIND_ETA,
     KIND_ONE,
     KIND_THETA,
+    MAX_WINDOW_DEGREES,
     check_d_squared,
+    checked_window,
     default_window,
     differential_matrix,
     generator_degree,
@@ -264,3 +266,58 @@ def test_default_window():
     assert default_window(by_name("empty")) == (-4, 6)
     assert default_window(by_name("tail-chain")) == (-6, 9)
     assert default_window(by_name("euler-pair")) == (-4, 8)
+
+
+# -- the window contract ----------------------------------------------------
+
+def _windowed_entry_points():
+    from monofloer.actions import u_module_structure, verify_u_homotopy
+    from monofloer.cli import verify_all
+    from monofloer.duality import cohomology, duality_check, \
+        verify_adjointness
+    from monofloer.homology import graded_homology, identity_chain_map, \
+        induced_on_homology
+    from monofloer.sequences import check_les_hat, check_les_main, hf_red
+    from monofloer.spectral import structure_theorem
+
+    def induced(data, window):
+        chain = identity_chain_map(data, Flavor.PLUS, (0, 0))
+        return induced_on_homology(data, Flavor.PLUS, Flavor.PLUS, chain,
+                                   window)
+
+    return {
+        "graded_homology": lambda d, w: graded_homology(d, Flavor.PLUS, w),
+        "induced_on_homology": induced,
+        "verify_u_homotopy": lambda d, w: verify_u_homotopy(
+            d, Flavor.PLUS, w),
+        "u_module_structure": lambda d, w: u_module_structure(
+            d, Flavor.PLUS, w),
+        "check_les_main": check_les_main,
+        "hf_red": hf_red,
+        "check_les_hat": check_les_hat,
+        "structure_theorem": structure_theorem,
+        "verify_adjointness": verify_adjointness,
+        "cohomology": lambda d, w: cohomology(d, Flavor.PLUS, w),
+        "duality_check": duality_check,
+        "verify_all": verify_all,
+        # the window half only: this check also runs on invalid data
+        "check_d_squared": lambda d, w: check_d_squared(d, Flavor.PLUS, w),
+    }
+
+
+@pytest.mark.parametrize("window", [(5, -5), (-1000, 1001)])
+@pytest.mark.parametrize("name", list(_windowed_entry_points()))
+def test_windowed_entry_points_reject_bad_windows(name, window):
+    call = _windowed_entry_points()[name]
+    with pytest.raises(InvalidInput, match="window"):
+        call(by_name("tail-chain"), window)
+
+
+def test_checked_window():
+    data = by_name("tail-chain")
+    assert checked_window(data, None) == default_window(data)
+    widest = (-1000, -1000 + MAX_WINDOW_DEGREES - 1)
+    assert checked_window(data, widest) == widest
+    assert checked_window(data, (3, 3)) == (3, 3)
+    with pytest.raises(InvalidInput, match="invalid data"):
+        checked_window(invalid_instance(), (0, 1))

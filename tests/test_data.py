@@ -10,6 +10,7 @@ import pytest
 
 from monofloer.cli import verify_all
 from monofloer.data import (
+    CheckFailed,
     CriticalPoint,
     InvalidInput,
     MonopoleData,
@@ -24,6 +25,7 @@ from monofloer.data import (
     serialize,
     validate,
 )
+from monofloer.intlinalg import AbelianGroupInvariants
 
 
 def build(name, points, n=(), m=()):
@@ -72,6 +74,18 @@ def test_build_rejects_misplaced_coefficients():
         build("x", [("a", 2)], m=[("a", THETA, 1)])
     with pytest.raises(ValueError):
         build("x", [("a", 1)], n=[("a", "ghost", 1)])
+
+
+def test_build_errors_are_schema_errors_naming_the_field():
+    for points, n, m, field in (([("a", 0), ("a", 1)], (), (), "id"),
+                                ([(THETA, 0)], (), (), "id"),
+                                ([("a", 2), ("b", 0)], [("a", "b", 1)], (),
+                                 "n"),
+                                ([("a", 1), ("b", 0)], (), [("a", "b", 1)],
+                                 "m")):
+        with pytest.raises(SchemaError) as e:
+            build("x", points, n, m)
+        assert e.value.field == field
 
 
 def test_points_are_hashable_and_data_is_hashable():
@@ -265,6 +279,16 @@ def test_parse_error_carries_position():
     assert e.value.position >= 1
     with pytest.raises(ParseError):
         parse(b"\xff\xfe")
+
+
+# -- failures ---------------------------------------------------------------
+
+def test_check_failed_fields():
+    z, zero = AbelianGroupInvariants(1), AbelianGroupInvariants(0)
+    err = CheckFailed(3, "the two sides differ", cokernel=z, kernel=zero)
+    assert err.degree == 3
+    assert list(err.values.items()) == [("cokernel", z), ("kernel", zero)]
+    assert str(err) == "degree 3: the two sides differ"
 
 
 # -- generation -------------------------------------------------------------

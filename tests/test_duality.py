@@ -8,10 +8,9 @@ from itertools import product
 import pytest
 
 from monofloer.complexes import Flavor, _differential, default_window
-from monofloer.data import MonopoleData, THETA, curated_instances, \
-    reverse_orientation, validate
+from monofloer.data import CheckFailed, MonopoleData, THETA, \
+    curated_instances, reverse_orientation, validate
 from monofloer.duality import (
-    DualityMismatch,
     cohomology,
     duality_check,
     hat_pairing_matrix,
@@ -82,7 +81,7 @@ def test_pairing_degree_check_raises(monkeypatch):
     real = duality.generator_degree
     monkeypatch.setattr(duality, "generator_degree",
                         lambda data, gen: real(data, gen) + 1)
-    with pytest.raises(AssertionError, match="degree 0"):
+    with pytest.raises(CheckFailed, match="degree 0"):
         pairing_matrix(by_name("empty"), 0)
 
 
@@ -188,9 +187,3 @@ def test_duality_frozen_values_theta_tower():
         assert g == (Z if n >= 0 and n % 2 == 0 else ZERO), n
     for n, g in report.hat_vs_hat.items():
         assert g == (Z if n == 0 else ZERO), n
-
-
-def test_mismatch_fields():
-    err = DualityMismatch(4, Z, ZERO)
-    assert err.degree == 4
-    assert err.dual_value == Z and err.reversed_value == ZERO

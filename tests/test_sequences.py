@@ -10,7 +10,6 @@ from monofloer.data import curated_instances
 from monofloer.homology import homology_at, presentation_at
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.sequences import (
-    MismatchError,
     check_les_hat,
     check_les_main,
     connecting_delta,
@@ -187,9 +186,3 @@ def test_les_hat_exact_on_curated():
         assert report.all_exact(), data.name
         assert report.biconditional_holds, data.name
         assert report.hat_nonzero and report.plus_nonzero, data.name
-
-
-def test_mismatch_error_fields():
-    err = MismatchError(3, Z, ZERO)
-    assert err.degree == 3
-    assert err.cokernel == Z and err.kernel == ZERO

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from monofloer.complexes import Flavor, default_window
-from monofloer.data import InvalidInput, MonopoleData, THETA, curated_instances
+from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
+    curated_instances
 from monofloer.intlinalg import AbelianGroupInvariants
 from monofloer.spectral import (
-    ComparisonMismatch,
     delta_map,
     nonequivariant_floer,
     spectral_pages,
@@ -185,7 +185,7 @@ def test_structure_theorem_mismatch_surfaced():
     data = MonopoleData.build(
         "torsion-theta-clash", [("a", 1), ("b", 0)],
         n=[("a", "b", 2), ("a", THETA, 1)])
-    with pytest.raises(ComparisonMismatch) as info:
+    with pytest.raises(CheckFailed) as info:
         structure_theorem(data)
     assert info.value.degree == 0
-    assert info.value.predicted != info.value.actual
+    assert info.value.values["predicted"] != info.value.values["actual"]
