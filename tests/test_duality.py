@@ -187,3 +187,15 @@ def test_duality_frozen_values_theta_tower():
         assert g == (Z if n >= 0 and n % 2 == 0 else ZERO), n
     for n, g in report.hat_vs_hat.items():
         assert g == (Z if n == 0 else ZERO), n
+
+
+def test_mismatch_fields(monkeypatch):
+    import monofloer.duality as duality
+    monkeypatch.setattr(duality, "homology_at",
+                        lambda *args: AbelianGroupInvariants(2))
+    with pytest.raises(CheckFailed) as info:
+        duality_check(by_name("empty"), (0, 2))
+    err = info.value
+    assert err.degree == 0
+    assert err.values == {"dual_value": Z,
+                          "reversed_value": AbelianGroupInvariants(2)}

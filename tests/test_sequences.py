@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import oracle
 from monofloer.complexes import Flavor, default_window
-from monofloer.data import curated_instances
+from monofloer.data import CheckFailed, curated_instances
 from monofloer.homology import homology_at, presentation_at
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.sequences import (
@@ -186,3 +188,16 @@ def test_les_hat_exact_on_curated():
         assert report.all_exact(), data.name
         assert report.biconditional_holds, data.name
         assert report.hat_nonzero and report.plus_nonzero, data.name
+
+
+def test_mismatch_error_fields(monkeypatch):
+    import monofloer.sequences as sequences
+    monkeypatch.setattr(sequences, "_node_report",
+                        lambda *args: SimpleNamespace(
+                            kernel=AbelianGroupInvariants(2)))
+    with pytest.raises(CheckFailed) as info:
+        sequences._red_at(by_name("empty"), 0)
+    err = info.value
+    assert err.degree == 0
+    assert err.values == {"cokernel": ZERO,
+                          "kernel": AbelianGroupInvariants(2)}
