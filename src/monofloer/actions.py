@@ -18,6 +18,7 @@ from .complexes import (
     KIND_THETA,
     MonopoleData,
     _slice,
+    _slice_map,
     checked_window,
     require_valid,
 )
@@ -60,17 +61,8 @@ def u_chain_map(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
         raise InvalidInput(
             "u is defined only on the infinity, minus, and plus flavors")
     require_valid(data)
-    source = _slice(data, flavor, n)
-    target = _slice(data, flavor, n - 2)
-    index = {gen: i for i, gen in enumerate(target.basis)}
-    entries = []
-    for col, gen in enumerate(source.basis):
-        for image, coeff in _u_terms(data, gen):
-            row = index.get(image)
-            if row is not None:
-                entries.append((row, col, coeff))
-    return SparseIntMatrix.from_entries(len(target.basis), len(source.basis),
-                                        entries)
+    return _slice_map(_slice(data, flavor, n - 2), _slice(data, flavor, n),
+                      lambda gen: _u_terms(data, gen))
 
 
 def homotopy_h(flavor: Flavor, n: int, data: MonopoleData) -> SparseIntMatrix:
@@ -80,18 +72,10 @@ def homotopy_h(flavor: Flavor, n: int, data: MonopoleData) -> SparseIntMatrix:
     eta and theta generators.
     """
     require_valid(data)
-    source = _slice(data, flavor, n)
-    target = _slice(data, flavor, n - 1)
-    index = {gen: i for i, gen in enumerate(target.basis)}
-    entries = []
-    for col, gen in enumerate(source.basis):
-        if gen.kind != KIND_ONE:
-            continue
-        row = index.get(Generator(KIND_ETA, gen.point, gen.k))
-        if row is not None:
-            entries.append((row, col, 1))
-    return SparseIntMatrix.from_entries(len(target.basis), len(source.basis),
-                                        entries)
+    return _slice_map(
+        _slice(data, flavor, n - 1), _slice(data, flavor, n),
+        lambda gen: (((Generator(KIND_ETA, gen.point, gen.k), 1),)
+                     if gen.kind == KIND_ONE else ()))
 
 
 def verify_u_homotopy(data: MonopoleData, flavor: Flavor,

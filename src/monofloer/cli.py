@@ -226,10 +226,7 @@ def _cmd_structure(data, args):
 
 
 def _cmd_duality(data, args):
-    try:
-        report = duality_check(data, args.window)
-    except CheckFailed as err:
-        return {"ok": False, **_failure_doc(err)}, False
+    report = duality_check(data, args.window)
     results = {"ok": report.ok,
                "adjoint": report.adjoint,
                "pairings_perfect": report.pairings_perfect,
@@ -411,7 +408,10 @@ def run(argv: list[str]) -> int:
             ok = True
         else:
             data = _load(args.file)
-            results, ok = _HANDLERS[args.command](data, args)
+            try:
+                results, ok = _HANDLERS[args.command](data, args)
+            except CheckFailed as err:
+                results, ok = {"ok": False, **_failure_doc(err)}, False
             name = data.name
             digest = _dataset_hash(data)
             window = (None if args.command == "reverse"

@@ -153,18 +153,25 @@ def _image_terms(data: MonopoleData, gen: Generator):
     return out
 
 
-@per_dataset
-def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
-    cols = _slice(data, flavor, n)
-    rows = _slice(data, flavor, n - 1)
+def _slice_map(rows: DegreeSlice, cols: DegreeSlice,
+               terms) -> SparseIntMatrix:
+    """The matrix of a rule on generators from the cols slice to the rows
+    slice.  terms(gen) yields (target, coefficient) pairs; targets outside
+    the rows slice are dropped, which realizes the flavor truncations."""
     index = {g: i for i, g in enumerate(rows.basis)}
     items = []
     for j, gen in enumerate(cols.basis):
-        for (target, value) in _image_terms(data, gen):
+        for (target, value) in terms(gen):
             i = index.get(target)
             if i is not None:
                 items.append((i, j, value))
     return SparseIntMatrix.from_entries(len(rows.basis), len(cols.basis), items)
+
+
+@per_dataset
+def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
+    return _slice_map(_slice(data, flavor, n - 1), _slice(data, flavor, n),
+                      lambda gen: _image_terms(data, gen))
 
 
 def differential_matrix(data: MonopoleData, flavor: Flavor,
@@ -190,16 +197,22 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
     return True
 
 
-def _identification(rows: DegreeSlice, cols: DegreeSlice,
-                    shift_k: int = 0) -> SparseIntMatrix:
-    index = {g: i for i, g in enumerate(rows.basis)}
-    items = []
-    for j, gen in enumerate(cols.basis):
-        target = Generator(gen.kind, gen.point, gen.k + shift_k)
-        i = index.get(target)
-        if i is not None:
-            items.append((i, j, 1))
-    return SparseIntMatrix.from_entries(len(rows.basis), len(cols.basis), items)
+def _identification(data: MonopoleData, source: Flavor, target: Flavor,
+                    n: int, shift_k: int = 0) -> SparseIntMatrix:
+    """Each source generator of degree n to the target generator of the same
+    kind and point with k raised by shift_k (degree n + 2 shift_k), or to
+    zero where the target flavor truncates it."""
+    return _slice_map(
+        _slice(data, target, n + 2 * shift_k), _slice(data, source, n),
+        lambda gen: ((Generator(gen.kind, gen.point, gen.k + shift_k), 1),))
+
+
+# which: (source flavor, target flavor, the flavor the map lives in)
+_STRUCTURAL = {
+    "inclusion_minus": (Flavor.MINUS, Flavor.INFINITY, Flavor.INFINITY),
+    "projection_plus": (Flavor.INFINITY, Flavor.PLUS, Flavor.INFINITY),
+    "inclusion_hat": (Flavor.HAT, Flavor.PLUS, Flavor.PLUS),
+}
 
 
 def structural_map(data: MonopoleData, which: str, flavor: Flavor,
@@ -212,29 +225,18 @@ def structural_map(data: MonopoleData, which: str, flavor: Flavor,
     mapping degree n to degree n - 2 and dropping truncated targets.
     """
     require_valid(data)
-    if which == "inclusion_minus":
-        if flavor is not Flavor.INFINITY:
-            raise InvalidInput("inclusion_minus lives in the Infinity flavor")
-        return _identification(_slice(data, Flavor.INFINITY, n),
-                               _slice(data, Flavor.MINUS, n))
-    if which == "projection_plus":
-        if flavor is not Flavor.INFINITY:
-            raise InvalidInput("projection_plus lives in the Infinity flavor")
-        return _identification(_slice(data, Flavor.PLUS, n),
-                               _slice(data, Flavor.INFINITY, n))
-    if which == "inclusion_hat":
-        if flavor is not Flavor.PLUS:
-            raise InvalidInput("inclusion_hat lives in the Plus flavor")
-        return _identification(_slice(data, Flavor.PLUS, n),
-                               _slice(data, Flavor.HAT, n))
     if which == "omega_inverse":
-        if flavor not in (Flavor.INFINITY, Flavor.MINUS, Flavor.PLUS,
-                          Flavor.HAT):
+        if flavor is Flavor.NONEQUIVARIANT:
             raise InvalidInput(
                 "omega_inverse undefined for the non-equivariant flavor")
-        return _identification(_slice(data, flavor, n - 2),
-                               _slice(data, flavor, n), shift_k=-1)
-    raise InvalidInput(f"unknown structural map: {which}")
+        return _identification(data, flavor, flavor, n, shift_k=-1)
+    if which not in _STRUCTURAL:
+        raise InvalidInput(f"unknown structural map: {which}")
+    source, target, ambient = _STRUCTURAL[which]
+    if flavor is not ambient:
+        raise InvalidInput(
+            f"{which} lives in the {ambient.value.capitalize()} flavor")
+    return _identification(data, source, target, n)
 
 
 def default_window(data: MonopoleData) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from .complexes import (
     KIND_THETA,
     _differential,
     _slice,
+    _slice_map,
     checked_window,
     generator_degree,
     require_valid,
@@ -74,17 +75,12 @@ def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
                   row_flavor: Flavor = Flavor.PLUS,
                   col_flavor: Flavor = Flavor.MINUS,
                   k_shift: bool = True) -> SparseIntMatrix:
+    # built from the rows' side and transposed: _toggle_id, hence _partner,
+    # is not an involution on ids ending in "--"
     col_degree = -2 - n if k_shift else -n
-    row_basis = _slice(data, row_flavor, n).basis
-    col_slice = _slice(rev, col_flavor, col_degree)
-    index = {g: j for j, g in enumerate(col_slice.basis)}
-    items = []
-    for i, gen in enumerate(row_basis):
-        j = index.get(_partner(gen, k_shift))
-        if j is not None:
-            items.append((i, j, 1))
-    return SparseIntMatrix.from_entries(
-        len(row_basis), len(col_slice.basis), items)
+    return _slice_map(_slice(rev, col_flavor, col_degree),
+                      _slice(data, row_flavor, n),
+                      lambda gen: ((_partner(gen, k_shift), 1),)).transpose()
 
 
 def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:

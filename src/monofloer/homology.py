@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Flavor, MonopoleData, _differential, _slice, \
-    checked_window, require_valid
+from .complexes import _STRUCTURAL, Flavor, MonopoleData, _differential, \
+    _slice, checked_window, require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -232,24 +232,15 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
     return HomologyClassMap(source, target, shift, (lo, hi), matrices)
 
 
-_STRUCTURAL = {
-    "inclusion_minus": (Flavor.MINUS, Flavor.INFINITY, Flavor.INFINITY),
-    "projection_plus": (Flavor.INFINITY, Flavor.PLUS, Flavor.INFINITY),
-    "inclusion_hat": (Flavor.HAT, Flavor.PLUS, Flavor.PLUS),
-}
-
-
 def structural_chain_map(data: MonopoleData, which: str,
                          window: tuple[int, int],
                          flavor: Flavor | None = None) -> ChainMapSlice:
     """Bundle a structural map over the window (plus margin) as a chain map."""
-    from .complexes import structural_map
     lo, hi = window
     if which == "omega_inverse":
         if flavor is None:
             raise InvalidInput("omega_inverse needs a flavor")
-        source = target = flavor
-        ambient = flavor
+        source = target = ambient = flavor
         shift = -2
     elif which in _STRUCTURAL:
         source, target, ambient = _STRUCTURAL[which]

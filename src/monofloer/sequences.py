@@ -18,7 +18,6 @@ from .complexes import (
     MonopoleData,
     _differential,
     _identification,
-    _slice,
     checked_window,
     require_valid,
     structural_map,
@@ -83,15 +82,11 @@ class HatSequenceReport(ExactnessReport):
 # connecting maps at the chain level
 # ---------------------------------------------------------------------------
 
-def _restriction(data, sub: Flavor, ambient: Flavor, n: int) -> SparseIntMatrix:
-    return _identification(_slice(data, sub, n), _slice(data, ambient, n))
-
-
 def _check_lands_in(data, sub: Flavor, ambient: Flavor, n: int,
                     vectors: SparseIntMatrix) -> None:
     """Every column must be supported on the sub-flavor's generators."""
-    down = _restriction(data, sub, ambient, n)
-    back = _identification(_slice(data, ambient, n), _slice(data, sub, n))
+    down = _identification(data, ambient, sub, n)
+    back = _identification(data, sub, ambient, n)
     if vectors != back.mul(down.mul(vectors)):
         raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
 
@@ -103,10 +98,10 @@ def _delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
     differential, and restricts to the Minus generators.  Faithful on
     cycles, whose images lie entirely in the Minus subcomplex.
     """
-    lift = _identification(_slice(data, Flavor.INFINITY, n),
-                           _slice(data, Flavor.PLUS, n))
+    lift = _identification(data, Flavor.PLUS, Flavor.INFINITY, n)
     image = _differential(data, Flavor.INFINITY, n).mul(lift)
-    return _restriction(data, Flavor.MINUS, Flavor.INFINITY, n - 1).mul(image)
+    return _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1).mul(
+        image)
 
 
 def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
@@ -115,10 +110,9 @@ def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
     Sections omega-inverse by raising the Omega power, applies the Plus
     differential, and restricts to the power-zero generators.
     """
-    section = _identification(_slice(data, Flavor.PLUS, n + 2),
-                              _slice(data, Flavor.PLUS, n), shift_k=1)
+    section = _identification(data, Flavor.PLUS, Flavor.PLUS, n, shift_k=1)
     image = _differential(data, Flavor.PLUS, n + 2).mul(section)
-    return _restriction(data, Flavor.HAT, Flavor.PLUS, n + 1).mul(image)
+    return _identification(data, Flavor.PLUS, Flavor.HAT, n + 1).mul(image)
 
 
 def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
@@ -130,8 +124,7 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     does not depend on the chosen representatives.
     """
     require_valid(data)
-    lift = _identification(_slice(data, Flavor.INFINITY, n),
-                           _slice(data, Flavor.PLUS, n))
+    lift = _identification(data, Flavor.PLUS, Flavor.INFINITY, n)
     d_inf = _differential(data, Flavor.INFINITY, n)
     source = presentation_at(data, Flavor.PLUS, n)
     target = presentation_at(data, Flavor.MINUS, n - 1)
@@ -144,7 +137,7 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     boundaries = _differential(data, Flavor.PLUS, n + 1)
     raw_bd = d_inf.mul(lift.mul(boundaries))
     _check_lands_in(data, Flavor.MINUS, Flavor.INFINITY, n - 1, raw_bd)
-    restrict = _restriction(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
+    restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
     for col in restrict.mul(raw_bd).columns():
         if not target.is_zero_class(col):
             raise CheckFailed(n, "the connecting map depends on the lift")
@@ -175,16 +168,17 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
                           tuple[str, tuple[int, ...]] | None]:
     """Image and kernel invariants at a node, and the first witness of their
     difference; keyed by the node's matrices, not by its degree or name."""
-    image_lattice = hstack(incoming, bd)
-    pre = preimage_lattice(outgoing_cycles, target_bd)
-    kernel_lattice = hstack(cycles.mul(pre), bd)
-    image = QuotientPresentation(column_space_basis(image_lattice), bd)
-    kernel = QuotientPresentation(column_space_basis(kernel_lattice), bd)
+    kernel_classes = cycles.mul(preimage_lattice(outgoing_cycles, target_bd))
+    image = QuotientPresentation(column_space_basis(hstack(incoming, bd)), bd)
+    kernel = QuotientPresentation(
+        column_space_basis(hstack(kernel_classes, bd)), bd)
 
+    # bd lies in both numerators (each presentation solves it), so only the
+    # other columns can be witnesses
     witness = None
     for reason, outer, inner in (
-            ("kernel class outside the incoming image", kernel_lattice, image),
-            ("incoming image outside the kernel", image_lattice, kernel)):
+            ("kernel class outside the incoming image", kernel_classes, image),
+            ("incoming image outside the kernel", incoming, kernel)):
         outside = next((col for col in outer.columns()
                         if not inner.contains(col)), None)
         if outside is not None:

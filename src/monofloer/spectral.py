@@ -256,13 +256,10 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
                 raise CheckFailed(
                     n, f"even page {r} carries a nonzero differential at "
                     f"({p}, {q})")
-        if flavor is Flavor.PLUS and r == 3:
-            for p in levels:
-                if p != 3:
-                    continue
-                for n in range(lo, hi + 1):
-                    if n - 3 >= 0 and (n - 3) % 2 == 0:
-                        _check_d3_formula(data, flavor, p, n)
+        if flavor is Flavor.PLUS and r == 3 and 3 in levels:
+            for n in range(lo, hi + 1):
+                if n - 3 >= 0 and (n - 3) % 2 == 0:
+                    _check_d3_formula(data, flavor, 3, n)
         pages.append(SpectralPage(r, cells, diffs))
     return pages
 

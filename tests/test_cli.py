@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from monofloer.cli import main, verify_all
+from monofloer.complexes import default_window
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, invalid_instance, serialize
 
@@ -188,6 +189,35 @@ def test_structure_mismatch_exits_one(tmp_path, capsys):
     results = report_of(out)["results"]
     assert results["matches"] is False
     assert results["degree"] == 0
+
+
+def test_les_hat_reports_a_failed_check(tmp_path, capsys, monkeypatch):
+    import monofloer.sequences as sequences
+
+    def failing(data, flavor, window=None):
+        raise CheckFailed(0, "induced u differs from induced omega-inverse")
+
+    monkeypatch.setattr(sequences, "u_module_structure", failing)
+    path = write_dataset(tmp_path, by_name("two-step"))
+    code, out, err = run(capsys, ["les", "hat", path])
+    assert code == 1
+    assert report_of(out)["results"] == {"ok": False, "degree": 0}
+    assert "FAIL" in err and "Traceback" not in err
+
+
+def test_spectral_reports_a_failed_check(tmp_path, capsys, monkeypatch):
+    import monofloer.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_composite_vanishes",
+                        lambda second, first, orders: False)
+    data = by_name("two-step")
+    path = write_dataset(tmp_path, data)
+    code, out, err = run(capsys, ["spectral", "--pages", "3", path])
+    assert code == 1
+    # the page-0 check fails first, at the lowest degree of the window
+    lo, _ = default_window(data)
+    assert report_of(out)["results"] == {"ok": False, "degree": lo}
+    assert "FAIL" in err and "Traceback" not in err
 
 
 def test_duality(tmp_path, capsys):

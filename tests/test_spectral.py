@@ -113,6 +113,23 @@ def test_plus_d3_frozen_tail_chain():
     assert page4.cells[(0, 2)] == AbelianGroupInvariants(0, (6,))
 
 
+def test_plus_d3_formula_is_checked_on_filtration_three(monkeypatch):
+    import monofloer.spectral as spectral
+
+    seen = []
+    monkeypatch.setattr(spectral, "_check_d3_formula",
+                        lambda data, flavor, p, n: seen.append((p, n)))
+    data = by_name("tail-chain")
+    spectral_pages(data, Flavor.PLUS, 3)
+    lo, hi = default_window(data)
+    assert seen == [(3, n) for n in range(max(lo, 3), hi + 1)
+                    if (n - 3) % 2 == 0]
+    assert seen
+    seen.clear()
+    spectral_pages(by_name("two-step"), Flavor.PLUS, 3)
+    assert seen == []
+
+
 def test_even_pages_have_zero_differentials():
     for label in ("two-step", "tail-chain", "euler-pair"):
         pages = spectral_pages(by_name(label), Flavor.PLUS, 4)
