@@ -261,10 +261,13 @@ def _validation_report(data: MonopoleData) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def _toggle_id(pid: str) -> str:
-    # involutive decoration: strip a trailing "-" when legal, else append one
-    if pid.endswith("-") and len(pid) > 1 and pid[:-1] != THETA:
-        return pid[:-1]
-    return pid + "-"
+    # involutive decoration on legal point ids: strip a trailing "-" exactly
+    # when the trailing dashes, plus one for the stems "" and theta, are odd,
+    # else append one.  Each toggle flips the parity, so a second toggle
+    # undoes the first, and a stripped id is never "" or the reserved theta
+    stem = pid.rstrip("-")
+    parity = len(pid) - len(stem) + (stem in ("", THETA))
+    return pid[:-1] if parity % 2 else pid + "-"
 
 
 def _toggle_name(name: str) -> str:

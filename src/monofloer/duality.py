@@ -75,8 +75,9 @@ def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
                   row_flavor: Flavor = Flavor.PLUS,
                   col_flavor: Flavor = Flavor.MINUS,
                   k_shift: bool = True) -> SparseIntMatrix:
-    # built from the rows' side and transposed: _toggle_id, hence _partner,
-    # is not an involution on ids ending in "--"
+    # built from the rows' side (each generator's partner in the reversed
+    # dataset) and transposed; _partner is an involution, so either side
+    # gives the same matrix
     col_degree = -2 - n if k_shift else -n
     return _slice_map(_slice(rev, col_flavor, col_degree),
                       _slice(data, row_flavor, n),

@@ -16,6 +16,7 @@ from .complexes import _STRUCTURAL, Flavor, MonopoleData, _differential, \
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
+    Lattice,
     QuotientPresentation,
     SparseIntMatrix,
     kernel_basis,
@@ -93,16 +94,16 @@ class HomologyClassMap:
 
 
 @per_dataset
-def _kernel(data: MonopoleData, mat: SparseIntMatrix) -> SparseIntMatrix:
+def _kernel(data: MonopoleData, mat: SparseIntMatrix) -> Lattice:
     """kernel_basis(mat), memoised by the matrix's content, so degrees whose
     differentials are equal share one Smith reduction."""
     return kernel_basis(mat)
 
 
 @per_dataset
-def _quotient(data: MonopoleData, z: SparseIntMatrix,
+def _quotient(data: MonopoleData, z: Lattice,
               b: SparseIntMatrix) -> QuotientPresentation:
-    """QuotientPresentation(z, b), memoised by the content of z and b."""
+    """QuotientPresentation(z, b), memoised by z's basis and b's content."""
     return QuotientPresentation(z, b)
 
 

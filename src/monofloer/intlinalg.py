@@ -1,11 +1,14 @@
 """Exact integer matrix algebra.
 
 Smith normal form, kernels, cokernel invariants, preimages, and quotient
-presentations with recorded generators.  `QuotientPresentation` is the one
-quotient routine: it answers subquotient invariants, class coordinates and
-membership in its numerator lattice (`contains`) from the factorization it
-holds.  This is the computational substrate for every homology calculation
-in the package.
+presentations with recorded generators.  `kernel_basis` and
+`column_space_basis` return a `Lattice`: an independent basis together with
+the coordinate map of the factorization that produced it, so coordinates in
+the lattice, and membership, cost one sparse product and no further
+reduction.  `QuotientPresentation` is the one quotient routine: it answers
+subquotient invariants, class coordinates and membership in its numerator
+lattice (`contains`) through that map.  This is the computational substrate
+for every homology calculation in the package.
 
 All arithmetic is arbitrary precision and every result is exact.  Matrices
 are immutable values; a matrix with r rows and c columns represents a
@@ -22,6 +25,7 @@ __all__ = [
     "SnfResult",
     "AbelianGroupInvariants",
     "ContainmentError",
+    "Lattice",
     "smith_normal_form",
     "cokernel_invariants",
     "kernel_basis",
@@ -236,7 +240,7 @@ class AbelianGroupInvariants:
         diag = SparseIntMatrix.from_entries(
             len(values), len(values),
             ((i, i, t) for i, t in enumerate(values)))
-        factors = _Factorization(diag, need_u=False, need_v=False).diag
+        factors = _Factorization(diag).diag
         return cls(free_rank, tuple(t for t in factors if t > 1))
 
     def direct_sum(self, other: "AbelianGroupInvariants") -> "AbelianGroupInvariants":
@@ -262,20 +266,22 @@ class AbelianGroupInvariants:
 # ---------------------------------------------------------------------------
 
 class _Factorization:
-    """Sparse Smith reduction with optional tracking of U, U^-1 and V.
+    """Sparse Smith reduction with optional tracking of U, U^-1, V and V^-1.
 
     Row operations premultiply (tracked in U, inverted into Uinv); column
-    operations postmultiply (tracked in V).  Pivots of minimal absolute value
-    keep coefficient growth down; the pivot must divide the remaining
+    operations postmultiply (tracked in V, inverted into Vinv: a column
+    operation on V is a row operation on V^-1).  Pivots of minimal absolute
+    value keep coefficient growth down; the pivot must divide the remaining
     submatrix before it is finalized, so the diagonal forms the divisibility
     chain directly.
     """
 
     __slots__ = ("rows", "cols", "diag", "rank",
-                 "u_rows", "uinv_cols", "v_cols")
+                 "u_rows", "uinv_cols", "v_cols", "vinv_rows")
 
-    def __init__(self, mat: SparseIntMatrix, need_u: bool = True,
-                 need_uinv: bool = False, need_v: bool = True):
+    def __init__(self, mat: SparseIntMatrix, need_u: bool = False,
+                 need_uinv: bool = False, need_v: bool = False,
+                 need_vinv: bool = False):
         rows, cols = mat.rows, mat.cols
         a: dict[int, dict[int, int]] = {}
         colidx: dict[int, set[int]] = {}
@@ -286,6 +292,7 @@ class _Factorization:
         u_rows = {i: {i: 1} for i in range(rows)} if need_u else None
         uinv_cols = {i: {i: 1} for i in range(rows)} if need_uinv else None
         v_cols = {j: {j: 1} for j in range(cols)} if need_v else None
+        vinv_rows = {j: {j: 1} for j in range(cols)} if need_vinv else None
 
         def set_entry(i, j, val):
             row = a.get(i)
@@ -349,6 +356,15 @@ class _Factorization:
                         vj[r] = w
                     elif r in vj:
                         del vj[r]
+            if vinv_rows is not None:
+                rj = vinv_rows[j]
+                rt = vinv_rows[t]
+                for c, v in rj.items():
+                    w = rt.get(c, 0) + q * v
+                    if w:
+                        rt[c] = w
+                    elif c in rt:
+                        del rt[c]
 
         def swap_rows(i, t):
             ri = a.pop(i, None)
@@ -390,6 +406,8 @@ class _Factorization:
                 colidx[j] = st
             if v_cols is not None:
                 v_cols[j], v_cols[t] = v_cols[t], v_cols[j]
+            if vinv_rows is not None:
+                vinv_rows[j], vinv_rows[t] = vinv_rows[t], vinv_rows[j]
 
         def negate_row(t):
             row = a.get(t)
@@ -476,6 +494,7 @@ class _Factorization:
         self.u_rows = u_rows
         self.uinv_cols = uinv_cols
         self.v_cols = v_cols
+        self.vinv_rows = vinv_rows
 
     # -- assembled factors --------------------------------------------------
 
@@ -485,50 +504,103 @@ class _Factorization:
             ((i, i, d) for i, d in enumerate(self.diag)))
 
     def matrix_U(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_entries(
-            self.rows, self.rows,
-            ((i, j, v) for i, row in self.u_rows.items() for j, v in row.items()))
+        return _row_block(self.u_rows, range(self.rows), self.rows)
 
     def matrix_V(self) -> SparseIntMatrix:
         return SparseIntMatrix.from_entries(
             self.cols, self.cols,
             ((i, j, v) for j, col in self.v_cols.items() for i, v in col.items()))
 
-    # -- solving ------------------------------------------------------------
+    def kernel_columns(self) -> SparseIntMatrix:
+        """Columns rank: of V, a primitive basis of the kernel."""
+        return SparseIntMatrix.from_entries(
+            self.cols, self.cols - self.rank,
+            ((i, j - self.rank, v) for j in range(self.rank, self.cols)
+             for i, v in self.v_cols[j].items()))
 
-    def apply_u(self, vec: Sequence[int]) -> list[int]:
-        out = [0] * self.rows
-        for i, row in self.u_rows.items():
-            s = 0
-            for j, v in row.items():
-                if vec[j]:
-                    s += v * vec[j]
-            if s:
-                out[i] = s
-        return out
 
-    def solve(self, vec: Sequence[int]) -> list[int] | None:
-        """An integer x with M x = vec, or None when none exists."""
-        if len(vec) != self.rows:
-            raise ValueError("vector length mismatch")
-        w = self.apply_u(vec)
-        y = []
-        for i, d in enumerate(self.diag):
-            if w[i] % d:
-                return None
-            y.append(w[i] // d)
-        for i in range(self.rank, self.rows):
-            if w[i]:
-                return None
-        x = [0] * self.cols
-        for i, yi in enumerate(y):
-            if yi:
-                for r, v in self.v_cols[i].items():
-                    x[r] += v * yi
-        return x
+def _row_block(rows: dict[int, dict[int, int]], which: Sequence[int],
+               width: int) -> SparseIntMatrix:
+    """The listed rows of a tracked transform, renumbered from zero."""
+    return SparseIntMatrix(len(which), width, tuple(
+        (k, j, v) for k, i in enumerate(which)
+        for j, v in sorted(rows[i].items())))
 
-    def kernel_columns(self) -> list[dict[int, int]]:
-        return [self.v_cols[j] for j in range(self.rank, self.cols)]
+
+# ---------------------------------------------------------------------------
+# lattices with their coordinate maps
+# ---------------------------------------------------------------------------
+
+class Lattice:
+    """A sublattice of Z^n: an independent basis and a coordinate map.
+
+    The coordinates of the columns of B are X = post * ((pre * B) / divisors),
+    the division running row by row; B lies in the lattice exactly when every
+    division is exact and basis * X == B.  The map comes from the
+    factorization that produced the basis, so reading coordinates is one
+    sparse product and never a new reduction.  Equality and hashing are by
+    basis: two lattices with one basis give the same coordinates.
+    """
+
+    __slots__ = ("basis", "_pre", "_divisors", "_post")
+
+    def __init__(self, basis: SparseIntMatrix, pre: SparseIntMatrix,
+                 divisors: Sequence[int] | None = None,
+                 post: SparseIntMatrix | None = None):
+        self.basis = basis
+        self._pre = pre
+        self._divisors = divisors
+        self._post = post
+
+    @classmethod
+    def from_basis(cls, basis: SparseIntMatrix) -> "Lattice":
+        """The lattice spanned by independent columns, read through their
+        own Smith form: U * basis * V = S gives X = V * ((U * B) / S)."""
+        f = _Factorization(basis, need_u=True, need_v=True)
+        if f.rank != basis.cols:
+            raise ValueError("lattice basis columns are dependent")
+        return cls(basis, _row_block(f.u_rows, range(f.rank), basis.rows),
+                   f.diag, f.matrix_V())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lattice) and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash(self.basis)
+
+    def coordinates(self, b: SparseIntMatrix) -> SparseIntMatrix | None:
+        """X with basis * X == b, or None when a column of b lies outside."""
+        if b.rows != self.basis.rows:
+            raise ValueError("ambient dimension mismatch")
+        x = self._pre.mul(b)
+        divisors = self._divisors
+        if divisors is not None:
+            entries = []
+            for (i, j, v) in x.entries:
+                q, rest = divmod(v, divisors[i])
+                if rest:
+                    return None
+                entries.append((i, j, q))
+            x = SparseIntMatrix(x.rows, x.cols, tuple(entries))
+        if self._post is not None:
+            x = self._post.mul(x)
+        return x if self.basis.mul(x) == b else None
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self.coordinates(
+            SparseIntMatrix.from_columns(len(vec), [vec])) is not None
+
+    def included(self, incl: SparseIntMatrix) -> "Lattice":
+        """The image under an order-preserving coordinate inclusion: a 0/1
+        matrix whose column j is the unit vector at slot_j, with slot_0 <
+        slot_1 < ...  The basis becomes incl * basis and the coordinate map
+        pre * incl^T; both only relabel indices, so entry order is kept."""
+        slot = {j: i for (i, j, _) in incl.entries}
+        basis = SparseIntMatrix(incl.rows, self.basis.cols, tuple(
+            (slot[i], j, v) for (i, j, v) in self.basis.entries))
+        pre = SparseIntMatrix(self._pre.rows, incl.rows, tuple(
+            (i, slot[j], v) for (i, j, v) in self._pre.entries))
+        return Lattice(basis, pre, self._divisors, self._post)
 
 
 # ---------------------------------------------------------------------------
@@ -537,42 +609,43 @@ class _Factorization:
 
 def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
     """Factor U * mat * V = S, diagonal with the divisibility chain."""
-    f = _Factorization(mat)
+    f = _Factorization(mat, need_u=True, need_v=True)
     return SnfResult(f.matrix_U(), f.matrix_S(), f.matrix_V())
 
 
 def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
     """Invariants of Z^rows / im(mat)."""
-    f = _Factorization(mat, need_u=False, need_v=False)
+    f = _Factorization(mat)
     return AbelianGroupInvariants(
         mat.rows - f.rank, tuple(d for d in f.diag if d > 1))
 
 
-def kernel_basis(mat: SparseIntMatrix) -> SparseIntMatrix:
-    """Columns form a primitive Z-basis of ker(mat)."""
-    f = _Factorization(mat, need_u=False)
-    cols = f.kernel_columns()
-    return SparseIntMatrix.from_entries(
-        mat.cols, len(cols),
-        ((i, j, v) for j, col in enumerate(cols) for i, v in col.items()))
+def kernel_basis(mat: SparseIntMatrix) -> Lattice:
+    """ker(mat) with a primitive basis, columns rank: of V; the
+    coordinates of v are rows rank: of V^-1 * v."""
+    f = _Factorization(mat, need_v=True, need_vinv=True)
+    return Lattice(f.kernel_columns(),
+                   _row_block(f.vinv_rows, range(f.rank, mat.cols), mat.cols))
 
 
-def column_space_basis(mat: SparseIntMatrix) -> SparseIntMatrix:
-    """Independent columns spanning the same column lattice as mat."""
-    f = _Factorization(mat, need_uinv=True, need_v=False)
+def column_space_basis(mat: SparseIntMatrix) -> Lattice:
+    """The column lattice of mat with the independent basis U^-1[:, :rank]
+    * diag; the coordinates of v are rows :rank of U * v, each divided by
+    its diagonal entry."""
+    f = _Factorization(mat, need_u=True, need_uinv=True)
     items = []
     for idx, d in enumerate(f.diag):
         for r, v in f.uinv_cols[idx].items():
             items.append((r, idx, v * d))
-    return SparseIntMatrix.from_entries(mat.rows, f.rank, items)
+    return Lattice(SparseIntMatrix.from_entries(mat.rows, f.rank, items),
+                   _row_block(f.u_rows, range(f.rank), mat.rows), f.diag)
 
 
 def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMatrix:
     """Columns spanning {x : mat * x lies in the column span of gens}."""
     if mat.rows != gens.rows:
         raise ValueError("row mismatch between map and target lattice")
-    stacked = hstack(mat, gens)
-    ker = kernel_basis(stacked)
+    ker = _Factorization(hstack(mat, gens), need_v=True).kernel_columns()
     items = [(i, j, v) for (i, j, v) in ker.entries if i < mat.cols]
     return SparseIntMatrix.from_entries(mat.cols, ker.cols, items)
 
@@ -589,71 +662,62 @@ class HomologyGenerator:
 class QuotientPresentation:
     """span(Z)/span(B) with pinned generators and canonical coordinates.
 
-    Z's columns must be an independent lattice basis; B's columns must lie in
-    span(Z).  Generators are read off the Smith form of the coordinate matrix
-    of B in the Z-basis, in Smith order, skipping the trivial factors.
+    Z is a `Lattice` (a bare matrix of independent columns is read through
+    `Lattice.from_basis`); B's columns must lie in it.  B is mapped to
+    coordinates in Z with one sparse product, and generators are read off the
+    Smith form of that coordinate matrix, in Smith order, skipping the
+    trivial factors.
     """
 
-    __slots__ = ("ambient_dim", "cycle_basis", "invariants", "generators",
-                 "_fz", "_fx", "_kept")
+    __slots__ = ("lattice", "invariants", "generators", "_orders",
+                 "_to_generators")
 
-    def __init__(self, z: SparseIntMatrix, b: SparseIntMatrix):
-        if z.rows != b.rows:
-            raise ValueError("ambient dimension mismatch")
-        fz = _Factorization(z)
-        if fz.rank != z.cols:
-            raise ValueError("quotient numerator columns are dependent")
-        coords = []
-        for j, col in enumerate(b.columns()):
-            x = fz.solve(col)
-            if x is None:
-                raise ContainmentError(
-                    f"column {j} is not an integral combination of the "
-                    "numerator basis")
-            coords.append(x)
-        fx = _Factorization(SparseIntMatrix.from_columns(z.cols, coords),
-                            need_uinv=True, need_v=False)
+    def __init__(self, z: Lattice | SparseIntMatrix, b: SparseIntMatrix):
+        lattice = z if isinstance(z, Lattice) else Lattice.from_basis(z)
+        coords = lattice.coordinates(b)
+        if coords is None:
+            raise ContainmentError(
+                "a column is not an integral combination of the numerator "
+                "basis")
+        rank = lattice.basis.cols
+        fx = _Factorization(coords, need_u=True, need_uinv=True)
 
         orders = []
         kept = []
-        for i in range(z.cols):
+        for i in range(rank):
             d = fx.diag[i] if i < fx.rank else 0
             if d != 1:
                 kept.append(i)
                 orders.append(d)
         gens = []
         for i, order in zip(kept, orders):
-            coord = [0] * z.cols
+            coord = [0] * rank
             for r, v in fx.uinv_cols[i].items():
                 coord[r] = v
-            gens.append(HomologyGenerator(order, tuple(z.apply(coord))))
+            gens.append(HomologyGenerator(
+                order, tuple(lattice.basis.apply(coord))))
 
         torsion = tuple(d for d in orders if d > 1)
         free = sum(1 for d in orders if d == 0)
-        self.ambient_dim = z.rows
-        self.cycle_basis = z
+        self.lattice = lattice
         self.invariants = AbelianGroupInvariants(free, torsion)
         self.generators = tuple(gens)
-        self._fz = fz
-        self._fx = fx
-        self._kept = kept
+        self._orders = orders
+        self._to_generators = _row_block(fx.u_rows, kept, rank)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in span(Z), the numerator lattice."""
-        return self._fz.solve(list(vec)) is not None
+        return self.lattice.contains(vec)
 
     def coordinate_of(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's class on the recorded
         generators; torsion coordinates are reduced to [0, order)."""
-        c = self._fz.solve(list(vec))
+        c = self.lattice.coordinates(
+            SparseIntMatrix.from_columns(len(vec), [vec]))
         if c is None:
             raise ContainmentError("vector is not in the cycle lattice")
-        y = self._fx.apply_u(c)
-        out = []
-        for i in self._kept:
-            d = self._fx.diag[i] if i < self._fx.rank else 0
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
+        y = self._to_generators.mul(c).column(0)
+        return tuple(v % d if d else v for v, d in zip(y, self._orders))
 
     def is_zero_class(self, vec: Sequence[int]) -> bool:
         return all(v == 0 for v in self.coordinate_of(vec))

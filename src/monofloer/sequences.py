@@ -26,6 +26,7 @@ from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
+    ContainmentError,
     QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
@@ -169,12 +170,21 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
     """Image and kernel invariants at a node, and the first witness of their
     difference; keyed by the node's matrices, not by its degree or name."""
     kernel_classes = cycles.mul(preimage_lattice(outgoing_cycles, target_bd))
-    image = QuotientPresentation(column_space_basis(hstack(incoming, bd)), bd)
-    kernel = QuotientPresentation(
-        column_space_basis(hstack(kernel_classes, bd)), bd)
+    kernel_lattice = column_space_basis(hstack(kernel_classes, bd))
+    kernel = QuotientPresentation(kernel_lattice, bd)
 
-    # bd lies in both numerators (each presentation solves it), so only the
-    # other columns can be witnesses
+    # exact when the incoming image lies in the kernel and spans it: then the
+    # two lattices are equal and so are their quotients by bd
+    try:
+        exact = QuotientPresentation(
+            kernel_lattice, hstack(incoming, bd)).invariants.is_trivial
+    except ContainmentError:
+        exact = False
+    if exact:
+        return kernel.invariants, kernel.invariants, None
+
+    image = QuotientPresentation(column_space_basis(hstack(incoming, bd)), bd)
+    # bd lies in both numerators, so only the other columns can be witnesses
     witness = None
     for reason, outer, inner in (
             ("kernel class outside the incoming image", kernel_classes, image),
@@ -190,7 +200,7 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
 def _node_report(data, degree: int, name: str, flavor: Flavor,
                  incoming: SparseIntMatrix, outgoing: SparseIntMatrix,
                  target_flavor: Flavor, target_degree: int) -> NodeReport:
-    cycles = presentation_at(data, flavor, degree).cycle_basis
+    cycles = presentation_at(data, flavor, degree).lattice.basis
     image_inv, kernel_inv, witness = _exactness(
         data, cycles, _differential(data, flavor, degree + 1), incoming,
         outgoing.mul(cycles),
@@ -232,7 +242,7 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
     kernel at n - 1; raises CheckFailed if they differ."""
     proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
-    cycles = presentation_at(data, Flavor.PLUS, n).cycle_basis
+    cycles = presentation_at(data, Flavor.PLUS, n).lattice
     bd = _differential(data, Flavor.PLUS, n + 1)
     images = _images_of_classes(data, Flavor.INFINITY, n, proj)
     coker = QuotientPresentation(cycles, hstack(bd, images)).invariants

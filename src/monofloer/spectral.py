@@ -32,6 +32,7 @@ from .homology import graded_homology, homology_at, presentation_at, \
     GradedAbelianGroup, _kernel, _quotient
 from .intlinalg import (
     AbelianGroupInvariants,
+    Lattice,
     QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
@@ -117,23 +118,23 @@ def _high_rows(data: MonopoleData, flavor: Flavor, n: int,
 
 @per_dataset
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
-               r: int) -> SparseIntMatrix:
+               r: int) -> Lattice:
     """Degree-n chains of filtration at most p whose boundary has
     filtration at most p - r; for negative r, all of filtration p."""
     incl = _sub_inclusion(data, flavor, n, p)
     if r < 0:
-        return incl
+        return Lattice(incl, incl.transpose())
     dropped = _high_rows(data, flavor, n - 1, p - r).mul(
         _differential(data, flavor, n).mul(incl))
-    return incl.mul(_kernel(data, dropped))
+    return _kernel(data, dropped).included(incl)
 
 
 @per_dataset
 def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
                  n: int) -> SparseIntMatrix:
-    below = _a_lattice(data, flavor, n, p - 1, r - 1)
+    below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
     above = _differential(data, flavor, n + 1).mul(
-        _a_lattice(data, flavor, n + 1, p + r - 1, r - 1))
+        _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)
     return hstack(below, above)
 
 
@@ -160,13 +161,13 @@ def _page_homology_invariants(data: MonopoleData, flavor: Flavor, r: int,
                               p: int, n: int) -> AbelianGroupInvariants:
     """Kernel modulo image of the page-r differentials at one cell,
     computed on the underlying lattices."""
-    lattice = _a_lattice(data, flavor, n, p, r)
+    lattice = _a_lattice(data, flavor, n, p, r).basis
     target_den = _den_lattice(data, flavor, r, p - r, n - 1)
     pre = preimage_lattice(
         _differential(data, flavor, n).mul(lattice), target_den)
     numerator = column_space_basis(lattice.mul(pre))
     image = _differential(data, flavor, n + 1).mul(
-        _a_lattice(data, flavor, n + 1, p + r, r))
+        _a_lattice(data, flavor, n + 1, p + r, r).basis)
     denominator = hstack(_den_lattice(data, flavor, r, p, n), image)
     return QuotientPresentation(numerator, denominator).invariants
 

@@ -192,6 +192,20 @@ def test_reverse_gradings_and_double_reverse():
         assert reverse_orientation(r) == d
 
 
+def test_toggle_id_is_an_involution_on_dashed_ids():
+    from monofloer.data import _toggle_id
+
+    for stem in ("a", THETA, ""):
+        for dashes in range(6):
+            pid = stem + "-" * dashes
+            if pid in ("", THETA):
+                continue  # not legal point ids
+            toggled = _toggle_id(pid)
+            assert toggled not in ("", THETA), pid
+            assert toggled != pid, pid
+            assert _toggle_id(toggled) == pid, pid
+
+
 def test_memo_lives_and_dies_with_its_dataset():
     data = by_name("gap-three-chain")
     assert reverse_orientation(data) is reverse_orientation(data)

@@ -35,6 +35,12 @@ def probe_instance():
         m=[("e", "d", 1)])
 
 
+def dashes_instance():
+    """A point id ending in two dashes, which reversal must toggle back."""
+    return MonopoleData.build("dashes", [("a--", 1), ("d", -2)],
+                              n=[("a--", THETA, 1)])
+
+
 def is_permutation(mat):
     if mat.rows != mat.cols:
         return False
@@ -56,12 +62,9 @@ def test_pairing_frozen_on_theta_tower():
 
 
 def test_pairing_is_a_permutation_everywhere():
-    # reversal maps the id "a--" to "a-", which toggles back to "a", not
-    # "a--", so a pairing that looked partners up from the reversed side
-    # would drop that point's entries
-    dashes = MonopoleData.build("dashes", [("a--", 1), ("d", -2)],
-                                n=[("a--", THETA, 1)])
-    for data in (*curated_instances(), dashes):
+    # a pairing whose partners do not toggle back drops entries on the
+    # dashed id
+    for data in (*curated_instances(), dashes_instance()):
         lo, hi = default_window(data)
         for n in range(lo, hi + 1):
             assert is_permutation(pairing_matrix(data, n).matrix), (
@@ -204,3 +207,12 @@ def test_mismatch_fields(monkeypatch):
     assert err.degree == 0
     assert err.values == {"dual_value": Z,
                           "reversed_value": AbelianGroupInvariants(2)}
+
+
+def test_verify_all_passes_on_a_dashed_id():
+    from monofloer.cli import verify_all
+
+    data = dashes_instance()
+    assert reverse_orientation(reverse_orientation(data)) == data
+    report = verify_all(data)
+    assert report["ok"], report

@@ -10,6 +10,7 @@ import oracle
 from monofloer.intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
+    Lattice,
     QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
@@ -83,15 +84,15 @@ def test_cokernel_examples():
 
 
 def test_kernel_examples():
-    k = kernel_basis(M([[1, 1]]))
+    k = kernel_basis(M([[1, 1]])).basis
     assert (k.rows, k.cols) == (2, 1)
     col = [k.to_dense()[0][0], k.to_dense()[1][0]]
     assert col in ([1, -1], [-1, 1])
 
-    k = kernel_basis(SparseIntMatrix.identity(2))
+    k = kernel_basis(SparseIntMatrix.identity(2)).basis
     assert (k.rows, k.cols) == (2, 0)
 
-    k = kernel_basis(SparseIntMatrix.zero(1, 2))
+    k = kernel_basis(SparseIntMatrix.zero(1, 2)).basis
     assert (k.rows, k.cols) == (2, 2)
     assert oracle.dense_invariant_factors(k.to_dense()) == [1, 1]
 
@@ -159,7 +160,7 @@ def test_kernel_rank_nullity_random():
     rng = random.Random(1203)
     for _ in range(40):
         mat = _random_matrix(rng)
-        ker = kernel_basis(mat)
+        ker = kernel_basis(mat).basis
         rank = len(oracle.dense_invariant_factors(mat.to_dense()))
         assert ker.cols == mat.cols - rank
         prod = oracle.dense_mul(mat.to_dense(), ker.to_dense())
@@ -172,13 +173,14 @@ def test_subquotient_vs_oracle_random():
     rng = random.Random(1204)
     for _ in range(40):
         outer = _random_matrix(rng, max_dim=6)
-        z = kernel_basis(outer)
+        lattice = kernel_basis(outer)
+        z = lattice.basis
         cols_x = rng.randrange(0, 5)
         x_dense = [[rng.randrange(-3, 4) for _ in range(cols_x)]
                    for _ in range(z.cols)]
         x = M(x_dense, cols=cols_x)
         b = z.mul(x)
-        pres = QuotientPresentation(z, b)
+        pres = QuotientPresentation(lattice, b)
         factors = oracle.dense_invariant_factors(x.to_dense())
         expect = AbelianGroupInvariants(z.cols - len(factors),
                                         tuple(f for f in factors if f > 1))
@@ -189,14 +191,14 @@ def test_subquotient_vs_oracle_random():
 
 def test_column_space_basis():
     mat = M([[2, 4, 0], [0, 0, 0]])
-    basis = column_space_basis(mat)
+    basis = column_space_basis(mat).basis
     assert basis.cols == 1
     assert spans_equal(basis, M([[2], [0]]))
 
     rng = random.Random(1205)
     for _ in range(30):
         mat = _random_matrix(rng, max_dim=6)
-        basis = column_space_basis(mat)
+        basis = column_space_basis(mat).basis
         assert spans_equal(basis, mat)
         assert basis.cols == len(oracle.dense_invariant_factors(mat.to_dense()))
 
@@ -216,6 +218,66 @@ def test_preimage_lattice():
         pre = preimage_lattice(m, g)
         image = m.mul(pre)
         assert in_span(g, image)
+
+
+def _probe_columns(rng, lattice):
+    """Columns inside the lattice (random combinations of the basis) mixed
+    with random ambient vectors, which often fall outside."""
+    basis = lattice.basis
+    columns = []
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.5:
+            x = [rng.randrange(-3, 4) for _ in range(basis.cols)]
+            columns.append(basis.apply(x))
+        else:
+            columns.append([rng.randrange(-3, 4) for _ in range(basis.rows)])
+    return columns
+
+
+def check_coordinates_against_oracle(rng, lattice):
+    dense = lattice.basis.to_dense()
+    columns = _probe_columns(rng, lattice)
+    b = SparseIntMatrix.from_columns(lattice.basis.rows, columns)
+    inside = [oracle.dense_in_span(dense, col) for col in columns]
+    x = lattice.coordinates(b)
+    assert (x is None) == (not all(inside))
+    if x is not None:
+        assert lattice.basis.mul(x) == b
+    for col, want in zip(columns, inside):
+        assert lattice.contains(col) == want
+    return inside
+
+
+def test_lattice_coordinates_against_oracle():
+    rng = random.Random(1207)
+    outcomes = set()
+    torsion_seen = False
+    for _ in range(40):
+        mat = _random_matrix(rng, max_dim=6)
+        span = column_space_basis(mat)
+        torsion_seen |= any(
+            f > 1 for f in oracle.dense_invariant_factors(mat.to_dense()))
+        lattices = [kernel_basis(mat), span, Lattice.from_basis(span.basis)]
+        for lattice in lattices:
+            outcomes.update(check_coordinates_against_oracle(rng, lattice))
+    # both answers occur, and some column space has a diagonal entry > 1
+    assert outcomes == {True, False}
+    assert torsion_seen
+
+
+def test_included_lattice_coordinates_against_oracle():
+    # a kernel pushed into a larger ambient space along a coordinate
+    # inclusion, as the spectral sequence's filtration lattices are
+    rng = random.Random(1208)
+    for _ in range(30):
+        mat = _random_matrix(rng, max_dim=5)
+        ambient = mat.cols + rng.randrange(0, 4)
+        slots = sorted(rng.sample(range(ambient), mat.cols))
+        incl = SparseIntMatrix.from_entries(
+            ambient, mat.cols, [(i, j, 1) for j, i in enumerate(slots)])
+        lattice = kernel_basis(mat).included(incl)
+        assert lattice.basis == incl.mul(kernel_basis(mat).basis)
+        check_coordinates_against_oracle(rng, lattice)
 
 
 def test_lattice_contains():
@@ -261,6 +323,31 @@ def test_quotient_presentation():
     narrow = QuotientPresentation(M([[1], [0]]), SparseIntMatrix.zero(2, 0))
     with pytest.raises(ContainmentError):
         narrow.coordinate_of([0, 1])
+
+
+def test_presentation_over_a_kernel_factors_once(monkeypatch):
+    import monofloer.intlinalg as intlinalg
+
+    made = []
+
+    class Counting(intlinalg._Factorization):
+        def __init__(self, *args, **kwargs):
+            made.append(None)
+            super().__init__(*args, **kwargs)
+
+    rng = random.Random(1209)
+    for _ in range(10):
+        outer = _random_matrix(rng, max_dim=6)
+        lattice = kernel_basis(outer)
+        b = lattice.basis.mul(M([[rng.randrange(-3, 4) for _ in range(3)]
+                                 for _ in range(lattice.basis.cols)], cols=3))
+        monkeypatch.setattr(intlinalg, "_Factorization", Counting)
+        made.clear()
+        QuotientPresentation(lattice, b)
+        # only the coordinate matrix is reduced; the kernel is not factored
+        # again and no column is solved on its own
+        assert len(made) == 1
+        monkeypatch.undo()
 
 
 def test_quotient_presentation_rejects_dependent_basis():

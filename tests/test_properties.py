@@ -1,23 +1,29 @@
-"""Property tests: the engine against the dense oracle, under gauges.
+"""Property tests: the engine against the dense oracle, under gauges and
+mutations.
 
 Datasets are drawn from the seeded corpus (the curated instances plus
 rejection-sampled ones) and moved by a seeded gauge that permutes the point
 ids and flips the sign of each point.  A gauge is an isomorphism of
-complexes, so it must change no invariant and no verdict.  Examples are
-derandomized and no example database is written, so every run is the same.
+complexes, so it must change no invariant and no verdict.  A mutation
+changes one coefficient in a legal position; the identities A, B and B'
+say exactly that the infinity differential squares to zero, which the
+oracle checks densely.  Examples are derandomized and no example database
+is written, so every run is the same.
 """
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from monofloer.cli import verify_all
+from monofloer.cli import main, verify_all
 from monofloer.complexes import Flavor, default_window
 from monofloer.data import THETA, MonopoleData, generate_instances, \
-    reverse_orientation, validate
+    reverse_orientation, serialize, validate
 from monofloer.duality import duality_check
 from monofloer.homology import homology_at
 from test_complexes import compare_with_oracle, oracle_dataset
@@ -92,3 +98,65 @@ def test_reversal_is_an_involution_and_duality_holds_both_ways(pair):
         data.name, data.points, data.n_coeffs, data.m_coeffs)
     assert duality_check(data).ok
     assert duality_check(rev).ok
+
+
+def _slots(data: MonopoleData) -> list[tuple[str, str, str]]:
+    """Every legal coefficient position: (family, from, to)."""
+    gr = {p.id: p.grading for p in data.points}
+    slots = [("n", a, b) for a in gr for b in gr if gr[a] - gr[b] == 1]
+    slots += [("n", a, THETA) for a in gr if gr[a] == 1]
+    slots += [("n", THETA, d) for d in gr if gr[d] == -2]
+    slots += [("m", a, c) for a in gr for c in gr if gr[a] - gr[c] == 2]
+    return sorted(slots)
+
+
+def mutate(data: MonopoleData, slot: tuple[str, str, str],
+           delta: int) -> MonopoleData:
+    """data with delta added to the coefficient at one legal position."""
+    family, src, dst = slot
+    coeffs = {"n": {(s, d): v for (s, d, v) in data.n_coeffs},
+              "m": {(s, d): v for (s, d, v) in data.m_coeffs}}
+    coeffs[family][(src, dst)] = coeffs[family].get((src, dst), 0) + delta
+    return MonopoleData.build(
+        f"{data.name}-mutant", data.points,
+        n=[(s, d, v) for (s, d), v in coeffs["n"].items()],
+        m=[(s, d, v) for (s, d), v in coeffs["m"].items()])
+
+
+def squares_to_zero(data: MonopoleData) -> bool:
+    # the infinity complex is 2-periodic and holds every generator in every
+    # degree of the right parity, so two degrees see every identity
+    blob = oracle_dataset(data)
+    for n in (0, 1):
+        square = oracle.dense_mul(
+            oracle.oracle_differential(blob, "infinity", n - 1),
+            oracle.oracle_differential(blob, "infinity", n))
+        if any(any(row) for row in square):
+            return False
+    return True
+
+
+MUTANTS = [mutate(data, slot, delta) for data in POOL for slot in _slots(data)
+           for delta in (-2, -1, 1, 2)]
+BROKEN = [data for data in MUTANTS if not squares_to_zero(data)]
+
+
+def test_validate_flags_exactly_the_broken_mutants():
+    assert len(BROKEN) > 50
+    for data in MUTANTS:
+        assert validate(data).ok == squares_to_zero(data), data
+
+
+@SETTINGS
+@given(st.sampled_from(BROKEN))
+def test_verify_all_rejects_a_broken_identity_with_exit_2(tmp_path_factory,
+                                                          data):
+    path = tmp_path_factory.mktemp("mutant") / "mutant.json"
+    path.write_bytes(serialize(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify-all", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

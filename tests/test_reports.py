@@ -21,6 +21,7 @@ import pytest
 
 from monofloer.cli import main
 from monofloer.data import THETA, MonopoleData, curated_instances, serialize
+from test_acceptance import performance_instance
 
 COMMANDS = (
     ("validate",),
@@ -37,6 +38,12 @@ COMMANDS = (
     ("reverse",),
     ("verify-all",),
 )
+LARGE_COMMANDS = (
+    ("les", "main"),
+    ("les", "hat"),
+    ("duality",),
+    ("homology", "--flavor", "plus"),
+)
 
 
 def _clash() -> MonopoleData:
@@ -51,6 +58,10 @@ def _cases() -> list[tuple[str, MonopoleData, tuple[str, ...]]]:
              for data in curated_instances() for command in COMMANDS]
     cases += [(f"torsion-theta-clash:{command}", _clash(), (command,))
               for command in ("structure", "verify-all")]
+    # the criterion-10 instance: large lattices with torsion diagonals
+    large = performance_instance()
+    cases += [(f"{large.name}:{' '.join(command)}", large, command)
+              for command in LARGE_COMMANDS]
     return cases
 
 
@@ -224,6 +235,14 @@ EXPECTED = {
         "69b36b53aa62337704dfec0f19beaf9c4573e1f9b964b6f11647348818462e2f",
     "torsion-theta-clash:verify-all":
         "49d1d1bf0aeb867d4bf0f8e1810a1b2f5fb6b02753caa55535d92defc2354c1a",
+    "performance-50:les main":
+        "6222a5a3bca0f5d15eadb75fa54913ff0ed2e35d07b64ce93bd1885b68d0aebb",
+    "performance-50:les hat":
+        "3002b29a740f02674354d3db81254797a97fb7807cd28357a77f76640ca57f2b",
+    "performance-50:duality":
+        "aefb43a4aeeb44ae187c1ffeb1c474756c88e47e018acd8c8bc429c65787b3ae",
+    "performance-50:homology --flavor plus":
+        "9ac2dc4db7ab6ce9648dccdd279ef482fd1cf2e3e96038f5bbde485abb180f46",
 }
 
 

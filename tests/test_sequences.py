@@ -59,6 +59,22 @@ def test_les_main_exact_on_curated():
         assert report.all_exact(), data.name
 
 
+def test_exact_nodes_run_no_witness_scan(monkeypatch):
+    from monofloer.intlinalg import QuotientPresentation
+
+    calls = []
+    original = QuotientPresentation.contains
+
+    def counting(self, vec):
+        calls.append(None)
+        return original(self, vec)
+
+    monkeypatch.setattr(QuotientPresentation, "contains", counting)
+    for d in curated_instances():
+        assert check_les_main(d).all_exact(), d.name
+    assert calls == []
+
+
 def test_les_main_node_lookup():
     report = check_les_main(by_name("theta-coupled-pair"), (-8, 8))
     node = report.node(-2, "minus")
