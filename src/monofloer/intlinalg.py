@@ -265,34 +265,67 @@ class AbelianGroupInvariants:
 # Smith normal form on a sparse working representation
 # ---------------------------------------------------------------------------
 
-class _Factorization:
-    """Sparse Smith reduction with optional tracking of U, U^-1, V and V^-1.
+class _Transform:
+    """A unimodular transform tracked line by line together with its inverse.
 
-    Row operations premultiply (tracked in U, inverted into Uinv); column
-    operations postmultiply (tracked in V, inverted into Vinv: a column
-    operation on V is a row operation on V^-1).  Pivots of minimal absolute
-    value keep coefficient growth down; the pivot must divide the remaining
-    submatrix before it is finalized, so the diagonal forms the divisibility
-    chain directly.
+    On the row side the lines are the rows of U and the inverse lines the
+    columns of U^-1; on the column side they are the columns of V and the
+    rows of V^-1.  On either side, line_i -= q * line_t is inverse_t += q *
+    inverse_i, so the two stay inverse to each other.
     """
 
-    __slots__ = ("rows", "cols", "diag", "rank",
-                 "u_rows", "uinv_cols", "v_cols", "vinv_rows")
+    __slots__ = ("lines", "inverse")
 
-    def __init__(self, mat: SparseIntMatrix, need_u: bool = False,
-                 need_uinv: bool = False, need_v: bool = False,
-                 need_vinv: bool = False):
+    def __init__(self, n: int):
+        self.lines = [{i: 1} for i in range(n)]
+        self.inverse = [{i: 1} for i in range(n)]
+
+    def axpy(self, i: int, t: int, q: int) -> None:
+        for line, other, c in ((self.lines[i], self.lines[t], -q),
+                               (self.inverse[t], self.inverse[i], q)):
+            for k, v in other.items():
+                w = line.get(k, 0) + c * v
+                if w:
+                    line[k] = w
+                elif k in line:
+                    del line[k]
+
+    def swap(self, i: int, t: int) -> None:
+        for lines in (self.lines, self.inverse):
+            lines[i], lines[t] = lines[t], lines[i]
+
+    def negate(self, t: int) -> None:
+        for line in (self.lines[t], self.inverse[t]):
+            for k in line:
+                line[k] = -line[k]
+
+
+class _Factorization:
+    """Sparse Smith reduction U * mat * V = S, tracking U or V on request.
+
+    Row operations premultiply (tracked in `u`, with U^-1, when `track_u`);
+    column operations postmultiply (tracked in `v`, with V^-1, when
+    `track_v`).  Tracking only records the operations: pivots are chosen
+    from the working matrix alone, so every mode yields the same diagonal
+    and the same transforms.  Pivots of minimal absolute value keep
+    coefficient growth down; the pivot must divide the remaining submatrix
+    before it is finalized, so the diagonal forms the divisibility chain
+    directly.
+    """
+
+    __slots__ = ("diag", "rank", "u", "v")
+
+    def __init__(self, mat: SparseIntMatrix, track_u: bool = False,
+                 track_v: bool = False):
         rows, cols = mat.rows, mat.cols
         a: dict[int, dict[int, int]] = {}
         colidx: dict[int, set[int]] = {}
-        for (i, j, v) in mat.entries:
-            a.setdefault(i, {})[j] = v
+        for (i, j, val) in mat.entries:
+            a.setdefault(i, {})[j] = val
             colidx.setdefault(j, set()).add(i)
 
-        u_rows = {i: {i: 1} for i in range(rows)} if need_u else None
-        uinv_cols = {i: {i: 1} for i in range(rows)} if need_uinv else None
-        v_cols = {j: {j: 1} for j in range(cols)} if need_v else None
-        vinv_rows = {j: {j: 1} for j in range(cols)} if need_vinv else None
+        u = _Transform(rows) if track_u else None
+        v = _Transform(cols) if track_v else None
 
         def set_entry(i, j, val):
             row = a.get(i)
@@ -316,55 +349,23 @@ class _Factorization:
             rt = a.get(t)
             if not rt or not q:
                 return
-            for j, v in list(rt.items()):
+            for j, w in list(rt.items()):
                 ri = a.get(i)
                 cur = ri.get(j, 0) if ri else 0
-                set_entry(i, j, cur - q * v)
-            if u_rows is not None:
-                ut = u_rows[t]
-                ui = u_rows[i]
-                for j, v in ut.items():
-                    w = ui.get(j, 0) - q * v
-                    if w:
-                        ui[j] = w
-                    elif j in ui:
-                        del ui[j]
-            if uinv_cols is not None:
-                ci = uinv_cols[i]
-                ct = uinv_cols[t]
-                for r, v in ci.items():
-                    w = ct.get(r, 0) + q * v
-                    if w:
-                        ct[r] = w
-                    elif r in ct:
-                        del ct[r]
+                set_entry(i, j, cur - q * w)
+            if u is not None:
+                u.axpy(i, t, q)
 
         def col_axpy(j, t, q):
             # col_j -= q * col_t
             if not q:
                 return
             for i in list(colidx.get(t, ())):
-                v = a[i][t]
+                w = a[i][t]
                 cur = a[i].get(j, 0)
-                set_entry(i, j, cur - q * v)
-            if v_cols is not None:
-                vj = v_cols[j]
-                vt = v_cols[t]
-                for r, v in vt.items():
-                    w = vj.get(r, 0) - q * v
-                    if w:
-                        vj[r] = w
-                    elif r in vj:
-                        del vj[r]
-            if vinv_rows is not None:
-                rj = vinv_rows[j]
-                rt = vinv_rows[t]
-                for c, v in rj.items():
-                    w = rt.get(c, 0) + q * v
-                    if w:
-                        rt[c] = w
-                    elif c in rt:
-                        del rt[c]
+                set_entry(i, j, cur - q * w)
+            if v is not None:
+                v.axpy(j, t, q)
 
         def swap_rows(i, t):
             ri = a.pop(i, None)
@@ -384,10 +385,8 @@ class _Factorization:
                     else:
                         s.discard(t)
                         s.add(i)
-            if u_rows is not None:
-                u_rows[i], u_rows[t] = u_rows[t], u_rows[i]
-            if uinv_cols is not None:
-                uinv_cols[i], uinv_cols[t] = uinv_cols[t], uinv_cols[i]
+            if u is not None:
+                u.swap(i, t)
 
         def swap_cols(j, t):
             for i in set(colidx.get(j, ())) | set(colidx.get(t, ())):
@@ -404,24 +403,16 @@ class _Factorization:
                 colidx[t] = sj
             if st:
                 colidx[j] = st
-            if v_cols is not None:
-                v_cols[j], v_cols[t] = v_cols[t], v_cols[j]
-            if vinv_rows is not None:
-                vinv_rows[j], vinv_rows[t] = vinv_rows[t], vinv_rows[j]
+            if v is not None:
+                v.swap(j, t)
 
         def negate_row(t):
             row = a.get(t)
             if row:
                 for j in row:
                     row[j] = -row[j]
-            if u_rows is not None:
-                ut = u_rows[t]
-                for j in ut:
-                    ut[j] = -ut[j]
-            if uinv_cols is not None:
-                ct = uinv_cols[t]
-                for r in ct:
-                    ct[r] = -ct[r]
+            if u is not None:
+                u.negate(t)
 
         t = 0
         limit = min(rows, cols)
@@ -487,44 +478,19 @@ class _Factorization:
                 row_axpy(t, off, -1)
             t += 1
 
-        self.rows = rows
-        self.cols = cols
         self.diag = [a[s][s] for s in range(t)]
         self.rank = t
-        self.u_rows = u_rows
-        self.uinv_cols = uinv_cols
-        self.v_cols = v_cols
-        self.vinv_rows = vinv_rows
-
-    # -- assembled factors --------------------------------------------------
-
-    def matrix_S(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_entries(
-            self.rows, self.cols,
-            ((i, i, d) for i, d in enumerate(self.diag)))
-
-    def matrix_U(self) -> SparseIntMatrix:
-        return _row_block(self.u_rows, range(self.rows), self.rows)
-
-    def matrix_V(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_entries(
-            self.cols, self.cols,
-            ((i, j, v) for j, col in self.v_cols.items() for i, v in col.items()))
-
-    def kernel_columns(self) -> SparseIntMatrix:
-        """Columns rank: of V, a primitive basis of the kernel."""
-        return SparseIntMatrix.from_entries(
-            self.cols, self.cols - self.rank,
-            ((i, j - self.rank, v) for j in range(self.rank, self.cols)
-             for i, v in self.v_cols[j].items()))
+        self.u = u
+        self.v = v
 
 
-def _row_block(rows: dict[int, dict[int, int]], which: Sequence[int],
+def _row_block(lines: list[dict[int, int]], which: Sequence[int],
                width: int) -> SparseIntMatrix:
-    """The listed rows of a tracked transform, renumbered from zero."""
+    """The listed lines of a tracked transform as the rows of a matrix,
+    renumbered from zero."""
     return SparseIntMatrix(len(which), width, tuple(
         (k, j, v) for k, i in enumerate(which)
-        for j, v in sorted(rows[i].items())))
+        for j, v in sorted(lines[i].items())))
 
 
 # ---------------------------------------------------------------------------
@@ -534,33 +500,21 @@ def _row_block(rows: dict[int, dict[int, int]], which: Sequence[int],
 class Lattice:
     """A sublattice of Z^n: an independent basis and a coordinate map.
 
-    The coordinates of the columns of B are X = post * ((pre * B) / divisors),
-    the division running row by row; B lies in the lattice exactly when every
+    The coordinates of the columns of B are X = (pre * B) / divisors, the
+    division running row by row; B lies in the lattice exactly when every
     division is exact and basis * X == B.  The map comes from the
     factorization that produced the basis, so reading coordinates is one
     sparse product and never a new reduction.  Equality and hashing are by
     basis: two lattices with one basis give the same coordinates.
     """
 
-    __slots__ = ("basis", "_pre", "_divisors", "_post")
+    __slots__ = ("basis", "_pre", "_divisors")
 
     def __init__(self, basis: SparseIntMatrix, pre: SparseIntMatrix,
-                 divisors: Sequence[int] | None = None,
-                 post: SparseIntMatrix | None = None):
+                 divisors: Sequence[int] | None = None):
         self.basis = basis
         self._pre = pre
         self._divisors = divisors
-        self._post = post
-
-    @classmethod
-    def from_basis(cls, basis: SparseIntMatrix) -> "Lattice":
-        """The lattice spanned by independent columns, read through their
-        own Smith form: U * basis * V = S gives X = V * ((U * B) / S)."""
-        f = _Factorization(basis, need_u=True, need_v=True)
-        if f.rank != basis.cols:
-            raise ValueError("lattice basis columns are dependent")
-        return cls(basis, _row_block(f.u_rows, range(f.rank), basis.rows),
-                   f.diag, f.matrix_V())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -582,8 +536,6 @@ class Lattice:
                     return None
                 entries.append((i, j, q))
             x = SparseIntMatrix(x.rows, x.cols, tuple(entries))
-        if self._post is not None:
-            x = self._post.mul(x)
         return x if self.basis.mul(x) == b else None
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -600,7 +552,7 @@ class Lattice:
             (slot[i], j, v) for (i, j, v) in self.basis.entries))
         pre = SparseIntMatrix(self._pre.rows, incl.rows, tuple(
             (i, slot[j], v) for (i, j, v) in self._pre.entries))
-        return Lattice(basis, pre, self._divisors, self._post)
+        return Lattice(basis, pre, self._divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +561,12 @@ class Lattice:
 
 def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
     """Factor U * mat * V = S, diagonal with the divisibility chain."""
-    f = _Factorization(mat, need_u=True, need_v=True)
-    return SnfResult(f.matrix_U(), f.matrix_S(), f.matrix_V())
+    f = _Factorization(mat, track_u=True, track_v=True)
+    return SnfResult(
+        _row_block(f.u.lines, range(mat.rows), mat.rows),
+        SparseIntMatrix(mat.rows, mat.cols,
+                        tuple((i, i, d) for i, d in enumerate(f.diag))),
+        _row_block(f.v.lines, range(mat.cols), mat.cols).transpose())
 
 
 def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
@@ -623,31 +579,33 @@ def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
 def kernel_basis(mat: SparseIntMatrix) -> Lattice:
     """ker(mat) with a primitive basis, columns rank: of V; the
     coordinates of v are rows rank: of V^-1 * v."""
-    f = _Factorization(mat, need_v=True, need_vinv=True)
-    return Lattice(f.kernel_columns(),
-                   _row_block(f.vinv_rows, range(f.rank, mat.cols), mat.cols))
+    f = _Factorization(mat, track_v=True)
+    kept = range(f.rank, mat.cols)
+    return Lattice(_row_block(f.v.lines, kept, mat.cols).transpose(),
+                   _row_block(f.v.inverse, kept, mat.cols))
 
 
 def column_space_basis(mat: SparseIntMatrix) -> Lattice:
     """The column lattice of mat with the independent basis U^-1[:, :rank]
     * diag; the coordinates of v are rows :rank of U * v, each divided by
     its diagonal entry."""
-    f = _Factorization(mat, need_u=True, need_uinv=True)
+    f = _Factorization(mat, track_u=True)
     items = []
     for idx, d in enumerate(f.diag):
-        for r, v in f.uinv_cols[idx].items():
+        for r, v in f.u.inverse[idx].items():
             items.append((r, idx, v * d))
     return Lattice(SparseIntMatrix.from_entries(mat.rows, f.rank, items),
-                   _row_block(f.u_rows, range(f.rank), mat.rows), f.diag)
+                   _row_block(f.u.lines, range(f.rank), mat.rows), f.diag)
 
 
 def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMatrix:
-    """Columns spanning {x : mat * x lies in the column span of gens}."""
+    """Columns spanning {x : mat * x lies in the column span of gens}: the
+    top mat.cols rows of a kernel basis of [mat | gens]."""
     if mat.rows != gens.rows:
         raise ValueError("row mismatch between map and target lattice")
-    ker = _Factorization(hstack(mat, gens), need_v=True).kernel_columns()
-    items = [(i, j, v) for (i, j, v) in ker.entries if i < mat.cols]
-    return SparseIntMatrix.from_entries(mat.cols, ker.cols, items)
+    ker = kernel_basis(hstack(mat, gens)).basis
+    return SparseIntMatrix(mat.cols, ker.cols, tuple(
+        e for e in ker.entries if e[0] < mat.cols))
 
 
 @dataclass(frozen=True)
@@ -662,8 +620,7 @@ class HomologyGenerator:
 class QuotientPresentation:
     """span(Z)/span(B) with pinned generators and canonical coordinates.
 
-    Z is a `Lattice` (a bare matrix of independent columns is read through
-    `Lattice.from_basis`); B's columns must lie in it.  B is mapped to
+    Z is a `Lattice`; B's columns must lie in it.  B is mapped to
     coordinates in Z with one sparse product, and generators are read off the
     Smith form of that coordinate matrix, in Smith order, skipping the
     trivial factors.
@@ -672,15 +629,14 @@ class QuotientPresentation:
     __slots__ = ("lattice", "invariants", "generators", "_orders",
                  "_to_generators")
 
-    def __init__(self, z: Lattice | SparseIntMatrix, b: SparseIntMatrix):
-        lattice = z if isinstance(z, Lattice) else Lattice.from_basis(z)
+    def __init__(self, lattice: Lattice, b: SparseIntMatrix):
         coords = lattice.coordinates(b)
         if coords is None:
             raise ContainmentError(
                 "a column is not an integral combination of the numerator "
                 "basis")
         rank = lattice.basis.cols
-        fx = _Factorization(coords, need_u=True, need_uinv=True)
+        fx = _Factorization(coords, track_u=True)
 
         orders = []
         kept = []
@@ -692,7 +648,7 @@ class QuotientPresentation:
         gens = []
         for i, order in zip(kept, orders):
             coord = [0] * rank
-            for r, v in fx.uinv_cols[i].items():
+            for r, v in fx.u.inverse[i].items():
                 coord[r] = v
             gens.append(HomologyGenerator(
                 order, tuple(lattice.basis.apply(coord))))
@@ -703,7 +659,7 @@ class QuotientPresentation:
         self.invariants = AbelianGroupInvariants(free, torsion)
         self.generators = tuple(gens)
         self._orders = orders
-        self._to_generators = _row_block(fx.u_rows, kept, rank)
+        self._to_generators = _row_block(fx.u.lines, kept, rank)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in span(Z), the numerator lattice."""

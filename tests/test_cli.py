@@ -220,6 +220,30 @@ def test_spectral_reports_a_failed_check(tmp_path, capsys, monkeypatch):
     assert "FAIL" in err and "Traceback" not in err
 
 
+def test_spectral_reports_a_prediction_outside_its_cell(tmp_path, capsys,
+                                                        monkeypatch):
+    import monofloer.spectral as spectral
+
+    data = by_name("tail-chain")
+
+    class IrreducibleSlot:
+        # the page-3 formula's prediction lands on an irreducible generator
+        # of positive filtration, which no filtration-0 cell contains
+        def __init__(self, kind, point, k):
+            pass
+
+        def __eq__(self, gen):
+            return gen.point is not None and data.grading_of(gen.point) > 0
+
+    monkeypatch.setattr(spectral, "Generator", IrreducibleSlot)
+    path = write_dataset(tmp_path, data)
+    code, out, err = run(capsys, ["spectral", "--pages", "3", path])
+    assert code == 1
+    # degree 3 is the first the page-3 formula is checked in
+    assert report_of(out)["results"] == {"ok": False, "degree": 3}
+    assert "FAIL" in err and "Traceback" not in err
+
+
 def test_duality(tmp_path, capsys):
     path = write_dataset(tmp_path, by_name("theta-coupled-pair"))
     code, out, _ = run(capsys, ["duality", path])

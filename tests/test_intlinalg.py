@@ -10,7 +10,6 @@ import oracle
 from monofloer.intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
-    Lattice,
     QuotientPresentation,
     SparseIntMatrix,
     column_space_basis,
@@ -98,28 +97,32 @@ def test_kernel_examples():
 
 
 def test_subquotient_examples():
-    assert QuotientPresentation(SparseIntMatrix.identity(2), M([[1], [-1]])).invariants == \
+    def invariants(z, b):
+        return QuotientPresentation(column_space_basis(z), b).invariants
+
+    assert invariants(SparseIntMatrix.identity(2), M([[1], [-1]])) == \
         AbelianGroupInvariants(1, ())
-    assert QuotientPresentation(SparseIntMatrix.identity(1), M([[2]])).invariants == \
+    assert invariants(SparseIntMatrix.identity(1), M([[2]])) == \
         AbelianGroupInvariants(0, (2,))
-    assert QuotientPresentation(SparseIntMatrix.identity(3), SparseIntMatrix.identity(3)).invariants == \
+    assert invariants(SparseIntMatrix.identity(3), SparseIntMatrix.identity(3)) == \
         AbelianGroupInvariants(0, ())
-    assert QuotientPresentation(SparseIntMatrix.zero(4, 0), SparseIntMatrix.zero(4, 0)).invariants == \
+    assert invariants(SparseIntMatrix.zero(4, 0), SparseIntMatrix.zero(4, 0)) == \
         AbelianGroupInvariants(0, ())
 
 
 def test_subquotient_containment_error():
-    z = M([[2], [0]])
+    z = column_space_basis(M([[2], [0]]))
     b = M([[1], [0]])
     with pytest.raises(ContainmentError):
         QuotientPresentation(z, b)
 
 
 def test_solve_basic():
-    pres = QuotientPresentation(M([[2, 0], [0, 3]]), SparseIntMatrix.zero(2, 0))
+    pres = QuotientPresentation(column_space_basis(M([[2, 0], [0, 3]])),
+                                SparseIntMatrix.zero(2, 0))
     assert pres.contains([4, 3])
     assert not pres.contains([1, 0])
-    empty = QuotientPresentation(SparseIntMatrix.zero(2, 0),
+    empty = QuotientPresentation(column_space_basis(SparseIntMatrix.zero(2, 0)),
                                  SparseIntMatrix.zero(2, 0))
     assert empty.contains([0, 0])
     assert not empty.contains([1, 0])
@@ -220,6 +223,33 @@ def test_preimage_lattice():
         assert in_span(g, image)
 
 
+def test_preimage_lattice_is_complete():
+    # the converse of the check above: x lies in span(pre) exactly when
+    # m * x lies in span(g).  g holds multiples s * m * y of images, so
+    # combinations of the s * y satisfy the constraint; random x mostly not
+    rng = random.Random(1210)
+    outcomes = set()
+    for _ in range(30):
+        m = _random_matrix(rng, max_dim=5, bound=3)
+        ys = [[rng.randrange(-3, 4) for _ in range(m.cols)] for _ in range(2)]
+        scales = [rng.choice((1, 2, 3)) for _ in ys]
+        columns = [[s * v for v in m.apply(y)] for s, y in zip(scales, ys)]
+        columns.append([rng.randrange(-3, 4) for _ in range(m.rows)])
+        g = SparseIntMatrix.from_columns(m.rows, columns).to_dense()
+        pre = preimage_lattice(m, M(g, cols=3)).to_dense()
+        for _ in range(6):
+            if rng.random() < 0.5:
+                c = [rng.randrange(-2, 3) * s for s in scales]
+                x = [sum(ck * y[i] for ck, y in zip(c, ys))
+                     for i in range(m.cols)]
+            else:
+                x = [rng.randrange(-3, 4) for _ in range(m.cols)]
+            want = oracle.dense_in_span(g, m.apply(x))
+            assert oracle.dense_in_span(pre, x) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def _probe_columns(rng, lattice):
     """Columns inside the lattice (random combinations of the basis) mixed
     with random ambient vectors, which often fall outside."""
@@ -254,11 +284,9 @@ def test_lattice_coordinates_against_oracle():
     torsion_seen = False
     for _ in range(40):
         mat = _random_matrix(rng, max_dim=6)
-        span = column_space_basis(mat)
         torsion_seen |= any(
             f > 1 for f in oracle.dense_invariant_factors(mat.to_dense()))
-        lattices = [kernel_basis(mat), span, Lattice.from_basis(span.basis)]
-        for lattice in lattices:
+        for lattice in (kernel_basis(mat), column_space_basis(mat)):
             outcomes.update(check_coordinates_against_oracle(rng, lattice))
     # both answers occur, and some column space has a diagonal entry > 1
     assert outcomes == {True, False}
@@ -281,7 +309,8 @@ def test_included_lattice_coordinates_against_oracle():
 
 
 def test_lattice_contains():
-    pres = QuotientPresentation(M([[2, 0], [0, 2]]), SparseIntMatrix.zero(2, 0))
+    pres = QuotientPresentation(column_space_basis(M([[2, 0], [0, 2]])),
+                                SparseIntMatrix.zero(2, 0))
     assert pres.contains([4, 2])
     assert not pres.contains([1, 0])
     assert spans_equal(M([[1, 0], [0, 1]]), M([[1, 1], [0, 1]]))
@@ -308,7 +337,8 @@ def test_invariants_reject_bad_chain():
 
 
 def test_quotient_presentation():
-    pres = QuotientPresentation(SparseIntMatrix.identity(2), M([[2, 0], [0, 0]], cols=2))
+    pres = QuotientPresentation(column_space_basis(SparseIntMatrix.identity(2)),
+                                M([[2, 0], [0, 0]], cols=2))
     assert pres.invariants == AbelianGroupInvariants(1, (2,))
     orders = sorted(g.order for g in pres.generators)
     assert orders == [0, 2]
@@ -320,7 +350,8 @@ def test_quotient_presentation():
     b = pres.coordinate_of([3, 0])
     assert a == b
 
-    narrow = QuotientPresentation(M([[1], [0]]), SparseIntMatrix.zero(2, 0))
+    narrow = QuotientPresentation(column_space_basis(M([[1], [0]])),
+                                  SparseIntMatrix.zero(2, 0))
     with pytest.raises(ContainmentError):
         narrow.coordinate_of([0, 1])
 
@@ -350,6 +381,29 @@ def test_presentation_over_a_kernel_factors_once(monkeypatch):
         monkeypatch.undo()
 
 
-def test_quotient_presentation_rejects_dependent_basis():
-    with pytest.raises(ValueError):
-        QuotientPresentation(M([[1, 1], [1, 1]]), SparseIntMatrix.zero(2, 0))
+def test_tracking_never_steers_the_reduction():
+    # pivots come from the working matrix alone, so every tracking mode
+    # gives one diagonal and one set of transforms, and each tracked side
+    # carries its exact inverse
+    from monofloer.intlinalg import _Factorization, _row_block
+
+    def identity(n):
+        return SparseIntMatrix.identity(n).to_dense()
+
+    rng = random.Random(1211)
+    for _ in range(40):
+        mat = _random_matrix(rng)
+        runs = {(tu, tv): _Factorization(mat, track_u=tu, track_v=tv)
+                for tu in (False, True) for tv in (False, True)}
+        both = runs[True, True]
+        assert all(f.diag == both.diag for f in runs.values())
+        assert runs[True, False].u.lines == both.u.lines
+        assert runs[False, True].v.lines == both.v.lines
+
+        every_row, every_col = range(mat.rows), range(mat.cols)
+        u = _row_block(both.u.lines, every_row, mat.rows).to_dense()
+        u_inv = _row_block(both.u.inverse, every_row, mat.rows).transpose()
+        v = _row_block(both.v.lines, every_col, mat.cols).transpose()
+        v_inv = _row_block(both.v.inverse, every_col, mat.cols).to_dense()
+        assert oracle.dense_mul(u, u_inv.to_dense()) == identity(mat.rows)
+        assert oracle.dense_mul(v.to_dense(), v_inv) == identity(mat.cols)
