@@ -9,6 +9,7 @@ failed, 2 bad input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -292,7 +293,9 @@ def _count_type(text: str) -> int:
     return count
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="monofloer",
         description="exact equivariant monopole Floer homology engine")

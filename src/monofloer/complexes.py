@@ -169,7 +169,36 @@ def _slice_map(rows: DegreeSlice, cols: DegreeSlice,
 
 
 @per_dataset
+def _band(data: MonopoleData) -> tuple[int, int]:
+    """The degrees whose differentials and presentations are built.
+
+    _image_terms does not read k, and _slice(n + 2) is _slice(n) with every
+    k raised by one, in the same order; so D(n + 2) == D(n) unless slice n
+    or n - 1 holds a generator at a flavor's k edge (k = -1 for Minus and
+    Plus, k in {-1, 0} for Hat and NonEquivariant).  With g the gradings
+    plus 0, that cannot happen for n >= max(g) + 3 or n <= min(g) - 3.  A
+    presentation reads D(n) and D(n + 1), so both repeat outside
+    [min(g) - 3, max(g) + 4].  Validity of the data plays no part."""
+    gradings = [p.grading for p in data.points] + [0]
+    return min(gradings) - 3, max(gradings) + 4
+
+
+def _band_degree(data: MonopoleData, n: int) -> int:
+    """n inside the band; outside it, the band-edge degree of n's parity,
+    whose differential and presentation equal those of degree n."""
+    lo, hi = _band(data)
+    if n < lo:
+        return lo + (n - lo) % 2
+    if n > hi:
+        return hi - (n - hi) % 2
+    return n
+
+
+@per_dataset
 def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
+    edge = _band_degree(data, n)
+    if edge != n:
+        return _differential(data, flavor, edge)
     return _slice_map(_slice(data, flavor, n - 1), _slice(data, flavor, n),
                       lambda gen: _image_terms(data, gen))
 

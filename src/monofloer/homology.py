@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import _STRUCTURAL, Flavor, MonopoleData, _differential, \
-    _slice, checked_window, require_valid, structural_map
+from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
+    _band_degree, _differential, _slice, checked_window, require_valid, \
+    structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -110,8 +111,13 @@ def _quotient(data: MonopoleData, z: Lattice,
 @per_dataset
 def presentation_at(data: MonopoleData, flavor: Flavor,
                     n: int) -> QuotientPresentation:
-    """Cycle lattice, boundary columns, and pinned generators in degree n."""
+    """Cycle lattice, boundary columns, and pinned generators in degree n.
+    Outside the band of complexes._band this is the same object as at the
+    band-edge degree of n's parity."""
     require_valid(data)
+    edge = _band_degree(data, n)
+    if edge != n:
+        return presentation_at(data, flavor, edge)
     return _quotient(data, _kernel(data, _differential(data, flavor, n)),
                      _differential(data, flavor, n + 1))
 
@@ -145,14 +151,10 @@ def _support_ceiling(data: MonopoleData, flavor: Flavor) -> int | None:
     return None
 
 
-def _periodic_tail(data: MonopoleData, flavor: Flavor,
-                   groups: dict[int, AbelianGroupInvariants],
-                   edge: int, inward: int, direction: int) -> Tail | None:
-    # the two edge degrees, provided the differential is verified to repeat
-    for n in (edge - direction, edge, edge + direction):
-        if _differential(data, flavor, n) != _differential(
-                data, flavor, n + 2 * direction):
-            return None
+def _periodic_tail(groups: dict[int, AbelianGroupInvariants], edge: int,
+                   inward: int) -> Tail:
+    # the caller has established that the complex repeats with period two
+    # beyond edge (complexes._band), so the two edge degrees continue
     pair = {m % 2: groups[m] for m in (edge, inward)}
     return Tail(even=pair[0], odd=pair[1], verified=True)
 
@@ -171,25 +173,28 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
     verified to repeat with period two (or to vanish) beyond the edges."""
     lo, hi = checked_window(data, window)
     groups = {n: homology_at(data, flavor, n) for n in range(lo, hi + 1)}
-    gradings = [p.grading for p in data.points] + [0]
+    band_lo, band_hi = _band(data)
 
+    # Infinity repeats with period two in every degree, the truncated
+    # flavors outside the band.  A Minus tail starts one degree further out
+    # than the band needs; moving it would change which reports carry one.
     tail_above: Tail | None = None
     tail_below: Tail | None = None
     if flavor is Flavor.INFINITY:
         if hi - 1 >= lo:
-            tail_above = _periodic_tail(data, flavor, groups, hi, hi - 1, +1)
-            tail_below = _periodic_tail(data, flavor, groups, lo, lo + 1, -1)
+            tail_above = _periodic_tail(groups, hi, hi - 1)
+            tail_below = _periodic_tail(groups, lo, lo + 1)
     else:
         ceiling = _support_ceiling(data, flavor)
         if ceiling is not None and hi >= ceiling:
             tail_above = _empty_tail(data, flavor, hi, +1)
-        elif flavor is Flavor.PLUS and hi - 1 >= max(gradings) + 3:
-            tail_above = _periodic_tail(data, flavor, groups, hi, hi - 1, +1)
+        elif flavor is Flavor.PLUS and hi >= band_hi:
+            tail_above = _periodic_tail(groups, hi, hi - 1)
         floor = _support_floor(data, flavor)
         if floor is not None and lo <= floor:
             tail_below = _empty_tail(data, flavor, lo, -1)
-        elif flavor is Flavor.MINUS and lo + 1 <= min(gradings) - 3:
-            tail_below = _periodic_tail(data, flavor, groups, lo, lo + 1, -1)
+        elif flavor is Flavor.MINUS and lo < band_lo:
+            tail_below = _periodic_tail(groups, lo, lo + 1)
     return GradedAbelianGroup((lo, hi), groups, tail_above, tail_below)
 
 

@@ -162,25 +162,40 @@ def test_narrow_window_has_no_unverified_tail():
 
 
 def test_kernel_work_does_not_grow_with_the_window(monkeypatch):
+    import monofloer.complexes as complexes
     import monofloer.intlinalg as intlinalg
-    made = []
+    made = []  # factorizations
+    built = []  # chain-level matrices
 
     class Counting(intlinalg._Factorization):
         def __init__(self, *args, **kwargs):
             made.append(None)
             super().__init__(*args, **kwargs)
 
+    slice_map = complexes._slice_map
+
+    def counting(*args):
+        built.append(None)
+        return slice_map(*args)
+
     monkeypatch.setattr(intlinalg, "_Factorization", Counting)
-    counts = []
-    for window in ((-20, 20), (-200, 200)):
-        made.clear()
-        graded_homology(by_name("tail-chain"), Flavor.PLUS, window)
-        counts.append(len(made))
-    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(complexes, "_slice_map", counting)
+    for flavor in Flavor:
+        counts = []
+        for window in ((-20, 20), (-1000, 1000)):
+            made.clear()
+            built.clear()
+            graded_homology(by_name("tail-chain"), flavor, window)
+            counts.append((len(made), len(built)))
+        assert counts[0] == counts[1], flavor
+        assert min(counts[0]) > 0, flavor
 
     data = by_name("tail-chain")
     assert presentation_at(data, Flavor.INFINITY, 40) is presentation_at(
         data, Flavor.INFINITY, 42)
+    for flavor in (Flavor.PLUS, Flavor.MINUS, Flavor.HAT):
+        assert presentation_at(data, flavor, 200) is presentation_at(
+            data, flavor, 202)
 
 
 # -- induced maps -----------------------------------------------------------

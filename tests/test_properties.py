@@ -21,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from monofloer.cli import main, verify_all
-from monofloer.complexes import Flavor, default_window
+from monofloer.complexes import Flavor, _band, _band_degree, _differential, \
+    _image_terms, _slice, _slice_map, check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, generate_instances, \
-    reverse_orientation, serialize, validate
+    invalid_instance, reverse_orientation, serialize, validate
 from monofloer.duality import duality_check
 from monofloer.homology import homology_at
 from test_complexes import compare_with_oracle, oracle_dataset
@@ -160,3 +161,39 @@ def test_verify_all_rejects_a_broken_identity_with_exit_2(tmp_path_factory,
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+# -- the band ---------------------------------------------------------------
+
+def test_the_band_fold_is_exact():
+    """Around the band, every folded differential equals a direct build, a
+    presentation's fold reads the same two differentials as a direct one,
+    and Infinity repeats with period two; invalid data folds alike."""
+    for data in [*POOL, invalid_instance()]:
+        lo, hi = _band(data)
+        for flavor in Flavor:
+            built = {}
+
+            def direct(n):
+                if n not in built:
+                    built[n] = _slice_map(
+                        _slice(data, flavor, n - 1), _slice(data, flavor, n),
+                        lambda gen: _image_terms(data, gen))
+                return built[n]
+
+            for n in range(lo - 8, hi + 9):
+                assert _differential(data, flavor, n) == direct(n), (
+                    data.name, flavor, n)
+                edge = _band_degree(data, n)
+                assert (direct(edge), direct(edge + 1)) == (
+                    direct(n), direct(n + 1)), (data.name, flavor, n)
+                if flavor is Flavor.INFINITY:
+                    assert direct(n + 2) == direct(n), (data.name, n)
+
+
+def test_d_squared_over_a_wide_window_still_sees_a_broken_identity():
+    data, mutant = next(
+        (data, mutant) for data in POOL for slot in _slots(data)
+        for mutant in (mutate(data, slot, 1),) if not squares_to_zero(mutant))
+    assert check_d_squared(data, Flavor.INFINITY, (-1000, 1000))
+    assert not check_d_squared(mutant, Flavor.INFINITY, (-1000, 1000))

@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from monofloer import cli
 from monofloer.cli import main
 from monofloer.data import THETA, MonopoleData, curated_instances, serialize
 from test_acceptance import performance_instance
@@ -253,6 +254,24 @@ CASES = _cases()
                          ids=[key for key, _, _ in CASES])
 def test_report_is_byte_identical(key, data, command, tmp_path):
     assert _digest(data, command, tmp_path) == EXPECTED[key]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # the parser is built on first use; a usage error leaves it fit for
+    # the calls after it
+    cli._build_parser.cache_clear()
+    data = next(d for d in curated_instances() if d.name == "tail-chain")
+    path = tmp_path / "tail-chain.json"
+    path.write_bytes(serialize(data))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["homology", "--flavor", "bogus", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    parser = cli._build_parser()
+    for command in (("homology", "--flavor", "plus"), ("verify-all",)):
+        key = f"tail-chain:{' '.join(command)}"
+        assert _digest(data, command, tmp_path) == EXPECTED[key]
+    assert cli._build_parser() is parser
 
 
 if __name__ == "__main__":
