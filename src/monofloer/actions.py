@@ -17,8 +17,7 @@ from .complexes import (
     KIND_ONE,
     KIND_THETA,
     MonopoleData,
-    _slice,
-    _slice_map,
+    _rule_matrix,
     checked_window,
     require_valid,
 )
@@ -55,27 +54,29 @@ def _u_terms(data, gen):
         yield Generator(KIND_THETA, None, gen.k - 1), 1
 
 
+def _h_terms(data, gen):
+    """The homotopy rule: 1_a to eta_a at the same power of Omega."""
+    if gen.kind == KIND_ONE:
+        yield Generator(KIND_ETA, gen.point, gen.k), 1
+
+
 def u_chain_map(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     """Matrix of u from the degree-n slice to the degree-(n-2) slice."""
     if flavor not in _U_FLAVORS:
         raise InvalidInput(
             "u is defined only on the infinity, minus, and plus flavors")
     require_valid(data)
-    return _slice_map(_slice(data, flavor, n - 2), _slice(data, flavor, n),
-                      lambda gen: _u_terms(data, gen))
+    return _rule_matrix(data, _u_terms, 2, flavor, n)
 
 
-def homotopy_h(flavor: Flavor, n: int, data: MonopoleData) -> SparseIntMatrix:
+def homotopy_h(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     """Matrix of the homotopy from the degree-n slice to degree n-1.
 
     Sends each generator 1_a to eta_a at the same power of Omega and kills
     eta and theta generators.
     """
     require_valid(data)
-    return _slice_map(
-        _slice(data, flavor, n - 1), _slice(data, flavor, n),
-        lambda gen: (((Generator(KIND_ETA, gen.point, gen.k), 1),)
-                     if gen.kind == KIND_ONE else ()))
+    return _rule_matrix(data, _h_terms, 1, flavor, n)
 
 
 def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
@@ -88,8 +89,8 @@ def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
         lhs = u_chain_map(data, flavor, n).sub(
             structural_map(data, "omega_inverse", flavor, n))
         rhs = _differential(data, flavor, n - 1).mul(
-            homotopy_h(flavor, n, data)).add(
-            homotopy_h(flavor, n - 1, data).mul(
+            homotopy_h(data, flavor, n)).add(
+            homotopy_h(data, flavor, n - 1).mul(
                 _differential(data, flavor, n)))
         if lhs != rhs:
             return False

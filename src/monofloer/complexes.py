@@ -5,9 +5,10 @@ takes all k, Minus takes k < 0, Plus takes k >= 0, Hat takes k = 0, and
 NonEquivariant keeps only the eta generators at k = 0.  Each irreducible
 point a contributes generators eta_a (degree 2k + gr(a)) and 1_a (degree
 2k + gr(a) + 1); the reducible contributes 1_theta (degree 2k).  The
-differential is assembled from the n and m coefficient families; targets
-outside a flavor are dropped, which realizes the subcomplex and quotient
-structure of the five variants at the matrix level.
+differential is assembled from the n and m coefficient families.  Every
+chain-level matrix is built once per parity on Infinity, and a flavor reads
+its submatrix on the basis positions it keeps, which realizes the subcomplex
+and quotient structure of the five variants at the matrix level.
 """
 
 from __future__ import annotations
@@ -50,20 +51,16 @@ class Flavor(enum.Enum):
     NONEQUIVARIANT = "noneq"
 
 
-def _k_admissible(flavor: Flavor, k: int) -> bool:
+def _admissible(flavor: Flavor, kind: str, k: int) -> bool:
     if flavor is Flavor.INFINITY:
         return True
     if flavor is Flavor.MINUS:
         return k < 0
     if flavor is Flavor.PLUS:
         return k >= 0
-    return k == 0  # Hat and NonEquivariant
-
-
-def _admissible(flavor: Flavor, kind: str, k: int) -> bool:
     if flavor is Flavor.NONEQUIVARIANT and kind != KIND_ETA:
         return False
-    return _k_admissible(flavor, k)
+    return k == 0
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,6 @@ class Generator:
 class DegreeSlice:
     degree: int
     basis: tuple[Generator, ...]
-
-    def index(self, gen: Generator) -> int:
-        return self.basis.index(gen)
 
 
 def require_valid(data: MonopoleData) -> None:
@@ -97,20 +91,24 @@ def generator_degree(data: MonopoleData, gen: Generator) -> int:
     return 2 * gen.k + grading + 1
 
 
-@per_dataset
-def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
-    basis: list[Generator] = []
-    if n % 2 == 0 and _admissible(flavor, KIND_THETA, n // 2):
-        basis.append(Generator(KIND_THETA, None, n // 2))
+def _infinity_cells(data: MonopoleData, n: int):
+    """(kind, point id, k) of each Infinity generator of degree n, in the
+    order of generators_in_degree."""
+    if n % 2 == 0:
+        yield KIND_THETA, None, n // 2
     for p in data.points:
         gap = n - p.grading
         if gap % 2 == 0:
-            kind, k = KIND_ETA, gap // 2
+            yield KIND_ETA, p.id, gap // 2
         else:
-            kind, k = KIND_ONE, (gap - 1) // 2
-        if _admissible(flavor, kind, k):
-            basis.append(Generator(kind, p.id, k))
-    return DegreeSlice(n, tuple(basis))
+            yield KIND_ONE, p.id, (gap - 1) // 2
+
+
+@per_dataset
+def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
+    cells = tuple(_infinity_cells(data, n))
+    return DegreeSlice(n, tuple(
+        Generator(*cells[i]) for i in _kept(data, flavor, n)))
 
 
 def generators_in_degree(data: MonopoleData, flavor: Flavor,
@@ -157,7 +155,7 @@ def _slice_map(rows: DegreeSlice, cols: DegreeSlice,
                terms) -> SparseIntMatrix:
     """The matrix of a rule on generators from the cols slice to the rows
     slice.  terms(gen) yields (target, coefficient) pairs; targets outside
-    the rows slice are dropped, which realizes the flavor truncations."""
+    the rows slice are dropped."""
     index = {g: i for i, g in enumerate(rows.basis)}
     items = []
     for j, gen in enumerate(cols.basis):
@@ -172,20 +170,21 @@ def _slice_map(rows: DegreeSlice, cols: DegreeSlice,
 def _band(data: MonopoleData) -> tuple[int, int]:
     """The degrees whose differentials and presentations are built.
 
-    _image_terms does not read k, and _slice(n + 2) is _slice(n) with every
-    k raised by one, in the same order; so D(n + 2) == D(n) unless slice n
-    or n - 1 holds a generator at a flavor's k edge (k = -1 for Minus and
-    Plus, k in {-1, 0} for Hat and NonEquivariant).  With g the gradings
-    plus 0, that cannot happen for n >= max(g) + 3 or n <= min(g) - 3.  A
-    presentation reads D(n) and D(n + 1), so both repeat outside
-    [min(g) - 3, max(g) + 4].  Validity of the data plays no part."""
+    D(n) reads the Infinity template of n's parity at _kept(n - 1) and
+    _kept(n).  _kept(n + 2) == _kept(n) unless slice n holds a generator at
+    the flavor's k edge (k = -1 for Minus and Plus, k in {-1, 0} for Hat
+    and NonEquivariant); with g the gradings plus 0, that cannot happen for
+    n >= max(g) + 2 or n <= min(g) - 3.  So D(n + 2) == D(n) for
+    n >= max(g) + 3 or n <= min(g) - 3, and a presentation, which reads
+    D(n) and D(n + 1), repeats outside [min(g) - 3, max(g) + 4].  Validity
+    of the data plays no part."""
     gradings = [p.grading for p in data.points] + [0]
     return min(gradings) - 3, max(gradings) + 4
 
 
 def _band_degree(data: MonopoleData, n: int) -> int:
     """n inside the band; outside it, the band-edge degree of n's parity,
-    whose differential and presentation equal those of degree n."""
+    whose kept positions, differential and presentation are n's."""
     lo, hi = _band(data)
     if n < lo:
         return lo + (n - lo) % 2
@@ -195,12 +194,41 @@ def _band_degree(data: MonopoleData, n: int) -> int:
 
 
 @per_dataset
+def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
+    """The ascending positions of the Infinity basis of degree n that the
+    flavor admits."""
+    edge = _band_degree(data, n)
+    if edge != n:
+        return _kept(data, flavor, edge)
+    return tuple(i for i, (kind, _, k) in enumerate(_infinity_cells(data, n))
+                 if _admissible(flavor, kind, k))
+
+
+@per_dataset
+def _template(data: MonopoleData, rule, drop: int,
+              parity: int) -> SparseIntMatrix:
+    return _slice_map(_slice(data, Flavor.INFINITY, parity - drop),
+                      _slice(data, Flavor.INFINITY, parity),
+                      lambda gen: rule(data, gen))
+
+
+def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
+                 n: int) -> SparseIntMatrix:
+    """The matrix of rule from degree n to degree n - drop.  A rule sends
+    power k to powers k and k - 1 and reads k nowhere else, and raising
+    every k by one maps Infinity slice n onto slice n + 2 in order; so the
+    Infinity matrix depends only on n's parity, and a flavor's is its
+    submatrix on the kept positions."""
+    return _template(data, rule, drop, n % 2).select(
+        _kept(data, flavor, n - drop), _kept(data, flavor, n))
+
+
+@per_dataset
 def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     edge = _band_degree(data, n)
     if edge != n:
         return _differential(data, flavor, edge)
-    return _slice_map(_slice(data, flavor, n - 1), _slice(data, flavor, n),
-                      lambda gen: _image_terms(data, gen))
+    return _rule_matrix(data, _image_terms, 1, flavor, n)
 
 
 def differential_matrix(data: MonopoleData, flavor: Flavor,
@@ -216,12 +244,19 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
 
     Validity of the data is deliberately not required here: on defective
     coefficients this check is exactly what detects the broken identity.
-    The window is held to the bounds of checked_window.
+    The window is held to the bounds of checked_window.  Each distinct
+    pair of (memoised, so live) matrix objects is multiplied once.
     """
     lo, hi = _window_bounds(window)
+    checked = set()
     for n in range(lo, hi + 1):
-        if not _differential(data, flavor, n - 1).mul(
-                _differential(data, flavor, n)).is_zero():
+        second = _differential(data, flavor, n - 1)
+        first = _differential(data, flavor, n)
+        pair = (id(second), id(first))
+        if pair in checked:
+            continue
+        checked.add(pair)
+        if not second.mul(first).is_zero():
             return False
     return True
 
@@ -230,10 +265,13 @@ def _identification(data: MonopoleData, source: Flavor, target: Flavor,
                     n: int, shift_k: int = 0) -> SparseIntMatrix:
     """Each source generator of degree n to the target generator of the same
     kind and point with k raised by shift_k (degree n + 2 shift_k), or to
-    zero where the target flavor truncates it."""
-    return _slice_map(
-        _slice(data, target, n + 2 * shift_k), _slice(data, source, n),
-        lambda gen: ((Generator(gen.kind, gen.point, gen.k + shift_k), 1),))
+    zero where the target flavor truncates it: the 0/1 matrix matching
+    kept positions, since raising k keeps a generator's Infinity position."""
+    rows = {pos: i for i, pos in
+            enumerate(_kept(data, target, n + 2 * shift_k))}
+    cols = _kept(data, source, n)
+    return SparseIntMatrix(len(rows), len(cols), tuple(
+        (rows[pos], j, 1) for j, pos in enumerate(cols) if pos in rows))
 
 
 # which: (source flavor, target flavor, the flavor the map lives in)

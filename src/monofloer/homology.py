@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _differential, _slice, checked_window, require_valid, \
+    _band_degree, _differential, _kept, checked_window, require_valid, \
     structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
@@ -162,7 +162,7 @@ def _periodic_tail(groups: dict[int, AbelianGroupInvariants], edge: int,
 def _empty_tail(data: MonopoleData, flavor: Flavor, edge: int,
                 direction: int) -> Tail | None:
     for n in (edge + direction, edge + 2 * direction):
-        if _slice(data, flavor, n).basis:
+        if _kept(data, flavor, n):
             return None
     return Tail(even=TRIVIAL, odd=TRIVIAL, verified=True)
 
@@ -218,8 +218,8 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         if n not in chain_map.matrices:
             raise WindowTooSmall(f"chain map lacks the degree-{n} slice")
         mat = chain_map.matrices[n]
-        want_cols = len(_slice(data, source, n).basis)
-        want_rows = len(_slice(data, target, n + shift).basis)
+        want_cols = len(_kept(data, source, n))
+        want_rows = len(_kept(data, target, n + shift))
         if (mat.rows, mat.cols) != (want_rows, want_cols):
             raise InvalidInput(f"degree-{n} slice has the wrong shape")
     for n in range(lo, hi + 2):
@@ -262,6 +262,6 @@ def identity_chain_map(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int]) -> ChainMapSlice:
     lo, hi = window
     matrices = {
-        n: SparseIntMatrix.identity(len(_slice(data, flavor, n).basis))
+        n: SparseIntMatrix.identity(len(_kept(data, flavor, n)))
         for n in range(lo - 2, hi + 3)}
     return ChainMapSlice(flavor, flavor, 0, matrices)

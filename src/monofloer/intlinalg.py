@@ -140,6 +140,18 @@ class SparseIntMatrix:
 
     # -- algebra ------------------------------------------------------------
 
+    def select(self, rows: Sequence[int],
+               cols: Sequence[int]) -> "SparseIntMatrix":
+        """The submatrix on ascending lists of rows and columns (itself when
+        they list everything); renumbering keeps the entry order."""
+        if len(rows) == self.rows and len(cols) == self.cols:
+            return self
+        row_at = {i: k for k, i in enumerate(rows)}
+        col_at = {j: k for k, j in enumerate(cols)}
+        return SparseIntMatrix(len(rows), len(cols), tuple(
+            (row_at[i], col_at[j], v) for (i, j, v) in self.entries
+            if i in row_at and j in col_at))
+
     def transpose(self) -> "SparseIntMatrix":
         return SparseIntMatrix.from_entries(
             self.cols, self.rows, ((j, i, v) for (i, j, v) in self.entries))
@@ -202,10 +214,6 @@ class SnfResult:
 
     def diagonal(self) -> list[int]:
         return [v for (i, j, v) in self.S.entries if i == j]
-
-    @property
-    def rank(self) -> int:
-        return len(self.diagonal())
 
 
 @dataclass(frozen=True)
@@ -600,12 +608,14 @@ def column_space_basis(mat: SparseIntMatrix) -> Lattice:
 
 def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMatrix:
     """Columns spanning {x : mat * x lies in the column span of gens}: the
-    top mat.cols rows of a kernel basis of [mat | gens]."""
+    top mat.cols rows of the kernel columns of V for [mat | gens]."""
     if mat.rows != gens.rows:
         raise ValueError("row mismatch between map and target lattice")
-    ker = kernel_basis(hstack(mat, gens)).basis
-    return SparseIntMatrix(mat.cols, ker.cols, tuple(
-        e for e in ker.entries if e[0] < mat.cols))
+    f = _Factorization(hstack(mat, gens), track_v=True)
+    kernel = f.v.lines[f.rank:]
+    return SparseIntMatrix.from_entries(mat.cols, len(kernel), (
+        (i, j, v) for j, line in enumerate(kernel)
+        for i, v in line.items() if i < mat.cols))
 
 
 @dataclass(frozen=True)

@@ -108,16 +108,6 @@ def _sub_inclusion(data: MonopoleData, flavor: Flavor, n: int,
 
 
 @per_dataset
-def _high_rows(data: MonopoleData, flavor: Flavor, n: int,
-               p: int) -> SparseIntMatrix:
-    """Projection of the degree-n slice onto filtration above p."""
-    basis = _slice(data, flavor, n).basis
-    rows = [i for i, gen in enumerate(basis) if _filtration_of(data, gen) > p]
-    return SparseIntMatrix.from_entries(
-        len(rows), len(basis), [(j, i, 1) for j, i in enumerate(rows)])
-
-
-@per_dataset
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
                r: int) -> Lattice:
     """Degree-n chains of filtration at most p whose boundary has
@@ -125,8 +115,10 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
     incl = _sub_inclusion(data, flavor, n, p)
     if r < 0:
         return Lattice(incl, incl.transpose())
-    dropped = _high_rows(data, flavor, n - 1, p - r).mul(
-        _differential(data, flavor, n).mul(incl))
+    low = [i for (i, _, _) in incl.entries]
+    high = [i for i, gen in enumerate(_slice(data, flavor, n - 1).basis)
+            if _filtration_of(data, gen) > p - r]
+    dropped = _differential(data, flavor, n).select(high, low)
     return _kernel(data, dropped).included(incl)
 
 

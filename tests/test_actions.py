@@ -57,11 +57,11 @@ def test_u_rejects_hat_and_nonequivariant():
 
 def test_homotopy_frozen():
     d = by_name("theta-coupled-pair")
-    mat = homotopy_h(Flavor.PLUS, 2, d)
+    mat = homotopy_h(d, Flavor.PLUS, 2)
     assert mat.to_dense() == [[0, 1, 0], [0, 0, 0]]
     empty = by_name("empty")
     for n in range(-4, 7):
-        assert homotopy_h(Flavor.PLUS, n, empty).is_zero()
+        assert homotopy_h(empty, Flavor.PLUS, n).is_zero()
 
 
 # -- chain-level identities -------------------------------------------------

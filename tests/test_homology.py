@@ -6,7 +6,8 @@ import pytest
 
 import oracle
 from monofloer.data import curated_instances, invalid_instance, InvalidInput
-from monofloer.complexes import Flavor, default_window
+from monofloer.actions import _U_FLAVORS, verify_u_homotopy
+from monofloer.complexes import Flavor, check_d_squared, default_window
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.homology import (
     ChainMapSlice,
@@ -20,6 +21,7 @@ from monofloer.homology import (
     presentation_at,
     structural_chain_map,
 )
+from monofloer.sequences import check_les_main
 
 Z = AbelianGroupInvariants(1)
 Z2 = AbelianGroupInvariants(2)
@@ -196,6 +198,34 @@ def test_kernel_work_does_not_grow_with_the_window(monkeypatch):
     for flavor in (Flavor.PLUS, Flavor.MINUS, Flavor.HAT):
         assert presentation_at(data, flavor, 200) is presentation_at(
             data, flavor, 202)
+
+
+def test_chain_level_builds_do_not_grow_with_the_window(monkeypatch):
+    """The checks that sweep a window read D, u, H and the structural maps
+    from Infinity templates: at most one build per (rule, parity)."""
+    import monofloer.complexes as complexes
+    built = []
+    slice_map = complexes._slice_map
+
+    def counting(*args):
+        built.append(None)
+        return slice_map(*args)
+
+    monkeypatch.setattr(complexes, "_slice_map", counting)
+    runs = [("les-main", 1, check_les_main)]  # (label, rules used, check)
+    runs += [(f"u-homotopy {f.value}", 3,
+              lambda data, window, f=f: verify_u_homotopy(data, f, window))
+             for f in _U_FLAVORS]
+    runs += [(f"d-squared {f.value}", 1,
+              lambda data, window, f=f: check_d_squared(data, f, window))
+             for f in Flavor]
+    for label, rules, run in runs:
+        counts = []
+        for window in ((-20, 20), (-200, 200)):
+            built.clear()
+            run(by_name("tail-chain"), window)
+            counts.append(len(built))
+        assert 0 < counts[0] == counts[1] <= 2 * rules, (label, counts)
 
 
 # -- induced maps -----------------------------------------------------------

@@ -20,9 +20,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms
 from monofloer.cli import main, verify_all
-from monofloer.complexes import Flavor, _band, _band_degree, _differential, \
-    _image_terms, _slice, _slice_map, check_d_squared, default_window
+from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, _STRUCTURAL, \
+    DegreeSlice, Flavor, Generator, _band, _band_degree, _differential, \
+    _identification, _image_terms, _rule_matrix, _slice, _slice_map, \
+    check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, generate_instances, \
     invalid_instance, reverse_orientation, serialize, validate
 from monofloer.duality import duality_check
@@ -197,3 +200,64 @@ def test_d_squared_over_a_wide_window_still_sees_a_broken_identity():
         for mutant in (mutate(data, slot, 1),) if not squares_to_zero(mutant))
     assert check_d_squared(data, Flavor.INFINITY, (-1000, 1000))
     assert not check_d_squared(mutant, Flavor.INFINITY, (-1000, 1000))
+
+
+# -- templates and selections ----------------------------------------------
+
+_KINDS = {"eta": KIND_ETA, "one": KIND_ONE, "theta": KIND_THETA}
+
+# (label, rule, drop, flavors) of every rule read from an Infinity template
+TEMPLATED = (("D", _image_terms, 1, tuple(Flavor)),
+             ("u", _u_terms, 2, _U_FLAVORS),
+             ("H", _h_terms, 1, tuple(Flavor)))
+
+# (source, target, shift_k) of every identification the engine builds: the
+# structural maps, omega_inverse, and the lifts and restrictions of the
+# connecting maps
+IDENTIFIED = (
+    *((source, target, 0) for (source, target, _) in _STRUCTURAL.values()),
+    *((flavor, flavor, -1) for flavor in Flavor
+      if flavor is not Flavor.NONEQUIVARIANT),
+    (Flavor.PLUS, Flavor.INFINITY, 0), (Flavor.INFINITY, Flavor.MINUS, 0),
+    (Flavor.PLUS, Flavor.PLUS, 1), (Flavor.PLUS, Flavor.HAT, 0))
+
+
+def test_every_chain_level_matrix_is_a_selection():
+    """Around the band, D, u, H and every identification equal a direct
+    build of their rule on generator slices that the oracle enumerates,
+    independently of the engine's slices and kept positions."""
+    for data in [*POOL, invalid_instance()]:
+        blob = oracle_dataset(data)
+        slices = {}
+
+        def oracle_slice(flavor, n):
+            # the engine's order: theta first, then the points by id
+            if (flavor, n) not in slices:
+                gens = sorted(oracle.oracle_basis(blob, flavor.value, n),
+                              key=lambda g: (g[1] is not None, g[1] or ""))
+                slices[flavor, n] = DegreeSlice(n, tuple(
+                    Generator(_KINDS[kind], point, k)
+                    for (kind, point, k) in gens))
+            return slices[flavor, n]
+
+        lo, hi = _band(data)
+        for n in range(lo - 8, hi + 9):
+            for label, rule, drop, flavors in TEMPLATED:
+                for flavor in flavors:
+                    want = _slice_map(
+                        oracle_slice(flavor, n - drop), oracle_slice(flavor, n),
+                        lambda gen: rule(data, gen))
+                    assert _rule_matrix(data, rule, drop, flavor, n) == want, (
+                        data.name, label, flavor, n)
+                    if label == "D":
+                        assert _differential(data, flavor, n) == want, (
+                            data.name, flavor, n)
+            for source, target, shift in IDENTIFIED:
+                want = _slice_map(
+                    oracle_slice(target, n + 2 * shift),
+                    oracle_slice(source, n),
+                    lambda gen: ((Generator(gen.kind, gen.point,
+                                            gen.k + shift), 1),))
+                assert _identification(
+                    data, source, target, n, shift) == want, (
+                    data.name, source, target, shift, n)
