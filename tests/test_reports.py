@@ -45,6 +45,15 @@ LARGE_COMMANDS = (
     ("duality",),
     ("homology", "--flavor", "plus"),
 )
+# the widest window the contract admits: every degree outside the band
+# must repeat the band-edge verdicts, groups and witnesses
+WIDE = "--window=-1000:1000"
+WIDE_COMMANDS = (
+    ("tail-chain", ("les", "main", WIDE)),
+    ("tail-chain", ("les", "hat", WIDE)),
+    ("performance-50", ("verify-all", WIDE)),
+    ("performance-50", ("duality", WIDE)),
+)
 
 
 def _clash() -> MonopoleData:
@@ -63,6 +72,9 @@ def _cases() -> list[tuple[str, MonopoleData, tuple[str, ...]]]:
     large = performance_instance()
     cases += [(f"{large.name}:{' '.join(command)}", large, command)
               for command in LARGE_COMMANDS]
+    named = {data.name: data for data in (*curated_instances(), large)}
+    cases += [(f"{name}:{' '.join(command)}", named[name], command)
+              for name, command in WIDE_COMMANDS]
     return cases
 
 
@@ -244,6 +256,14 @@ EXPECTED = {
         "aefb43a4aeeb44ae187c1ffeb1c474756c88e47e018acd8c8bc429c65787b3ae",
     "performance-50:homology --flavor plus":
         "9ac2dc4db7ab6ce9648dccdd279ef482fd1cf2e3e96038f5bbde485abb180f46",
+    "tail-chain:les main --window=-1000:1000":
+        "4435fefe794db748e3599c807b1342b382dab76c92391e0596309b05594ac0a8",
+    "tail-chain:les hat --window=-1000:1000":
+        "e44ff9449f194faeb4980f8a6c6c17d1a52acf52f0bb7f5dad3b25a05c24e602",
+    "performance-50:verify-all --window=-1000:1000":
+        "42d0d7e05ebf2e2d6e5470b933dd855c4d844fda06d3d6f125764b1b027d965d",
+    "performance-50:duality --window=-1000:1000":
+        "dac63f80088ee01511540b5ce628adb9e67d80d405906988e348d37b933f204f",
 }
 
 
