@@ -17,9 +17,12 @@ from .complexes import (
     KIND_ONE,
     KIND_THETA,
     MonopoleData,
+    _differential,
+    _distinct_degrees,
     _rule_matrix,
     checked_window,
     require_valid,
+    structural_map,
 )
 from .data import THETA, CheckFailed, InvalidInput
 from .homology import ChainMapSlice, HomologyClassMap, induced_on_homology, \
@@ -82,17 +85,15 @@ def homotopy_h(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
 def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
                       window: tuple[int, int]) -> bool:
     """Check u - omega_inverse = D.H + H.D degree by degree on the window."""
-    from .complexes import _differential, structural_map
-
     lo, hi = checked_window(data, window)
-    for n in range(lo, hi + 1):
-        lhs = u_chain_map(data, flavor, n).sub(
-            structural_map(data, "omega_inverse", flavor, n))
-        rhs = _differential(data, flavor, n - 1).mul(
-            homotopy_h(data, flavor, n)).add(
-            homotopy_h(data, flavor, n - 1).mul(
-                _differential(data, flavor, n)))
-        if lhs != rhs:
+    for _, (u, omega, d_prev, h, h_prev, d) in _distinct_degrees(
+            range(lo, hi + 1), lambda n: (
+                u_chain_map(data, flavor, n),
+                structural_map(data, "omega_inverse", flavor, n),
+                _differential(data, flavor, n - 1),
+                homotopy_h(data, flavor, n), homotopy_h(data, flavor, n - 1),
+                _differential(data, flavor, n))):
+        if u.sub(omega) != d_prev.mul(h).add(h_prev.mul(d)):
             return False
     return True
 

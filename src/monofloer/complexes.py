@@ -212,6 +212,13 @@ def _template(data: MonopoleData, rule, drop: int,
                       lambda gen: rule(data, gen))
 
 
+@per_dataset
+def _selection(data: MonopoleData, rule, drop: int, parity: int, rows,
+               cols) -> SparseIntMatrix:
+    # memoised by the kept positions: degrees keeping the same share a matrix
+    return _template(data, rule, drop, parity).select(rows, cols)
+
+
 def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
                  n: int) -> SparseIntMatrix:
     """The matrix of rule from degree n to degree n - drop.  A rule sends
@@ -219,8 +226,8 @@ def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
     every k by one maps Infinity slice n onto slice n + 2 in order; so the
     Infinity matrix depends only on n's parity, and a flavor's is its
     submatrix on the kept positions."""
-    return _template(data, rule, drop, n % 2).select(
-        _kept(data, flavor, n - drop), _kept(data, flavor, n))
+    return _selection(data, rule, drop, n % 2, _kept(data, flavor, n - drop),
+                      _kept(data, flavor, n))
 
 
 @per_dataset
@@ -238,40 +245,49 @@ def differential_matrix(data: MonopoleData, flavor: Flavor,
     return _differential(data, flavor, n)
 
 
+def _distinct_degrees(degrees, matrices_at):
+    """(n, matrices_at(n)) for each degree n whose tuple of matrices differs
+    by content from every earlier one: equal matrices give equal verdicts,
+    so testing only these degrees keeps the first failing one."""
+    seen = set()
+    for n in degrees:
+        matrices = matrices_at(n)
+        if matrices not in seen:
+            seen.add(matrices)
+            yield n, matrices
+
+
 def check_d_squared(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int]) -> bool:
     """True iff D composed with D vanishes at every degree of the window.
 
     Validity of the data is deliberately not required here: on defective
     coefficients this check is exactly what detects the broken identity.
-    The window is held to the bounds of checked_window.  Each distinct
-    pair of (memoised, so live) matrix objects is multiplied once.
+    The window is held to the bounds of checked_window.
     """
     lo, hi = _window_bounds(window)
-    checked = set()
-    for n in range(lo, hi + 1):
-        second = _differential(data, flavor, n - 1)
-        first = _differential(data, flavor, n)
-        pair = (id(second), id(first))
-        if pair in checked:
-            continue
-        checked.add(pair)
+    for _, (second, first) in _distinct_degrees(
+            range(lo, hi + 1), lambda n: (_differential(data, flavor, n - 1),
+                                          _differential(data, flavor, n))):
         if not second.mul(first).is_zero():
             return False
     return True
+
+
+def _same(data: MonopoleData, gen: Generator):
+    yield gen, 1
 
 
 def _identification(data: MonopoleData, source: Flavor, target: Flavor,
                     n: int, shift_k: int = 0) -> SparseIntMatrix:
     """Each source generator of degree n to the target generator of the same
     kind and point with k raised by shift_k (degree n + 2 shift_k), or to
-    zero where the target flavor truncates it: the 0/1 matrix matching
-    kept positions, since raising k keeps a generator's Infinity position."""
-    rows = {pos: i for i, pos in
-            enumerate(_kept(data, target, n + 2 * shift_k))}
-    cols = _kept(data, source, n)
-    return SparseIntMatrix(len(rows), len(cols), tuple(
-        (rows[pos], j, 1) for j, pos in enumerate(cols) if pos in rows))
+    zero where the target flavor truncates it: the identity template at
+    both sides' kept positions, since raising k keeps a generator's
+    Infinity position."""
+    return _selection(data, _same, 0, n % 2,
+                      _kept(data, target, n + 2 * shift_k),
+                      _kept(data, source, n))
 
 
 # which: (source flavor, target flavor, the flavor the map lives in)

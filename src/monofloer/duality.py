@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 from .complexes import (
     Flavor,
-    Generator,
-    KIND_ETA,
-    KIND_ONE,
-    KIND_THETA,
+    _band_degree,
     _differential,
+    _distinct_degrees,
+    _kept,
     _slice,
-    _slice_map,
     checked_window,
     generator_degree,
     require_valid,
@@ -63,25 +61,29 @@ class DualityReport:
     ok: bool
 
 
-def _partner(gen: Generator, k_shift: bool) -> Generator:
-    k = -gen.k - 1 if k_shift else gen.k
-    if gen.kind == KIND_THETA:
-        return Generator(KIND_THETA, None, k)
-    kind = KIND_ONE if gen.kind == KIND_ETA else KIND_ETA
-    return Generator(kind, _toggle_id(gen.point), k)
+@per_dataset
+def _pairing_template(data: MonopoleData, rev: MonopoleData,
+                      parity: int) -> SparseIntMatrix:
+    """The partner permutation on Infinity positions of one parity: theta to
+    theta, point p to _toggle_id(p) in rev's id order.  Partners swap eta
+    and 1 and send k to -k - 1 (degree -2 - n), or keep k on Hat (-n)."""
+    theta = 1 - parity  # an even slice starts with theta
+    position = {p.id: theta + i for i, p in enumerate(rev.points)}
+    items = [(0, 0, 1)] * theta + [
+        (theta + i, position[_toggle_id(p.id)], 1)
+        for i, p in enumerate(data.points) if _toggle_id(p.id) in position]
+    return SparseIntMatrix.from_entries(theta + len(data.points),
+                                        theta + len(rev.points), items)
 
 
 def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
-                  row_flavor: Flavor = Flavor.PLUS,
-                  col_flavor: Flavor = Flavor.MINUS,
-                  k_shift: bool = True) -> SparseIntMatrix:
-    # built from the rows' side (each generator's partner in the reversed
-    # dataset) and transposed; _partner is an involution, so either side
-    # gives the same matrix
-    col_degree = -2 - n if k_shift else -n
-    return _slice_map(_slice(rev, col_flavor, col_degree),
-                      _slice(data, row_flavor, n),
-                      lambda gen: ((_partner(gen, k_shift), 1),)).transpose()
+                  hat: bool = False) -> SparseIntMatrix:
+    # k >= 0 exactly when -k - 1 < 0, and k = 0 stays 0: a kept generator's
+    # partner is kept, so selecting both sides' kept positions loses none
+    rows, cols = ((_kept(data, Flavor.HAT, n), _kept(rev, Flavor.HAT, -n))
+                  if hat else (_kept(data, Flavor.PLUS, n),
+                               _kept(rev, Flavor.MINUS, -2 - n)))
+    return _pairing_template(data, rev, n % 2).select(rows, cols)
 
 
 def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
@@ -112,18 +114,16 @@ def hat_pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     to zero instead of -2.
     """
     require_valid(data)
-    rev = reverse_orientation(data)
     return PairingSlice(
-        n, _pairing_with(data, rev, n, Flavor.HAT, Flavor.HAT, k_shift=False))
+        n, _pairing_with(data, reverse_orientation(data), n, hat=True))
 
 
 def _is_perfect(mat: SparseIntMatrix) -> bool:
-    if mat.rows != mat.cols or len(mat.entries) != mat.rows:
-        return False
-    rows = {i for (i, _, _) in mat.entries}
-    cols = {j for (_, j, _) in mat.entries}
-    return len(rows) == mat.rows and len(cols) == mat.rows and all(
-        v == 1 for (_, _, v) in mat.entries)
+    # a permutation matrix: a single entry, 1, in each row and each column
+    every = list(range(mat.rows))
+    return (mat.rows == mat.cols and all(v == 1 for (_, _, v) in mat.entries)
+            and [i for (i, _, _) in mat.entries] == every
+            and sorted(j for (_, j, _) in mat.entries) == every)
 
 
 def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
@@ -140,26 +140,22 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
     """
     lo, hi = checked_window(data, window)
     rev = reverse_orientation(data)
-    for n in range(lo, hi + 1):
-        p_n = _pairing_with(data, rev, n)
-        p_prev = _pairing_with(data, rev, n - 1)
-        d_plus = _differential(data, Flavor.PLUS, n)
-        if d_plus.transpose().mul(p_prev) != p_n.mul(
-                _differential(rev, Flavor.MINUS, -1 - n)):
-            return False
-        p_drop = _pairing_with(data, rev, n - 2)
-        omega_plus = structural_map(data, "omega_inverse", Flavor.PLUS, n)
-        omega_minus = structural_map(rev, "omega_inverse", Flavor.MINUS, -n)
-        if omega_plus.transpose().mul(p_drop) != p_n.mul(omega_minus):
-            return False
-        h_n = _pairing_with(data, rev, n, Flavor.HAT, Flavor.HAT, False)
-        h_prev = _pairing_with(data, rev, n - 1, Flavor.HAT, Flavor.HAT,
-                               False)
-        d_hat = _differential(data, Flavor.HAT, n)
-        if d_hat.transpose().mul(h_prev) != h_n.mul(
-                _differential(rev, Flavor.HAT, 1 - n)):
-            return False
-    return True
+    pair = {n: _pairing_with(data, rev, n) for n in range(lo - 2, hi + 1)}
+    hat = {n: _pairing_with(data, rev, n, True) for n in range(lo - 1, hi + 1)}
+
+    # each identity as (f, P, Q, g) with transpose(f) . P == Q . g
+    def identities(n):
+        return ((_differential(data, Flavor.PLUS, n), pair[n - 1], pair[n],
+                 _differential(rev, Flavor.MINUS, -1 - n)),
+                (structural_map(data, "omega_inverse", Flavor.PLUS, n),
+                 pair[n - 2], pair[n],
+                 structural_map(rev, "omega_inverse", Flavor.MINUS, -n)),
+                (_differential(data, Flavor.HAT, n), hat[n - 1], hat[n],
+                 _differential(rev, Flavor.HAT, 1 - n)))
+
+    return all(f.transpose().mul(p) == q.mul(g) for _, checks in
+               _distinct_degrees(range(lo, hi + 1), identities)
+               for f, p, q, g in checks)
 
 
 @per_dataset
@@ -167,6 +163,9 @@ def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
     # the transposed differential raises degree by one, so the degree-n
     # cocycles are the kernel of transpose(D at n+1)
+    edge = _band_degree(data, n)
+    if edge != n:
+        return _cohomology_at(data, flavor, edge)
     delta_out = _differential(data, flavor, n + 1).transpose()
     delta_in = _differential(data, flavor, n).transpose()
     return _quotient(data, _kernel(data, delta_out), delta_in).invariants
@@ -207,13 +206,11 @@ def duality_check(data: MonopoleData,
                  and double.n_coeffs == data.n_coeffs
                  and double.m_coeffs == data.m_coeffs)
 
-    perfect = True
-    for n in range(lo, hi + 1):
-        if not _is_perfect(_pairing_with(data, rev, n)):
-            perfect = False
-        if not _is_perfect(
-                _pairing_with(data, rev, n, Flavor.HAT, Flavor.HAT, False)):
-            perfect = False
+    perfect = all(
+        _is_perfect(pairing) and _is_perfect(hat)
+        for _, (pairing, hat) in _distinct_degrees(
+            range(lo, hi + 1), lambda n: (_pairing_with(data, rev, n),
+                                          _pairing_with(data, rev, n, True))))
     adjoint = verify_adjointness(data, (lo, hi))
 
     plus_vs_minus = {}

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _differential, _kept, checked_window, require_valid, \
-    structural_map
+    _band_degree, _differential, _distinct_degrees, _kept, checked_window, \
+    require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -218,23 +218,27 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         if n not in chain_map.matrices:
             raise WindowTooSmall(f"chain map lacks the degree-{n} slice")
         mat = chain_map.matrices[n]
-        want_cols = len(_kept(data, source, n))
-        want_rows = len(_kept(data, target, n + shift))
-        if (mat.rows, mat.cols) != (want_rows, want_cols):
+        if (mat.rows, mat.cols) != (len(_kept(data, target, n + shift)),
+                                    len(_kept(data, source, n))):
             raise InvalidInput(f"degree-{n} slice has the wrong shape")
-    for n in range(lo, hi + 2):
-        left = _differential(data, target, n + shift).mul(chain_map.matrices[n])
-        right = chain_map.matrices[n - 1].mul(_differential(data, source, n))
-        if left != right:
+    for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
+            range(lo, hi + 2), lambda n: (
+                _differential(data, target, n + shift), chain_map.matrices[n],
+                chain_map.matrices[n - 1], _differential(data, source, n))):
+        if d_target.mul(mat) != mat_prev.mul(d_source):
             raise NotChainMap(n)
 
-    matrices: dict[int, SparseIntMatrix] = {}
-    for n in range(lo, hi + 1):
-        src = presentation_at(data, source, n)
-        tgt = presentation_at(data, target, n + shift)
-        columns = [tgt.coordinate_of(chain_map.matrices[n].apply(g.vector))
-                   for g in src.generators]
-        matrices[n] = SparseIntMatrix.from_columns(len(tgt.generators), columns)
+    # presentations are memoised by content, so equal ones are one object
+    def inputs(n):
+        return (presentation_at(data, source, n),
+                presentation_at(data, target, n + shift),
+                chain_map.matrices[n])
+
+    induced = {(src, tgt, mat): SparseIntMatrix.from_columns(
+        len(tgt.generators),
+        [tgt.coordinate_of(mat.apply(g.vector)) for g in src.generators])
+        for _, (src, tgt, mat) in _distinct_degrees(range(lo, hi + 1), inputs)}
+    matrices = {n: induced[inputs(n)] for n in range(lo, hi + 1)}
     return HomologyClassMap(source, target, shift, (lo, hi), matrices)
 
 

@@ -18,12 +18,15 @@ from .complexes import (
     MonopoleData,
     _differential,
     _identification,
+    _image_terms,
+    _kept,
+    _selection,
     checked_window,
     require_valid,
-    structural_map,
 )
 from .data import CheckFailed, per_dataset
-from .homology import GradedAbelianGroup, Tail, TRIVIAL, presentation_at
+from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
+    homology_at, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -83,37 +86,23 @@ class HatSequenceReport(ExactnessReport):
 # connecting maps at the chain level
 # ---------------------------------------------------------------------------
 
-def _check_lands_in(data, sub: Flavor, ambient: Flavor, n: int,
-                    vectors: SparseIntMatrix) -> None:
-    """Every column must be supported on the sub-flavor's generators."""
-    down = _identification(data, ambient, sub, n)
-    back = _identification(data, sub, ambient, n)
-    if vectors != back.mul(down.mul(vectors)):
-        raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
-
-
 def _delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
-    """Chain-level connecting map of the main sequence in degree n.
-
-    Lifts a Plus chain identically into Infinity, applies the Infinity
-    differential, and restricts to the Minus generators.  Faithful on
-    cycles, whose images lie entirely in the Minus subcomplex.
-    """
-    lift = _identification(data, Flavor.PLUS, Flavor.INFINITY, n)
-    image = _differential(data, Flavor.INFINITY, n).mul(lift)
-    return _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1).mul(
-        image)
+    """Chain-level connecting map of the main sequence in degree n: lift a
+    Plus chain into Infinity, apply D, restrict to Minus (faithful on
+    cycles), which is the D template at those kept positions."""
+    return _selection(data, _image_terms, 1, n % 2,
+                      _kept(data, Flavor.MINUS, n - 1),
+                      _kept(data, Flavor.PLUS, n))
 
 
 def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
-    """Chain-level connecting map of the hat sequence, degree n to n + 1.
-
-    Sections omega-inverse by raising the Omega power, applies the Plus
-    differential, and restricts to the power-zero generators.
-    """
-    section = _identification(data, Flavor.PLUS, Flavor.PLUS, n, shift_k=1)
-    image = _differential(data, Flavor.PLUS, n + 2).mul(section)
-    return _identification(data, Flavor.PLUS, Flavor.HAT, n + 1).mul(image)
+    """Chain-level connecting map of the hat sequence, degree n to n + 1:
+    raise k to section omega-inverse, apply D on Plus, restrict to k = 0.
+    Raising k keeps Infinity positions, so this is the D template of n's
+    parity at those kept positions."""
+    return _selection(data, _image_terms, 1, n % 2,
+                      _kept(data, Flavor.HAT, n + 1),
+                      _kept(data, Flavor.PLUS, n))
 
 
 def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
@@ -125,20 +114,22 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     does not depend on the chosen representatives.
     """
     require_valid(data)
-    lift = _identification(data, Flavor.PLUS, Flavor.INFINITY, n)
-    d_inf = _differential(data, Flavor.INFINITY, n)
+    # the Infinity boundaries of lifted Plus chains
+    lifted = _selection(data, _image_terms, 1, n % 2,
+                        _kept(data, Flavor.INFINITY, n - 1),
+                        _kept(data, Flavor.PLUS, n))
+    restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
+    back = _identification(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
     source = presentation_at(data, Flavor.PLUS, n)
     target = presentation_at(data, Flavor.MINUS, n - 1)
 
-    reps = SparseIntMatrix.from_columns(
-        lift.cols, [list(g.vector) for g in source.generators])
-    raw = d_inf.mul(lift.mul(reps))
-    _check_lands_in(data, Flavor.MINUS, Flavor.INFINITY, n - 1, raw)
-
-    boundaries = _differential(data, Flavor.PLUS, n + 1)
-    raw_bd = d_inf.mul(lift.mul(boundaries))
-    _check_lands_in(data, Flavor.MINUS, Flavor.INFINITY, n - 1, raw_bd)
-    restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
+    raw, raw_bd = (lifted.mul(chains) for chains in (
+        SparseIntMatrix.from_columns(
+            lifted.cols, [list(g.vector) for g in source.generators]),
+        _differential(data, Flavor.PLUS, n + 1)))
+    for vectors in (raw, raw_bd):
+        if vectors != back.mul(restrict.mul(vectors)):
+            raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
     for col in restrict.mul(raw_bd).columns():
         if not target.is_zero_class(col):
             raise CheckFailed(n, "the connecting map depends on the lift")
@@ -163,13 +154,14 @@ def _images_of_classes(data, flavor: Flavor, degree: int,
 
 @per_dataset
 def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
-               incoming: SparseIntMatrix, outgoing_cycles: SparseIntMatrix,
+               incoming: SparseIntMatrix, outgoing: SparseIntMatrix,
                target_bd: SparseIntMatrix
                ) -> tuple[AbelianGroupInvariants, AbelianGroupInvariants,
                           tuple[str, tuple[int, ...]] | None]:
     """Image and kernel invariants at a node, and the first witness of their
     difference; keyed by the node's matrices, not by its degree or name."""
-    kernel_classes = cycles.mul(preimage_lattice(outgoing_cycles, target_bd))
+    kernel_classes = cycles.mul(
+        preimage_lattice(outgoing.mul(cycles), target_bd))
     kernel_lattice = column_space_basis(hstack(kernel_classes, bd))
     kernel = QuotientPresentation(kernel_lattice, bd)
 
@@ -203,10 +195,42 @@ def _node_report(data, degree: int, name: str, flavor: Flavor,
     cycles = presentation_at(data, flavor, degree).lattice.basis
     image_inv, kernel_inv, witness = _exactness(
         data, cycles, _differential(data, flavor, degree + 1), incoming,
-        outgoing.mul(cycles),
-        _differential(data, target_flavor, target_degree + 1))
+        outgoing, _differential(data, target_flavor, target_degree + 1))
     return NodeReport(degree, name, image_inv, kernel_inv, witness is None,
                       witness)
+
+
+# a long exact sequence as (names, flavors, connecting map, degree shifts)
+_MAIN = (("minus", "infinity", "plus"),
+         (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS), _delta_chain,
+         (0, 0, -1))
+_HAT = (("hat", "plus-head", "plus-tail"),
+        (Flavor.HAT, Flavor.PLUS, Flavor.PLUS), _hat_delta_chain, (0, -2, 1))
+
+
+def _node(data: MonopoleData, sequence, i: int, n: int) -> NodeReport:
+    """Node i of a sequence in degree n.  Map i runs from node i in degree
+    n to node i + 1 (cyclically) in degree n + shift i; maps 0 and 1
+    identify kept positions and map 2 connects.  The node's incoming image
+    is that of map i - 1."""
+    names, flavors, connecting, shifts = sequence
+
+    def chain_map(j, m):
+        return connecting(data, m) if j == 2 else _identification(
+            data, flavors[j], flavors[j + 1], m, shifts[j] // 2)
+
+    m = n - shifts[i - 1]
+    return _node_report(
+        data, n, names[i], flavors[i],
+        _images_of_classes(data, flavors[i - 1], m, chain_map((i - 1) % 3, m)),
+        chain_map(i, n), flavors[(i + 1) % 3], n + shifts[i])
+
+
+def _sequence_nodes(data: MonopoleData, sequence,
+                    lo: int, hi: int) -> tuple[NodeReport, ...]:
+    """The three node reports of each degree of the window, in order."""
+    return tuple(_node(data, sequence, i, n)
+                 for n in range(lo, hi + 1) for i in range(3))
 
 
 def check_les_main(data: MonopoleData,
@@ -214,24 +238,7 @@ def check_les_main(data: MonopoleData,
     """Exactness of Minus into Infinity onto Plus, closed by the
     connecting map, at every node in the window."""
     lo, hi = checked_window(data, window)
-    nodes = []
-    for n in range(lo, hi + 1):
-        inc = structural_map(data, "inclusion_minus", Flavor.INFINITY, n)
-        proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
-        nodes.append(_node_report(
-            data, n, "minus", Flavor.MINUS,
-            _images_of_classes(data, Flavor.PLUS, n + 1,
-                               _delta_chain(data, n + 1)),
-            inc, Flavor.INFINITY, n))
-        nodes.append(_node_report(
-            data, n, "infinity", Flavor.INFINITY,
-            _images_of_classes(data, Flavor.MINUS, n, inc),
-            proj, Flavor.PLUS, n))
-        nodes.append(_node_report(
-            data, n, "plus", Flavor.PLUS,
-            _images_of_classes(data, Flavor.INFINITY, n, proj),
-            _delta_chain(data, n), Flavor.MINUS, n - 1))
-    return ExactnessReport((lo, hi), tuple(nodes))
+    return ExactnessReport((lo, hi), _sequence_nodes(data, _MAIN, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +248,15 @@ def check_les_main(data: MonopoleData,
 def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
     kernel at n - 1; raises CheckFailed if they differ."""
-    proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
-    cycles = presentation_at(data, Flavor.PLUS, n).lattice
-    bd = _differential(data, Flavor.PLUS, n + 1)
-    images = _images_of_classes(data, Flavor.INFINITY, n, proj)
-    coker = QuotientPresentation(cycles, hstack(bd, images)).invariants
+    images = _images_of_classes(
+        data, Flavor.INFINITY, n,
+        _identification(data, Flavor.INFINITY, Flavor.PLUS, n))
+    coker = _quotient(data, presentation_at(data, Flavor.PLUS, n).lattice,
+                      hstack(_differential(data, Flavor.PLUS, n + 1),
+                             images)).invariants
 
     # the kernel of the inclusion is that of the "minus" node one degree down
-    kernel = _node_report(
-        data, n - 1, "minus", Flavor.MINUS,
-        _images_of_classes(data, Flavor.PLUS, n, _delta_chain(data, n)),
-        structural_map(data, "inclusion_minus", Flavor.INFINITY, n - 1),
-        Flavor.INFINITY, n - 1).kernel
+    kernel = _node(data, _MAIN, 0, n - 1).kernel
 
     if coker != kernel:
         raise CheckFailed(
@@ -292,32 +296,10 @@ def check_les_hat(data: MonopoleData,
     """
     lo, hi = checked_window(data, window)
     u_module_structure(data, Flavor.PLUS, (lo, hi))
-
-    nodes = []
-    for n in range(lo, hi + 1):
-        inc = structural_map(data, "inclusion_hat", Flavor.PLUS, n)
-        omega = structural_map(data, "omega_inverse", Flavor.PLUS, n)
-        nodes.append(_node_report(
-            data, n, "hat", Flavor.HAT,
-            _images_of_classes(data, Flavor.PLUS, n - 1,
-                               _hat_delta_chain(data, n - 1)),
-            inc, Flavor.PLUS, n))
-        nodes.append(_node_report(
-            data, n, "plus-head", Flavor.PLUS,
-            _images_of_classes(data, Flavor.HAT, n, inc),
-            omega, Flavor.PLUS, n - 2))
-        nodes.append(_node_report(
-            data, n, "plus-tail", Flavor.PLUS,
-            _images_of_classes(
-                data, Flavor.PLUS, n + 2,
-                structural_map(data, "omega_inverse", Flavor.PLUS, n + 2)),
-            _hat_delta_chain(data, n), Flavor.HAT, n + 1))
-
-    hat_nonzero = any(
-        not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
-        for n in range(lo, hi + 1))
-    plus_nonzero = any(
-        not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
-        for n in range(lo, hi + 1))
-    return HatSequenceReport((lo, hi), tuple(nodes), hat_nonzero, plus_nonzero,
+    nodes = _sequence_nodes(data, _HAT, lo, hi)
+    hat_nonzero, plus_nonzero = (
+        any(not homology_at(data, flavor, n).is_trivial
+            for n in range(lo, hi + 1))
+        for flavor in (Flavor.HAT, Flavor.PLUS))
+    return HatSequenceReport((lo, hi), nodes, hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

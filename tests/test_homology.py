@@ -7,7 +7,8 @@ import pytest
 import oracle
 from monofloer.data import curated_instances, invalid_instance, InvalidInput
 from monofloer.actions import _U_FLAVORS, verify_u_homotopy
-from monofloer.complexes import Flavor, check_d_squared, default_window
+from monofloer.complexes import Flavor, _band, check_d_squared, \
+    default_window
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.homology import (
     ChainMapSlice,
@@ -21,7 +22,11 @@ from monofloer.homology import (
     presentation_at,
     structural_chain_map,
 )
-from monofloer.sequences import check_les_main
+from monofloer.cli import verify_all
+from monofloer.duality import duality_check
+from monofloer.sequences import check_les_hat, check_les_main, hf_red
+from monofloer.spectral import structure_theorem
+from test_acceptance import performance_instance
 
 Z = AbelianGroupInvariants(1)
 Z2 = AbelianGroupInvariants(2)
@@ -163,32 +168,13 @@ def test_narrow_window_has_no_unverified_tail():
     assert report.tail_below is None
 
 
-def test_kernel_work_does_not_grow_with_the_window(monkeypatch):
-    import monofloer.complexes as complexes
-    import monofloer.intlinalg as intlinalg
-    made = []  # factorizations
-    built = []  # chain-level matrices
-
-    class Counting(intlinalg._Factorization):
-        def __init__(self, *args, **kwargs):
-            made.append(None)
-            super().__init__(*args, **kwargs)
-
-    slice_map = complexes._slice_map
-
-    def counting(*args):
-        built.append(None)
-        return slice_map(*args)
-
-    monkeypatch.setattr(intlinalg, "_Factorization", Counting)
-    monkeypatch.setattr(complexes, "_slice_map", counting)
+def test_kernel_work_does_not_grow_with_the_window(work):
     for flavor in Flavor:
         counts = []
         for window in ((-20, 20), (-1000, 1000)):
-            made.clear()
-            built.clear()
+            work.clear()
             graded_homology(by_name("tail-chain"), flavor, window)
-            counts.append((len(made), len(built)))
+            counts.append((work["factorizations"], work["slice_map"]))
         assert counts[0] == counts[1], flavor
         assert min(counts[0]) > 0, flavor
 
@@ -200,32 +186,42 @@ def test_kernel_work_does_not_grow_with_the_window(monkeypatch):
             data, flavor, 202)
 
 
-def test_chain_level_builds_do_not_grow_with_the_window(monkeypatch):
-    """The checks that sweep a window read D, u, H and the structural maps
-    from Infinity templates: at most one build per (rule, parity)."""
-    import monofloer.complexes as complexes
-    built = []
-    slice_map = complexes._slice_map
+# the checks of cli.verify_all, in its order, each called as it calls it
+VERIFY_ALL_CHECKS = (
+    ("d-squared", lambda data, window: all(
+        check_d_squared(data, flavor, window) for flavor in Flavor)),
+    ("infinity-pattern",
+     lambda data, window: graded_homology(data, Flavor.INFINITY, window)),
+    ("les-main", check_les_main),
+    ("reduced-comparison", hf_red),
+    ("u-homotopy", lambda data, window: all(
+        verify_u_homotopy(data, flavor, window) for flavor in _U_FLAVORS)),
+    ("les-hat", check_les_hat),
+    ("structure", structure_theorem),
+    ("duality", duality_check),
+)
+# the rules read from Infinity templates: D, u, the u-homotopy, identity
+TEMPLATE_RULES = 4
 
-    def counting(*args):
-        built.append(None)
-        return slice_map(*args)
 
-    monkeypatch.setattr(complexes, "_slice_map", counting)
-    runs = [("les-main", 1, check_les_main)]  # (label, rules used, check)
-    runs += [(f"u-homotopy {f.value}", 3,
-              lambda data, window, f=f: verify_u_homotopy(data, f, window))
-             for f in _U_FLAVORS]
-    runs += [(f"d-squared {f.value}", 1,
-              lambda data, window, f=f: check_d_squared(data, f, window))
-             for f in Flavor]
-    for label, rules, run in runs:
+@pytest.mark.parametrize("name", ["tail-chain", "performance-50"])
+def test_chain_level_builds_do_not_grow_with_the_window(work, name):
+    """Every verify-all check, on a fresh dataset, makes as many
+    factorizations, sparse products and template builds over (-1000, 1000)
+    as over (-40, 40), and builds each template at most once per parity."""
+    make = performance_instance if name == "performance-50" else (
+        lambda: by_name(name))
+    assert [check for check, _ in VERIFY_ALL_CHECKS] == [
+        entry["name"] for entry in verify_all(make())["checks"]]
+    for check, run in VERIFY_ALL_CHECKS:
         counts = []
-        for window in ((-20, 20), (-200, 200)):
-            built.clear()
-            run(by_name("tail-chain"), window)
-            counts.append(len(built))
-        assert 0 < counts[0] == counts[1] <= 2 * rules, (label, counts)
+        for window in ((-40, 40), (-1000, 1000)):
+            work.clear()
+            run(make(), window)
+            counts.append(dict(work))
+        assert counts[0] == counts[1], (name, check, counts)
+        assert counts[0].get("slice_map", 0) <= 2 * TEMPLATE_RULES, (
+            name, check, counts)
 
 
 # -- induced maps -----------------------------------------------------------
@@ -290,6 +286,23 @@ def test_broken_chain_map_detected():
     with pytest.raises(NotChainMap) as err:
         induced_on_homology(d, Flavor.INFINITY, Flavor.PLUS, broken, window)
     assert err.value.degree in (1, 2)
+
+
+def test_a_break_far_outside_the_band_is_still_found_first():
+    """Degrees whose matrices repeat an earlier degree's are not checked
+    again; a slice broken at 500, far above the band, differs from every
+    earlier one, so the first failing degree is still 500."""
+    d = by_name("tail-chain")
+    window = (-600, 600)
+    assert _band(d)[1] < 500
+    chain = identity_chain_map(d, Flavor.PLUS, window)
+    bad = dict(chain.matrices)
+    bad[500] = bad[500].scale(-1)
+    broken = ChainMapSlice(Flavor.PLUS, Flavor.PLUS, 0, bad)
+    with pytest.raises(NotChainMap) as err:
+        induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, broken, window)
+    assert err.value.degree == 500
+    assert induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, chain, window)
 
 
 def test_window_too_small_detected():

@@ -26,10 +26,13 @@ from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, _STRUCTURAL, \
     DegreeSlice, Flavor, Generator, _band, _band_degree, _differential, \
     _identification, _image_terms, _rule_matrix, _slice, _slice_map, \
     check_d_squared, default_window
-from monofloer.data import THETA, MonopoleData, generate_instances, \
-    invalid_instance, reverse_orientation, serialize, validate
-from monofloer.duality import duality_check
+from monofloer.data import THETA, MonopoleData, _toggle_id, \
+    generate_instances, invalid_instance, reverse_orientation, serialize, \
+    validate
+from monofloer.duality import _cohomology_at, _pairing_with, duality_check
 from monofloer.homology import homology_at
+from monofloer.intlinalg import QuotientPresentation, kernel_basis
+from monofloer.sequences import _delta_chain, _hat_delta_chain
 from test_complexes import compare_with_oracle, oracle_dataset
 
 POOL = generate_instances(2026, 6, 60)
@@ -171,9 +174,22 @@ def test_verify_all_rejects_a_broken_identity_with_exit_2(tmp_path_factory,
 def test_the_band_fold_is_exact():
     """Around the band, every folded differential equals a direct build, a
     presentation's fold reads the same two differentials as a direct one,
-    and Infinity repeats with period two; invalid data folds alike."""
+    a folded cohomology group equals one computed from the direct
+    differentials, and Infinity repeats with period two; invalid data
+    folds alike."""
+    cohomology = {}
+
+    def direct_cohomology(d_in, d_out):
+        # cocycles are the kernel of transpose(D at n + 1), coboundaries
+        # the image of transpose(D at n)
+        if (d_in, d_out) not in cohomology:
+            cohomology[d_in, d_out] = QuotientPresentation(
+                kernel_basis(d_out.transpose()), d_in.transpose()).invariants
+        return cohomology[d_in, d_out]
+
     for data in [*POOL, invalid_instance()]:
         lo, hi = _band(data)
+        valid = validate(data).ok
         for flavor in Flavor:
             built = {}
 
@@ -192,6 +208,10 @@ def test_the_band_fold_is_exact():
                     direct(n), direct(n + 1)), (data.name, flavor, n)
                 if flavor is Flavor.INFINITY:
                     assert direct(n + 2) == direct(n), (data.name, n)
+                if valid:
+                    assert _cohomology_at(data, flavor, n) == (
+                        direct_cohomology(direct(n), direct(n + 1))), (
+                        data.name, flavor, n)
 
 
 def test_d_squared_over_a_wide_window_still_sees_a_broken_identity():
@@ -222,42 +242,78 @@ IDENTIFIED = (
     (Flavor.PLUS, Flavor.PLUS, 1), (Flavor.PLUS, Flavor.HAT, 0))
 
 
+def _partner(gen: Generator, k_shift: bool) -> Generator:
+    """The duality partner on the reverse: eta and 1 swap, the point id
+    toggles, and k goes to -k - 1 (or stays, on the Hat slices)."""
+    k = -gen.k - 1 if k_shift else gen.k
+    if gen.kind == KIND_THETA:
+        return Generator(KIND_THETA, None, k)
+    kind = KIND_ONE if gen.kind == KIND_ETA else KIND_ETA
+    return Generator(kind, _toggle_id(gen.point), k)
+
+
 def test_every_chain_level_matrix_is_a_selection():
-    """Around the band, D, u, H and every identification equal a direct
-    build of their rule on generator slices that the oracle enumerates,
-    independently of the engine's slices and kept positions."""
+    """Around the band, D, u, H, every identification, both connecting
+    maps and both duality pairings equal a direct build of their rule on
+    generator slices that the oracle enumerates, independently of the
+    engine's slices and kept positions."""
     for data in [*POOL, invalid_instance()]:
-        blob = oracle_dataset(data)
         slices = {}
 
-        def oracle_slice(flavor, n):
+        def oracle_slice(data, flavor, n):
             # the engine's order: theta first, then the points by id
-            if (flavor, n) not in slices:
-                gens = sorted(oracle.oracle_basis(blob, flavor.value, n),
-                              key=lambda g: (g[1] is not None, g[1] or ""))
-                slices[flavor, n] = DegreeSlice(n, tuple(
+            if (data.name, flavor, n) not in slices:
+                gens = sorted(
+                    oracle.oracle_basis(oracle_dataset(data), flavor.value, n),
+                    key=lambda g: (g[1] is not None, g[1] or ""))
+                slices[data.name, flavor, n] = DegreeSlice(n, tuple(
                     Generator(_KINDS[kind], point, k)
                     for (kind, point, k) in gens))
-            return slices[flavor, n]
+            return slices[data.name, flavor, n]
+
+        def build(rule, flavor, n, drop, row_flavor=None):
+            return _slice_map(
+                oracle_slice(data, row_flavor or flavor, n - drop),
+                oracle_slice(data, flavor, n), lambda gen: rule(data, gen))
+
+        def identify(source, target, n, shift):
+            return build(lambda data, gen: ((Generator(
+                gen.kind, gen.point, gen.k + shift), 1),),
+                source, n, -2 * shift, target)
 
         lo, hi = _band(data)
         for n in range(lo - 8, hi + 9):
             for label, rule, drop, flavors in TEMPLATED:
                 for flavor in flavors:
-                    want = _slice_map(
-                        oracle_slice(flavor, n - drop), oracle_slice(flavor, n),
-                        lambda gen: rule(data, gen))
+                    want = build(rule, flavor, n, drop)
                     assert _rule_matrix(data, rule, drop, flavor, n) == want, (
                         data.name, label, flavor, n)
                     if label == "D":
                         assert _differential(data, flavor, n) == want, (
                             data.name, flavor, n)
             for source, target, shift in IDENTIFIED:
-                want = _slice_map(
-                    oracle_slice(target, n + 2 * shift),
-                    oracle_slice(source, n),
-                    lambda gen: ((Generator(gen.kind, gen.point,
-                                            gen.k + shift), 1),))
                 assert _identification(
-                    data, source, target, n, shift) == want, (
+                    data, source, target, n, shift) == identify(
+                    source, target, n, shift), (
                     data.name, source, target, shift, n)
+            # lift, differentiate, restrict
+            assert _delta_chain(data, n) == identify(
+                Flavor.INFINITY, Flavor.MINUS, n - 1, 0).mul(
+                build(_image_terms, Flavor.INFINITY, n, 1)).mul(
+                identify(Flavor.PLUS, Flavor.INFINITY, n, 0)), (data.name, n)
+            assert _hat_delta_chain(data, n) == identify(
+                Flavor.PLUS, Flavor.HAT, n + 1, 0).mul(
+                build(_image_terms, Flavor.PLUS, n + 2, 1)).mul(
+                identify(Flavor.PLUS, Flavor.PLUS, n, 1)), (data.name, n)
+            if not validate(data).ok:
+                continue
+            rev = reverse_orientation(data)
+            for hat, (row_flavor, col_flavor, partner_degree) in (
+                    (False, (Flavor.PLUS, Flavor.MINUS, -2 - n)),
+                    (True, (Flavor.HAT, Flavor.HAT, -n))):
+                want = _slice_map(
+                    oracle_slice(rev, col_flavor, partner_degree),
+                    oracle_slice(data, row_flavor, n),
+                    lambda gen: ((_partner(gen, not hat), 1),)).transpose()
+                assert _pairing_with(data, rev, n, hat) == want, (
+                    data.name, hat, n)
