@@ -204,24 +204,23 @@ VERIFY_ALL_CHECKS = (
 TEMPLATE_RULES = 4
 
 
-@pytest.mark.parametrize("name", ["tail-chain", "performance-50"])
-def test_chain_level_builds_do_not_grow_with_the_window(work, name):
+def test_chain_level_builds_do_not_grow_with_the_window(work):
     """Every verify-all check, on a fresh dataset, makes as many
     factorizations, sparse products and template builds over (-1000, 1000)
     as over (-40, 40), and builds each template at most once per parity."""
-    make = performance_instance if name == "performance-50" else (
-        lambda: by_name(name))
     assert [check for check, _ in VERIFY_ALL_CHECKS] == [
-        entry["name"] for entry in verify_all(make())["checks"]]
-    for check, run in VERIFY_ALL_CHECKS:
-        counts = []
-        for window in ((-40, 40), (-1000, 1000)):
-            work.clear()
-            run(make(), window)
-            counts.append(dict(work))
-        assert counts[0] == counts[1], (name, check, counts)
-        assert counts[0].get("slice_map", 0) <= 2 * TEMPLATE_RULES, (
-            name, check, counts)
+        entry["name"] for entry in verify_all(by_name("tail-chain"))["checks"]]
+    for make in (lambda: by_name("tail-chain"), performance_instance):
+        for check, run in VERIFY_ALL_CHECKS:
+            counts = []
+            for window in ((-40, 40), (-1000, 1000)):
+                work.clear()
+                run(make(), window)
+                counts.append(dict(work))
+            name = make().name
+            assert counts[0] == counts[1], (name, check, counts)
+            assert counts[0].get("slice_map", 0) <= 2 * TEMPLATE_RULES, (
+                name, check, counts)
 
 
 # -- induced maps -----------------------------------------------------------
