@@ -144,6 +144,11 @@ class MonopoleData:
         object.__setattr__(self, "_m", {(s, d): v for (s, d, v) in self.m_coeffs})
         object.__setattr__(self, "_by_gr", {g: tuple(ids) for g, ids in by_gr.items()})
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.points, self.n_coeffs, self.m_coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash  # frozen fields, hashed once: pairing memo keys
 
     @classmethod
     def build(cls, name: str,

@@ -83,7 +83,14 @@ def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
     rows, cols = ((_kept(data, Flavor.HAT, n), _kept(rev, Flavor.HAT, -n))
                   if hat else (_kept(data, Flavor.PLUS, n),
                                _kept(rev, Flavor.MINUS, -2 - n)))
-    return _pairing_template(data, rev, n % 2).select(rows, cols)
+    return _pairing_selection(data, rev, n % 2, rows, cols)
+
+
+@per_dataset
+def _pairing_selection(data: MonopoleData, rev: MonopoleData, parity: int,
+                       rows, cols) -> SparseIntMatrix:
+    # memoised by the kept positions, as complexes._selection is
+    return _pairing_template(data, rev, parity).select(rows, cols)
 
 
 def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
@@ -114,16 +121,17 @@ def hat_pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     to zero instead of -2.
     """
     require_valid(data)
-    return PairingSlice(
-        n, _pairing_with(data, reverse_orientation(data), n, hat=True))
+    rev = reverse_orientation(data)
+    return PairingSlice(n, _pairing_with(data, rev, n, hat=True))
 
 
 def _is_perfect(mat: SparseIntMatrix) -> bool:
-    # a permutation matrix: a single entry, 1, in each row and each column
-    every = list(range(mat.rows))
-    return (mat.rows == mat.cols and all(v == 1 for (_, _, v) in mat.entries)
-            and [i for (i, _, _) in mat.entries] == every
-            and sorted(j for (_, j, _) in mat.entries) == every)
+    if mat.rows != mat.cols or len(mat.entries) != mat.rows:
+        return False
+    rows = {i for (i, _, _) in mat.entries}
+    cols = {j for (_, j, _) in mat.entries}
+    return len(rows) == mat.rows and len(cols) == mat.rows and all(
+        v == 1 for (_, _, v) in mat.entries)
 
 
 def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
@@ -140,11 +148,11 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
     """
     lo, hi = checked_window(data, window)
     rev = reverse_orientation(data)
-    pair = {n: _pairing_with(data, rev, n) for n in range(lo - 2, hi + 1)}
-    hat = {n: _pairing_with(data, rev, n, True) for n in range(lo - 1, hi + 1)}
 
     # each identity as (f, P, Q, g) with transpose(f) . P == Q . g
     def identities(n):
+        pair = {m: _pairing_with(data, rev, m) for m in (n - 2, n - 1, n)}
+        hat = {m: _pairing_with(data, rev, m, True) for m in (n - 1, n)}
         return ((_differential(data, Flavor.PLUS, n), pair[n - 1], pair[n],
                  _differential(rev, Flavor.MINUS, -1 - n)),
                 (structural_map(data, "omega_inverse", Flavor.PLUS, n),

@@ -218,8 +218,9 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         if n not in chain_map.matrices:
             raise WindowTooSmall(f"chain map lacks the degree-{n} slice")
         mat = chain_map.matrices[n]
-        if (mat.rows, mat.cols) != (len(_kept(data, target, n + shift)),
-                                    len(_kept(data, source, n))):
+        want_cols = len(_kept(data, source, n))
+        want_rows = len(_kept(data, target, n + shift))
+        if (mat.rows, mat.cols) != (want_rows, want_cols):
             raise InvalidInput(f"degree-{n} slice has the wrong shape")
     for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
             range(lo, hi + 2), lambda n: (

@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
-    homology_at, presentation_at
+    presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -123,10 +123,11 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     source = presentation_at(data, Flavor.PLUS, n)
     target = presentation_at(data, Flavor.MINUS, n - 1)
 
-    raw, raw_bd = (lifted.mul(chains) for chains in (
-        SparseIntMatrix.from_columns(
-            lifted.cols, [list(g.vector) for g in source.generators]),
-        _differential(data, Flavor.PLUS, n + 1)))
+    reps = SparseIntMatrix.from_columns(
+        lifted.cols, [list(g.vector) for g in source.generators])
+    raw = lifted.mul(reps)
+    boundaries = _differential(data, Flavor.PLUS, n + 1)
+    raw_bd = lifted.mul(boundaries)
     for vectors in (raw, raw_bd):
         if vectors != back.mul(restrict.mul(vectors)):
             raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
@@ -297,9 +298,11 @@ def check_les_hat(data: MonopoleData,
     lo, hi = checked_window(data, window)
     u_module_structure(data, Flavor.PLUS, (lo, hi))
     nodes = _sequence_nodes(data, _HAT, lo, hi)
-    hat_nonzero, plus_nonzero = (
-        any(not homology_at(data, flavor, n).is_trivial
-            for n in range(lo, hi + 1))
-        for flavor in (Flavor.HAT, Flavor.PLUS))
+    hat_nonzero = any(
+        not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
+        for n in range(lo, hi + 1))
+    plus_nonzero = any(
+        not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
+        for n in range(lo, hi + 1))
     return HatSequenceReport((lo, hi), nodes, hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

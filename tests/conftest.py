@@ -10,9 +10,9 @@ import pytest
 @pytest.fixture
 def work(monkeypatch):
     """A live count of the engine's work while the test runs: Smith
-    factorizations ("factorizations"), sparse products ("mul") and
-    generator-by-generator template builds ("slice_map").  Call clear()
-    to start a new count."""
+    factorizations ("factorizations"), sparse products ("mul"), submatrix
+    selections ("select") and generator-by-generator template builds
+    ("slice_map").  Call clear() to start a new count."""
     import monofloer.complexes as complexes
     import monofloer.intlinalg as intlinalg
 
@@ -32,6 +32,8 @@ def work(monkeypatch):
     monkeypatch.setattr(intlinalg, "_Factorization", Counting)
     monkeypatch.setattr(intlinalg.SparseIntMatrix, "mul",
                         counted("mul", intlinalg.SparseIntMatrix.mul))
+    monkeypatch.setattr(intlinalg.SparseIntMatrix, "select",
+                        counted("select", intlinalg.SparseIntMatrix.select))
     monkeypatch.setattr(complexes, "_slice_map",
                         counted("slice_map", complexes._slice_map))
     return counts

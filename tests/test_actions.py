@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from monofloer.data import InvalidInput, curated_instances
-from monofloer.complexes import Flavor, default_window, differential_matrix
+from monofloer.complexes import Flavor, _band, default_window, \
+    differential_matrix
 from monofloer.homology import presentation_at, structural_chain_map, \
     induced_on_homology
 from monofloer.actions import (
@@ -88,6 +89,27 @@ def test_u_homotopy_identity_everywhere():
 def test_u_homotopy_infinity_wide_window():
     assert verify_u_homotopy(by_name("theta-coupled-pair"), Flavor.INFINITY,
                              (-8, 8))
+
+
+def test_u_homotopy_fails_at_a_degree_far_outside_the_band(monkeypatch):
+    """Degrees whose matrices repeat an earlier degree's are not checked
+    again; a u broken only at 500, far above the band, differs from every
+    earlier degree's and is still checked."""
+    import monofloer.actions as actions
+
+    d = by_name("tail-chain")
+    window = (-600, 600)
+    assert _band(d)[1] < 500
+    assert not u_chain_map(d, Flavor.PLUS, 500).is_zero()
+    assert verify_u_homotopy(d, Flavor.PLUS, window)
+
+    def broken(data, flavor, n):
+        u = u_chain_map(data, flavor, n)
+        return u.scale(-1) if n == 500 else u
+
+    monkeypatch.setattr(actions, "u_chain_map", broken)
+    assert not verify_u_homotopy(d, Flavor.PLUS, window)
+    assert verify_u_homotopy(d, Flavor.PLUS, (-600, 499))
 
 
 # -- induced module structure -----------------------------------------------

@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from monofloer.complexes import Flavor, _differential, default_window
+from monofloer.complexes import Flavor, _band, _differential, \
+    default_window
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, reverse_orientation, validate
 from monofloer.duality import (
@@ -104,6 +105,27 @@ def test_adjointness_on_probe():
     data = probe_instance()
     assert validate(data).ok
     assert verify_adjointness(data, (-6, 6))
+
+
+def test_adjointness_fails_at_a_degree_far_outside_the_band(monkeypatch):
+    """Degrees whose matrices repeat an earlier degree's are not checked
+    again; a pairing negated only at 500, far above the band, differs from
+    every earlier degree's and is still checked."""
+    import monofloer.duality as duality
+
+    d = by_name("tail-chain")
+    window = (-600, 600)
+    assert _band(d)[1] < 500
+    assert verify_adjointness(d, window)
+    pairing = duality._pairing_with
+
+    def broken(data, rev, n, hat=False):
+        mat = pairing(data, rev, n, hat)
+        return mat.scale(-1) if (n, hat) == (500, False) else mat
+
+    monkeypatch.setattr(duality, "_pairing_with", broken)
+    assert not verify_adjointness(d, window)
+    assert verify_adjointness(d, (-600, 499))
 
 
 def signed_reversal(data, s_irr, s_to_theta, s_from_theta, s_euler):
