@@ -316,6 +316,28 @@ def test_lattice_contains():
     assert spans_equal(M([[1, 0], [0, 1]]), M([[1, 1], [0, 1]]))
 
 
+def test_public_constructors_reject_malformed_input():
+    # the kernel builds its own results without these checks; every entry
+    # point that takes entries from a caller keeps them
+    malformed = [
+        lambda: SparseIntMatrix(-1, 2),
+        lambda: SparseIntMatrix(2, 2, ((0, 2, 1),)),
+        lambda: SparseIntMatrix(2, 2, ((0, 0, 0),)),
+        lambda: SparseIntMatrix(2, 2, ((1, 0, 1), (0, 1, 1))),
+        lambda: SparseIntMatrix(2, 2, ((0, 1, 1), (0, 1, 2))),
+        lambda: SparseIntMatrix.from_entries(2, 2, [(2, 0, 1)]),
+        lambda: SparseIntMatrix.from_entries(2, 2, [(0, -1, 1)]),
+        lambda: SparseIntMatrix.from_columns(2, [[1, 0], [1]]),
+        lambda: SparseIntMatrix.from_dense([[1, 0], [1]]),
+        lambda: SparseIntMatrix.identity(-1),
+        lambda: SparseIntMatrix.zero(0, -1),
+        lambda: SparseIntMatrix.identity(3).select([1, 0], [0, 1]),
+    ]
+    for build in malformed:
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_invariants_canonical_form():
     assert AbelianGroupInvariants.from_parts(1, [2, 3]) == AbelianGroupInvariants(1, (6,))
     assert AbelianGroupInvariants.from_parts(0, [2, 2]) == AbelianGroupInvariants(0, (2, 2))
@@ -396,3 +418,59 @@ def test_tracking_never_steers_the_reduction():
         v_inv = _row_block(both.v.inverse, every_col, mat.cols).to_dense()
         assert oracle.dense_mul(u, u_inv.to_dense()) == identity(mat.rows)
         assert oracle.dense_mul(v.to_dense(), v_inv) == identity(mat.cols)
+
+
+def _diagonal(*values):
+    return SparseIntMatrix.from_entries(
+        len(values), len(values), ((i, i, v) for i, v in enumerate(values)))
+
+
+def _scattered_diagonal(rng):
+    """A diagonal matrix with rows and columns shuffled: most of these need
+    the fix-up that adds a row to the pivot row."""
+    n = rng.randrange(2, 7)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return SparseIntMatrix.from_entries(n, n, (
+        (i, j, rng.choice((2, 3, 4, -6, 10, 14))) for i, j in zip(rows, cols)))
+
+
+# One SHA-256 over the diagonal, the rank and both tracked transforms, with
+# their inverses, of every matrix below, recorded before the kernel's fast
+# paths (no divisibility scan after a unit pivot, finished pivots leave the
+# search) landed.  Those paths may drop work, but never change a pivot or a
+# transform.
+PINNED_TRANSFORMS = (
+    "80170c57768a607fd76b88c01978fafca6e44689ce69743b878805320f9b3934")
+
+
+def test_fast_paths_keep_every_pivot_and_transform():
+    import hashlib
+
+    from monofloer.intlinalg import _Factorization
+
+    # each reaches its diagonal only through the fix-up that adds a row
+    # whose entry the pivot does not divide to the pivot row
+    frozen = {(2, 3): [1, 6], (4, 6): [2, 12], (6, 10): [2, 30],
+              (6, 10, 15): [1, 30, 30]}
+    for values, diag in frozen.items():
+        assert _Factorization(_diagonal(*values)).diag == diag
+
+    rng = random.Random(1212)
+    mats = ([_diagonal(*values) for values in frozen]
+            + [_scattered_diagonal(rng) for _ in range(20)]
+            + [_random_matrix(rng) for _ in range(60)]
+            + [_random_matrix(rng, max_dim=6).scale(2) for _ in range(20)]
+            + [_random_matrix(rng, max_dim=12, bound=2) for _ in range(20)])
+
+    def lines(side):
+        return ([sorted(line.items()) for line in side.lines],
+                [sorted(line.items()) for line in side.inverse])
+
+    record = []
+    for mat in mats:
+        f = _Factorization(mat, True, True)
+        record.append((list(f.diag), f.rank, lines(f.u), lines(f.v)))
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == PINNED_TRANSFORMS
