@@ -50,6 +50,9 @@ class Flavor(enum.Enum):
     HAT = "hat"
     NONEQUIVARIANT = "noneq"
 
+    # the members are singletons: memo keys hash them by identity
+    __hash__ = object.__hash__
+
 
 def _admissible(flavor: Flavor, kind: str, k: int) -> bool:
     if flavor is Flavor.INFINITY:

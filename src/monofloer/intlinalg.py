@@ -66,6 +66,26 @@ class SparseIntMatrix:
                 raise ValueError("entries not in canonical order")
             prev = (i, j)
 
+    _hash = None  # not a field: set on an instance by its first hash
+
+    def __hash__(self) -> int:
+        # computed once: memo keys hash the same matrices again and again
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.rows, self.cols, self.entries)))
+        return self._hash
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int,
+                 entries: tuple[tuple[int, int, int], ...]) -> "SparseIntMatrix":
+        """A matrix the kernel derived from valid ones, whose entries are
+        canonical by construction: built without `__post_init__`."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "cols", cols)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -144,11 +164,13 @@ class SparseIntMatrix:
                cols: Sequence[int]) -> "SparseIntMatrix":
         """The submatrix on ascending lists of rows and columns (itself when
         they list everything); renumbering keeps the entry order."""
+        if any(b <= a for seq in (rows, cols) for a, b in zip(seq, seq[1:])):
+            raise ValueError("selected indices not ascending")
         if len(rows) == self.rows and len(cols) == self.cols:
             return self
         row_at = {i: k for k, i in enumerate(rows)}
         col_at = {j: k for k, j in enumerate(cols)}
-        return SparseIntMatrix(len(rows), len(cols), tuple(
+        return SparseIntMatrix._trusted(len(rows), len(cols), tuple(
             (row_at[i], col_at[j], v) for (i, j, v) in self.entries
             if i in row_at and j in col_at))
 
@@ -168,7 +190,7 @@ class SparseIntMatrix:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v * w
         entries = tuple((i, j, v) for (i, j), v in sorted(acc.items()) if v)
-        return SparseIntMatrix(self.rows, other.cols, entries)
+        return SparseIntMatrix._trusted(self.rows, other.cols, entries)
 
     def add(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -183,7 +205,7 @@ class SparseIntMatrix:
     def scale(self, c: int) -> "SparseIntMatrix":
         if c == 0:
             return SparseIntMatrix.zero(self.rows, self.cols)
-        return SparseIntMatrix(
+        return SparseIntMatrix._trusted(
             self.rows, self.cols,
             tuple((i, j, c * v) for (i, j, v) in self.entries))
 
@@ -318,7 +340,7 @@ class _Factorization:
     and the same transforms.  Pivots of minimal absolute value keep
     coefficient growth down; the pivot must divide the remaining submatrix
     before it is finalized, so the diagonal forms the divisibility chain
-    directly.
+    directly.  A unit pivot divides everything and skips that scan.
     """
 
     __slots__ = ("diag", "rank", "u", "v")
@@ -422,23 +444,19 @@ class _Factorization:
             if u is not None:
                 u.negate(t)
 
+        diag = []
         t = 0
-        limit = min(rows, cols)
-        while t < limit:
+        while colidx:
             best = None
             for j, rowset in colidx.items():
-                if j < t:
-                    continue
                 for i in rowset:
                     av = abs(a[i][j])
                     if best is None or av < best[0]:
                         best = (av, i, j)
                         if av == 1:
                             break
-                if best is not None and best[0] == 1:
+                if best[0] == 1:
                     break
-            if best is None:
-                break
             _, bi, bj = best
             if bi != t:
                 swap_rows(bi, t)
@@ -471,12 +489,12 @@ class _Factorization:
                         key=lambda j: abs(a[t][j]))
                     swap_cols(least, t)
                     continue
+                if p == 1:
+                    break
                 off = None
                 for j, rowset in colidx.items():
-                    if j <= t:
-                        continue
                     for i in rowset:
-                        if i > t and a[i][j] % p:
+                        if a[i][j] % p:
                             off = i
                             break
                     if off is not None:
@@ -484,9 +502,13 @@ class _Factorization:
                 if off is None:
                     break
                 row_axpy(t, off, -1)
+            # row and column t hold only the pivot: retire them, so later
+            # searches and scans walk the active submatrix alone
+            diag.append(a.pop(t)[t])
+            del colidx[t]
             t += 1
 
-        self.diag = [a[s][s] for s in range(t)]
+        self.diag = diag
         self.rank = t
         self.u = u
         self.v = v
@@ -496,7 +518,7 @@ def _row_block(lines: list[dict[int, int]], which: Sequence[int],
                width: int) -> SparseIntMatrix:
     """The listed lines of a tracked transform as the rows of a matrix,
     renumbered from zero."""
-    return SparseIntMatrix(len(which), width, tuple(
+    return SparseIntMatrix._trusted(len(which), width, tuple(
         (k, j, v) for k, i in enumerate(which)
         for j, v in sorted(lines[i].items())))
 
@@ -543,7 +565,7 @@ class Lattice:
                 if rest:
                     return None
                 entries.append((i, j, q))
-            x = SparseIntMatrix(x.rows, x.cols, tuple(entries))
+            x = SparseIntMatrix._trusted(x.rows, x.cols, tuple(entries))
         return x if self.basis.mul(x) == b else None
 
     def contains(self, vec: Sequence[int]) -> bool:

@@ -405,7 +405,7 @@ def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no check may rest on one
     package = pathlib.Path(__file__).resolve().parent.parent / "src" / \
         "monofloer"
-    modules = sorted(package.glob("*.py"))
+    modules = sorted(package.rglob("*.py"))
     assert modules
     for module in modules:
         tree = ast.parse(module.read_text(), filename=str(module))
