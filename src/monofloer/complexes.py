@@ -9,15 +9,21 @@ differential is assembled from the n and m coefficient families.  Every
 chain-level matrix is built once per parity on Infinity, and a flavor reads
 its submatrix on the basis positions it keeps, which realizes the subcomplex
 and quotient structure of the five variants at the matrix level.
+
+Minus, Infinity and Plus also carry a certified reduction: cancelling every
+pair eta_a^k -> 1_a^(k-1), whose entry is -1, leaves a homotopy equivalent
+complex on the unpaired generators, which are theta and, in Plus and Minus,
+the generators at the flavor's k edge (eta_a^0 and 1_a^(-1)).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .data import THETA, InvalidInput, MonopoleData, _validation_report, \
-    per_dataset
+from .data import THETA, CheckFailed, InvalidInput, MonopoleData, \
+    _validation_report, per_dataset
 from .intlinalg import SparseIntMatrix
 
 __all__ = [
@@ -275,6 +281,193 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
         if not second.mul(first).is_zero():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# cancelling the unit pairs
+# ---------------------------------------------------------------------------
+
+# the flavors with pairs to cancel: Hat and NonEquivariant keep k = 0 only,
+# so they never keep both eta_a^k and 1_a^(k-1)
+REDUCED_FLAVORS = (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS)
+
+
+class Reduction(NamedTuple):
+    """Degree n of the cancellation of a flavor's unit pairs.
+
+    The critical generators c_n are the kept ones that no pair uses.
+    differential is D'(n): c_n -> c_{n-1}; f(n): c_n -> C_n and g(n): C_n
+    -> c_n are chain maps and h(n): C_n -> C_{n+1} a homotopy, with g f = 1
+    and 1 - f g = D h + h D, so f and g are mutually inverse on homology.
+    """
+
+    differential: SparseIntMatrix
+    f: SparseIntMatrix
+    g: SparseIntMatrix
+    h: SparseIntMatrix
+
+
+def _pairs(data: MonopoleData, flavor: Flavor, n: int):
+    """The pairs from degree n to n - 1: (i, j, grading of a) for each
+    kept eta_a^k whose partner 1_a^(k-1) is also kept, with i and j their
+    positions in the kept slices of degrees n and n - 1."""
+    above = {p: i for i, p in enumerate(_kept(data, flavor, n))}
+    below = {p: j for j, p in enumerate(_kept(data, flavor, n - 1))}
+    # theta leads the even slice, so a point sits one place later there
+    top, bottom = 1 - n % 2, n % 2
+    out = []
+    for index, point in enumerate(data.points):
+        if (n - point.grading) % 2 == 0:
+            i, j = above.get(index + top), below.get(index + bottom)
+            if i is not None and j is not None:
+                out.append((i, j, point.grading))
+    return out
+
+
+def _flow(steps, chain: dict[int, int]):
+    """Cancel the chain's components on paired 1-generators by adding
+    multiples of their partners' boundaries; returns the chain left, which
+    has none, and the multiple added of each partner.  steps maps a paired
+    1-generator to (minus its grading, its partner, the partner's boundary).
+    A boundary meets other paired 1-generators only through m-couplings,
+    two gradings lower, so in order of decreasing grading each is cancelled
+    once and never comes back."""
+    pending = {j for j in chain if j in steps}
+    added = {}
+    while pending:
+        j = min(pending, key=lambda j: steps[j][0])
+        pending.remove(j)
+        c = chain.pop(j, 0)
+        if c:
+            _, partner, boundary = steps[j]
+            added[partner] = c
+            for r, w in boundary.items():
+                if r != j:
+                    if r in steps:
+                        pending.add(r)
+                    chain[r] = chain.get(r, 0) + c * w
+    return chain, added
+
+
+def _columns(mat: SparseIntMatrix) -> dict[int, dict[int, int]]:
+    out: dict[int, dict[int, int]] = {}
+    for (i, j, v) in mat.entries:
+        out.setdefault(j, {})[i] = v
+    return out
+
+
+def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
+    """The reduction of every band degree, not yet certified.
+
+    With M the paired etas of degree n, U their partners and A = D[U, M],
+    unit-triangular in grading order: D' = D[c, c] - D[c, M] A^-1 D[U, c],
+    f = i_c - i_M A^-1 D[U, c], g = p_c - D(n + 1)[c, M] A^-1 p_U and h =
+    i_M A^-1 p_U, each column read off one _flow, which adds -A^-1 of
+    what it cancels."""
+    lo, hi = _band(data)
+    pairs = {n: _pairs(data, flavor, n) for n in range(lo - 1, hi + 2)}
+    columns = {n: _columns(_differential(data, flavor, n))
+               for n in range(lo, hi + 2)}
+    critical, steps = {}, {}
+    for m in range(lo - 1, hi + 1):
+        paired = {i for i, _, _ in pairs[m]} | {j for _, j, _ in pairs[m + 1]}
+        critical[m] = {p: c for c, p in enumerate(
+            p for p in range(len(_kept(data, flavor, m))) if p not in paired)}
+        steps[m] = {j: (-grading, i, columns[m + 1][i])
+                    for i, j, grading in pairs[m + 1]}
+    table = {}
+    for n in range(lo, hi + 1):
+        crit, below = critical[n], critical[n - 1]
+        size = len(_kept(data, flavor, n))
+        d_red, f, g, h = [], [], [], []
+        for p, c in crit.items():
+            rest, added = _flow(steps[n - 1], dict(columns[n].get(p, {})))
+            d_red += [(below[r], c, v) for r, v in rest.items() if r in below]
+            f += [(p, c, 1), *((i, c, v) for i, v in added.items())]
+        g += [(c, p, 1) for p, c in crit.items()]
+        for p in steps[n]:
+            rest, added = _flow(steps[n], {p: 1})
+            g += [(crit[r], p, v) for r, v in rest.items() if r in crit]
+            h += [(i, p, -v) for i, v in added.items()]
+        table[n] = Reduction(
+            SparseIntMatrix.from_entries(len(below), len(crit), d_red),
+            SparseIntMatrix.from_entries(size, len(crit), f),
+            SparseIntMatrix.from_entries(len(crit), size, g),
+            SparseIntMatrix.from_entries(
+                len(_kept(data, flavor, n + 1)), size, h))
+    return table
+
+
+def _certify(data: MonopoleData, flavor: Flavor,
+             table: dict[int, Reduction]) -> None:
+    """Prove that table, read as _reduced reads it, reduces the flavor's
+    complex, with exact sparse products and no memo of its own: at each
+    degree n from lo - 1 to hi + 1 whose (D(n), D(n + 1), reduction at
+    n - 1, reduction at n) is new by content, D f = f D', g D = D' g, g f =
+    1 and 1 - f g = D h + h D.  Those degrees repeat with period two beyond
+    lo - 1 and hi + 1, so this proves every degree.  Raises CheckFailed at
+    the first degree where an identity fails."""
+    lo, hi = _band(data)
+    for n, (d, d_next, below, here) in _distinct_degrees(
+            range(lo - 1, hi + 2), lambda n: (
+                _differential(data, flavor, n),
+                _differential(data, flavor, n + 1),
+                table[_band_degree(data, n - 1)],
+                table[_band_degree(data, n)])):
+        identities = (
+            ("D f = f D'", lambda: d.mul(here.f) == below.f.mul(
+                here.differential)),
+            ("g D = D' g", lambda: below.g.mul(d) == here.differential.mul(
+                here.g)),
+            ("g f = 1", lambda: _sums_to_identity(here.g.mul(here.f))),
+            ("1 - f g = D h + h D", lambda: _sums_to_identity(
+                here.f.mul(here.g), d_next.mul(here.h), below.h.mul(d))),
+        )
+        for name, holds in identities:
+            try:
+                ok = holds()
+            except ValueError:  # shapes that do not compose
+                ok = False
+            if not ok:
+                raise CheckFailed(n, f"the reduction fails {name}")
+
+
+def _sums_to_identity(*terms: SparseIntMatrix) -> bool:
+    size = terms[0].rows
+    if any((t.rows, t.cols) != (size, size) for t in terms):
+        return False
+    total: dict[tuple[int, int], int] = {}
+    for term in terms:
+        for (i, j, v) in term.entries:
+            total[i, j] = total.get((i, j), 0) + v
+    return {k: v for k, v in total.items() if v} == {
+        (i, i): 1 for i in range(size)}
+
+
+@per_dataset
+def _reduction(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
+    """The certified reduction of a flavor in REDUCED_FLAVORS: one memo
+    entry holding every band degree.  It is certified before it is
+    stored, so no reduction is ever read uncertified."""
+    table = _reduce(data, flavor)
+    _certify(data, flavor, table)
+    return table
+
+
+def _reduced(data: MonopoleData, flavor: Flavor, n: int) -> Reduction:
+    """The certified reduction in degree n, folded onto the band as
+    _differential is."""
+    table = _reduction(data, flavor)
+    return table.get(n) or table[_band_degree(data, n)]
+
+
+def _reduced_differential(data: MonopoleData, flavor: Flavor,
+                          n: int) -> SparseIntMatrix:
+    """D'(n) of the certified reduction; D(n) itself for a flavor without
+    pairs, which is its own reduction."""
+    if flavor in REDUCED_FLAVORS:
+        return _reduced(data, flavor, n).differential
+    return _differential(data, flavor, n)
 
 
 def _same(data: MonopoleData, gen: Generator):

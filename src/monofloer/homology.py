@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _differential, _distinct_degrees, _kept, checked_window, \
-    require_valid, structural_map
+    _band_degree, _differential, _distinct_degrees, _kept, \
+    _reduced_differential, checked_window, require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -120,6 +120,17 @@ def presentation_at(data: MonopoleData, flavor: Flavor,
         return presentation_at(data, flavor, edge)
     return _quotient(data, _kernel(data, _differential(data, flavor, n)),
                      _differential(data, flavor, n + 1))
+
+
+def _reduced_presentation(data: MonopoleData, flavor: Flavor,
+                          n: int) -> QuotientPresentation:
+    """presentation_at on the certified reduction (complexes._reduced):
+    the same invariants, with cycles and generators in the coordinates of
+    the critical generators.  A flavor without pairs is its own reduction,
+    and this is its presentation_at."""
+    return _quotient(data,
+                     _kernel(data, _reduced_differential(data, flavor, n)),
+                     _reduced_differential(data, flavor, n + 1))
 
 
 def homology_at(data: MonopoleData, flavor: Flavor,

@@ -96,8 +96,15 @@ class SparseIntMatrix:
             if v:
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v
-        entries = tuple((i, j, v) for (i, j), v in sorted(acc.items()) if v)
-        return cls(rows, cols, entries)
+        # sorted and free of zeros by construction: only the index range
+        # can be wrong
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        for (i, j) in acc:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry index ({i}, {j}) out of range")
+        return cls._trusted(rows, cols, tuple(
+            (i, j, v) for (i, j), v in sorted(acc.items()) if v))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]],
@@ -181,6 +188,8 @@ class SparseIntMatrix:
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        if not self.entries or not other.entries:
+            return SparseIntMatrix._trusted(self.rows, other.cols, ())
         by_row: dict[int, list[tuple[int, int]]] = {}
         for (k, j, w) in other.entries:
             by_row.setdefault(k, []).append((j, w))

@@ -5,7 +5,11 @@ closes up with a connecting map built from the identity lift of Plus
 cycles.  The hat sequence arises from the degreewise split short exact
 sequence whose quotient map is omega-inverse.  Exactness at each node is
 checked as an equality of subgroup lattices inside the cycle lattice, so
-torsion failures cannot hide behind rank counts.
+torsion failures cannot hide behind rank counts.  Both sequences and the
+reduced group run on the certified reductions of complexes._reduced: each
+chain map is carried there as g_target . map . f_source, which is the
+original map conjugated by isomorphisms on homology, so every invariant
+and verdict is the unreduced one.
 """
 
 from __future__ import annotations
@@ -14,19 +18,22 @@ from dataclasses import dataclass
 
 from .actions import u_module_structure
 from .complexes import (
+    REDUCED_FLAVORS,
     Flavor,
     MonopoleData,
     _differential,
     _identification,
     _image_terms,
     _kept,
+    _reduced,
+    _reduced_differential,
     _selection,
     checked_window,
     require_valid,
 )
 from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
-    presentation_at
+    _reduced_presentation, presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -144,13 +151,30 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
 # exactness as lattice equality
 # ---------------------------------------------------------------------------
 
-def _images_of_classes(data, flavor: Flavor, degree: int,
+def _images_of_classes(pres: QuotientPresentation,
                        chain_map: SparseIntMatrix) -> SparseIntMatrix:
-    """Chain images of the recorded homology generators in one degree."""
-    pres = presentation_at(data, flavor, degree)
+    """Chain images of a presentation's recorded generators."""
     return SparseIntMatrix.from_columns(
         chain_map.rows,
         [chain_map.apply(g.vector) for g in pres.generators])
+
+
+@per_dataset
+def _product(data, a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
+    # memoised by content: a degree outside the band costs no product
+    return a.mul(b)
+
+
+def _carried(data, chain: SparseIntMatrix, source: Flavor, n: int,
+             target: Flavor, m: int) -> SparseIntMatrix:
+    """A chain map from source in degree n to target in degree m, carried
+    to the reductions as g_target(m) . chain . f_source(n); a flavor
+    without pairs is its own reduction."""
+    if target in REDUCED_FLAVORS:
+        chain = _product(data, _reduced(data, target, m).g, chain)
+    if source in REDUCED_FLAVORS:
+        chain = _product(data, chain, _reduced(data, source, n).f)
+    return chain
 
 
 @per_dataset
@@ -190,17 +214,6 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
     return image.invariants, kernel.invariants, witness
 
 
-def _node_report(data, degree: int, name: str, flavor: Flavor,
-                 incoming: SparseIntMatrix, outgoing: SparseIntMatrix,
-                 target_flavor: Flavor, target_degree: int) -> NodeReport:
-    cycles = presentation_at(data, flavor, degree).lattice.basis
-    image_inv, kernel_inv, witness = _exactness(
-        data, cycles, _differential(data, flavor, degree + 1), incoming,
-        outgoing, _differential(data, target_flavor, target_degree + 1))
-    return NodeReport(degree, name, image_inv, kernel_inv, witness is None,
-                      witness)
-
-
 # a long exact sequence as (names, flavors, connecting map, degree shifts)
 _MAIN = (("minus", "infinity", "plus"),
          (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS), _delta_chain,
@@ -210,21 +223,35 @@ _HAT = (("hat", "plus-head", "plus-tail"),
 
 
 def _node(data: MonopoleData, sequence, i: int, n: int) -> NodeReport:
-    """Node i of a sequence in degree n.  Map i runs from node i in degree
-    n to node i + 1 (cyclically) in degree n + shift i; maps 0 and 1
-    identify kept positions and map 2 connects.  The node's incoming image
-    is that of map i - 1."""
+    """Node i of a sequence in degree n, on the reductions.  Map i runs
+    from node i in degree n to node i + 1 (cyclically) in degree n + shift
+    i; maps 0 and 1 identify kept positions and map 2 connects.  The node's
+    incoming image is that of map i - 1, and a witness is carried back to
+    the node's own generators through f."""
     names, flavors, connecting, shifts = sequence
 
     def chain_map(j, m):
-        return connecting(data, m) if j == 2 else _identification(
+        chain = connecting(data, m) if j == 2 else _identification(
             data, flavors[j], flavors[j + 1], m, shifts[j] // 2)
+        return _carried(data, chain, flavors[j], m, flavors[(j + 1) % 3],
+                        m + shifts[j])
 
-    m = n - shifts[i - 1]
-    return _node_report(
-        data, n, names[i], flavors[i],
-        _images_of_classes(data, flavors[i - 1], m, chain_map((i - 1) % 3, m)),
-        chain_map(i, n), flavors[(i + 1) % 3], n + shifts[i])
+    flavor, m = flavors[i], n - shifts[i - 1]
+    pres = _reduced_presentation(data, flavor, n)
+    if pres.invariants.is_trivial:
+        # the image lies in the kernel, which lies in zero homology
+        return NodeReport(n, names[i], TRIVIAL, TRIVIAL, True, None)
+    image, kernel, witness = _exactness(
+        data, pres.lattice.basis,
+        _reduced_differential(data, flavor, n + 1),
+        _images_of_classes(_reduced_presentation(data, flavors[i - 1], m),
+                           chain_map((i - 1) % 3, m)),
+        chain_map(i, n),
+        _reduced_differential(data, flavors[(i + 1) % 3], n + shifts[i] + 1))
+    if witness is not None and flavor in REDUCED_FLAVORS:
+        reason, vector = witness
+        witness = reason, tuple(_reduced(data, flavor, n).f.apply(vector))
+    return NodeReport(n, names[i], image, kernel, witness is None, witness)
 
 
 def _sequence_nodes(data: MonopoleData, sequence,
@@ -250,11 +277,13 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
     kernel at n - 1; raises CheckFailed if they differ."""
     images = _images_of_classes(
-        data, Flavor.INFINITY, n,
-        _identification(data, Flavor.INFINITY, Flavor.PLUS, n))
-    coker = _quotient(data, presentation_at(data, Flavor.PLUS, n).lattice,
-                      hstack(_differential(data, Flavor.PLUS, n + 1),
-                             images)).invariants
+        _reduced_presentation(data, Flavor.INFINITY, n),
+        _carried(data, _identification(data, Flavor.INFINITY, Flavor.PLUS, n),
+                 Flavor.INFINITY, n, Flavor.PLUS, n))
+    coker = _quotient(
+        data, _reduced_presentation(data, Flavor.PLUS, n).lattice,
+        hstack(_reduced_differential(data, Flavor.PLUS, n + 1),
+               images)).invariants
 
     # the kernel of the inclusion is that of the "minus" node one degree down
     kernel = _node(data, _MAIN, 0, n - 1).kernel
@@ -302,7 +331,7 @@ def check_les_hat(data: MonopoleData,
         not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
         for n in range(lo, hi + 1))
     plus_nonzero = any(
-        not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
+        not _reduced_presentation(data, Flavor.PLUS, n).invariants.is_trivial
         for n in range(lo, hi + 1))
     return HatSequenceReport((lo, hi), nodes, hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

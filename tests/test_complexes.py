@@ -6,6 +6,7 @@ import pytest
 
 import oracle
 from monofloer.data import (
+    CheckFailed,
     MonopoleData,
     InvalidInput,
     THETA,
@@ -20,6 +21,12 @@ from monofloer.complexes import (
     KIND_ONE,
     KIND_THETA,
     MAX_WINDOW_DEGREES,
+    REDUCED_FLAVORS,
+    _band,
+    _certify,
+    _reduce,
+    _reduced,
+    _reduction,
     check_d_squared,
     checked_window,
     default_window,
@@ -28,6 +35,7 @@ from monofloer.complexes import (
     generators_in_degree,
     structural_map,
 )
+from monofloer.intlinalg import SparseIntMatrix
 from test_acceptance import performance_instance
 
 ALL_FLAVORS = tuple(Flavor)
@@ -334,3 +342,125 @@ def test_checked_window():
     assert checked_window(data, (3, 3)) == (3, 3)
     with pytest.raises(InvalidInput, match="invalid data"):
         checked_window(invalid_instance(), (0, 1))
+
+
+# -- the certified reduction ------------------------------------------------
+
+def _drop_first(mat):
+    return SparseIntMatrix(mat.rows, mat.cols, mat.entries[1:])
+
+
+def _flip_first(mat):
+    (i, j, v), *rest = mat.entries
+    return SparseIntMatrix(mat.rows, mat.cols, ((i, j, -v), *rest))
+
+
+# a broken reduction: the field of one band degree and how it is broken
+BROKEN_REDUCTIONS = {"h drops an entry": ("h", _drop_first),
+                     "f flips a sign": ("f", _flip_first)}
+
+
+def _broken(data, table, field, breaking):
+    """A copy of a real reduction table with the field broken at its first
+    band degree n above lo + 1 where the field has entries, and n.  Degree
+    lo - 1 of the certificate reads the tables at lo and lo + 1, so n is
+    the first degree whose identities read the broken matrix."""
+    lo, _ = _band(data)
+    n = next(n for n in sorted(table)
+             if n > lo + 1 and getattr(table[n], field).entries)
+    broken = dict(table)
+    broken[n] = table[n]._replace(
+        **{field: breaking(getattr(table[n], field))})
+    return broken, n
+
+
+@pytest.mark.parametrize("label", BROKEN_REDUCTIONS)
+@pytest.mark.parametrize("flavor", REDUCED_FLAVORS)
+def test_certificate_rejects_a_broken_reduction(flavor, label):
+    data = performance_instance()
+    table = _reduce(data, flavor)
+    _certify(data, flavor, table)
+    broken, n = _broken(data, table, *BROKEN_REDUCTIONS[label])
+    with pytest.raises(CheckFailed) as info:
+        _certify(data, flavor, broken)
+    assert info.value.degree == n
+
+
+@pytest.mark.parametrize("label", BROKEN_REDUCTIONS)
+def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
+    """A reduction that fails its certificate fails the three checks that
+    read it, at its degree, with exit 1 and no traceback."""
+    import io
+    import json
+    from contextlib import redirect_stderr, redirect_stdout
+
+    import monofloer.complexes as complexes
+    from monofloer.cli import main
+
+    real = complexes._reduce
+    degrees = []
+
+    def reduce_broken(data, flavor):
+        table = real(data, flavor)
+        if flavor is not Flavor.PLUS:
+            return table
+        broken, n = _broken(data, table, *BROKEN_REDUCTIONS[label])
+        degrees.append(n)
+        return broken
+
+    monkeypatch.setattr(complexes, "_reduce", reduce_broken)
+    path = tmp_path / "tail-chain.json"
+    path.write_bytes(serialize(by_name("tail-chain")))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify-all", str(path)])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    results = json.loads(out.getvalue())["results"]
+    assert results["ok"] is False
+    failed = {"les-main", "reduced-comparison", "les-hat"}
+    for check in results["checks"]:
+        if check["name"] in failed:
+            assert check == {"name": check["name"], "ok": False,
+                             "degree": degrees[0]}
+        else:
+            assert check["ok"], check
+
+
+def test_reduced_slices_hold_at_most_two_generators():
+    """On the 50-point instance a slice of about fifty generators reduces
+    to at most two in Plus and Minus (theta and one point's generator) and
+    to theta alone in Infinity."""
+    data = performance_instance()
+    lo, hi = default_window(data)
+    for flavor, most in ((Flavor.MINUS, 2), (Flavor.PLUS, 2),
+                         (Flavor.INFINITY, 1)):
+        for n in range(lo, hi + 1):
+            critical = _reduced(data, flavor, n).f.cols
+            assert critical <= most, (flavor, n, critical)
+
+
+def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
+    """Forty points in one m-chain with m = 3: cancelling the pairs of a
+    degree multiplies the couplings along the chain, up to 3^39 (62 bits),
+    and the reduced homology stays exact."""
+    from monofloer.homology import _reduced_presentation
+    from monofloer.sequences import check_les_main
+
+    ids = [f"c{i:02d}" for i in range(40)]
+    data = MonopoleData.build(
+        "m-chain-40", [(p, 40 - 2 * i) for i, p in enumerate(ids)],
+        m=[(a, b, 3) for a, b in zip(ids, ids[1:])])
+    assert check_les_main(data).all_exact()
+    blob = oracle_dataset(data)
+    lo, hi = default_window(data)
+    for flavor in REDUCED_FLAVORS:
+        for n in range(lo, hi + 1):
+            got = _reduced_presentation(data, flavor, n).invariants
+            assert (got.free_rank, list(got.torsion)) == \
+                oracle.oracle_homology_at(blob, flavor.value, n), (flavor, n)
+    largest = max(abs(v) for flavor in REDUCED_FLAVORS
+                  for red in _reduction(data, flavor).values()
+                  for mat in (red.differential, red.f, red.g, red.h)
+                  for (_, _, v) in mat.entries)
+    assert largest > 2 ** 60

@@ -22,15 +22,17 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms
 from monofloer.cli import main, verify_all
-from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, _STRUCTURAL, \
-    DegreeSlice, Flavor, Generator, _band, _band_degree, _differential, \
-    _identification, _image_terms, _rule_matrix, _slice, _slice_map, \
-    check_d_squared, default_window
+from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
+    REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
+    _band_degree, _certify, _differential, _identification, _image_terms, \
+    _reduction, _rule_matrix, _slice, _slice_map, check_d_squared, \
+    default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
     generate_instances, invalid_instance, reverse_orientation, serialize, \
     validate
 from monofloer.duality import _cohomology_at, _pairing_with, duality_check
-from monofloer.homology import homology_at
+from monofloer.homology import _reduced_presentation, graded_homology, \
+    homology_at
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _delta_chain, _hat_delta_chain
 from test_complexes import compare_with_oracle, oracle_dataset
@@ -93,6 +95,26 @@ def test_homology_matches_the_oracle_and_ignores_the_gauge(pair):
             assert got == homology_at(original, flavor, n), (
                 data.name, flavor, n)
     assert verify_all(data)["checks"] == verify_all(original)["checks"]
+
+
+@SETTINGS
+@given(gauged)
+def test_reduced_homology_matches_the_oracle(pair):
+    """The certified reduction of Minus, Infinity and Plus passes its
+    certificate and has the homology of the full complex, by the engine's
+    unreduced presentations and by the dense oracle."""
+    _, data = pair
+    blob = oracle_dataset(data)
+    window = default_window(data)
+    for flavor in REDUCED_FLAVORS:
+        _certify(data, flavor, _reduction(data, flavor))
+        full = graded_homology(data, flavor, window).groups
+        for n in range(window[0], window[1] + 1):
+            got = _reduced_presentation(data, flavor, n).invariants
+            assert got == full[n], (data.name, flavor, n)
+            free, torsion = oracle.oracle_homology_at(blob, flavor.value, n)
+            assert (got.free_rank, list(got.torsion)) == (free, torsion), (
+                data.name, flavor, n)
 
 
 @SETTINGS

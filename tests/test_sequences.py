@@ -113,10 +113,11 @@ def _apply(dense, vec):
 
 
 def test_witnesses_on_perturbed_infinity_nodes():
-    """Break the main sequence's infinity node four ways and check every
-    report, witness included, with the dense oracle alone."""
+    """Break the main sequence's infinity node four ways, on the unreduced
+    complexes, and check every exactness verdict, witness included, with
+    the dense oracle alone."""
     from monofloer.complexes import structural_map, _differential, _slice
-    from monofloer.sequences import _images_of_classes, _node_report
+    from monofloer.sequences import _exactness, _images_of_classes
 
     outside_image = "kernel class outside the incoming image"
     outside_kernel = "incoming image outside the kernel"
@@ -126,8 +127,9 @@ def test_witnesses_on_perturbed_infinity_nodes():
         lo, hi = default_window(data)
         for n in range(lo, hi + 1):
             inc = _images_of_classes(
-                data, Flavor.MINUS, n,
+                presentation_at(data, Flavor.MINUS, n),
                 structural_map(data, "inclusion_minus", Flavor.INFINITY, n))
+            cycles = presentation_at(data, Flavor.INFINITY, n).lattice.basis
             proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
             dim = len(_slice(data, Flavor.INFINITY, n).basis)
             d_n = _differential(data, Flavor.INFINITY, n).to_dense()
@@ -142,15 +144,16 @@ def test_witnesses_on_perturbed_infinity_nodes():
                  Flavor.INFINITY, outside_kernel),
             )
             for label, incoming, outgoing, target, reason in cases:
-                node = _node_report(data, n, "infinity", Flavor.INFINITY,
-                                    incoming, outgoing, target, n)
+                image_inv, kernel_inv, witness = _exactness(
+                    data, cycles, _differential(data, Flavor.INFINITY, n + 1),
+                    incoming, outgoing, _differential(data, target, n + 1))
                 where = (data.name, n, label)
-                assert node.exact == (node.witness is None), where
-                if node.witness is None:
+                if witness is None:
+                    assert image_inv == kernel_inv, where
                     continue
                 witnesses[label] += 1
-                assert node.witness[0] == reason, where
-                vec = list(node.witness[1])
+                assert witness[0] == reason, where
+                vec = list(witness[1])
                 image = [a + b for a, b in zip(incoming.to_dense(), bd)]
                 target_bd = _differential(data, target, n + 1).to_dense()
                 lands = oracle.dense_in_span(
@@ -163,6 +166,41 @@ def test_witnesses_on_perturbed_infinity_nodes():
                     assert vec in [list(col) for col in zip(*image)], where
                     assert not lands, where
     assert all(count >= 17 for count in witnesses.values()), witnesses
+
+
+def test_witnesses_on_the_reductions_are_unreduced_cycles(monkeypatch):
+    """With the connecting map zeroed the main sequence breaks.  Each
+    witness is found on the reduced complexes and carried back through f:
+    it must be a cycle of the node's unreduced slice and, being a nonzero
+    class, no boundary."""
+    import monofloer.sequences as sequences
+    from monofloer.complexes import _differential, _kept
+
+    names, flavors, _, shifts = sequences._MAIN
+
+    def zero_delta(data, n):
+        return SparseIntMatrix.zero(len(_kept(data, Flavor.MINUS, n - 1)),
+                                    len(_kept(data, Flavor.PLUS, n)))
+
+    monkeypatch.setattr(sequences, "_MAIN",
+                        (names, flavors, zero_delta, shifts))
+    flavor_of = dict(zip(names, flavors))
+    found = 0
+    for data in curated_instances():
+        for node in check_les_main(data).nodes:
+            assert node.exact == (node.witness is None)
+            if node.exact:
+                continue
+            found += 1
+            flavor, n = flavor_of[node.node], node.degree
+            vec = list(node.witness[1])
+            where = (data.name, node.node, n)
+            assert len(vec) == len(_kept(data, flavor, n)), where
+            assert not any(_apply(
+                _differential(data, flavor, n).to_dense(), vec)), where
+            assert not oracle.dense_in_span(
+                _differential(data, flavor, n + 1).to_dense(), vec), where
+    assert found >= 10
 
 
 # -- reduced group ----------------------------------------------------------
@@ -208,7 +246,7 @@ def test_les_hat_exact_on_curated():
 
 def test_mismatch_error_fields(monkeypatch):
     import monofloer.sequences as sequences
-    monkeypatch.setattr(sequences, "_node_report",
+    monkeypatch.setattr(sequences, "_node",
                         lambda *args: SimpleNamespace(
                             kernel=AbelianGroupInvariants(2)))
     with pytest.raises(CheckFailed) as info:
