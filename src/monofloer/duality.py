@@ -4,7 +4,10 @@ The degree-n part of the plus complex pairs perfectly with the degree-(-2-n)
 part of the minus complex of the reversed dataset, and the pairing is adjoint
 for both the differential and the periodicity action.  Transposing the
 differentials gives cohomology, and the pairing turns the cohomology of one
-orientation into the homology of the other, degree by degree.
+orientation into the homology of the other, degree by degree.  Both sides
+of that comparison are read off the certified reductions of
+complexes._reduced, each on its own dataset; the pairings, which bridge the
+two, are checked on the unreduced complexes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .complexes import (
     _differential,
     _distinct_degrees,
     _kept,
+    _reduced_differential,
     _slice,
     checked_window,
     generator_degree,
@@ -25,7 +29,8 @@ from .complexes import (
 )
 from .data import CheckFailed, MonopoleData, _toggle_id, per_dataset, \
     reverse_orientation
-from .homology import GradedAbelianGroup, _kernel, _quotient, homology_at
+from .homology import GradedAbelianGroup, _kernel, _quotient, \
+    _reduced_presentation
 from .intlinalg import AbelianGroupInvariants, SparseIntMatrix
 
 __all__ = [
@@ -170,12 +175,16 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
 def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
     # the transposed differential raises degree by one, so the degree-n
-    # cocycles are the kernel of transpose(D at n+1)
+    # cocycles are the kernel of transpose(D at n+1).  Transposing the
+    # certified identities D f = f D', g D = D' g, g f = 1 and 1 - f g =
+    # D h + h D makes (g^T, f^T, h^T) a reduction of the cochain complex,
+    # so the reduced D' gives the same cohomology; Hat and NonEquivariant
+    # have no pairs, and _reduced_differential returns their own D
     edge = _band_degree(data, n)
     if edge != n:
         return _cohomology_at(data, flavor, edge)
-    delta_out = _differential(data, flavor, n + 1).transpose()
-    delta_in = _differential(data, flavor, n).transpose()
+    delta_out = _reduced_differential(data, flavor, n + 1).transpose()
+    delta_in = _reduced_differential(data, flavor, n).transpose()
     return _quotient(data, _kernel(data, delta_out), delta_in).invariants
 
 
@@ -203,7 +212,9 @@ def duality_check(data: MonopoleData,
     complex rather than merely comparing ranks.  Then the graded level:
     cohomology of one orientation must equal homology of the other at the
     partner degree for the (plus, minus), (minus, plus), and (hat, hat)
-    pairs, with CheckFailed raised on the first disagreement.  Finally
+    pairs, with CheckFailed raised on the first disagreement; both are read
+    off the certified reductions, the reversed side through the reductions
+    of the reversed dataset.  Finally
     reversing twice must reproduce the original dataset exactly.
     """
     lo, hi = checked_window(data, window)
@@ -230,7 +241,8 @@ def duality_check(data: MonopoleData,
                 (minus_vs_plus, Flavor.MINUS, Flavor.PLUS, -2 - n),
                 (hat_vs_hat, Flavor.HAT, Flavor.HAT, -n)):
             left = _cohomology_at(data, flavor, n)
-            right = homology_at(rev, partner, partner_degree)
+            right = _reduced_presentation(rev, partner,
+                                          partner_degree).invariants
             if left != right:
                 raise CheckFailed(
                     n, f"cohomology {left} does not match the "

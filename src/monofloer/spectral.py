@@ -29,7 +29,7 @@ from .complexes import (
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
-    GradedAbelianGroup, _kernel, _quotient
+    GradedAbelianGroup, _kernel, _quotient, _reduced_presentation
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -321,7 +321,8 @@ def structure_theorem(data: MonopoleData,
 
     Negative degrees copy the non-equivariant groups; positive odd degrees
     take the kernel of the obstruction row; even degrees adjoin the cyclic
-    tower term.  A disagreement raises CheckFailed with both values.
+    tower term.  The direct values are read off the certified reduction
+    of Plus.  A disagreement raises CheckFailed with both values.
     """
     lo, hi = checked_window(data, window)
 
@@ -352,7 +353,8 @@ def structure_theorem(data: MonopoleData,
             predicted[n] = AbelianGroupInvariants(base.free_rank - drop,
                                                   base.torsion)
 
-    actual = graded_homology(data, Flavor.PLUS, (lo, hi)).groups
+    actual = {n: _reduced_presentation(data, Flavor.PLUS, n).invariants
+              for n in range(lo, hi + 1)}
     for n in range(lo, hi + 1):
         if predicted[n] != actual[n]:
             raise CheckFailed(

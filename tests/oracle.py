@@ -251,3 +251,16 @@ def oracle_homology_at(dataset, flavor, degree):
     d_n = oracle_differential(dataset, flavor, degree)
     d_np1 = oracle_differential(dataset, flavor, degree + 1)
     return dense_homology(dim, d_n, d_np1)
+
+
+def dense_transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def oracle_cohomology_at(dataset, flavor, degree):
+    """(free rank, torsion) of degree-n cohomology: the kernel of the
+    transposed d_{n+1} modulo the image of the transposed d_n."""
+    dim = len(oracle_basis(dataset, flavor, degree))
+    d_out = dense_transpose(oracle_differential(dataset, flavor, degree + 1))
+    d_in = dense_transpose(oracle_differential(dataset, flavor, degree))
+    return dense_homology(dim, d_out, d_in)

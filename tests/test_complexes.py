@@ -388,8 +388,10 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
 
 @pytest.mark.parametrize("label", BROKEN_REDUCTIONS)
 def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
-    """A reduction that fails its certificate fails the three checks that
-    read it, at its degree, with exit 1 and no traceback."""
+    """A Plus reduction that fails its certificate fails the five checks
+    that read it, at its degree, with exit 1 and no traceback.  duality
+    reads the dataset's Plus reduction, for the cohomology, before the
+    reversed dataset's, which is broken by the same patch."""
     import io
     import json
     from contextlib import redirect_stderr, redirect_stdout
@@ -398,19 +400,20 @@ def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
     from monofloer.cli import main
 
     real = complexes._reduce
-    degrees = []
+    degrees = {}
 
     def reduce_broken(data, flavor):
         table = real(data, flavor)
         if flavor is not Flavor.PLUS:
             return table
         broken, n = _broken(data, table, *BROKEN_REDUCTIONS[label])
-        degrees.append(n)
+        degrees[data.name] = n
         return broken
 
     monkeypatch.setattr(complexes, "_reduce", reduce_broken)
+    data = by_name("tail-chain")
     path = tmp_path / "tail-chain.json"
-    path.write_bytes(serialize(by_name("tail-chain")))
+    path.write_bytes(serialize(data))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["verify-all", str(path)])
@@ -418,13 +421,13 @@ def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
     assert "Traceback" not in err.getvalue()
     results = json.loads(out.getvalue())["results"]
     assert results["ok"] is False
-    failed = {"les-main", "reduced-comparison", "les-hat"}
-    for check in results["checks"]:
-        if check["name"] in failed:
-            assert check == {"name": check["name"], "ok": False,
-                             "degree": degrees[0]}
-        else:
-            assert check["ok"], check
+    failed = {check["name"]: check["degree"] for check in results["checks"]
+              if not check["ok"]}
+    assert failed == dict.fromkeys(
+        ("les-main", "reduced-comparison", "les-hat", "structure",
+         "duality"), degrees[data.name])
+    assert all(check == {"name": check["name"], "ok": True}
+               for check in results["checks"] if check["name"] not in failed)
 
 
 def test_reduced_slices_hold_at_most_two_generators():

@@ -4,6 +4,7 @@ isomorphisms."""
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -221,8 +222,9 @@ def test_duality_frozen_values_theta_tower():
 
 def test_mismatch_fields(monkeypatch):
     import monofloer.duality as duality
-    monkeypatch.setattr(duality, "homology_at",
-                        lambda *args: AbelianGroupInvariants(2))
+    monkeypatch.setattr(duality, "_reduced_presentation",
+                        lambda *args: SimpleNamespace(
+                            invariants=AbelianGroupInvariants(2)))
     with pytest.raises(CheckFailed) as info:
         duality_check(by_name("empty"), (0, 2))
     err = info.value

@@ -9,7 +9,7 @@ import pytest
 import oracle
 from monofloer.complexes import Flavor, default_window
 from monofloer.data import CheckFailed, curated_instances
-from monofloer.homology import homology_at, presentation_at
+from monofloer.homology import NotChainMap, homology_at, presentation_at
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.sequences import (
     check_les_hat,
@@ -242,6 +242,57 @@ def test_les_hat_exact_on_curated():
         assert report.all_exact(), data.name
         assert report.biconditional_holds, data.name
         assert report.hat_nonzero and report.plus_nonzero, data.name
+
+
+def test_les_hat_rejects_omega_inverse_missing_the_u_tower(monkeypatch):
+    """omega-inverse on Plus replaced by zero, a chain map that misses the
+    U-tower: the u-check fails at the first window degree where u acts
+    non-trivially on Plus homology, by the unreduced u_module_structure."""
+    import monofloer.sequences as sequences
+    from monofloer.actions import u_module_structure
+
+    data = by_name("tail-chain")
+    lo, hi = default_window(data)
+    induced = u_module_structure(data, Flavor.PLUS, (lo, hi))
+    first = next(n for n in range(lo, hi + 1)
+                 if not induced.matrices[n].is_zero())
+    real = sequences.structural_map
+
+    def zero_omega_inverse(data, which, flavor, n):
+        mat = real(data, which, flavor, n)
+        if which != "omega_inverse":
+            return mat
+        return SparseIntMatrix.from_entries(mat.rows, mat.cols, [])
+
+    monkeypatch.setattr(sequences, "structural_map", zero_omega_inverse)
+    with pytest.raises(CheckFailed) as info:
+        check_les_hat(data, (lo, hi))
+    assert type(info.value) is CheckFailed
+    assert info.value.degree == first
+    assert "induced u differs from induced omega-inverse" in str(info.value)
+
+
+def test_les_hat_rejects_a_u_that_is_not_a_chain_map(monkeypatch):
+    """u doubled in one degree n where D u(n) is non-zero fails D u = u D
+    first at n; carried to the reduction it could still look like one."""
+    import monofloer.sequences as sequences
+    from monofloer.actions import u_chain_map
+    from monofloer.complexes import differential_matrix
+
+    data = by_name("tail-chain")
+    lo, hi = default_window(data)
+    bad = next(n for n in range(lo, hi + 2) if not differential_matrix(
+        data, Flavor.PLUS, n - 2).mul(u_chain_map(data, Flavor.PLUS,
+                                                  n)).is_zero())
+
+    def doubled_once(data, flavor, n):
+        mat = u_chain_map(data, flavor, n)
+        return mat.add(mat) if n == bad else mat
+
+    monkeypatch.setattr(sequences, "u_chain_map", doubled_once)
+    with pytest.raises(NotChainMap) as info:
+        check_les_hat(data, (lo, hi))
+    assert info.value.degree == bad
 
 
 def test_mismatch_error_fields(monkeypatch):
