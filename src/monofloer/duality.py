@@ -174,12 +174,13 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
 @per_dataset
 def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
-    # the transposed differential raises degree by one, so the degree-n
-    # cocycles are the kernel of transpose(D at n+1).  Transposing the
-    # certified identities D f = f D', g D = D' g, g f = 1 and 1 - f g =
-    # D h + h D makes (g^T, f^T, h^T) a reduction of the cochain complex,
-    # so the reduced D' gives the same cohomology; Hat and NonEquivariant
-    # have no pairs, and _reduced_differential returns their own D
+    """Degree-n cohomology: the kernel of transpose(D at n + 1), since the
+    transposed differential raises degree by one, modulo the image of
+    transpose(D at n), read on the certified reduction.  Transposing its
+    identities D f = f D', g D = D' g, g f = 1 and 1 - f g = D h + h D
+    makes (g^T, f^T, h^T) a reduction of the cochain complex, so D' gives
+    the same groups; Hat and NonEquivariant have no pairs, and
+    _reduced_differential returns their own D."""
     edge = _band_degree(data, n)
     if edge != n:
         return _cohomology_at(data, flavor, edge)
@@ -212,9 +213,8 @@ def duality_check(data: MonopoleData,
     complex rather than merely comparing ranks.  Then the graded level:
     cohomology of one orientation must equal homology of the other at the
     partner degree for the (plus, minus), (minus, plus), and (hat, hat)
-    pairs, with CheckFailed raised on the first disagreement; both are read
-    off the certified reductions, the reversed side through the reductions
-    of the reversed dataset.  Finally
+    pairs, with CheckFailed raised on the first disagreement; each side is
+    read off the certified reductions of its own dataset.  Finally
     reversing twice must reproduce the original dataset exactly.
     """
     lo, hi = checked_window(data, window)

@@ -324,10 +324,9 @@ def _check_u_action(data: MonopoleData, lo: int, hi: int) -> None:
     to commute could still look like one.  Then, in each window degree n,
     the carried maps must send every recorded class of the reduced Plus
     homology at n to the same class at n - 2, else CheckFailed."""
-    def omega_inverse(n):
-        return structural_map(data, "omega_inverse", Flavor.PLUS, n)
-
-    for chain in (lambda n: u_chain_map(data, Flavor.PLUS, n), omega_inverse):
+    maps = (lambda n: u_chain_map(data, Flavor.PLUS, n),
+            lambda n: structural_map(data, "omega_inverse", Flavor.PLUS, n))
+    for chain in maps:
         for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
                 range(lo, hi + 2), lambda n: (
                     _differential(data, Flavor.PLUS, n - 2), chain(n),
@@ -335,15 +334,12 @@ def _check_u_action(data: MonopoleData, lo: int, hi: int) -> None:
             if d_target.mul(mat) != mat_prev.mul(d_source):
                 raise NotChainMap(n)
 
-    def carried(chain, n):
-        return _carried(data, chain, Flavor.PLUS, n, Flavor.PLUS, n - 2)
-
-    for n, (u, omega, source, target) in _distinct_degrees(
+    for n, (source, target, u, omega) in _distinct_degrees(
             range(lo, hi + 1), lambda n: (
-                carried(u_chain_map(data, Flavor.PLUS, n), n),
-                carried(omega_inverse(n), n),
                 _reduced_presentation(data, Flavor.PLUS, n),
-                _reduced_presentation(data, Flavor.PLUS, n - 2))):
+                _reduced_presentation(data, Flavor.PLUS, n - 2),
+                *(_carried(data, chain(n), Flavor.PLUS, n, Flavor.PLUS, n - 2)
+                  for chain in maps))):
         for g in source.generators:
             if target.coordinate_of(u.apply(g.vector)) != \
                     target.coordinate_of(omega.apply(g.vector)):
