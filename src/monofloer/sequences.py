@@ -9,7 +9,9 @@ torsion failures cannot hide behind rank counts.  Both sequences and the
 reduced group run on the certified reductions of complexes._reduced: each
 chain map is carried there as g_target . map . f_source, which is the
 original map conjugated by isomorphisms on homology, so every invariant
-and verdict is the unreduced one.
+and verdict is the unreduced one.  So does the hat sequence's check that u
+and omega-inverse agree on homology, once both are shown to commute with
+the unreduced differential.
 """
 
 from __future__ import annotations
