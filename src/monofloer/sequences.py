@@ -342,9 +342,9 @@ def _check_u_action(data: MonopoleData, lo: int, hi: int) -> None:
                 _reduced_presentation(data, Flavor.PLUS, n - 2),
                 *(_carried(data, chain(n), Flavor.PLUS, n, Flavor.PLUS, n - 2)
                   for chain in maps))):
-        for g in source.generators:
-            if target.coordinate_of(u.apply(g.vector)) != \
-                    target.coordinate_of(omega.apply(g.vector)):
+        for gen in source.generators:
+            if target.coordinate_of(u.apply(gen.vector)) != \
+                    target.coordinate_of(omega.apply(gen.vector)):
                 raise CheckFailed(
                     n, "induced u differs from induced omega-inverse")
 

@@ -281,9 +281,12 @@ def test_les_hat_rejects_a_u_that_is_not_a_chain_map(monkeypatch):
 
     data = by_name("tail-chain")
     lo, hi = default_window(data)
-    bad = next(n for n in range(lo, hi + 2) if not differential_matrix(
-        data, Flavor.PLUS, n - 2).mul(u_chain_map(data, Flavor.PLUS,
-                                                  n)).is_zero())
+
+    def d_after_u(n):
+        return differential_matrix(data, Flavor.PLUS, n - 2).mul(
+            u_chain_map(data, Flavor.PLUS, n))
+
+    bad = next(n for n in range(lo, hi + 2) if not d_after_u(n).is_zero())
 
     def doubled_once(data, flavor, n):
         mat = u_chain_map(data, flavor, n)
