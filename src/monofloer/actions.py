@@ -101,10 +101,13 @@ def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
 def u_module_structure(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int] | None = None
                        ) -> HomologyClassMap:
-    """Endomorphism induced by u on graded homology over the window.
+    """Endomorphism induced by u on graded homology over the window, on
+    the recorded generators of the certified reduction (see
+    induced_on_homology).
 
     Checks degreewise equality with the map induced by omega_inverse before
-    returning, and raises CheckFailed at the first degree where they differ.
+    returning, and raises CheckFailed at the first degree where they differ;
+    this is the u-check of sequences.check_les_hat.
     """
     lo, hi = checked_window(data, window)
     matrices = {n: u_chain_map(data, flavor, n)

@@ -363,7 +363,9 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     unit-triangular in grading order: D' = D[c, c] - D[c, M] A^-1 D[U, c],
     f = i_c - i_M A^-1 D[U, c], g = p_c - D(n + 1)[c, M] A^-1 p_U and h =
     i_M A^-1 p_U, each column read off one _flow, which adds -A^-1 of
-    what it cancels."""
+    what it cancels.  Degree n reads only n's parity and the kept positions
+    of degrees n - 2 to n + 1, so degrees that agree on these share one
+    Reduction: Infinity, which keeps every position, builds two."""
     lo, hi = _band(data)
     pairs = {n: _pairs(data, flavor, n) for n in range(lo - 1, hi + 2)}
     columns = {n: _columns(_differential(data, flavor, n))
@@ -375,8 +377,12 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
             p for p in range(len(_kept(data, flavor, m))) if p not in paired)}
         steps[m] = {j: (-grading, i, columns[m + 1][i])
                     for i, j, grading in pairs[m + 1]}
-    table = {}
+    table, built = {}, {}
     for n in range(lo, hi + 1):
+        key = (n % 2, *(_kept(data, flavor, m) for m in range(n - 2, n + 2)))
+        if key in built:
+            table[n] = built[key]
+            continue
         crit, below = critical[n], critical[n - 1]
         size = len(_kept(data, flavor, n))
         d_red, f, g, h = [], [], [], []
@@ -389,7 +395,7 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
             rest, added = _flow(steps[n], {p: 1})
             g += [(crit[r], p, v) for r, v in rest.items() if r in crit]
             h += [(i, p, -v) for i, v in added.items()]
-        table[n] = Reduction(
+        table[n] = built[key] = Reduction(
             SparseIntMatrix.from_entries(len(below), len(crit), d_red),
             SparseIntMatrix.from_entries(size, len(crit), f),
             SparseIntMatrix.from_entries(len(crit), size, g),
@@ -468,6 +474,24 @@ def _reduced_differential(data: MonopoleData, flavor: Flavor,
     if flavor in REDUCED_FLAVORS:
         return _reduced(data, flavor, n).differential
     return _differential(data, flavor, n)
+
+
+@per_dataset
+def _product(data, a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
+    # memoised by content: a degree outside the band costs no product
+    return a.mul(b)
+
+
+def _carried(data, chain: SparseIntMatrix, source: Flavor, n: int,
+             target: Flavor, m: int) -> SparseIntMatrix:
+    """A chain map from source in degree n to target in degree m, carried
+    to the reductions as g_target(m) . chain . f_source(n); a flavor
+    without pairs is its own reduction."""
+    if target in REDUCED_FLAVORS:
+        chain = _product(data, _reduced(data, target, m).g, chain)
+    if source in REDUCED_FLAVORS:
+        chain = _product(data, chain, _reduced(data, source, n).f)
+    return chain
 
 
 def _same(data: MonopoleData, gen: Generator):

@@ -4,7 +4,9 @@ Every degree gets a pinned presentation: a primitive basis of the cycle
 lattice, the boundary columns expressed in it, and generators read off the
 Smith form.  Graded reports carry the in-window groups plus symbolic
 2-periodic tail descriptors whose periodicity was verified on the complex
-itself.  Chain maps induce matrices on the recorded generators.
+itself.  Chain maps induce matrices on the recorded generators of the
+certified reductions (complexes._reduced), which carry the classes of the
+full complexes through f and g.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _differential, _distinct_degrees, _kept, \
+    _band_degree, _carried, _differential, _distinct_degrees, _kept, \
     _reduced_differential, checked_window, require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
@@ -85,7 +87,8 @@ class ChainMapSlice:
 class HomologyClassMap:
     """Action on homology: the degree-n matrix sends coordinates on the
     recorded source generators at n to coordinates on the recorded target
-    generators at n + shift."""
+    generators at n + shift, both of the certified reductions
+    (_reduced_presentation)."""
 
     source: Flavor
     target: Flavor
@@ -216,10 +219,13 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
 def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
                         chain_map: ChainMapSlice,
                         window: tuple[int, int]) -> HomologyClassMap:
-    """Action of a chain map on the recorded homology generators.
+    """Action of a chain map on the recorded homology generators of the
+    certified reductions (_reduced_presentation).
 
-    Commutation with the differentials is checked over the window plus one
-    degree of margin; failure raises NotChainMap with the offending degree.
+    Commutation with the unreduced differentials is checked over the window
+    plus one degree of margin, since a map carried as g . map . f could
+    hide a failure; it raises NotChainMap with the offending degree.  The
+    map is then carried with complexes._carried.
     """
     lo, hi = checked_window(data, window)
     if chain_map.source is not source or chain_map.target is not target:
@@ -240,17 +246,20 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         if d_target.mul(mat) != mat_prev.mul(d_source):
             raise NotChainMap(n)
 
-    # presentations are memoised by content, so equal ones are one object
-    def inputs(n):
-        return (presentation_at(data, source, n),
-                presentation_at(data, target, n + shift),
-                chain_map.matrices[n])
-
-    induced = {(src, tgt, mat): SparseIntMatrix.from_columns(
-        len(tgt.generators),
-        [tgt.coordinate_of(mat.apply(g.vector)) for g in src.generators])
-        for _, (src, tgt, mat) in _distinct_degrees(range(lo, hi + 1), inputs)}
-    matrices = {n: induced[inputs(n)] for n in range(lo, hi + 1)}
+    # reduced presentations and carried matrices are memoised by content,
+    # so equal ones are one object
+    induced, matrices = {}, {}
+    for n in range(lo, hi + 1):
+        key = src, tgt, mat = (
+            _reduced_presentation(data, source, n),
+            _reduced_presentation(data, target, n + shift),
+            _carried(data, chain_map.matrices[n], source, n, target,
+                     n + shift))
+        if key not in induced:
+            induced[key] = SparseIntMatrix.from_columns(
+                len(tgt.generators), [tgt.coordinate_of(mat.apply(g.vector))
+                                      for g in src.generators])
+        matrices[n] = induced[key]
     return HomologyClassMap(source, target, shift, (lo, hi), matrices)
 
 

@@ -107,21 +107,6 @@ class SparseIntMatrix:
             (i, j, v) for (i, j), v in sorted(acc.items()) if v))
 
     @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]],
-                   cols: int | None = None) -> "SparseIntMatrix":
-        rows = len(dense)
-        if cols is None:
-            cols = len(dense[0]) if rows else 0
-        items = []
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense matrix")
-            for j, v in enumerate(row):
-                if v:
-                    items.append((i, j, v))
-        return cls(rows, cols, tuple(items))
-
-    @classmethod
     def from_columns(cls, rows: int,
                      columns: Sequence[Sequence[int]]) -> "SparseIntMatrix":
         items = []

@@ -9,22 +9,22 @@ torsion failures cannot hide behind rank counts.  Both sequences and the
 reduced group run on the certified reductions of complexes._reduced: each
 chain map is carried there as g_target . map . f_source, which is the
 original map conjugated by isomorphisms on homology, so every invariant
-and verdict is the unreduced one.  So does the hat sequence's check that u
-and omega-inverse agree on homology, once both are shown to commute with
-the unreduced differential.
+and verdict is the unreduced one.  So does connecting_delta, and so does
+the hat sequence's check that u and omega-inverse agree on homology, which
+is actions.u_module_structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import u_chain_map
+from .actions import u_module_structure
 from .complexes import (
     REDUCED_FLAVORS,
     Flavor,
     MonopoleData,
+    _carried,
     _differential,
-    _distinct_degrees,
     _identification,
     _image_terms,
     _kept,
@@ -33,11 +33,10 @@ from .complexes import (
     _selection,
     checked_window,
     require_valid,
-    structural_map,
 )
 from .data import CheckFailed, per_dataset
-from .homology import GradedAbelianGroup, NotChainMap, Tail, TRIVIAL, \
-    _quotient, _reduced_presentation, presentation_at
+from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
+    _reduced_presentation
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -117,12 +116,15 @@ def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
 
 
 def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
-    """Matrix of the connecting map on recorded generators, degree n of
-    Plus to degree n - 1 of Minus.
+    """Matrix of the connecting map on the recorded generators of the
+    certified reductions, degree n of Plus to degree n - 1 of Minus.
 
-    Checks that each lifted cycle's boundary lies in the Minus subcomplex
-    and that lifting a Plus boundary yields the zero class, so the result
-    does not depend on the chosen representatives.
+    The representatives are f applied to the reduced Plus generators.  On
+    the unreduced complexes, checks that each lifted cycle's boundary lies
+    in the Minus subcomplex and that lifting a Plus boundary yields the
+    zero class, so the result does not depend on the chosen
+    representatives; classes are read through g on the reduced Minus
+    homology.
     """
     require_valid(data)
     # the Infinity boundaries of lifted Plus chains
@@ -131,23 +133,23 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
                         _kept(data, Flavor.PLUS, n))
     restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
     back = _identification(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
-    source = presentation_at(data, Flavor.PLUS, n)
-    target = presentation_at(data, Flavor.MINUS, n - 1)
+    source = _reduced_presentation(data, Flavor.PLUS, n)
+    target = _reduced_presentation(data, Flavor.MINUS, n - 1)
+    g = _reduced(data, Flavor.MINUS, n - 1).g
 
-    reps = SparseIntMatrix.from_columns(
-        lifted.cols, [list(g.vector) for g in source.generators])
-    raw = lifted.mul(reps)
+    raw = lifted.mul(_images_of_classes(
+        source, _reduced(data, Flavor.PLUS, n).f))
     boundaries = _differential(data, Flavor.PLUS, n + 1)
     raw_bd = lifted.mul(boundaries)
     for vectors in (raw, raw_bd):
         if vectors != back.mul(restrict.mul(vectors)):
             raise CheckFailed(n, "a lifted boundary escapes the subcomplex")
-    for col in restrict.mul(raw_bd).columns():
+    for col in g.mul(restrict.mul(raw_bd)).columns():
         if not target.is_zero_class(col):
             raise CheckFailed(n, "the connecting map depends on the lift")
 
     columns = [target.coordinate_of(col)
-               for col in restrict.mul(raw).columns()]
+               for col in g.mul(restrict.mul(raw)).columns()]
     return SparseIntMatrix.from_columns(len(target.generators), columns)
 
 
@@ -161,24 +163,6 @@ def _images_of_classes(pres: QuotientPresentation,
     return SparseIntMatrix.from_columns(
         chain_map.rows,
         [chain_map.apply(g.vector) for g in pres.generators])
-
-
-@per_dataset
-def _product(data, a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    # memoised by content: a degree outside the band costs no product
-    return a.mul(b)
-
-
-def _carried(data, chain: SparseIntMatrix, source: Flavor, n: int,
-             target: Flavor, m: int) -> SparseIntMatrix:
-    """A chain map from source in degree n to target in degree m, carried
-    to the reductions as g_target(m) . chain . f_source(n); a flavor
-    without pairs is its own reduction."""
-    if target in REDUCED_FLAVORS:
-        chain = _product(data, _reduced(data, target, m).g, chain)
-    if source in REDUCED_FLAVORS:
-        chain = _product(data, chain, _reduced(data, source, n).f)
-    return chain
 
 
 @per_dataset
@@ -318,52 +302,21 @@ def hf_red(data: MonopoleData,
 # the hat sequence
 # ---------------------------------------------------------------------------
 
-def _check_u_action(data: MonopoleData, lo: int, hi: int) -> None:
-    """u and omega-inverse on Plus induce the same map on homology.
-
-    Both must commute with the unreduced D in degrees lo..hi + 1, else
-    NotChainMap: carried to the reduction as g . map . f, a map that fails
-    to commute could still look like one.  Then, in each window degree n,
-    the carried maps must send every recorded class of the reduced Plus
-    homology at n to the same class at n - 2, else CheckFailed."""
-    maps = (lambda n: u_chain_map(data, Flavor.PLUS, n),
-            lambda n: structural_map(data, "omega_inverse", Flavor.PLUS, n))
-    for chain in maps:
-        for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
-                range(lo, hi + 2), lambda n: (
-                    _differential(data, Flavor.PLUS, n - 2), chain(n),
-                    chain(n - 1), _differential(data, Flavor.PLUS, n))):
-            if d_target.mul(mat) != mat_prev.mul(d_source):
-                raise NotChainMap(n)
-
-    for n, (source, target, u, omega) in _distinct_degrees(
-            range(lo, hi + 1), lambda n: (
-                _reduced_presentation(data, Flavor.PLUS, n),
-                _reduced_presentation(data, Flavor.PLUS, n - 2),
-                *(_carried(data, chain(n), Flavor.PLUS, n, Flavor.PLUS, n - 2)
-                  for chain in maps))):
-        for gen in source.generators:
-            if target.coordinate_of(u.apply(gen.vector)) != \
-                    target.coordinate_of(omega.apply(gen.vector)):
-                raise CheckFailed(
-                    n, "induced u differs from induced omega-inverse")
-
-
 def check_les_hat(data: MonopoleData,
                   window: tuple[int, int] | None = None) -> HatSequenceReport:
     """Exactness of Hat into Plus, omega-inverse down two degrees, closed
     by the section-and-differential connecting map.
 
     The induced middle map is computed both from u and from omega-inverse
-    and checked equal on the reduced Plus homology (by _check_u_action)
-    before the node checks run; the report also records whether Hat and
-    Plus homology vanish together over the window.
+    and checked equal on homology (by u_module_structure) before the node
+    checks run; the report also records whether Hat and Plus homology
+    vanish together over the window.
     """
     lo, hi = checked_window(data, window)
-    _check_u_action(data, lo, hi)
+    u_module_structure(data, Flavor.PLUS, (lo, hi))
     nodes = _sequence_nodes(data, _HAT, lo, hi)
     hat_nonzero = any(
-        not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
+        not _reduced_presentation(data, Flavor.HAT, n).invariants.is_trivial
         for n in range(lo, hi + 1))
     plus_nonzero = any(
         not _reduced_presentation(data, Flavor.PLUS, n).invariants.is_trivial

@@ -36,9 +36,7 @@ from .intlinalg import (
     Lattice,
     QuotientPresentation,
     SparseIntMatrix,
-    column_space_basis,
     hstack,
-    preimage_lattice,
 )
 
 __all__ = [
@@ -148,21 +146,6 @@ def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
     columns = [target.coordinate_of(d_n.apply(g.vector))
                for g in source.generators]
     return SparseIntMatrix.from_columns(len(target.generators), columns)
-
-
-def _page_homology_invariants(data: MonopoleData, flavor: Flavor, r: int,
-                              p: int, n: int) -> AbelianGroupInvariants:
-    """Kernel modulo image of the page-r differentials at one cell,
-    computed on the underlying lattices."""
-    lattice = _a_lattice(data, flavor, n, p, r).basis
-    target_den = _den_lattice(data, flavor, r, p - r, n - 1)
-    pre = preimage_lattice(
-        _differential(data, flavor, n).mul(lattice), target_den)
-    numerator = column_space_basis(lattice.mul(pre))
-    image = _differential(data, flavor, n + 1).mul(
-        _a_lattice(data, flavor, n + 1, p + r, r).basis)
-    denominator = hstack(_den_lattice(data, flavor, r, p, n), image)
-    return QuotientPresentation(numerator, denominator).invariants
 
 
 def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,

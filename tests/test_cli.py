@@ -194,10 +194,10 @@ def test_structure_mismatch_exits_one(tmp_path, capsys):
 def test_les_hat_reports_a_failed_check(tmp_path, capsys, monkeypatch):
     import monofloer.sequences as sequences
 
-    def failing(data, lo, hi):
+    def failing(data, flavor, window):
         raise CheckFailed(0, "induced u differs from induced omega-inverse")
 
-    monkeypatch.setattr(sequences, "_check_u_action", failing)
+    monkeypatch.setattr(sequences, "u_module_structure", failing)
     path = write_dataset(tmp_path, by_name("two-step"))
     code, out, err = run(capsys, ["les", "hat", path])
     assert code == 1

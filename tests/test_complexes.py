@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import oracle
@@ -441,6 +443,34 @@ def test_reduced_slices_hold_at_most_two_generators():
         for n in range(lo, hi + 1):
             critical = _reduced(data, flavor, n).f.cols
             assert critical <= most, (flavor, n, critical)
+
+
+def _tables_digest(tables):
+    digest = hashlib.sha256()
+    for table in tables:
+        for n in sorted(table):
+            for mat in table[n]:
+                digest.update(repr((n, mat.rows, mat.cols,
+                                    mat.entries)).encode())
+    return digest.hexdigest()
+
+
+# the Minus, Infinity and Plus tables of the curated datasets and the
+# 50-point instance, as built when every band degree built its own
+REDUCTION_TABLES = \
+    "02fb8d249d3d39685a9b077af895e3df463297b40b5c488dc9781d4eb1598979"
+
+
+def test_infinity_builds_one_reduction_per_parity():
+    """Infinity keeps every position in every degree, so its band degrees
+    share at most two Reductions, one per parity; sharing leaves every
+    table unchanged by content."""
+    datasets = [*curated_instances(), performance_instance()]
+    for data in datasets:
+        table = _reduce(data, Flavor.INFINITY)
+        assert len({id(red) for red in table.values()}) <= 2, data.name
+    assert _tables_digest(_reduce(data, flavor) for data in datasets
+                          for flavor in REDUCED_FLAVORS) == REDUCTION_TABLES
 
 
 def test_a_long_m_chain_reduces_exactly_with_big_coefficients():

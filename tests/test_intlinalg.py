@@ -21,7 +21,15 @@ from monofloer.intlinalg import (
 
 
 def M(dense, cols=None):
-    return SparseIntMatrix.from_dense(dense, cols=cols)
+    """The sparse matrix with these dense rows; cols gives the width of a
+    matrix with no rows."""
+    if cols is None:
+        cols = len(dense[0]) if dense else 0
+    if any(len(row) != cols for row in dense):
+        raise ValueError("ragged dense matrix")
+    return SparseIntMatrix.from_entries(len(dense), cols, [
+        (i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row)
+        if v])
 
 
 def in_span(lattice, vectors):
@@ -328,7 +336,6 @@ def test_public_constructors_reject_malformed_input():
         lambda: SparseIntMatrix.from_entries(2, 2, [(2, 0, 1)]),
         lambda: SparseIntMatrix.from_entries(2, 2, [(0, -1, 1)]),
         lambda: SparseIntMatrix.from_columns(2, [[1, 0], [1]]),
-        lambda: SparseIntMatrix.from_dense([[1, 0], [1]]),
         lambda: SparseIntMatrix.identity(-1),
         lambda: SparseIntMatrix.zero(0, -1),
         lambda: SparseIntMatrix.identity(3).select([1, 0], [0, 1]),

@@ -17,24 +17,27 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms
+from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms, u_chain_map, \
+    u_module_structure
 from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
     REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
     _band_degree, _certify, _differential, _identification, _image_terms, \
-    _reduction, _rule_matrix, _slice, _slice_map, check_d_squared, \
-    default_window
+    _reduced, _reduction, _rule_matrix, _slice, _slice_map, \
+    check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
-    generate_instances, invalid_instance, reverse_orientation, serialize, \
-    validate
+    curated_instances, generate_instances, invalid_instance, \
+    reverse_orientation, serialize, validate
 from monofloer.duality import _cohomology_at, _pairing_with, duality_check
 from monofloer.homology import _reduced_presentation, graded_homology, \
-    homology_at
+    homology_at, induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
-from monofloer.sequences import _delta_chain, _hat_delta_chain
+from monofloer.sequences import _delta_chain, _hat_delta_chain, \
+    connecting_delta
 from test_complexes import compare_with_oracle, oracle_dataset
 
 POOL = generate_instances(2026, 6, 60)
@@ -115,6 +118,63 @@ def test_reduced_homology_matches_the_oracle(pair):
             free, torsion = oracle.oracle_homology_at(blob, flavor.value, n)
             assert (got.free_rank, list(got.torsion)) == (free, torsion), (
                 data.name, flavor, n)
+
+
+def _reduced_class(data, flavor, n, cycle):
+    """The class of a cycle of the full complex, read through g on the
+    recorded generators of the reduced presentation."""
+    if flavor in REDUCED_FLAVORS:
+        cycle = _reduced(data, flavor, n).g.apply(cycle)
+    return _reduced_presentation(data, flavor, n).coordinate_of(cycle)
+
+
+def _class_maps(data, window):
+    """(source, target, shift, induced matrices, chain map at n) for the
+    u-action on each u-flavor, projection_plus and the connecting map."""
+    lo, hi = window
+    for flavor in _U_FLAVORS:
+        yield (flavor, flavor, -2,
+               u_module_structure(data, flavor, window).matrices,
+               lambda n, flavor=flavor: u_chain_map(data, flavor, n))
+    projection = structural_chain_map(data, "projection_plus", window)
+    yield (Flavor.INFINITY, Flavor.PLUS, 0, induced_on_homology(
+        data, Flavor.INFINITY, Flavor.PLUS, projection, window).matrices,
+        lambda n: projection.matrices[n])
+    yield (Flavor.PLUS, Flavor.MINUS, -1,
+           {n: connecting_delta(data, n) for n in range(lo, hi + 1)},
+           lambda n: _delta_chain(data, n))
+
+
+def assert_class_maps_commute(data):
+    """For each window degree n and each recorded generator z of the full
+    complex's presentation_at, the class of g M z is the induced matrix
+    applied to the class of g z, torsion coordinates taken mod their
+    orders.  presentation_at, g and the chain map M are built without the
+    f that the induced matrices are carried through."""
+    lo, hi = window = default_window(data)
+    for source, target, shift, matrices, chain_at in _class_maps(data, window):
+        for n in range(lo, hi + 1):
+            orders = [gen.order for gen in _reduced_presentation(
+                data, target, n + shift).generators]
+            for z in presentation_at(data, source, n).generators:
+                want = _reduced_class(data, target, n + shift,
+                                      chain_at(n).apply(z.vector))
+                got = matrices[n].apply(
+                    _reduced_class(data, source, n, z.vector))
+                assert tuple(v % d if d else v for v, d in zip(
+                    got, orders)) == want, (data.name, source, target, n)
+
+
+@pytest.mark.parametrize("data", curated_instances(),
+                         ids=lambda data: data.name)
+def test_class_maps_commute_on_the_curated_datasets(data):
+    assert_class_maps_commute(data)
+
+
+@settings(SETTINGS, max_examples=8)
+@given(gauged)
+def test_class_maps_commute_on_gauged_datasets(pair):
+    assert_class_maps_commute(pair[1])
 
 
 @settings(SETTINGS, max_examples=100)

@@ -247,8 +247,9 @@ def test_les_hat_exact_on_curated():
 def test_les_hat_rejects_omega_inverse_missing_the_u_tower(monkeypatch):
     """omega-inverse on Plus replaced by zero, a chain map that misses the
     U-tower: the u-check fails at the first window degree where u acts
-    non-trivially on Plus homology, by the unreduced u_module_structure."""
-    import monofloer.sequences as sequences
+    non-trivially on Plus homology, as u_module_structure computes it
+    before the patch."""
+    import monofloer.homology as homology
     from monofloer.actions import u_module_structure
 
     data = by_name("tail-chain")
@@ -256,7 +257,7 @@ def test_les_hat_rejects_omega_inverse_missing_the_u_tower(monkeypatch):
     induced = u_module_structure(data, Flavor.PLUS, (lo, hi))
     first = next(n for n in range(lo, hi + 1)
                  if not induced.matrices[n].is_zero())
-    real = sequences.structural_map
+    real = homology.structural_map
 
     def zero_omega_inverse(data, which, flavor, n):
         mat = real(data, which, flavor, n)
@@ -264,7 +265,7 @@ def test_les_hat_rejects_omega_inverse_missing_the_u_tower(monkeypatch):
             return mat
         return SparseIntMatrix.from_entries(mat.rows, mat.cols, [])
 
-    monkeypatch.setattr(sequences, "structural_map", zero_omega_inverse)
+    monkeypatch.setattr(homology, "structural_map", zero_omega_inverse)
     with pytest.raises(CheckFailed) as info:
         check_les_hat(data, (lo, hi))
     assert type(info.value) is CheckFailed
@@ -275,7 +276,7 @@ def test_les_hat_rejects_omega_inverse_missing_the_u_tower(monkeypatch):
 def test_les_hat_rejects_a_u_that_is_not_a_chain_map(monkeypatch):
     """u doubled in one degree n where D u(n) is non-zero fails D u = u D
     first at n; carried to the reduction it could still look like one."""
-    import monofloer.sequences as sequences
+    import monofloer.actions as actions
     from monofloer.actions import u_chain_map
     from monofloer.complexes import differential_matrix
 
@@ -292,7 +293,7 @@ def test_les_hat_rejects_a_u_that_is_not_a_chain_map(monkeypatch):
         mat = u_chain_map(data, flavor, n)
         return mat.add(mat) if n == bad else mat
 
-    monkeypatch.setattr(sequences, "u_chain_map", doubled_once)
+    monkeypatch.setattr(actions, "u_chain_map", doubled_once)
     with pytest.raises(NotChainMap) as info:
         check_les_hat(data, (lo, hi))
     assert info.value.degree == bad

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from monofloer.complexes import Flavor, default_window
+from monofloer.complexes import Flavor, _differential, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances
-from monofloer.intlinalg import AbelianGroupInvariants
+from monofloer.intlinalg import AbelianGroupInvariants, \
+    QuotientPresentation, column_space_basis, hstack, preimage_lattice
 from monofloer.spectral import (
+    _a_lattice,
+    _den_lattice,
     delta_map,
     nonequivariant_floer,
     spectral_pages,
@@ -138,9 +141,21 @@ def test_even_pages_have_zero_differentials():
                 assert mat.is_zero(), (label, page.r)
 
 
-def test_next_page_is_cellwise_homology():
-    from monofloer.spectral import _page_homology_invariants, _cell
+def _page_homology_invariants(data, flavor, r, p, n):
+    """Kernel modulo image of the page-r differentials at one cell,
+    computed on the underlying lattices."""
+    lattice = _a_lattice(data, flavor, n, p, r).basis
+    target_den = _den_lattice(data, flavor, r, p - r, n - 1)
+    pre = preimage_lattice(
+        _differential(data, flavor, n).mul(lattice), target_den)
+    numerator = column_space_basis(lattice.mul(pre))
+    image = _differential(data, flavor, n + 1).mul(
+        _a_lattice(data, flavor, n + 1, p + r, r).basis)
+    denominator = hstack(_den_lattice(data, flavor, r, p, n), image)
+    return QuotientPresentation(numerator, denominator).invariants
 
+
+def test_next_page_is_cellwise_homology():
     for label in ("two-step", "tail-chain"):
         data = by_name(label)
         pages = spectral_pages(data, Flavor.PLUS, 3)
