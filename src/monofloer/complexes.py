@@ -365,24 +365,25 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     i_M A^-1 p_U, each column read off one _flow, which adds -A^-1 of
     what it cancels.  Degree n reads only n's parity and the kept positions
     of degrees n - 2 to n + 1, so degrees that agree on these share one
-    Reduction: Infinity, which keeps every position, builds two."""
+    Reduction, built at the first of them from the pairs of degrees n - 1
+    to n + 1 alone: Infinity, which keeps every position, builds two."""
     lo, hi = _band(data)
-    pairs = {n: _pairs(data, flavor, n) for n in range(lo - 1, hi + 2)}
-    columns = {n: _columns(_differential(data, flavor, n))
-               for n in range(lo, hi + 2)}
+    key = {n: (n % 2, *(_kept(data, flavor, m) for m in range(n - 2, n + 2)))
+           for n in range(lo, hi + 1)}
+    first = {k: n for n, k in reversed(key.items())}
+    near = {n + d for n in first.values() for d in (-1, 0)}
+    pairs = {m: _pairs(data, flavor, m) for m in near | {m + 1 for m in near}}
+    columns = {m + 1: _columns(_differential(data, flavor, m + 1))
+               for m in near}
     critical, steps = {}, {}
-    for m in range(lo - 1, hi + 1):
+    for m in near:
         paired = {i for i, _, _ in pairs[m]} | {j for _, j, _ in pairs[m + 1]}
         critical[m] = {p: c for c, p in enumerate(
             p for p in range(len(_kept(data, flavor, m))) if p not in paired)}
         steps[m] = {j: (-grading, i, columns[m + 1][i])
                     for i, j, grading in pairs[m + 1]}
-    table, built = {}, {}
-    for n in range(lo, hi + 1):
-        key = (n % 2, *(_kept(data, flavor, m) for m in range(n - 2, n + 2)))
-        if key in built:
-            table[n] = built[key]
-            continue
+    built = {}
+    for k, n in first.items():
         crit, below = critical[n], critical[n - 1]
         size = len(_kept(data, flavor, n))
         d_red, f, g, h = [], [], [], []
@@ -395,13 +396,13 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
             rest, added = _flow(steps[n], {p: 1})
             g += [(crit[r], p, v) for r, v in rest.items() if r in crit]
             h += [(i, p, -v) for i, v in added.items()]
-        table[n] = built[key] = Reduction(
+        built[k] = Reduction(
             SparseIntMatrix.from_entries(len(below), len(crit), d_red),
             SparseIntMatrix.from_entries(size, len(crit), f),
             SparseIntMatrix.from_entries(len(crit), size, g),
             SparseIntMatrix.from_entries(
                 len(_kept(data, flavor, n + 1)), size, h))
-    return table
+    return {n: built[k] for n, k in key.items()}
 
 
 def _certify(data: MonopoleData, flavor: Flavor,

@@ -30,7 +30,7 @@ from .complexes import (
 from .data import CheckFailed, MonopoleData, _toggle_id, per_dataset, \
     reverse_orientation
 from .homology import GradedAbelianGroup, _kernel, _quotient, \
-    _reduced_presentation
+    presentation_at
 from .intlinalg import AbelianGroupInvariants, SparseIntMatrix
 
 __all__ = [
@@ -241,8 +241,7 @@ def duality_check(data: MonopoleData,
                 (minus_vs_plus, Flavor.MINUS, Flavor.PLUS, -2 - n),
                 (hat_vs_hat, Flavor.HAT, Flavor.HAT, -n)):
             left = _cohomology_at(data, flavor, n)
-            right = _reduced_presentation(rev, partner,
-                                          partner_degree).invariants
+            right = presentation_at(rev, partner, partner_degree).invariants
             if left != right:
                 raise CheckFailed(
                     n, f"cohomology {left} does not match the "

@@ -1,12 +1,13 @@
 """Homology of the flavored complexes, with recorded generators.
 
-Every degree gets a pinned presentation: a primitive basis of the cycle
-lattice, the boundary columns expressed in it, and generators read off the
-Smith form.  Graded reports carry the in-window groups plus symbolic
-2-periodic tail descriptors whose periodicity was verified on the complex
-itself.  Chain maps induce matrices on the recorded generators of the
-certified reductions (complexes._reduced), which carry the classes of the
-full complexes through f and g.
+Every degree gets a pinned presentation, read on the certified reduction
+of complexes._reduced: a primitive basis of the cycle lattice, the boundary
+columns expressed in it, and generators read off the Smith form.  The
+reduction is a homotopy equivalence, so the groups are those of the full
+complex, in the coordinates of the critical generators.  Graded reports
+carry the in-window groups plus symbolic 2-periodic tail descriptors whose
+periodicity was verified on the complex itself.  Chain maps induce matrices
+on the same recorded generators, carried there through f and g.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class ChainMapSlice:
 class HomologyClassMap:
     """Action on homology: the degree-n matrix sends coordinates on the
     recorded source generators at n to coordinates on the recorded target
-    generators at n + shift, both of the certified reductions
-    (_reduced_presentation)."""
+    generators at n + shift, both read by presentation_at on the certified
+    reductions."""
 
     source: Flavor
     target: Flavor
@@ -114,23 +115,17 @@ def _quotient(data: MonopoleData, z: Lattice,
 @per_dataset
 def presentation_at(data: MonopoleData, flavor: Flavor,
                     n: int) -> QuotientPresentation:
-    """Cycle lattice, boundary columns, and pinned generators in degree n.
+    """Cycle lattice, boundary columns, and pinned generators in degree n,
+    on the certified reduction (complexes._reduced): the homology of the
+    full complex, with cycles and generators in the coordinates of the
+    critical generators.  A flavor without pairs is its own reduction.
+    Raises the certificate's CheckFailed if the reduction fails it.
     Outside the band of complexes._band this is the same object as at the
     band-edge degree of n's parity."""
     require_valid(data)
     edge = _band_degree(data, n)
     if edge != n:
         return presentation_at(data, flavor, edge)
-    return _quotient(data, _kernel(data, _differential(data, flavor, n)),
-                     _differential(data, flavor, n + 1))
-
-
-def _reduced_presentation(data: MonopoleData, flavor: Flavor,
-                          n: int) -> QuotientPresentation:
-    """presentation_at on the certified reduction (complexes._reduced):
-    the same invariants, with cycles and generators in the coordinates of
-    the critical generators.  A flavor without pairs is its own reduction,
-    and this is its presentation_at."""
     return _quotient(data,
                      _kernel(data, _reduced_differential(data, flavor, n)),
                      _reduced_differential(data, flavor, n + 1))
@@ -186,7 +181,8 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
     """Homology across the window plus tail descriptors where the complex is
     verified to repeat with period two (or to vanish) beyond the edges."""
     lo, hi = checked_window(data, window)
-    groups = {n: homology_at(data, flavor, n) for n in range(lo, hi + 1)}
+    groups = {n: homology_at(data, flavor, _band_degree(data, n))
+              for n in range(lo, hi + 1)}
     band_lo, band_hi = _band(data)
 
     # Infinity repeats with period two in every degree, the truncated
@@ -219,8 +215,8 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
 def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
                         chain_map: ChainMapSlice,
                         window: tuple[int, int]) -> HomologyClassMap:
-    """Action of a chain map on the recorded homology generators of the
-    certified reductions (_reduced_presentation).
+    """Action of a chain map on the recorded homology generators of
+    presentation_at, which live on the certified reductions.
 
     Commutation with the unreduced differentials is checked over the window
     plus one degree of margin, since a map carried as g . map . f could
@@ -251,8 +247,8 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
     induced, matrices = {}, {}
     for n in range(lo, hi + 1):
         key = src, tgt, mat = (
-            _reduced_presentation(data, source, n),
-            _reduced_presentation(data, target, n + shift),
+            presentation_at(data, source, n),
+            presentation_at(data, target, n + shift),
             _carried(data, chain_map.matrices[n], source, n, target,
                      n + shift))
         if key not in induced:

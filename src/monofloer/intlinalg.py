@@ -1,14 +1,14 @@
 """Exact integer matrix algebra.
 
-Smith normal form, kernels, cokernel invariants, preimages, and quotient
-presentations with recorded generators.  `kernel_basis` and
-`column_space_basis` return a `Lattice`: an independent basis together with
-the coordinate map of the factorization that produced it, so coordinates in
-the lattice, and membership, cost one sparse product and no further
-reduction.  `QuotientPresentation` is the one quotient routine: it answers
-subquotient invariants, class coordinates and membership in its numerator
-lattice (`contains`) through that map.  This is the computational substrate
-for every homology calculation in the package.
+Kernels, column spaces, preimages, and quotient presentations with
+recorded generators, each read off a Smith factorization.  `kernel_basis`
+and `column_space_basis` return a `Lattice`: an independent basis together
+with the coordinate map of the factorization that produced it, so
+coordinates in the lattice, and membership, cost one sparse product and no
+further reduction.  `QuotientPresentation` is the one quotient routine: it
+answers subquotient invariants, class coordinates and membership in its
+numerator lattice (`contains`) through that map.  This is the computational
+substrate for every homology calculation in the package.
 
 All arithmetic is arbitrary precision and every result is exact.  Matrices
 are immutable values; a matrix with r rows and c columns represents a
@@ -22,12 +22,9 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "SparseIntMatrix",
-    "SnfResult",
     "AbelianGroupInvariants",
     "ContainmentError",
     "Lattice",
-    "smith_normal_form",
-    "cokernel_invariants",
     "kernel_basis",
     "column_space_basis",
     "preimage_lattice",
@@ -218,18 +215,6 @@ def hstack(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
         raise ValueError("row mismatch in hstack")
     items = list(a.entries) + [(i, j + a.cols, v) for (i, j, v) in b.entries]
     return SparseIntMatrix.from_entries(a.rows, a.cols + b.cols, items)
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """U * M * V = S with U, V unimodular and S diagonal, d_1 | d_2 | ..."""
-
-    U: SparseIntMatrix
-    S: SparseIntMatrix
-    V: SparseIntMatrix
-
-    def diagonal(self) -> list[int]:
-        return [v for (i, j, v) in self.S.entries if i == j]
 
 
 @dataclass(frozen=True)
@@ -582,23 +567,6 @@ class Lattice:
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
-    """Factor U * mat * V = S, diagonal with the divisibility chain."""
-    f = _Factorization(mat, track_u=True, track_v=True)
-    return SnfResult(
-        _row_block(f.u.lines, range(mat.rows), mat.rows),
-        SparseIntMatrix(mat.rows, mat.cols,
-                        tuple((i, i, d) for i, d in enumerate(f.diag))),
-        _row_block(f.v.lines, range(mat.cols), mat.cols).transpose())
-
-
-def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
-    """Invariants of Z^rows / im(mat)."""
-    f = _Factorization(mat)
-    return AbelianGroupInvariants(
-        mat.rows - f.rank, tuple(d for d in f.diag if d > 1))
-
 
 def kernel_basis(mat: SparseIntMatrix) -> Lattice:
     """ker(mat) with a primitive basis, columns rank: of V; the

@@ -36,7 +36,7 @@ from .complexes import (
 )
 from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
-    _reduced_presentation
+    presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -133,8 +133,8 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
                         _kept(data, Flavor.PLUS, n))
     restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
     back = _identification(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
-    source = _reduced_presentation(data, Flavor.PLUS, n)
-    target = _reduced_presentation(data, Flavor.MINUS, n - 1)
+    source = presentation_at(data, Flavor.PLUS, n)
+    target = presentation_at(data, Flavor.MINUS, n - 1)
     g = _reduced(data, Flavor.MINUS, n - 1).g
 
     raw = lifted.mul(_images_of_classes(
@@ -225,14 +225,14 @@ def _node(data: MonopoleData, sequence, i: int, n: int) -> NodeReport:
                         m + shifts[j])
 
     flavor, m = flavors[i], n - shifts[i - 1]
-    pres = _reduced_presentation(data, flavor, n)
+    pres = presentation_at(data, flavor, n)
     if pres.invariants.is_trivial:
         # the image lies in the kernel, which lies in zero homology
         return NodeReport(n, names[i], TRIVIAL, TRIVIAL, True, None)
     image, kernel, witness = _exactness(
         data, pres.lattice.basis,
         _reduced_differential(data, flavor, n + 1),
-        _images_of_classes(_reduced_presentation(data, flavors[i - 1], m),
+        _images_of_classes(presentation_at(data, flavors[i - 1], m),
                            chain_map((i - 1) % 3, m)),
         chain_map(i, n),
         _reduced_differential(data, flavors[(i + 1) % 3], n + shifts[i] + 1))
@@ -265,11 +265,11 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
     kernel at n - 1; raises CheckFailed if they differ."""
     images = _images_of_classes(
-        _reduced_presentation(data, Flavor.INFINITY, n),
+        presentation_at(data, Flavor.INFINITY, n),
         _carried(data, _identification(data, Flavor.INFINITY, Flavor.PLUS, n),
                  Flavor.INFINITY, n, Flavor.PLUS, n))
     coker = _quotient(
-        data, _reduced_presentation(data, Flavor.PLUS, n).lattice,
+        data, presentation_at(data, Flavor.PLUS, n).lattice,
         hstack(_reduced_differential(data, Flavor.PLUS, n + 1),
                images)).invariants
 
@@ -316,10 +316,10 @@ def check_les_hat(data: MonopoleData,
     u_module_structure(data, Flavor.PLUS, (lo, hi))
     nodes = _sequence_nodes(data, _HAT, lo, hi)
     hat_nonzero = any(
-        not _reduced_presentation(data, Flavor.HAT, n).invariants.is_trivial
+        not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
         for n in range(lo, hi + 1))
     plus_nonzero = any(
-        not _reduced_presentation(data, Flavor.PLUS, n).invariants.is_trivial
+        not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
         for n in range(lo, hi + 1))
     return HatSequenceReport((lo, hi), nodes, hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

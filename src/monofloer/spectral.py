@@ -29,7 +29,7 @@ from .complexes import (
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
-    GradedAbelianGroup, _kernel, _quotient, _reduced_presentation
+    GradedAbelianGroup, _kernel, _quotient
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -336,8 +336,7 @@ def structure_theorem(data: MonopoleData,
             predicted[n] = AbelianGroupInvariants(base.free_rank - drop,
                                                   base.torsion)
 
-    actual = {n: _reduced_presentation(data, Flavor.PLUS, n).invariants
-              for n in range(lo, hi + 1)}
+    actual = {n: homology_at(data, Flavor.PLUS, n) for n in range(lo, hi + 1)}
     for n in range(lo, hi + 1):
         if predicted[n] != actual[n]:
             raise CheckFailed(

@@ -37,7 +37,8 @@ from monofloer.complexes import (
     generators_in_degree,
     structural_map,
 )
-from monofloer.intlinalg import SparseIntMatrix
+from monofloer.intlinalg import QuotientPresentation, SparseIntMatrix, \
+    kernel_basis
 from test_acceptance import performance_instance
 
 ALL_FLAVORS = tuple(Flavor)
@@ -160,6 +161,15 @@ def compare_with_oracle(data, blob, flavor, n):
         for j, gen_c in enumerate(mine_cols):
             rearranged[row_of[as_oracle_key(gen_r)]][col_of[as_oracle_key(gen_c)]] = mine[i][j]
     assert rearranged == ref, (data.name, flavor, n)
+
+
+def full_presentation(data, flavor, n):
+    """The degree-n presentation of the full complex, with no memo and no
+    reduction: the reference for the engine's presentations, which live on
+    the certified reductions, and the source of unreduced generators."""
+    return QuotientPresentation(
+        kernel_basis(differential_matrix(data, flavor, n)),
+        differential_matrix(data, flavor, n + 1))
 
 
 # -- d squared --------------------------------------------------------------
@@ -388,12 +398,27 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
     assert info.value.degree == n
 
 
-@pytest.mark.parametrize("label", BROKEN_REDUCTIONS)
-def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
-    """A Plus reduction that fails its certificate fails the five checks
-    that read it, at its degree, with exit 1 and no traceback.  duality
-    reads the dataset's Plus reduction, for the cohomology, before the
-    reversed dataset's, which is broken by the same patch."""
+# a reduction broken under the CLI: its flavor, how it is broken, and the
+# verify-all checks that read that flavor's reduction
+CLI_BROKEN = {
+    "h drops an entry": (Flavor.PLUS, "h drops an entry"),
+    "f flips a sign": (Flavor.PLUS, "f flips a sign"),
+    "Infinity, h drops an entry": (Flavor.INFINITY, "h drops an entry"),
+}
+READERS = {
+    Flavor.PLUS: ("les-main", "reduced-comparison", "les-hat", "structure",
+                  "duality"),
+    Flavor.INFINITY: ("infinity-pattern", "les-main", "reduced-comparison"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_BROKEN)
+def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, case):
+    """A reduction that fails its certificate fails the checks that read
+    it, at its degree, with exit 1 and no traceback, and so does the
+    homology of its flavor.  duality reads the dataset's Plus reduction,
+    for the cohomology, before the reversed dataset's, which is broken by
+    the same patch."""
     import io
     import json
     from contextlib import redirect_stderr, redirect_stdout
@@ -401,35 +426,39 @@ def test_verify_all_reports_a_broken_reduction(monkeypatch, tmp_path, label):
     import monofloer.complexes as complexes
     from monofloer.cli import main
 
+    flavor, label = CLI_BROKEN[case]
     real = complexes._reduce
     degrees = {}
 
-    def reduce_broken(data, flavor):
-        table = real(data, flavor)
-        if flavor is not Flavor.PLUS:
+    def reduce_broken(data, which):
+        table = real(data, which)
+        if which is not flavor:
             return table
         broken, n = _broken(data, table, *BROKEN_REDUCTIONS[label])
         degrees[data.name] = n
         return broken
 
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, str(path)])
+        assert code == 1
+        assert "Traceback" not in err.getvalue()
+        return json.loads(out.getvalue())["results"]
+
     monkeypatch.setattr(complexes, "_reduce", reduce_broken)
     data = by_name("tail-chain")
     path = tmp_path / "tail-chain.json"
     path.write_bytes(serialize(data))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify-all", str(path)])
-    assert code == 1
-    assert "Traceback" not in err.getvalue()
-    results = json.loads(out.getvalue())["results"]
+    results = run("verify-all")
     assert results["ok"] is False
     failed = {check["name"]: check["degree"] for check in results["checks"]
               if not check["ok"]}
-    assert failed == dict.fromkeys(
-        ("les-main", "reduced-comparison", "les-hat", "structure",
-         "duality"), degrees[data.name])
+    assert failed == dict.fromkeys(READERS[flavor], degrees[data.name])
     assert all(check == {"name": check["name"], "ok": True}
                for check in results["checks"] if check["name"] not in failed)
+    assert run("homology", "--flavor", flavor.value) == {
+        "ok": False, "degree": degrees[data.name]}
 
 
 def test_reduced_slices_hold_at_most_two_generators():
@@ -473,11 +502,24 @@ def test_infinity_builds_one_reduction_per_parity():
                           for flavor in REDUCED_FLAVORS) == REDUCTION_TABLES
 
 
+
+def test_reduce_builds_only_what_a_new_key_needs(monkeypatch):
+    """Infinity's two Reductions read the pairs of four consecutive
+    degrees, not of every band degree."""
+    import monofloer.complexes as complexes
+
+    calls = []
+    real = complexes._pairs
+    monkeypatch.setattr(complexes, "_pairs",
+                        lambda *args: calls.append(args) or real(*args))
+    _reduce(performance_instance(), Flavor.INFINITY)
+    assert 0 < len(calls) <= 6
+
 def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
     """Forty points in one m-chain with m = 3: cancelling the pairs of a
     degree multiplies the couplings along the chain, up to 3^39 (62 bits),
     and the reduced homology stays exact."""
-    from monofloer.homology import _reduced_presentation
+    from monofloer.homology import presentation_at
     from monofloer.sequences import check_les_main
 
     ids = [f"c{i:02d}" for i in range(40)]
@@ -489,7 +531,7 @@ def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
     lo, hi = default_window(data)
     for flavor in REDUCED_FLAVORS:
         for n in range(lo, hi + 1):
-            got = _reduced_presentation(data, flavor, n).invariants
+            got = presentation_at(data, flavor, n).invariants
             assert (got.free_rank, list(got.torsion)) == \
                 oracle.oracle_homology_at(blob, flavor.value, n), (flavor, n)
     largest = max(abs(v) for flavor in REDUCED_FLAVORS

@@ -222,7 +222,7 @@ def test_duality_frozen_values_theta_tower():
 
 def test_mismatch_fields(monkeypatch):
     import monofloer.duality as duality
-    monkeypatch.setattr(duality, "_reduced_presentation",
+    monkeypatch.setattr(duality, "presentation_at",
                         lambda *args: SimpleNamespace(
                             invariants=AbelianGroupInvariants(2)))
     with pytest.raises(CheckFailed) as info:

@@ -186,6 +186,18 @@ def test_kernel_work_does_not_grow_with_the_window(work):
             data, flavor, 202)
 
 
+def test_graded_homology_stores_no_memo_entry_per_degree():
+    """Each degree of a window outside the band reads its band-edge
+    presentation, so a wider window stores nothing more."""
+    for flavor in Flavor:
+        sizes = []
+        for window in ((-20, 20), (-1000, 1000)):
+            data = by_name("tail-chain")
+            graded_homology(data, flavor, window)
+            sizes.append(len(data._memo))
+        assert sizes[0] == sizes[1], (flavor, sizes)
+
+
 # the checks of cli.verify_all, in its order, each called as it calls it,
 # with the number of Infinity template rules it reads (D, u, the
 # u-homotopy and the identity, each per orientation)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,11 +13,11 @@ from monofloer.intlinalg import (
     ContainmentError,
     QuotientPresentation,
     SparseIntMatrix,
+    _Factorization,
+    _row_block,
     column_space_basis,
-    cokernel_invariants,
     kernel_basis,
     preimage_lattice,
-    smith_normal_form,
 )
 
 
@@ -30,6 +31,38 @@ def M(dense, cols=None):
     return SparseIntMatrix.from_entries(len(dense), cols, [
         (i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row)
         if v])
+
+
+# the full Smith form and the cokernel invariants, read off the engine's
+# factorization; only the tests use them
+
+@dataclass(frozen=True)
+class SnfResult:
+    """U * M * V = S with U, V unimodular and S diagonal, d_1 | d_2 | ..."""
+
+    U: SparseIntMatrix
+    S: SparseIntMatrix
+    V: SparseIntMatrix
+
+    def diagonal(self) -> list[int]:
+        return [v for (i, j, v) in self.S.entries if i == j]
+
+
+def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
+    """Factor U * mat * V = S, diagonal with the divisibility chain."""
+    f = _Factorization(mat, track_u=True, track_v=True)
+    return SnfResult(
+        _row_block(f.u.lines, range(mat.rows), mat.rows),
+        SparseIntMatrix(mat.rows, mat.cols,
+                        tuple((i, i, d) for i, d in enumerate(f.diag))),
+        _row_block(f.v.lines, range(mat.cols), mat.cols).transpose())
+
+
+def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
+    """Invariants of Z^rows / im(mat)."""
+    f = _Factorization(mat)
+    return AbelianGroupInvariants(
+        mat.rows - f.rank, tuple(d for d in f.diag if d > 1))
 
 
 def in_span(lattice, vectors):

@@ -33,12 +33,13 @@ from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
 from monofloer.duality import _cohomology_at, _pairing_with, duality_check
-from monofloer.homology import _reduced_presentation, graded_homology, \
-    homology_at, induced_on_homology, presentation_at, structural_chain_map
+from monofloer.homology import homology_at, induced_on_homology, \
+    presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _delta_chain, _hat_delta_chain, \
     connecting_delta
-from test_complexes import compare_with_oracle, oracle_dataset
+from test_complexes import compare_with_oracle, full_presentation, \
+    oracle_dataset
 
 POOL = generate_instances(2026, 6, 60)
 
@@ -104,17 +105,17 @@ def test_homology_matches_the_oracle_and_ignores_the_gauge(pair):
 @given(gauged)
 def test_reduced_homology_matches_the_oracle(pair):
     """The certified reduction of Minus, Infinity and Plus passes its
-    certificate and has the homology of the full complex, by the engine's
-    unreduced presentations and by the dense oracle."""
+    certificate and has the homology of the full complex, by the reference
+    presentation of the full complex and by the dense oracle."""
     _, data = pair
     blob = oracle_dataset(data)
-    window = default_window(data)
+    lo, hi = default_window(data)
     for flavor in REDUCED_FLAVORS:
         _certify(data, flavor, _reduction(data, flavor))
-        full = graded_homology(data, flavor, window).groups
-        for n in range(window[0], window[1] + 1):
-            got = _reduced_presentation(data, flavor, n).invariants
-            assert got == full[n], (data.name, flavor, n)
+        for n in range(lo, hi + 1):
+            got = presentation_at(data, flavor, n).invariants
+            assert got == full_presentation(data, flavor, n).invariants, (
+                data.name, flavor, n)
             free, torsion = oracle.oracle_homology_at(blob, flavor.value, n)
             assert (got.free_rank, list(got.torsion)) == (free, torsion), (
                 data.name, flavor, n)
@@ -125,7 +126,7 @@ def _reduced_class(data, flavor, n, cycle):
     recorded generators of the reduced presentation."""
     if flavor in REDUCED_FLAVORS:
         cycle = _reduced(data, flavor, n).g.apply(cycle)
-    return _reduced_presentation(data, flavor, n).coordinate_of(cycle)
+    return presentation_at(data, flavor, n).coordinate_of(cycle)
 
 
 def _class_maps(data, window):
@@ -147,16 +148,16 @@ def _class_maps(data, window):
 
 def assert_class_maps_commute(data):
     """For each window degree n and each recorded generator z of the full
-    complex's presentation_at, the class of g M z is the induced matrix
+    complex's full_presentation, the class of g M z is the induced matrix
     applied to the class of g z, torsion coordinates taken mod their
-    orders.  presentation_at, g and the chain map M are built without the
+    orders.  full_presentation, g and the chain map M are built without the
     f that the induced matrices are carried through."""
     lo, hi = window = default_window(data)
     for source, target, shift, matrices, chain_at in _class_maps(data, window):
         for n in range(lo, hi + 1):
-            orders = [gen.order for gen in _reduced_presentation(
+            orders = [gen.order for gen in presentation_at(
                 data, target, n + shift).generators]
-            for z in presentation_at(data, source, n).generators:
+            for z in full_presentation(data, source, n).generators:
                 want = _reduced_class(data, target, n + shift,
                                       chain_at(n).apply(z.vector))
                 got = matrices[n].apply(

@@ -9,7 +9,7 @@ import pytest
 import oracle
 from monofloer.complexes import Flavor, default_window
 from monofloer.data import CheckFailed, curated_instances
-from monofloer.homology import NotChainMap, homology_at, presentation_at
+from monofloer.homology import NotChainMap, homology_at
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.sequences import (
     check_les_hat,
@@ -17,6 +17,7 @@ from monofloer.sequences import (
     connecting_delta,
     hf_red,
 )
+from test_complexes import full_presentation
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -91,18 +92,18 @@ def test_composites_vanish_on_homology():
         lo, hi = default_window(data)
         for n in range(lo, hi + 1):
             # delta after projection: zero into HF^-_{n-1}
-            pres_inf = presentation_at(data, Flavor.INFINITY, n)
+            pres_inf = full_presentation(data, Flavor.INFINITY, n)
             proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
             delta = _delta_chain(data, n)
-            tgt = presentation_at(data, Flavor.MINUS, n - 1)
+            tgt = full_presentation(data, Flavor.MINUS, n - 1)
             for gen in pres_inf.generators:
                 image = delta.apply(proj.apply(gen.vector))
                 assert tgt.is_zero_class(image), (data.name, n)
             # inclusion after delta: zero into HF^infty_{n-1}
-            pres_plus = presentation_at(data, Flavor.PLUS, n)
+            pres_plus = full_presentation(data, Flavor.PLUS, n)
             inc = structural_map(data, "inclusion_minus", Flavor.INFINITY,
                                  n - 1)
-            tgt_inf = presentation_at(data, Flavor.INFINITY, n - 1)
+            tgt_inf = full_presentation(data, Flavor.INFINITY, n - 1)
             for gen in pres_plus.generators:
                 image = inc.apply(delta.apply(gen.vector))
                 assert tgt_inf.is_zero_class(image), (data.name, n)
@@ -127,9 +128,9 @@ def test_witnesses_on_perturbed_infinity_nodes():
         lo, hi = default_window(data)
         for n in range(lo, hi + 1):
             inc = _images_of_classes(
-                presentation_at(data, Flavor.MINUS, n),
+                full_presentation(data, Flavor.MINUS, n),
                 structural_map(data, "inclusion_minus", Flavor.INFINITY, n))
-            cycles = presentation_at(data, Flavor.INFINITY, n).lattice.basis
+            cycles = full_presentation(data, Flavor.INFINITY, n).lattice.basis
             proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
             dim = len(_slice(data, Flavor.INFINITY, n).basis)
             d_n = _differential(data, Flavor.INFINITY, n).to_dense()
