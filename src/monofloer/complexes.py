@@ -545,10 +545,10 @@ def structural_map(data: MonopoleData, which: str, flavor: Flavor,
 
 def default_window(data: MonopoleData) -> tuple[int, int]:
     """Degree interval covering all interesting homology plus the onset of
-    the periodic tails: gradings (and the theta level 0) padded by 4 below
-    and 6 above."""
-    gradings = [p.grading for p in data.points] + [0]
-    return (min(gradings) - 4, max(gradings) + 6)
+    the periodic tails: the band of _band, widened by 1 below and 2
+    above."""
+    lo, hi = _band(data)
+    return lo - 1, hi + 2
 
 
 MAX_WINDOW_DEGREES = 2001

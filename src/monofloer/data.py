@@ -178,9 +178,6 @@ class MonopoleData:
     def ids_at(self, grading: int) -> tuple[str, ...]:
         return self._by_gr.get(grading, ())
 
-    def gradings(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_gr))
-
 
 def per_dataset(fn):
     """Memoise fn(data, *args) in the dataset's own dict, keyed by

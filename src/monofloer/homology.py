@@ -5,8 +5,9 @@ of complexes._reduced: a primitive basis of the cycle lattice, the boundary
 columns expressed in it, and generators read off the Smith form.  The
 reduction is a homotopy equivalence, so the groups are those of the full
 complex, in the coordinates of the critical generators.  Graded reports
-carry the in-window groups plus symbolic 2-periodic tail descriptors whose
-periodicity was verified on the complex itself.  Chain maps induce matrices
+carry the in-window groups plus symbolic 2-periodic tail descriptors, read
+off the band beyond each edge where the complex repeats with period two
+there or vanishes.  Chain maps induce matrices
 on the same recorded generators, carried there through f and g.
 """
 
@@ -140,72 +141,46 @@ def homology_at(data: MonopoleData, flavor: Flavor,
 # graded reports with tails
 # ---------------------------------------------------------------------------
 
-def _support_floor(data: MonopoleData, flavor: Flavor) -> int | None:
-    gradings = [p.grading for p in data.points]
-    if flavor in (Flavor.PLUS, Flavor.HAT):
-        return min(gradings + [0])
-    if flavor is Flavor.NONEQUIVARIANT:
-        return min(gradings) if gradings else 0
-    return None
+def _tail(data: MonopoleData, flavor: Flavor, beyond: range,
+          past_band: bool) -> Tail | None:
+    """The 2-periodic continuation of the homology past one edge of a
+    window, or None where it is not established.  beyond runs outward from
+    the first degree past the edge to two degrees past the band of
+    complexes._band; past_band says that the edge itself lies past it.
 
-
-def _support_ceiling(data: MonopoleData, flavor: Flavor) -> int | None:
-    gradings = [p.grading for p in data.points]
-    if flavor is Flavor.MINUS:
-        return max([g - 1 for g in gradings] + [-2])
-    if flavor is Flavor.HAT:
-        return max([g + 1 for g in gradings] + [0])
-    if flavor is Flavor.NONEQUIVARIANT:
-        return max(gradings) if gradings else -1
-    return None
-
-
-def _periodic_tail(groups: dict[int, AbelianGroupInvariants], edge: int,
-                   inward: int) -> Tail:
-    # the caller has established that the complex repeats with period two
-    # beyond edge (complexes._band), so the two edge degrees continue
-    pair = {m % 2: groups[m] for m in (edge, inward)}
+    A tail exists when the flavor is Infinity, whose complex repeats with
+    period two in every degree; when the edge lies past the band, beyond
+    which every flavor's does; or when the flavor keeps no generator in
+    beyond, so that its complex vanishes there and, by the fold, further
+    out.  Its groups are those of the first two degrees of beyond, each
+    read at its band degree, never groups inside the window."""
+    band_lo, band_hi = _band(data)
+    # degrees more than two before the band fold onto band degrees that the
+    # outer end of beyond holds, so a window far from the band stays cheap
+    outer = beyond[-(band_hi - band_lo + 5):]
+    if not (flavor is Flavor.INFINITY or past_band
+            or not any(_kept(data, flavor, n) for n in outer)):
+        return None
+    pair = {n % 2: homology_at(data, flavor, _band_degree(data, n))
+            for n in (beyond.start, beyond.start + beyond.step)}
     return Tail(even=pair[0], odd=pair[1], verified=True)
-
-
-def _empty_tail(data: MonopoleData, flavor: Flavor, edge: int,
-                direction: int) -> Tail | None:
-    for n in (edge + direction, edge + 2 * direction):
-        if _kept(data, flavor, n):
-            return None
-    return Tail(even=TRIVIAL, odd=TRIVIAL, verified=True)
 
 
 def graded_homology(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int] | None = None) -> GradedAbelianGroup:
-    """Homology across the window plus tail descriptors where the complex is
-    verified to repeat with period two (or to vanish) beyond the edges."""
+    """Homology across the window, each degree read at its band degree,
+    plus the tail descriptor of _tail beyond each edge where the complex is
+    established to repeat with period two (or to vanish) out there."""
     lo, hi = checked_window(data, window)
     groups = {n: homology_at(data, flavor, _band_degree(data, n))
               for n in range(lo, hi + 1)}
     band_lo, band_hi = _band(data)
-
-    # Infinity repeats with period two in every degree, the truncated
-    # flavors outside the band.  A Minus tail starts one degree further out
-    # than the band needs; moving it would change which reports carry one.
-    tail_above: Tail | None = None
-    tail_below: Tail | None = None
-    if flavor is Flavor.INFINITY:
-        if hi - 1 >= lo:
-            tail_above = _periodic_tail(groups, hi, hi - 1)
-            tail_below = _periodic_tail(groups, lo, lo + 1)
-    else:
-        ceiling = _support_ceiling(data, flavor)
-        if ceiling is not None and hi >= ceiling:
-            tail_above = _empty_tail(data, flavor, hi, +1)
-        elif flavor is Flavor.PLUS and hi >= band_hi:
-            tail_above = _periodic_tail(groups, hi, hi - 1)
-        floor = _support_floor(data, flavor)
-        if floor is not None and lo <= floor:
-            tail_below = _empty_tail(data, flavor, lo, -1)
-        elif flavor is Flavor.MINUS and lo < band_lo:
-            tail_below = _periodic_tail(groups, lo, lo + 1)
-    return GradedAbelianGroup((lo, hi), groups, tail_above, tail_below)
+    # A tail below starts one degree further out than the band needs;
+    # moving it would change which reports carry one.
+    return GradedAbelianGroup(
+        (lo, hi), groups,
+        _tail(data, flavor, range(hi + 1, band_hi + 3), hi >= band_hi),
+        _tail(data, flavor, range(lo - 1, band_lo - 3, -1), lo < band_lo))
 
 
 # ---------------------------------------------------------------------------

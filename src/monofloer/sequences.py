@@ -23,6 +23,7 @@ from .complexes import (
     REDUCED_FLAVORS,
     Flavor,
     MonopoleData,
+    _band,
     _carried,
     _differential,
     _identification,
@@ -309,17 +310,18 @@ def check_les_hat(data: MonopoleData,
 
     The induced middle map is computed both from u and from omega-inverse
     and checked equal on homology (by u_module_structure) before the node
-    checks run; the report also records whether Hat and Plus homology
-    vanish together over the window.
+    checks run.  The report also records whether Hat and Plus homology
+    vanish together in any degree: they are read over the band of
+    complexes._band, onto which every degree folds, so the answer does not
+    depend on the window.
     """
     lo, hi = checked_window(data, window)
     u_module_structure(data, Flavor.PLUS, (lo, hi))
     nodes = _sequence_nodes(data, _HAT, lo, hi)
-    hat_nonzero = any(
-        not presentation_at(data, Flavor.HAT, n).invariants.is_trivial
-        for n in range(lo, hi + 1))
-    plus_nonzero = any(
-        not presentation_at(data, Flavor.PLUS, n).invariants.is_trivial
-        for n in range(lo, hi + 1))
+    band_lo, band_hi = _band(data)
+    hat_nonzero, plus_nonzero = (
+        any(not presentation_at(data, flavor, n).invariants.is_trivial
+            for n in range(band_lo, band_hi + 1))
+        for flavor in (Flavor.HAT, Flavor.PLUS))
     return HatSequenceReport((lo, hi), nodes, hat_nonzero, plus_nonzero,
                              hat_nonzero == plus_nonzero)

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from monofloer.cli import main, verify_all
-from monofloer.complexes import default_window
+from monofloer.complexes import _band, default_window
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, invalid_instance, serialize
 
@@ -112,6 +112,20 @@ def test_homology_torsion_reported(tmp_path, capsys):
     code, out, _ = run(capsys, ["homology", "--flavor", "plus", path])
     groups = report_of(out)["results"]["homology"]["groups"]
     assert groups["0"] == {"free_rank": 1, "torsion": [2]}
+
+
+def test_homology_one_degree_window_past_the_band(tmp_path, capsys):
+    path = write_dataset(tmp_path, by_name("tail-chain"))
+    for flavor, window, side in (("plus", "7:7", "tail_above"),
+                                 ("minus", "-6:-6", "tail_below")):
+        code, out, err = run(capsys, [
+            "homology", "--flavor", flavor, "--window", window, path])
+        assert code == 0, (flavor, window)
+        assert "Traceback" not in err
+        assert report_of(out)["results"]["homology"][side] == {
+            "even": {"free_rank": 1, "torsion": []},
+            "odd": {"free_rank": 0, "torsion": []},
+            "verified": True}, (flavor, window)
 
 
 def test_homology_usage_errors(tmp_path, capsys):
@@ -315,6 +329,11 @@ def test_verify_all_function(tmp_path):
     summary = verify_all(by_name("euler-pair"))
     assert summary["ok"] is True
     assert all(check["ok"] for check in summary["checks"])
+    # so does every one-degree window around the band
+    for data in curated_instances():
+        band_lo, band_hi = _band(data)
+        for n in range(band_lo - 2, band_hi + 3):
+            assert verify_all(data, (n, n))["ok"], (data.name, n)
 
 
 def test_verify_all_passes_its_window_to_structure(monkeypatch):

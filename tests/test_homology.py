@@ -117,16 +117,20 @@ def test_homology_matches_dense_oracle_everywhere():
 # -- graded reports and tails -----------------------------------------------
 
 def test_infinity_graded_pattern_with_tails():
+    # a one-degree window has both tails too: they are read past its edges
     for data in curated_instances():
-        report = graded_homology(data, Flavor.INFINITY, default_window(data))
-        lo, hi = report.window
-        for n in range(lo, hi + 1):
-            assert report.groups[n] == (Z if n % 2 == 0 else ZERO), (
-                data.name, n)
-        for tail in (report.tail_above, report.tail_below):
-            assert tail is not None and tail.verified
-            assert tail.even == Z
-            assert tail.odd == ZERO
+        band_lo, band_hi = _band(data)
+        for window in (default_window(data),
+                       *((n, n) for n in range(band_lo - 2, band_hi + 3))):
+            report = graded_homology(data, Flavor.INFINITY, window)
+            lo, hi = report.window
+            for n in range(lo, hi + 1):
+                assert report.groups[n] == (Z if n % 2 == 0 else ZERO), (
+                    data.name, n)
+            for tail in (report.tail_above, report.tail_below):
+                assert tail is not None and tail.verified, (data.name, window)
+                assert tail.even == Z
+                assert tail.odd == ZERO
 
 
 def test_minus_theta_tower_tails():
@@ -141,6 +145,10 @@ def test_minus_theta_tower_tails():
     assert report.tail_above is not None and report.tail_above.verified
     assert report.tail_above.even == ZERO
     assert report.tail_above.odd == ZERO
+    # a one-degree window under the band has its tower below
+    tail = graded_homology(by_name("tail-chain"), Flavor.MINUS,
+                           (-6, -6)).tail_below
+    assert tail is not None and (tail.even, tail.odd) == (Z, ZERO)
 
 
 def test_plus_tails():
@@ -151,6 +159,10 @@ def test_plus_tails():
     assert report.tail_below is not None
     assert report.tail_below.even == ZERO
     assert report.tail_below.odd == ZERO
+    # a one-degree window at the band's top has its tower above
+    tail = graded_homology(by_name("tail-chain"), Flavor.PLUS,
+                           (7, 7)).tail_above
+    assert tail is not None and (tail.even, tail.odd) == (Z, ZERO)
 
 
 def test_hat_graded_is_bounded():
@@ -166,6 +178,19 @@ def test_narrow_window_has_no_unverified_tail():
     report = graded_homology(d, Flavor.PLUS, (0, 2))
     assert report.tail_above is None
     assert report.tail_below is None
+
+
+def test_a_window_far_past_the_band_has_the_tails_of_one_near_it():
+    """Every degree past the band folds onto a band degree, so the tails of
+    a window however far out are those of one just past the band."""
+    for data in curated_instances():
+        band_lo, band_hi = _band(data)
+        for flavor in Flavor:
+            for far, near in ((-10 ** 9, band_lo - 3), (10 ** 9, band_hi + 3)):
+                got, want = (graded_homology(data, flavor, (n, n))
+                             for n in (far, near))
+                assert (got.tail_above, got.tail_below) == (
+                    want.tail_above, want.tail_below), (data.name, flavor)
 
 
 def test_kernel_work_does_not_grow_with_the_window(work):

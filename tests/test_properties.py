@@ -33,8 +33,8 @@ from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
 from monofloer.duality import _cohomology_at, _pairing_with, duality_check
-from monofloer.homology import homology_at, induced_on_homology, \
-    presentation_at, structural_chain_map
+from monofloer.homology import graded_homology, homology_at, \
+    induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _delta_chain, _hat_delta_chain, \
     connecting_delta
@@ -84,8 +84,8 @@ def test_differentials_match_the_oracle(pair):
 
 
 @SETTINGS
-@given(gauged)
-def test_homology_matches_the_oracle_and_ignores_the_gauge(pair):
+@given(gauged, st.data())
+def test_homology_matches_the_oracle_and_ignores_the_gauge(pair, draw):
     original, data = pair
     blob = oracle_dataset(data)
     lo, hi = default_window(data)
@@ -99,6 +99,23 @@ def test_homology_matches_the_oracle_and_ignores_the_gauge(pair):
             assert got == homology_at(original, flavor, n), (
                 data.name, flavor, n)
     assert verify_all(data)["checks"] == verify_all(original)["checks"]
+
+    # every tail of a narrow window around the band continues the groups
+    # the oracle finds in the six degrees past its edge
+    band_lo, band_hi = _band(data)
+    lo = draw.draw(st.integers(band_lo - 6, band_hi + 6))
+    hi = lo + draw.draw(st.integers(0, 5))
+    for flavor in Flavor:
+        report = graded_homology(data, flavor, (lo, hi))
+        for tail, edge, step in ((report.tail_above, hi, 1),
+                                 (report.tail_below, lo, -1)):
+            if tail is None:
+                continue
+            for n in range(edge + step, edge + 7 * step, step):
+                want = tail.even if n % 2 == 0 else tail.odd
+                assert (want.free_rank, list(want.torsion)) == \
+                    oracle.oracle_homology_at(blob, flavor.value, n), (
+                        data.name, flavor, (lo, hi), n)
 
 
 @SETTINGS

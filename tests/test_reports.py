@@ -54,6 +54,14 @@ WIDE_COMMANDS = (
     ("performance-50", ("verify-all", WIDE)),
     ("performance-50", ("duality", WIDE)),
 )
+# windows of one or two degrees: tails and the hat sequence's vanishing
+# are read past the window's edges, not from degrees the window lacks
+NARROW_COMMANDS = (
+    ("tail-chain", ("homology", "--flavor", "plus", "--window=7:7")),
+    ("tail-chain", ("homology", "--flavor", "minus", "--window=-6:-6")),
+    ("tail-chain", ("verify-all", "--window=0:0")),
+    ("empty", ("les", "hat", "--window=1:2")),
+)
 
 
 def _clash() -> MonopoleData:
@@ -74,7 +82,7 @@ def _cases() -> list[tuple[str, MonopoleData, tuple[str, ...]]]:
               for command in LARGE_COMMANDS]
     named = {data.name: data for data in (*curated_instances(), large)}
     cases += [(f"{name}:{' '.join(command)}", named[name], command)
-              for name, command in WIDE_COMMANDS]
+              for name, command in (*WIDE_COMMANDS, *NARROW_COMMANDS)]
     return cases
 
 
@@ -264,6 +272,14 @@ EXPECTED = {
         "42d0d7e05ebf2e2d6e5470b933dd855c4d844fda06d3d6f125764b1b027d965d",
     "performance-50:duality --window=-1000:1000":
         "dac63f80088ee01511540b5ce628adb9e67d80d405906988e348d37b933f204f",
+    "tail-chain:homology --flavor plus --window=7:7":
+        "12b929537284ce38f50a9716cd95d310760e26c7e7364fc8a5f29c9b42549758",
+    "tail-chain:homology --flavor minus --window=-6:-6":
+        "ec27b18207c52e250814c204761712f53f353c6e53c94e76950c5e28efd88b4c",
+    "tail-chain:verify-all --window=0:0":
+        "d6e6b4a69c22d9ca4b7c5ded5990809ce58e1096b4b629bb2fa98d027794ac49",
+    "empty:les hat --window=1:2":
+        "73a94fc00134b7f7c2749e4c1af1940f7198becaf181cedad0ad8de4d0f13a97",
 }
 
 

@@ -230,10 +230,12 @@ def test_hf_red_consistent_on_curated():
 # -- hat sequence -----------------------------------------------------------
 
 def test_les_hat_on_theta_tower():
-    report = check_les_hat(by_name("empty"), (-4, 6))
-    assert report.all_exact()
-    assert report.hat_nonzero and report.plus_nonzero
-    assert report.biconditional_holds
+    # Hat and Plus vanish or not in any degree, not only in the window's
+    for window in ((-4, 6), (1, 2)):
+        report = check_les_hat(by_name("empty"), window)
+        assert report.all_exact()
+        assert report.hat_nonzero and report.plus_nonzero
+        assert report.biconditional_holds
     assert homology_at(by_name("empty"), Flavor.HAT, 0) == Z
 
 
