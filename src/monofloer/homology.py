@@ -141,46 +141,46 @@ def homology_at(data: MonopoleData, flavor: Flavor,
 # graded reports with tails
 # ---------------------------------------------------------------------------
 
-def _tail(data: MonopoleData, flavor: Flavor, beyond: range,
-          past_band: bool) -> Tail | None:
-    """The 2-periodic continuation of the homology past one edge of a
-    window, or None where it is not established.  beyond runs outward from
-    the first degree past the edge to two degrees past the band of
-    complexes._band; past_band says that the edge itself lies past it.
+def _tail(data: MonopoleData, edge: int, step: int, group_at,
+          settled) -> Tail | None:
+    """The 2-periodic continuation of a graded group past one edge of a
+    window (step 1 above, -1 below), or None where none is established.
 
-    A tail exists when the flavor is Infinity, whose complex repeats with
-    period two in every degree; when the edge lies past the band, beyond
-    which every flavor's does; or when the flavor keeps no generator in
-    beyond, so that its complex vanishes there and, by the fold, further
-    out.  Its groups are those of the first two degrees of beyond, each
-    read at its band degree, never groups inside the window."""
+    A tail exists when the edge lies past the band of complexes._band,
+    beyond which every degree repeats a band-edge degree, or when
+    settled(n), which says that degree n holds nothing or repeats with
+    period two, holds from the edge out to two degrees past the band, and
+    so, by the fold, further out.  Its groups are group_at at the band
+    degrees of the first two degrees past the edge, never inside the
+    window."""
     band_lo, band_hi = _band(data)
+    # A tail below starts one degree further out than the band needs;
+    # moving it would change which reports carry one.
+    far, past_band = ((band_hi + 2, edge >= band_hi) if step > 0
+                      else (band_lo - 2, edge < band_lo))
     # degrees more than two before the band fold onto band degrees that the
-    # outer end of beyond holds, so a window far from the band stays cheap
-    outer = beyond[-(band_hi - band_lo + 5):]
-    if not (flavor is Flavor.INFINITY or past_band
-            or not any(_kept(data, flavor, n) for n in outer)):
+    # outer end holds, so a window far from the band stays cheap
+    beyond = range(edge + step, far + step, step)[-(band_hi - band_lo + 5):]
+    if not (past_band or all(settled(n) for n in beyond)):
         return None
-    pair = {n % 2: homology_at(data, flavor, _band_degree(data, n))
-            for n in (beyond.start, beyond.start + beyond.step)}
+    pair = {n % 2: group_at(_band_degree(data, n))
+            for n in (edge + step, edge + 2 * step)}
     return Tail(even=pair[0], odd=pair[1], verified=True)
 
 
 def graded_homology(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int] | None = None) -> GradedAbelianGroup:
     """Homology across the window, each degree read at its band degree,
-    plus the tail descriptor of _tail beyond each edge where the complex is
-    established to repeat with period two (or to vanish) out there."""
+    plus _tail beyond each edge: Infinity repeats with period two in every
+    degree, and a flavor that keeps no generator past an edge vanishes."""
     lo, hi = checked_window(data, window)
     groups = {n: homology_at(data, flavor, _band_degree(data, n))
               for n in range(lo, hi + 1)}
-    band_lo, band_hi = _band(data)
-    # A tail below starts one degree further out than the band needs;
-    # moving it would change which reports carry one.
-    return GradedAbelianGroup(
-        (lo, hi), groups,
-        _tail(data, flavor, range(hi + 1, band_hi + 3), hi >= band_hi),
-        _tail(data, flavor, range(lo - 1, band_lo - 3, -1), lo < band_lo))
+    tails = [_tail(data, edge, step, lambda n: homology_at(data, flavor, n),
+                   lambda n: flavor is Flavor.INFINITY
+                   or not _kept(data, flavor, n))
+             for edge, step in ((hi, 1), (lo, -1))]
+    return GradedAbelianGroup((lo, hi), groups, *tails)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def structural_chain_map(data: MonopoleData, which: str,
                          window: tuple[int, int],
                          flavor: Flavor | None = None) -> ChainMapSlice:
     """Bundle a structural map over the window (plus margin) as a chain map."""
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     if which == "omega_inverse":
         if flavor is None:
             raise InvalidInput("omega_inverse needs a flavor")
@@ -256,7 +256,7 @@ def structural_chain_map(data: MonopoleData, which: str,
 
 def identity_chain_map(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int]) -> ChainMapSlice:
-    lo, hi = window
+    lo, hi = checked_window(data, window)
     matrices = {
         n: SparseIntMatrix.identity(len(_kept(data, flavor, n)))
         for n in range(lo - 2, hi + 3)}

@@ -36,7 +36,7 @@ from .complexes import (
     require_valid,
 )
 from .data import CheckFailed, per_dataset
-from .homology import GradedAbelianGroup, Tail, TRIVIAL, _quotient, \
+from .homology import GradedAbelianGroup, TRIVIAL, _quotient, _tail, \
     presentation_at
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -287,16 +287,14 @@ def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
 def hf_red(data: MonopoleData,
            window: tuple[int, int] | None = None) -> GradedAbelianGroup:
     """The reduced group per degree, computed both as the cokernel of the
-    projection and as the kernel of the inclusion one degree down."""
+    projection and as the kernel of the inclusion one degree down, plus
+    the tails of homology._tail, which reads them off _red_at."""
     lo, hi = checked_window(data, window)
     groups = {n: _red_at(data, n) for n in range(lo, hi + 1)}
-    tail_above = None
-    if _red_at(data, hi + 1).is_trivial and _red_at(data, hi + 2).is_trivial:
-        tail_above = Tail(TRIVIAL, TRIVIAL, True)
-    tail_below = None
-    if _red_at(data, lo - 1).is_trivial and _red_at(data, lo - 2).is_trivial:
-        tail_below = Tail(TRIVIAL, TRIVIAL, True)
-    return GradedAbelianGroup((lo, hi), groups, tail_above, tail_below)
+    tails = [_tail(data, edge, step, lambda n: _red_at(data, n),
+                   lambda n: _red_at(data, n).is_trivial)
+             for edge, step in ((hi, 1), (lo, -1))]
+    return GradedAbelianGroup((lo, hi), groups, *tails)
 
 
 # ---------------------------------------------------------------------------

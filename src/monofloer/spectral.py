@@ -64,7 +64,9 @@ class SpectralPage:
 
 @dataclass(frozen=True)
 class StructureTheoremResult:
-    """Prediction, direct values, and the ingredients that built it."""
+    """Prediction, direct values, and the ingredients that built it:
+    delta (keyed 2k + 1) and t_terms (keyed k) cover k = n // 2 of the
+    window's nonnegative degrees n."""
 
     window: tuple[int, int]
     predicted: dict[int, AbelianGroupInvariants]
@@ -304,40 +306,34 @@ def structure_theorem(data: MonopoleData,
 
     Negative degrees copy the non-equivariant groups; positive odd degrees
     take the kernel of the obstruction row; even degrees adjoin the cyclic
-    tower term.  The direct values are read off the certified reduction
+    tower term.  One pass over the window builds the obstruction row and
+    tower term of k = n // 2 for each nonnegative degree n, and nothing
+    beyond it.  The direct values are read off the certified reduction
     of Plus.  A disagreement raises CheckFailed with both values.
     """
     lo, hi = checked_window(data, window)
-
-    delta = {}
-    free_values = {}
-    for k in range(hi // 2 + 1):
-        mat = delta_map(data, k)
-        delta[2 * k + 1] = mat
-        pres = presentation_at(data, Flavor.NONEQUIVARIANT, 2 * k + 1)
-        row = mat.to_dense()[0] if mat.cols else []
-        free_values[k] = [row[j] for j, g in enumerate(pres.generators)
-                          if g.order == 0]
-
-    t_terms = {k: _t_term(math.gcd(*vals) if (vals := free_values[k]) else 0)
-               for k in free_values}
-
-    predicted = {}
+    delta, t_terms, predicted, actual = {}, {}, {}, {}
     for n in range(lo, hi + 1):
+        base = homology_at(data, Flavor.NONEQUIVARIANT, n)
+        k = n // 2
+        if n >= 0 and k not in t_terms:
+            # degrees 2k and 2k + 1 share the degree-(2k + 1) obstruction
+            # row, so free holds k's row through both
+            delta[2 * k + 1] = mat = delta_map(data, k)
+            row = mat.to_dense()[0] if mat.cols else []
+            pres = presentation_at(data, Flavor.NONEQUIVARIANT, 2 * k + 1)
+            free = [row[j] for j, g in enumerate(pres.generators)
+                    if g.order == 0]
+            t_terms[k] = _t_term(math.gcd(*free))
         if n < 0:
-            predicted[n] = homology_at(data, Flavor.NONEQUIVARIANT, n)
+            predicted[n] = base
         elif n % 2 == 0:
-            predicted[n] = homology_at(
-                data, Flavor.NONEQUIVARIANT, n).direct_sum(t_terms[n // 2])
+            predicted[n] = base.direct_sum(t_terms[k])
         else:
-            base = homology_at(data, Flavor.NONEQUIVARIANT, n)
-            vals = free_values[(n - 1) // 2]
-            drop = 1 if any(vals) else 0
+            drop = 1 if any(free) else 0
             predicted[n] = AbelianGroupInvariants(base.free_rank - drop,
                                                   base.torsion)
-
-    actual = {n: homology_at(data, Flavor.PLUS, n) for n in range(lo, hi + 1)}
-    for n in range(lo, hi + 1):
+        actual[n] = homology_at(data, Flavor.PLUS, n)
         if predicted[n] != actual[n]:
             raise CheckFailed(
                 n, f"structure prediction {predicted[n]} but direct "

@@ -309,7 +309,7 @@ def _windowed_entry_points():
     from monofloer.duality import cohomology, duality_check, \
         verify_adjointness
     from monofloer.homology import graded_homology, identity_chain_map, \
-        induced_on_homology
+        induced_on_homology, structural_chain_map
     from monofloer.sequences import check_les_hat, check_les_main, hf_red
     from monofloer.spectral import structure_theorem
 
@@ -321,6 +321,10 @@ def _windowed_entry_points():
     return {
         "graded_homology": lambda d, w: graded_homology(d, Flavor.PLUS, w),
         "induced_on_homology": induced,
+        "structural_chain_map": lambda d, w: structural_chain_map(
+            d, "omega_inverse", w, Flavor.PLUS),
+        "identity_chain_map": lambda d, w: identity_chain_map(
+            d, Flavor.PLUS, w),
         "verify_u_homotopy": lambda d, w: verify_u_homotopy(
             d, Flavor.PLUS, w),
         "u_module_structure": lambda d, w: u_module_structure(
@@ -344,6 +348,13 @@ def test_windowed_entry_points_reject_bad_windows(name, window):
     call = _windowed_entry_points()[name]
     with pytest.raises(InvalidInput, match="window"):
         call(by_name("tail-chain"), window)
+
+
+def test_identity_chain_map_rejects_invalid_data():
+    # it reads only kept positions, which need no valid data
+    call = _windowed_entry_points()["identity_chain_map"]
+    with pytest.raises(InvalidInput, match="invalid data"):
+        call(invalid_instance(), (0, 2))
 
 
 def test_checked_window():

@@ -36,8 +36,8 @@ from monofloer.duality import _cohomology_at, _pairing_with, duality_check
 from monofloer.homology import graded_homology, homology_at, \
     induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
-from monofloer.sequences import _delta_chain, _hat_delta_chain, \
-    connecting_delta
+from monofloer.sequences import _delta_chain, _hat_delta_chain, _red_at, \
+    connecting_delta, hf_red
 from test_complexes import compare_with_oracle, full_presentation, \
     oracle_dataset
 
@@ -101,21 +101,29 @@ def test_homology_matches_the_oracle_and_ignores_the_gauge(pair, draw):
     assert verify_all(data)["checks"] == verify_all(original)["checks"]
 
     # every tail of a narrow window around the band continues the groups
-    # the oracle finds in the six degrees past its edge
+    # the oracle finds in the six degrees past its edge, and every tail of
+    # the reduced group continues _red_at there
     band_lo, band_hi = _band(data)
     lo = draw.draw(st.integers(band_lo - 6, band_hi + 6))
     hi = lo + draw.draw(st.integers(0, 5))
     for flavor in Flavor:
-        report = graded_homology(data, flavor, (lo, hi))
-        for tail, edge, step in ((report.tail_above, hi, 1),
-                                 (report.tail_below, lo, -1)):
-            if tail is None:
-                continue
+        for n, want in _tail_groups(graded_homology(data, flavor, (lo, hi))):
+            assert (want.free_rank, list(want.torsion)) == \
+                oracle.oracle_homology_at(blob, flavor.value, n), (
+                    data.name, flavor, (lo, hi), n)
+    for n, want in _tail_groups(hf_red(data, (lo, hi))):
+        assert want == _red_at(data, n), (data.name, (lo, hi), n)
+
+
+def _tail_groups(report):
+    """Each degree of the six past an edge where the graded report has a
+    tail, with the tail's group there."""
+    lo, hi = report.window
+    for tail, edge, step in ((report.tail_above, hi, 1),
+                             (report.tail_below, lo, -1)):
+        if tail is not None:
             for n in range(edge + step, edge + 7 * step, step):
-                want = tail.even if n % 2 == 0 else tail.odd
-                assert (want.free_rank, list(want.torsion)) == \
-                    oracle.oracle_homology_at(blob, flavor.value, n), (
-                        data.name, flavor, (lo, hi), n)
+                yield n, tail.even if n % 2 == 0 else tail.odd
 
 
 @SETTINGS

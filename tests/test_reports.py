@@ -55,12 +55,14 @@ WIDE_COMMANDS = (
     ("performance-50", ("duality", WIDE)),
 )
 # windows of one or two degrees: tails and the hat sequence's vanishing
-# are read past the window's edges, not from degrees the window lacks
+# are read past the window's edges, not from degrees the window lacks, and
+# a reduced group that is nonzero further out has no tail there
 NARROW_COMMANDS = (
     ("tail-chain", ("homology", "--flavor", "plus", "--window=7:7")),
     ("tail-chain", ("homology", "--flavor", "minus", "--window=-6:-6")),
     ("tail-chain", ("verify-all", "--window=0:0")),
     ("empty", ("les", "hat", "--window=1:2")),
+    ("theta-coupled-pair", ("les", "main", "--window=-11:-11")),
 )
 
 
@@ -280,6 +282,8 @@ EXPECTED = {
         "d6e6b4a69c22d9ca4b7c5ded5990809ce58e1096b4b629bb2fa98d027794ac49",
     "empty:les hat --window=1:2":
         "73a94fc00134b7f7c2749e4c1af1940f7198becaf181cedad0ad8de4d0f13a97",
+    "theta-coupled-pair:les main --window=-11:-11":
+        "4803a9839813c8ae02fc535790d460476a7012442d55f373cd2d3f43ae2aa6c9",
 }
 
 

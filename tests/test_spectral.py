@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from monofloer.cli import verify_all
 from monofloer.complexes import Flavor, _differential, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances
@@ -209,6 +210,23 @@ def test_structure_theorem_cyclic_t_terms():
         result = structure_theorem(data)
         for t in result.t_terms.values():
             assert t.free_rank <= 1 and len(t.torsion) <= 1
+
+
+def test_structure_theorem_work_follows_the_window():
+    # degrees 2k and 2k + 1 share the obstruction row of k = n // 2; a
+    # window from degree 1 or below keeps every k from 0 up
+    data = by_name("tail-chain")
+    result = structure_theorem(data, (-6, 9))
+    assert list(result.delta) == [1, 3, 5, 7, 9]
+    assert list(result.t_terms) == [0, 1, 2, 3, 4]
+    far = structure_theorem(data, (10 ** 5, 10 ** 5 + 1))
+    assert list(far.delta) == [10 ** 5 + 1]
+    assert list(far.t_terms) == [10 ** 5 // 2]
+
+
+def test_verify_all_on_a_far_one_degree_window():
+    for data in curated_instances():
+        assert verify_all(data, (10 ** 9, 10 ** 9))["ok"], data.name
 
 
 def test_structure_theorem_mismatch_surfaced():
