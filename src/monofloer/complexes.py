@@ -113,7 +113,6 @@ def _infinity_cells(data: MonopoleData, n: int):
             yield KIND_ONE, p.id, (gap - 1) // 2
 
 
-@per_dataset
 def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
     cells = tuple(_infinity_cells(data, n))
     return DegreeSlice(n, tuple(
@@ -454,8 +453,9 @@ def _sums_to_identity(*terms: SparseIntMatrix) -> bool:
 @per_dataset
 def _reduction(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     """The certified reduction of a flavor in REDUCED_FLAVORS: one memo
-    entry holding every band degree.  It is certified before it is
-    stored, so no reduction is ever read uncertified."""
+    entry holding every band degree, behind checked_window's hold on the
+    band.  Certified before it is stored, it is never read uncertified."""
+    checked_window(data, None)
     table = _reduce(data, flavor)
     _certify(data, flavor, table)
     return table
@@ -568,10 +568,12 @@ def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
 def checked_window(data: MonopoleData,
                    window: tuple[int, int] | None) -> tuple[int, int]:
     """The input contract of every windowed computation: the data must be
-    valid, a missing window becomes default_window(data), and the window
-    must be non-empty and at most MAX_WINDOW_DEGREES wide.  Returns
-    (lo, hi); raises InvalidInput otherwise."""
+    valid, and default_window(data), which covers the band it reads, and
+    the window, which defaults to it, must be non-empty and at most
+    MAX_WINDOW_DEGREES wide.  Returns (lo, hi); raises InvalidInput."""
     require_valid(data)
-    if window is None:
-        window = default_window(data)
-    return _window_bounds(window)
+    lo, hi = default_window(data)
+    if hi - lo + 1 > MAX_WINDOW_DEGREES:
+        raise InvalidInput(f"the dataset's gradings span its default window "
+                           f"{lo}:{hi}, more than {MAX_WINDOW_DEGREES} degrees")
+    return _window_bounds((lo, hi) if window is None else window)

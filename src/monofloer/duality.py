@@ -110,10 +110,11 @@ def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     require_valid(data)
     rev = reverse_orientation(data)
     mat = _pairing_with(data, rev, n)
+    rows = _slice(data, Flavor.PLUS, n).basis
+    cols = _slice(rev, Flavor.MINUS, -2 - n).basis
     for (i, j, _) in mat.entries:
-        row = _slice(data, Flavor.PLUS, n).basis[i]
-        col = _slice(rev, Flavor.MINUS, -2 - n).basis[j]
-        if generator_degree(data, row) + generator_degree(rev, col) != -2:
+        if generator_degree(data, rows[i]) + generator_degree(
+                rev, cols[j]) != -2:
             raise CheckFailed(
                 n, "paired generators do not have degrees summing to -2")
     return PairingSlice(n, mat)

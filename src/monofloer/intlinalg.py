@@ -551,16 +551,15 @@ class Lattice:
         return self.coordinates(
             SparseIntMatrix.from_columns(len(vec), [vec])) is not None
 
-    def included(self, incl: SparseIntMatrix) -> "Lattice":
-        """The image under an order-preserving coordinate inclusion: a 0/1
-        matrix whose column j is the unit vector at slot_j, with slot_0 <
-        slot_1 < ...  The basis becomes incl * basis and the coordinate map
-        pre * incl^T; both only relabel indices, so entry order is kept."""
-        slot = {j: i for (i, j, _) in incl.entries}
-        basis = SparseIntMatrix(incl.rows, self.basis.cols, tuple(
-            (slot[i], j, v) for (i, j, v) in self.basis.entries))
-        pre = SparseIntMatrix(self._pre.rows, incl.rows, tuple(
-            (i, slot[j], v) for (i, j, v) in self._pre.entries))
+    def included(self, slots: Sequence[int], size: int) -> "Lattice":
+        """The image under the order-preserving inclusion into Z^size that
+        sends coordinate j to slots[j], with slots ascending.  The basis
+        and the coordinate map only relabel indices, so entry order is
+        kept."""
+        basis = SparseIntMatrix(size, self.basis.cols, tuple(
+            (slots[i], j, v) for (i, j, v) in self.basis.entries))
+        pre = SparseIntMatrix(self._pre.rows, size, tuple(
+            (i, slots[j], v) for (i, j, v) in self._pre.entries))
         return Lattice(basis, pre, self._divisors)
 
 

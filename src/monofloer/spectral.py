@@ -17,14 +17,10 @@ from dataclasses import dataclass
 
 from .complexes import (
     Flavor,
-    Generator,
-    KIND_ETA,
-    KIND_THETA,
     MonopoleData,
     _differential,
-    _slice,
+    _kept,
     checked_window,
-    default_window,
     require_valid,
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
@@ -80,10 +76,14 @@ class StructureTheoremResult:
 # approximation lattices
 # ---------------------------------------------------------------------------
 
-def _filtration_of(data: MonopoleData, gen: Generator) -> int:
-    if gen.kind == KIND_THETA:
-        return 0
-    return data.grading_of(gen.point)
+@per_dataset
+def _filtrations(data: MonopoleData, flavor: Flavor,
+                 n: int) -> tuple[int, ...]:
+    """The filtration of each kept position of degree n: its point's
+    grading, or 0 for theta, which leads an even slice."""
+    theta = 1 - n % 2
+    return tuple(0 if i < theta else data.points[i - theta].grading
+                 for i in _kept(data, flavor, n))
 
 
 def _filtration_levels(data: MonopoleData) -> list[int]:
@@ -98,28 +98,17 @@ def max_page(data: MonopoleData) -> int:
 
 
 @per_dataset
-def _sub_inclusion(data: MonopoleData, flavor: Flavor, n: int,
-                   p: int) -> SparseIntMatrix:
-    """Inclusion of the filtration-p part of the degree-n slice."""
-    basis = _slice(data, flavor, n).basis
-    cols = [i for i, gen in enumerate(basis) if _filtration_of(data, gen) <= p]
-    return SparseIntMatrix.from_entries(
-        len(basis), len(cols), [(i, j, 1) for j, i in enumerate(cols)])
-
-
-@per_dataset
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
                r: int) -> Lattice:
     """Degree-n chains of filtration at most p whose boundary has
-    filtration at most p - r; for negative r, all of filtration p."""
-    incl = _sub_inclusion(data, flavor, n, p)
-    if r < 0:
-        return Lattice(incl, incl.transpose())
-    low = [i for (i, _, _) in incl.entries]
-    high = [i for i, gen in enumerate(_slice(data, flavor, n - 1).basis)
-            if _filtration_of(data, gen) > p - r]
+    filtration at most p - r: for negative r, every one, since D never
+    raises filtration."""
+    source = _filtrations(data, flavor, n)
+    low = [i for i, f in enumerate(source) if f <= p]
+    high = [i for i, f in enumerate(_filtrations(data, flavor, n - 1))
+            if f > p - r]
     dropped = _differential(data, flavor, n).select(high, low)
-    return _kernel(data, dropped).included(incl)
+    return _kernel(data, dropped).included(low, len(source))
 
 
 @per_dataset
@@ -165,27 +154,22 @@ def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,
 def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
                       n: int) -> None:
     """The page-3 differential out of a filtration-3 cell must act by the
-    two-step coefficient product into the reducible tower."""
-    j = (n - 3) // 2
+    two-step coefficient product into the reducible tower.  Plus at odd
+    n >= 3 only: slice n has no theta, so each kept position is a point,
+    an eta if of grading 3, and slice n - 1 leads with theta."""
     source = _cell(data, flavor, 3, p, n)
     target = _cell(data, flavor, 3, 0, n - 1)
-    basis_n = _slice(data, flavor, n).basis
-    basis_m = _slice(data, flavor, n - 1).basis
-    try:
-        theta_idx = basis_m.index(Generator(KIND_THETA, None, j + 1))
-    except ValueError:
-        return
+    points = [data.points[i] for i in _kept(data, flavor, n)]
     mat = _dr_matrix(data, flavor, 3, p, n)
     for col, gen in enumerate(source.generators):
         total = 0
-        for i, coeff in enumerate(gen.vector):
-            g = basis_n[i]
-            if coeff and g.kind == KIND_ETA and data.grading_of(g.point) == 3:
+        for point, coeff in zip(points, gen.vector):
+            if coeff and point.grading == 3:
                 total += coeff * sum(
-                    data.m_value(g.point, c) * data.n_value(c, THETA)
+                    data.m_value(point.id, c) * data.n_value(c, THETA)
                     for c in data.ids_at(1))
-        predicted = [0] * len(basis_m)
-        predicted[theta_idx] = total
+        predicted = [0] * len(_kept(data, flavor, n - 1))
+        predicted[0] = total
         # a prediction outside the target cell cannot equal the actual
         # column: the formula under test failed, not the engine
         try:
@@ -208,7 +192,7 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     differential, and on Plus the page-3 maps into the reducible tower
     match the coefficient-product formula.
     """
-    require_valid(data)
+    lo, hi = checked_window(data, None)
     if flavor not in _PAGE_FLAVORS:
         raise InvalidInput(
             "spectral pages exist for the infinity and plus flavors only")
@@ -216,7 +200,6 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     cap = max_page(data)
     if not 0 <= up_to_r <= cap:
         raise InvalidInput(f"page bound must lie in [0, {cap}] for this data")
-    lo, hi = default_window(data)
 
     pages = []
     for r in range(up_to_r + 1):
@@ -272,10 +255,11 @@ def delta_map(data: MonopoleData, k: int) -> SparseIntMatrix:
         raise InvalidInput("the obstruction maps live in odd degrees 2k+1, "
                            "k nonnegative")
     pres = presentation_at(data, Flavor.NONEQUIVARIANT, 2 * k + 1)
-    basis = _slice(data, Flavor.NONEQUIVARIANT, 2 * k + 1).basis
+    ids = [data.points[i].id for i in _kept(
+        data, Flavor.NONEQUIVARIANT, 2 * k + 1)]
     entries = []
     for col, gen in enumerate(pres.generators):
-        x = {basis[i].point: c for i, c in enumerate(gen.vector) if c}
+        x = {ids[i]: c for i, c in enumerate(gen.vector) if c}
         gr = 2 * k + 1
         while gr > 1:
             x = {c: sum(v * data.m_value(a, c) for a, v in x.items())

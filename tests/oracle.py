@@ -264,3 +264,98 @@ def oracle_cohomology_at(dataset, flavor, degree):
     d_out = dense_transpose(oracle_differential(dataset, flavor, degree + 1))
     d_in = dense_transpose(oracle_differential(dataset, flavor, degree))
     return dense_homology(dim, d_out, d_in)
+
+
+# ---------------------------------------------------------------------------
+# the filtration spectral sequence, from its definitions
+# ---------------------------------------------------------------------------
+
+def dense_kernel_basis(mat, cols):
+    """A basis of the integer kernel of mat, which has cols columns, as a
+    list of vectors.
+
+    Textbook column reduction: unimodular column operations, tracked in V,
+    bring mat to mat * V = [H | 0] one row at a time, so the columns of V
+    under the zero columns are a basis of the kernel.
+    """
+    a = [[row[j] for row in mat] for j in range(cols)]
+    v = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    t = 0
+    for i in range(len(mat)):
+        while True:
+            live = [j for j in range(t, cols) if a[j][i]]
+            if not live:
+                break
+            pivot = min(live, key=lambda j: abs(a[j][i]))
+            a[t], a[pivot] = a[pivot], a[t]
+            v[t], v[pivot] = v[pivot], v[t]
+            cleared = True
+            for j in range(t + 1, cols):
+                q = a[j][i] // a[t][i]
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], a[t])]
+                    v[j] = [x - q * y for x, y in zip(v[j], v[t])]
+                if a[j][i]:
+                    cleared = False
+            if cleared:
+                t += 1
+                break
+    return v[t:]
+
+
+def oracle_filtrations(dataset, flavor, degree):
+    """The filtration of each oracle generator: its point's grading, or 0
+    for theta."""
+    gr, _, _ = _coeff_maps(dataset)
+    return [0 if kind == "theta" else gr[pid]
+            for kind, pid, _ in oracle_basis(dataset, flavor, degree)]
+
+
+def oracle_spectral_pages(dataset, flavor, up_to_r, degrees):
+    """(free rank, torsion) of every cell of pages 0 through up_to_r, keyed
+    (p, q) for each filtration level p and each degree n = p + q listed.
+
+    E_r(p, n) = Z_r^p / (Z_{r-1}^{p-1} + D Z_{r-1}^{p+r-1}), with Z_r^p the
+    degree-n chains of filtration at most p whose boundary has filtration
+    at most p - r.  Z_r^p is the kernel of a restriction of D to some
+    coordinates, so a pure sublattice: the quotient's free rank is a rank
+    difference, and its torsion is the invariant factors of the denominator
+    above 1.
+    """
+    gr, _, _ = _coeff_maps(dataset)
+    levels = sorted(set(gr.values()) | {0})
+    z_memo = {}
+
+    def z(r, p, n):
+        if (r, p, n) not in z_memo:
+            source = oracle_filtrations(dataset, flavor, n)
+            low = [j for j, f in enumerate(source) if f <= p]
+            high = [i for i, f in enumerate(
+                oracle_filtrations(dataset, flavor, n - 1)) if f > p - r]
+            d = oracle_differential(dataset, flavor, n)
+            block = [[d[i][j] for j in low] for i in high]
+            vectors = []
+            for x in dense_kernel_basis(block, len(low)):
+                vec = [0] * len(source)
+                for j, c in zip(low, x):
+                    vec[j] = c
+                vectors.append(vec)
+            z_memo[r, p, n] = vectors
+        return z_memo[r, p, n]
+
+    pages = []
+    for r in range(up_to_r + 1):
+        cells = {}
+        for p in levels:
+            for n in degrees:
+                d_up = oracle_differential(dataset, flavor, n + 1)
+                columns = z(r - 1, p - 1, n) + [
+                    [sum(a * b for a, b in zip(row, x)) for row in d_up]
+                    for x in z(r - 1, p + r - 1, n + 1)]
+                dim = len(oracle_basis(dataset, flavor, n))
+                factors = dense_invariant_factors(
+                    [[col[i] for col in columns] for i in range(dim)])
+                cells[p, n - p] = (len(z(r, p, n)) - len(factors),
+                                   [f for f in factors if f > 1])
+        pages.append(cells)
+    return pages

@@ -237,19 +237,31 @@ def test_spectral_reports_a_failed_check(tmp_path, capsys, monkeypatch):
 def test_spectral_reports_a_prediction_outside_its_cell(tmp_path, capsys,
                                                         monkeypatch):
     import monofloer.spectral as spectral
+    from monofloer.intlinalg import ContainmentError, QuotientPresentation
 
     data = by_name("tail-chain")
+    real_check = spectral._check_d3_formula
+    real_coordinate_of = QuotientPresentation.coordinate_of
 
-    class IrreducibleSlot:
-        # the page-3 formula's prediction lands on an irreducible generator
-        # of positive filtration, which no filtration-0 cell contains
-        def __init__(self, kind, point, k):
-            pass
+    def check_with_prediction_outside(data, flavor, p, n):
+        # the page-3 formula's prediction lies outside its target cell:
+        # the cell refuses it, and nothing else the check reads, since the
+        # differential it compares with is built before the cell refuses
+        spectral._dr_matrix(data, flavor, 3, p, n)
+        target = spectral._cell(data, flavor, 3, 0, n - 1)
 
-        def __eq__(self, gen):
-            return gen.point is not None and data.grading_of(gen.point) > 0
+        def coordinate_of(cell, vec):
+            if cell is target:
+                raise ContainmentError("vector is not in the cycle lattice")
+            return real_coordinate_of(cell, vec)
 
-    monkeypatch.setattr(spectral, "Generator", IrreducibleSlot)
+        with monkeypatch.context() as patch:
+            patch.setattr(QuotientPresentation, "coordinate_of",
+                          coordinate_of)
+            real_check(data, flavor, p, n)
+
+    monkeypatch.setattr(spectral, "_check_d3_formula",
+                        check_with_prediction_outside)
     path = write_dataset(tmp_path, data)
     code, out, err = run(capsys, ["spectral", "--pages", "3", path])
     assert code == 1
@@ -418,6 +430,38 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 0
     doc = report_of(done.stdout)
     assert doc["dataset_name"] == "two-step"
+
+
+# valid data whose gradings span three million degrees
+WIDE = MonopoleData.build("wide", [("a", 0), ("b", 3000000)])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["homology", "--flavor", "plus", "--window=0:5"], 2),
+    (["les", "main", "--window=0:2"], 2),
+    (["les", "hat", "--window=0:2"], 2),
+    (["duality", "--window=0:2"], 2),
+    (["verify-all", "--window=0:0"], 2),
+    (["spectral", "--pages", "1"], 2),
+    (["structure"], 2),
+    (["validate"], 0),
+    (["reverse"], 0),
+])
+def test_a_wide_grading_span_is_refused_at_once(tmp_path, argv, code):
+    # in a subprocess with a timeout, so a command that walks the band
+    # fails this test instead of hanging the suite
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "monofloer.cli", *argv,
+         write_dataset(tmp_path, WIDE)],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stdout == ""
+        assert "gradings span" in done.stderr
 
 
 def test_package_has_no_assert_statements():

@@ -350,6 +350,59 @@ def test_windowed_entry_points_reject_bad_windows(name, window):
         call(by_name("tail-chain"), window)
 
 
+# valid data whose gradings span three million degrees: every windowed
+# computation reads its band, so even a narrow window must be refused
+WIDE_SCRIPT = """
+from monofloer.complexes import Flavor, check_d_squared
+from monofloer.data import InvalidInput, MonopoleData
+from monofloer.homology import homology_at, presentation_at
+from monofloer.sequences import connecting_delta
+from monofloer.spectral import spectral_pages
+from test_complexes import _windowed_entry_points
+
+wide = MonopoleData.build("wide", [("a", 0), ("b", 3000000)])
+calls = {name: (lambda call=call: call(wide, (0, 2)))
+         for name, call in _windowed_entry_points().items()
+         if name != "check_d_squared"}
+calls["presentation_at"] = lambda: presentation_at(wide, Flavor.PLUS, 0)
+calls["homology_at"] = lambda: homology_at(wide, Flavor.PLUS, 0)
+calls["connecting_delta"] = lambda: connecting_delta(wide, 0)
+calls["spectral_pages"] = lambda: spectral_pages(wide, Flavor.PLUS, 1)
+for name, call in calls.items():
+    try:
+        call()
+        print(name, "returned", flush=True)
+    except InvalidInput as err:
+        assert "gradings span" in str(err), err
+        print(name, "refused", flush=True)
+print("check_d_squared", check_d_squared(wide, Flavor.PLUS, (0, 2)))
+"""
+
+
+def test_a_wide_grading_span_is_refused_by_every_windowed_entry():
+    # in a subprocess with a timeout, so an entry that walks the band fails
+    # this test instead of hanging the suite
+    import os
+    import subprocess
+    import sys
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"),
+                            tests])
+    try:
+        done = subprocess.run([sys.executable, "-c", WIDE_SCRIPT],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired as err:
+        pytest.fail(f"timed out after: {err.stdout!r}")
+    assert done.returncode == 0, done.stderr
+    names = [*(n for n in _windowed_entry_points() if n != "check_d_squared"),
+             "presentation_at", "homology_at", "connecting_delta",
+             "spectral_pages"]
+    assert done.stdout.splitlines() == [
+        *(f"{name} refused" for name in names), "check_d_squared True"]
+
+
 def test_identity_chain_map_rejects_invalid_data():
     # it reads only kept positions, which need no valid data
     call = _windowed_entry_points()["identity_chain_map"]

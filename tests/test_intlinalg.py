@@ -344,7 +344,7 @@ def test_included_lattice_coordinates_against_oracle():
         slots = sorted(rng.sample(range(ambient), mat.cols))
         incl = SparseIntMatrix.from_entries(
             ambient, mat.cols, [(i, j, 1) for j, i in enumerate(slots)])
-        lattice = kernel_basis(mat).included(incl)
+        lattice = kernel_basis(mat).included(slots, ambient)
         assert lattice.basis == incl.mul(kernel_basis(mat).basis)
         check_coordinates_against_oracle(rng, lattice)
 

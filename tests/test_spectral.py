@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+import oracle
 from monofloer.cli import verify_all
 from monofloer.complexes import Flavor, _differential, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
-    curated_instances
+    curated_instances, generate_instances
 from monofloer.intlinalg import AbelianGroupInvariants, \
-    QuotientPresentation, column_space_basis, hstack, preimage_lattice
+    QuotientPresentation, SparseIntMatrix, column_space_basis, hstack, \
+    preimage_lattice
 from monofloer.spectral import (
     _a_lattice,
+    _composite_vanishes,
     _den_lattice,
     delta_map,
     nonequivariant_floer,
     spectral_pages,
     structure_theorem,
 )
+from test_complexes import oracle_dataset
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -166,6 +172,92 @@ def test_next_page_is_cellwise_homology():
                 n = p + q
                 expect = _page_homology_invariants(data, Flavor.PLUS, r, p, n)
                 assert nxt.cells[(p, q)] == expect, (label, r, p, q)
+
+
+@functools.lru_cache(maxsize=1)
+def oracle_datasets():
+    """The curated datasets and the five largest generated ones of the
+    acceptance corpus."""
+    generated = generate_instances(2026, 12, 200)[len(curated_instances()):]
+    return (*curated_instances(),
+            *sorted(generated, key=lambda d: -len(d.points))[:5])
+
+
+def test_plus_pages_match_the_dense_oracle():
+    # every cell of pages 0-3 against the definitions, on dense matrices
+    # the engine never builds
+    nontrivial = 0
+    for data in oracle_datasets():
+        lo, hi = default_window(data)
+        want = oracle.oracle_spectral_pages(oracle_dataset(data), "plus", 3,
+                                            range(lo, hi + 1))
+        for page, cells in zip(spectral_pages(data, Flavor.PLUS, 3), want):
+            got = {key: (g.free_rank, list(g.torsion))
+                   for key, g in page.cells.items()}
+            assert got == cells, (data.name, page.r)
+            nontrivial += sum(1 for g in page.cells.values()
+                              if not g.is_trivial)
+    assert nontrivial
+
+
+def test_composite_vanishes_reads_torsion_orders():
+    def column(*entries):
+        return SparseIntMatrix.from_columns(len(entries), [list(entries)])
+
+    one = SparseIntMatrix.from_columns(1, [[1]])
+    # a zero product
+    assert _composite_vanishes(column(0, 0), one, (0, 0))
+    # entries divisible by the torsion orders of their rows
+    assert _composite_vanishes(column(4, -6), one, (2, 3))
+    # an entry its torsion order does not divide
+    assert not _composite_vanishes(column(4, 5), one, (2, 3))
+    # a nonzero entry on a free generator
+    assert not _composite_vanishes(column(0, 5), one, (2, 0))
+
+
+def test_an_even_page_with_a_differential_fails(monkeypatch):
+    import monofloer.spectral as spectral
+
+    real = spectral._dr_matrix
+
+    def d2_nonzero(data, flavor, r, p, n):
+        if r == 2:
+            return SparseIntMatrix.from_columns(1, [[1]])
+        return real(data, flavor, r, p, n)
+
+    monkeypatch.setattr(spectral, "_dr_matrix", d2_nonzero)
+    # the patched maps do not compose by shape; only the even-page check
+    # is under test here
+    monkeypatch.setattr(spectral, "_composite_vanishes",
+                        lambda second, first, orders: True)
+    data = by_name("tail-chain")
+    with pytest.raises(CheckFailed, match="even page 2") as info:
+        spectral_pages(data, Flavor.PLUS, 2)
+    assert info.value.degree == default_window(data)[0]
+
+
+def test_pages_and_structure_build_no_flavored_slice(monkeypatch):
+    # the pages and the structure theorem read kept positions; a generator
+    # slice is built only for the Infinity templates
+    import importlib
+    import pkgutil
+
+    import monofloer
+
+    built = []
+    for info in pkgutil.iter_modules(monofloer.__path__):
+        module = importlib.import_module(f"monofloer.{info.name}")
+        real = getattr(module, "_slice", None)
+        if real is not None:
+            def recorded(data, flavor, n, real=real):
+                built.append((data.name, flavor, n))
+                return real(data, flavor, n)
+            monkeypatch.setattr(module, "_slice", recorded)
+    for data in curated_instances():
+        spectral_pages(data, Flavor.PLUS, 3)
+        structure_theorem(data)
+    assert built
+    assert [b for b in built if b[1] is not Flavor.INFINITY] == []
 
 
 def test_spectral_pages_input_checks():
