@@ -298,12 +298,15 @@ class Reduction(NamedTuple):
     differential is D'(n): c_n -> c_{n-1}; f(n): c_n -> C_n and g(n): C_n
     -> c_n are chain maps and h(n): C_n -> C_{n+1} a homotopy, with g f = 1
     and 1 - f g = D h + h D, so f and g are mutually inverse on homology.
+    critical lists, ascending, the positions in the kept slice of degree n
+    of the generators in c_n.
     """
 
     differential: SparseIntMatrix
     f: SparseIntMatrix
     g: SparseIntMatrix
     h: SparseIntMatrix
+    critical: tuple[int, ...]
 
 
 def _pairs(data: MonopoleData, flavor: Flavor, n: int):
@@ -400,7 +403,8 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
             SparseIntMatrix.from_entries(size, len(crit), f),
             SparseIntMatrix.from_entries(len(crit), size, g),
             SparseIntMatrix.from_entries(
-                len(_kept(data, flavor, n + 1)), size, h))
+                len(_kept(data, flavor, n + 1)), size, h),
+            tuple(crit))
     return {n: built[k] for n, k in key.items()}
 
 

@@ -1,25 +1,31 @@
 """Index-filtration spectral sequence and the Plus-flavor structure theorem.
 
 The complexes are filtered by the grading of the underlying critical point,
-with the reducible orbit at filtration zero.  Pages are computed exactly
-from approximation lattices: the page-r cell at filtration p is the group
-of filtration-p chains whose boundary drops r filtration levels, modulo
-lower chains and boundaries from above.  The structure theorem assembles a
-prediction for every Plus degree out of the non-equivariant homology, the
-delta maps, and the cyclic tower terms, then compares it with the directly
-computed homology and refuses to paper over a disagreement.
+with the reducible orbit at filtration zero.  Page 0 is free on the
+generators of each filtration.  Later pages are computed exactly from
+approximation lattices on the certified reduction, which keeps the
+filtration: the page-r cell at filtration p is the group of filtration-p
+chains whose boundary drops r filtration levels, modulo lower chains and
+boundaries from above.  The structure theorem assembles a prediction for
+every Plus degree out of the non-equivariant homology, the delta maps, and
+the cyclic tower terms, then compares it with the directly computed
+homology and refuses to paper over a disagreement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     Flavor,
     MonopoleData,
+    _band,
     _differential,
     _kept,
+    _reduced,
+    _reduced_differential,
     checked_window,
     require_valid,
 )
@@ -29,6 +35,7 @@ from .homology import graded_homology, homology_at, presentation_at, \
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
+    HomologyGenerator,
     Lattice,
     QuotientPresentation,
     SparseIntMatrix,
@@ -73,7 +80,7 @@ class StructureTheoremResult:
 
 
 # ---------------------------------------------------------------------------
-# approximation lattices
+# filtration tables, cells and their differentials
 # ---------------------------------------------------------------------------
 
 @per_dataset
@@ -84,6 +91,38 @@ def _filtrations(data: MonopoleData, flavor: Flavor,
     theta = 1 - n % 2
     return tuple(0 if i < theta else data.points[i - theta].grading
                  for i in _kept(data, flavor, n))
+
+
+@per_dataset
+def _critical_filtrations(data: MonopoleData, flavor: Flavor,
+                          n: int) -> tuple[int, ...]:
+    """The filtration of each critical generator of degree n in the
+    certified reduction: that of its kept position."""
+    full = _filtrations(data, flavor, n)
+    return tuple(full[i] for i in _reduced(data, flavor, n).critical)
+
+
+@per_dataset
+def _check_filtered(data: MonopoleData, flavor: Flavor) -> None:
+    """Pages past the first are read on the certified reduction, which
+    fixes them only if it is filtered: every cancelled pair sits at one
+    point, so no entry of D', f, g or h may raise filtration.  Tests every
+    entry of every band degree; raises CheckFailed at the first degree
+    where one does."""
+    lo, hi = _band(data)
+    for n in range(lo, hi + 1):
+        red = _reduced(data, flavor, n)
+        full = _filtrations(data, flavor, n)
+        crit = _critical_filtrations(data, flavor, n)
+        for name, mat, rows, cols in (
+                ("D'", red.differential,
+                 _critical_filtrations(data, flavor, n - 1), crit),
+                ("f", red.f, full, crit),
+                ("g", red.g, crit, full),
+                ("h", red.h, _filtrations(data, flavor, n + 1), full)):
+            if any(rows[i] > cols[j] for i, j, _ in mat.entries):
+                raise CheckFailed(
+                    n, f"the reduction's {name} raises filtration")
 
 
 def _filtration_levels(data: MonopoleData) -> list[int]:
@@ -100,14 +139,13 @@ def max_page(data: MonopoleData) -> int:
 @per_dataset
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
                r: int) -> Lattice:
-    """Degree-n chains of filtration at most p whose boundary has
-    filtration at most p - r: for negative r, every one, since D never
-    raises filtration."""
-    source = _filtrations(data, flavor, n)
+    """Degree-n chains of the reduction of filtration at most p whose
+    boundary has filtration at most p - r."""
+    source = _critical_filtrations(data, flavor, n)
     low = [i for i, f in enumerate(source) if f <= p]
-    high = [i for i, f in enumerate(_filtrations(data, flavor, n - 1))
+    high = [i for i, f in enumerate(_critical_filtrations(data, flavor, n - 1))
             if f > p - r]
-    dropped = _differential(data, flavor, n).select(high, low)
+    dropped = _reduced_differential(data, flavor, n).select(high, low)
     return _kernel(data, dropped).included(low, len(source))
 
 
@@ -115,14 +153,44 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
 def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
                  n: int) -> SparseIntMatrix:
     below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
-    above = _differential(data, flavor, n + 1).mul(
+    above = _reduced_differential(data, flavor, n + 1).mul(
         _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)
     return hstack(below, above)
 
 
+class _FreeCell(NamedTuple):
+    """A free cell on unit vectors: a page-0 cell, or the zero cell."""
+
+    generators: tuple[HomologyGenerator, ...]
+
+    @property
+    def invariants(self) -> AbelianGroupInvariants:
+        return AbelianGroupInvariants(len(self.generators))
+
+
+_EMPTY = _FreeCell(())
+
+
+def _at(levels: tuple[int, ...], p: int) -> list[int]:
+    return [i for i, f in enumerate(levels) if f == p]
+
+
 @per_dataset
 def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
-          n: int) -> QuotientPresentation:
+          n: int) -> QuotientPresentation | _FreeCell:
+    """The page-r cell at filtration p, degree n.  Page 0 is F_p / F_(p-1),
+    free on the kept positions at filtration p.  A later page is read on
+    the certified reduction, a filtered homotopy equivalence, which fixes
+    every page past the first; a cell with no generator at filtration p is
+    zero on every page, and is _EMPTY."""
+    levels = (_filtrations(data, flavor, n) if r == 0
+              else _critical_filtrations(data, flavor, n))
+    at = _at(levels, p)
+    if not at:
+        return _EMPTY
+    if r == 0:
+        return _FreeCell(tuple(HomologyGenerator(
+            0, tuple(int(i == j) for i in range(len(levels)))) for j in at))
     return _quotient(data, _a_lattice(data, flavor, n, p, r),
                      _den_lattice(data, flavor, r, p, n))
 
@@ -130,10 +198,19 @@ def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
 @per_dataset
 def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
                n: int) -> SparseIntMatrix:
-    """Page-r differential out of the cell at filtration p, degree n."""
+    """Page-r differential out of the cell at filtration p, degree n: on
+    page 0 the block of D between the positions at p, later the classes
+    of D' on the source generators, and zero into a cell without
+    generators."""
+    if r == 0:
+        return _differential(data, flavor, n).select(
+            _at(_filtrations(data, flavor, n - 1), p),
+            _at(_filtrations(data, flavor, n), p))
     source = _cell(data, flavor, r, p, n)
     target = _cell(data, flavor, r, p - r, n - 1)
-    d_n = _differential(data, flavor, n)
+    if not target.generators:
+        return SparseIntMatrix.zero(0, len(source.generators))
+    d_n = _reduced_differential(data, flavor, n)
     columns = [target.coordinate_of(d_n.apply(g.vector))
                for g in source.generators]
     return SparseIntMatrix.from_columns(len(target.generators), columns)
@@ -156,24 +233,29 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
     """The page-3 differential out of a filtration-3 cell must act by the
     two-step coefficient product into the reducible tower.  Plus at odd
     n >= 3 only: slice n has no theta, so each kept position is a point,
-    an eta if of grading 3, and slice n - 1 leads with theta."""
+    an eta if of grading 3, and slice n - 1 leads with theta, which is
+    critical, so its cell at filtration 0 is a presentation.  The cells
+    live on the reduction: each source generator is read through f(n),
+    and the prediction is carried back through g(n - 1)."""
     source = _cell(data, flavor, 3, p, n)
     target = _cell(data, flavor, 3, 0, n - 1)
     points = [data.points[i] for i in _kept(data, flavor, n)]
+    f = _reduced(data, flavor, n).f
+    g = _reduced(data, flavor, n - 1).g
     mat = _dr_matrix(data, flavor, 3, p, n)
     for col, gen in enumerate(source.generators):
         total = 0
-        for point, coeff in zip(points, gen.vector):
+        for point, coeff in zip(points, f.apply(gen.vector)):
             if coeff and point.grading == 3:
                 total += coeff * sum(
                     data.m_value(point.id, c) * data.n_value(c, THETA)
                     for c in data.ids_at(1))
-        predicted = [0] * len(_kept(data, flavor, n - 1))
+        predicted = [0] * g.cols
         predicted[0] = total
         # a prediction outside the target cell cannot equal the actual
         # column: the formula under test failed, not the engine
         try:
-            got = target.coordinate_of(predicted)
+            got = target.coordinate_of(g.apply(predicted))
         except ContainmentError:
             got = None
         if got != tuple(mat.column(col)):
@@ -187,9 +269,11 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     """Pages 0 through up_to_r of the filtration spectral sequence.
 
     Cells cover the filtration levels present in the data crossed with the
-    default degree window.  Every page is checked: composing consecutive
-    differentials yields zero, even pages past the first carry no
-    differential, and on Plus the page-3 maps into the reducible tower
+    default degree window.  Page 0 is read off the complex, later pages
+    off its certified reduction, once _check_filtered has shown that the
+    reduction keeps the filtration.  Every page is checked: composing
+    consecutive differentials yields zero, even pages past the first carry
+    no differential, and on Plus the page-3 maps into the reducible tower
     match the coefficient-product formula.
     """
     lo, hi = checked_window(data, None)
@@ -200,6 +284,7 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     cap = max_page(data)
     if not 0 <= up_to_r <= cap:
         raise InvalidInput(f"page bound must lie in [0, {cap}] for this data")
+    _check_filtered(data, flavor)
 
     pages = []
     for r in range(up_to_r + 1):

@@ -270,18 +270,22 @@ def oracle_cohomology_at(dataset, flavor, degree):
 # the filtration spectral sequence, from its definitions
 # ---------------------------------------------------------------------------
 
-def dense_kernel_basis(mat, cols):
-    """A basis of the integer kernel of mat, which has cols columns, as a
-    list of vectors.
+def dense_column_reduction(columns, height):
+    """(echelon, kernel) of the matrix whose columns are listed, each of
+    the given height.
 
     Textbook column reduction: unimodular column operations, tracked in V,
-    bring mat to mat * V = [H | 0] one row at a time, so the columns of V
-    under the zero columns are a basis of the kernel.
+    bring it to [H | 0] one row at a time.  echelon lists each column of H
+    with its pivot row: an independent basis of the column span, each
+    column zero in the pivot rows of those before it.  kernel lists the
+    columns of V under the zero columns, a basis of the integer kernel.
     """
-    a = [[row[j] for row in mat] for j in range(cols)]
+    a = [list(col) for col in columns]
+    cols = len(a)
     v = [[int(i == j) for i in range(cols)] for j in range(cols)]
+    pivots = []
     t = 0
-    for i in range(len(mat)):
+    for i in range(height):
         while True:
             live = [j for j in range(t, cols) if a[j][i]]
             if not live:
@@ -298,9 +302,58 @@ def dense_kernel_basis(mat, cols):
                 if a[j][i]:
                     cleared = False
             if cleared:
+                pivots.append(i)
                 t += 1
                 break
-    return v[t:]
+    return list(zip(a[:t], pivots)), v[t:]
+
+
+def dense_kernel_basis(mat, cols):
+    """A basis of the integer kernel of mat, which has cols columns, as a
+    list of vectors."""
+    columns = [[row[j] for row in mat] for j in range(cols)]
+    return dense_column_reduction(columns, len(mat))[1]
+
+
+def dense_echelon_coordinates(echelon, vec):
+    """The integer x with sum x_t H_t == vec for the echelon basis H of
+    dense_column_reduction; None when vec lies outside its span."""
+    rest = list(vec)
+    x = []
+    for col, pivot in echelon:
+        q, r = divmod(rest[pivot], col[pivot])
+        if r:
+            return None
+        x.append(q)
+        rest = [a - q * b for a, b in zip(rest, col)]
+    return x if not any(rest) else None
+
+
+def dense_cell_homology(orders, incoming, outgoing, target_orders):
+    """(free rank, torsion) of ker / im at the middle group of G' -> G ->
+    G'', with G the sum of Z/o over orders (o = 0 giving Z).
+
+    outgoing lists the rows of the map G -> G'', whose orders are
+    target_orders; incoming lists the columns of the map G' -> G, in G's
+    coordinates.  x in Z^k is a cycle when outgoing x lies in the
+    relations of G'', so the cycles are the first k coordinates of the
+    kernel of [outgoing | diag(target_orders)]; the boundaries are
+    incoming's columns and G's own relations.  The answer is the cycle
+    lattice modulo the boundaries, read in an echelon basis of the cycles.
+    """
+    k = len(orders)
+    block = [list(row) + [o * (i == j) for j, o in enumerate(target_orders)]
+             for i, row in enumerate(outgoing)]
+    cycles = [x[:k] for x in dense_kernel_basis(block, k + len(outgoing))]
+    echelon, _ = dense_column_reduction(cycles, k)
+    boundaries = [list(col) for col in incoming] + [
+        [o * (i == j) for i in range(k)] for j, o in enumerate(orders) if o]
+    coords = [dense_echelon_coordinates(echelon, b) for b in boundaries]
+    if any(c is None for c in coords):
+        raise ValueError("a boundary is not a cycle")
+    factors = dense_invariant_factors(
+        [[c[t] for c in coords] for t in range(len(echelon))])
+    return len(echelon) - len(factors), [f for f in factors if f > 1]
 
 
 def oracle_filtrations(dataset, flavor, degree):

@@ -270,6 +270,21 @@ def test_spectral_reports_a_prediction_outside_its_cell(tmp_path, capsys,
     assert "FAIL" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["f", "h"])
+def test_spectral_reports_a_reduction_that_raises_filtration(
+        tmp_path, capsys, monkeypatch, field):
+    from test_spectral import patch_reduction, raising_reduction
+
+    data = by_name("tail-chain")
+    n, broken = raising_reduction(data, field)
+    patch_reduction(monkeypatch, n, broken)
+    path = write_dataset(tmp_path, data)
+    code, out, err = run(capsys, ["spectral", "--pages", "3", path])
+    assert code == 1
+    assert report_of(out)["results"] == {"ok": False, "degree": n}
+    assert "FAIL" in err and "Traceback" not in err
+
+
 def test_duality(tmp_path, capsys):
     path = write_dataset(tmp_path, by_name("theta-coupled-pair"))
     code, out, _ = run(capsys, ["duality", path])

@@ -542,7 +542,8 @@ def _tables_digest(tables):
     digest = hashlib.sha256()
     for table in tables:
         for n in sorted(table):
-            for mat in table[n]:
+            red = table[n]
+            for mat in (red.differential, red.f, red.g, red.h):
                 digest.update(repr((n, mat.rows, mat.cols,
                                     mat.entries)).encode())
     return digest.hexdigest()

@@ -38,6 +38,7 @@ from monofloer.homology import graded_homology, homology_at, \
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _delta_chain, _hat_delta_chain, _red_at, \
     connecting_delta, hf_red
+from monofloer.spectral import spectral_pages
 from test_complexes import compare_with_oracle, full_presentation, \
     oracle_dataset
 
@@ -144,6 +145,21 @@ def test_reduced_homology_matches_the_oracle(pair):
             free, torsion = oracle.oracle_homology_at(blob, flavor.value, n)
             assert (got.free_rank, list(got.torsion)) == (free, torsion), (
                 data.name, flavor, n)
+
+
+@SETTINGS
+@given(gauged)
+def test_spectral_pages_match_the_oracle_and_ignore_the_gauge(pair):
+    original, data = pair
+    lo, hi = default_window(data)
+    want = oracle.oracle_spectral_pages(oracle_dataset(data), "plus", 3,
+                                        range(lo, hi + 1))
+    for page, cells, before in zip(spectral_pages(data, Flavor.PLUS, 3), want,
+                                   spectral_pages(original, Flavor.PLUS, 3)):
+        assert {key: (g.free_rank, list(g.torsion))
+                for key, g in page.cells.items()} == cells, (data.name,
+                                                             page.r)
+        assert page.cells == before.cells, (data.name, page.r)
 
 
 def _reduced_class(data, flavor, n, cycle):

@@ -3,9 +3,12 @@
 Each case runs one subcommand in-process and pins the SHA-256 of its
 standard output together with its exit code, so a refactor that changes
 any byte of a report (generator-dependent fields such as `delta`,
-`differentials` and `witness` included) fails here.  A change that must
-alter generator-dependent output bumps `engine_version` and re-records the
-table by running this file as a script from the repository root:
+`differentials` and `witness` included) fails here.  Each report is hashed
+with its `engine_version` value read as PINNED_VERSION, so a version bump
+alone changes no digest; every report must carry the package's version.
+A change that must alter generator-dependent output bumps `engine_version`
+and re-records the table by running this file as a script from the
+repository root, and the table's diff names the reports it changed:
 
     PYTHONPATH=src python tests/test_reports.py
 """
@@ -14,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import monofloer
 from monofloer import cli
 from monofloer.cli import main
 from monofloer.data import THETA, MonopoleData, curated_instances, serialize
@@ -88,13 +93,25 @@ def _cases() -> list[tuple[str, MonopoleData, tuple[str, ...]]]:
     return cases
 
 
+# the engine_version the table was first recorded under
+PINNED_VERSION = "0.1.0"
+VERSION_FIELD = '"engine_version": "{}"'
+
+
 def _digest(data: MonopoleData, command: tuple[str, ...], directory) -> str:
+    """The SHA-256 of the exit code and the report, with the report's
+    engine_version, which must be the package's, read as PINNED_VERSION."""
     path = directory / f"{data.name}.json"
     path.write_bytes(serialize(data))
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = main([*command, str(path)])
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    report = out.getvalue()
+    if report:
+        assert json.loads(report)["engine_version"] == monofloer.__version__
+        report = report.replace(VERSION_FIELD.format(monofloer.__version__),
+                                VERSION_FIELD.format(PINNED_VERSION), 1)
+    return hashlib.sha256(f"{code}\n{report}".encode()).hexdigest()
 
 
 EXPECTED = {
@@ -219,7 +236,7 @@ EXPECTED = {
     "gap-three-chain:les hat":
         "e3fd509553972dd1571262841a99ce3f59d1930742f2d3a5df3938b692d95f18",
     "gap-three-chain:spectral --pages 3":
-        "a0bf1b875573f89d21987038a36c8ce0efc4fa6a7179f95e8ffd7c04319aeec9",
+        "8f9b78b66fa35cf9864d67b57991a1049da7636b52f1674ec86e909648c78f7c",
     "gap-three-chain:structure":
         "eef3050d062167e07a9ef1e9f29e9d9dfb0888ed2a113cf407a205a0cc92cb58",
     "gap-three-chain:duality":

@@ -8,16 +8,16 @@ import pytest
 
 import oracle
 from monofloer.cli import verify_all
-from monofloer.complexes import Flavor, _differential, default_window
+from monofloer.complexes import Flavor, _band, _reduced, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances, generate_instances
-from monofloer.intlinalg import AbelianGroupInvariants, \
-    QuotientPresentation, SparseIntMatrix, column_space_basis, hstack, \
-    preimage_lattice
+from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.spectral import (
-    _a_lattice,
+    _cell,
     _composite_vanishes,
-    _den_lattice,
+    _critical_filtrations,
+    _filtration_levels,
+    _filtrations,
     delta_map,
     nonequivariant_floer,
     spectral_pages,
@@ -148,30 +148,35 @@ def test_even_pages_have_zero_differentials():
                 assert mat.is_zero(), (label, page.r)
 
 
-def _page_homology_invariants(data, flavor, r, p, n):
-    """Kernel modulo image of the page-r differentials at one cell,
-    computed on the underlying lattices."""
-    lattice = _a_lattice(data, flavor, n, p, r).basis
-    target_den = _den_lattice(data, flavor, r, p - r, n - 1)
-    pre = preimage_lattice(
-        _differential(data, flavor, n).mul(lattice), target_den)
-    numerator = column_space_basis(lattice.mul(pre))
-    image = _differential(data, flavor, n + 1).mul(
-        _a_lattice(data, flavor, n + 1, p + r, r).basis)
-    denominator = hstack(_den_lattice(data, flavor, r, p, n), image)
-    return QuotientPresentation(numerator, denominator).invariants
-
-
 def test_next_page_is_cellwise_homology():
-    for label in ("two-step", "tail-chain"):
+    # H(E_r, d_r) at each cell, from the page's own cells and differentials
+    # with the generator orders of its cells, is the next page's cell
+    moved = 0
+    for label in ("two-step", "tail-chain", "gap-three-chain"):
         data = by_name(label)
-        pages = spectral_pages(data, Flavor.PLUS, 3)
-        for r in range(3):
-            nxt = pages[r + 1]
-            for (p, q) in pages[r].cells:
-                n = p + q
-                expect = _page_homology_invariants(data, Flavor.PLUS, r, p, n)
-                assert nxt.cells[(p, q)] == expect, (label, r, p, q)
+        _, hi = default_window(data)
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            pages = spectral_pages(data, flavor, 3)
+            for r in range(3):
+                page = pages[r]
+                for (p, q), mat in page.differentials.items():
+                    n = p + q
+                    if n == hi:  # the incoming map lies outside the page
+                        continue
+                    orders = [g.order for g in
+                              _cell(data, flavor, r, p, n).generators]
+                    incoming = page.differentials.get(
+                        (p + r, q - r + 1),
+                        SparseIntMatrix.zero(len(orders), 0))
+                    target = [g.order for g in
+                              _cell(data, flavor, r, p - r, n - 1).generators]
+                    got = pages[r + 1].cells[(p, q)]
+                    assert (got.free_rank, list(got.torsion)) == \
+                        oracle.dense_cell_homology(
+                            orders, incoming.columns(), mat.to_dense(),
+                            target), (label, flavor, r, p, q)
+                    moved += not mat.is_zero()
+    assert moved
 
 
 @functools.lru_cache(maxsize=1)
@@ -183,21 +188,97 @@ def oracle_datasets():
             *sorted(generated, key=lambda d: -len(d.points))[:5])
 
 
-def test_plus_pages_match_the_dense_oracle():
-    # every cell of pages 0-3 against the definitions, on dense matrices
-    # the engine never builds
+def assert_pages_match_the_oracle(data, flavor):
+    """Every cell of pages 0-3 against the definitions, on dense matrices
+    the engine never builds; returns the number of nontrivial cells."""
+    lo, hi = default_window(data)
+    want = oracle.oracle_spectral_pages(oracle_dataset(data), flavor.value,
+                                        3, range(lo, hi + 1))
     nontrivial = 0
+    for page, cells in zip(spectral_pages(data, flavor, 3), want):
+        got = {key: (g.free_rank, list(g.torsion))
+               for key, g in page.cells.items()}
+        assert got == cells, (data.name, flavor, page.r)
+        nontrivial += sum(1 for g in page.cells.values() if not g.is_trivial)
+    return nontrivial
+
+
+def test_plus_pages_match_the_dense_oracle():
+    assert sum(assert_pages_match_the_oracle(data, Flavor.PLUS)
+               for data in oracle_datasets())
+
+
+def test_infinity_pages_match_the_dense_oracle():
+    assert sum(assert_pages_match_the_oracle(data, Flavor.INFINITY)
+               for data in oracle_datasets())
+
+
+def test_page_zero_and_trivial_cells_build_no_presentation(monkeypatch):
+    # page 0 is free on the positions at its filtration, and a later cell
+    # with no critical generator there is zero: neither builds a lattice
+    # quotient.  Fresh datasets hold no memoised presentation to hide one.
+    import monofloer.homology as homology
+
+    built = []
+    real = homology.QuotientPresentation
+    monkeypatch.setattr(homology, "QuotientPresentation",
+                        lambda *args: built.append(args) or real(*args))
     for data in oracle_datasets():
+        data = MonopoleData.build(
+            data.name, [(p.id, p.grading) for p in data.points],
+            n=data.n_coeffs, m=data.m_coeffs)
         lo, hi = default_window(data)
-        want = oracle.oracle_spectral_pages(oracle_dataset(data), "plus", 3,
-                                            range(lo, hi + 1))
-        for page, cells in zip(spectral_pages(data, Flavor.PLUS, 3), want):
-            got = {key: (g.free_rank, list(g.torsion))
-                   for key, g in page.cells.items()}
-            assert got == cells, (data.name, page.r)
-            nontrivial += sum(1 for g in page.cells.values()
-                              if not g.is_trivial)
-    assert nontrivial
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            for r in range(4):
+                for p in _filtration_levels(data):
+                    for n in range(lo, hi + 1):
+                        if r == 0 or p not in _critical_filtrations(
+                                data, flavor, n):
+                            _cell(data, flavor, r, p, n)
+            assert built == [], (data.name, flavor)
+    # the cells with a critical generator at their filtration do build one
+    spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
+    assert built
+
+
+def raising_reduction(data, field):
+    """The first band degree n where the Plus reduction's f, or h, has a
+    slot that raises filtration, and that reduction with a 1 put there."""
+    lo, hi = _band(data)
+    for n in range(lo, hi + 1):
+        full = _filtrations(data, Flavor.PLUS, n)
+        rows, cols = {
+            "f": (full, _critical_filtrations(data, Flavor.PLUS, n)),
+            "h": (_filtrations(data, Flavor.PLUS, n + 1), full)}[field]
+        slot = next(((i, j) for i, a in enumerate(rows)
+                     for j, b in enumerate(cols) if a > b), None)
+        if slot is not None:
+            red = _reduced(data, Flavor.PLUS, n)
+            mat = getattr(red, field)
+            return n, red._replace(**{field: SparseIntMatrix.from_entries(
+                mat.rows, mat.cols, [*mat.entries, (*slot, 1)])})
+    raise AssertionError("no slot raises filtration")
+
+
+def patch_reduction(monkeypatch, n, broken):
+    """spectral reads broken as the Plus reduction in degree n, after the
+    certificate passed on the real one."""
+    import monofloer.spectral as spectral
+
+    real = spectral._reduced
+    monkeypatch.setattr(
+        spectral, "_reduced", lambda data, flavor, m: broken
+        if (flavor, m) == (Flavor.PLUS, n) else real(data, flavor, m))
+
+
+@pytest.mark.parametrize("field", ["f", "h"])
+def test_a_reduction_that_raises_filtration_fails(monkeypatch, field):
+    n, broken = raising_reduction(by_name("tail-chain"), field)
+    patch_reduction(monkeypatch, n, broken)
+    with pytest.raises(CheckFailed,
+                       match=f"reduction's {field} raises filtration") as info:
+        spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
+    assert info.value.degree == n
 
 
 def test_composite_vanishes_reads_torsion_orders():
