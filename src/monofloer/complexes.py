@@ -19,6 +19,7 @@ the generators at the flavor's k edge (eta_a^0 and 1_a^(-1)).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -201,13 +202,26 @@ def _band_degree(data: MonopoleData, n: int) -> int:
     return n
 
 
-@per_dataset
+def per_band_degree(fn):
+    """per_dataset for fn(data, flavor, n), keyed with n folded onto the
+    band by _band_degree, so the memo holds band degrees only.  A band
+    degree's hit is one lookup.  fn must never return None."""
+    @functools.wraps(fn)
+    def memoised(data: MonopoleData, flavor: Flavor, n: int):
+        value = data._memo.get((fn, flavor, n))
+        if value is None:
+            key = (fn, flavor, _band_degree(data, n))
+            value = data._memo.get(key)
+            if value is None:
+                value = data._memo[key] = fn(data, flavor, key[2])
+        return value
+    return memoised
+
+
+@per_band_degree
 def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     """The ascending positions of the Infinity basis of degree n that the
     flavor admits."""
-    edge = _band_degree(data, n)
-    if edge != n:
-        return _kept(data, flavor, edge)
     return tuple(i for i, (kind, _, k) in enumerate(_infinity_cells(data, n))
                  if _admissible(flavor, kind, k))
 
@@ -238,11 +252,8 @@ def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
                       _kept(data, flavor, n))
 
 
-@per_dataset
+@per_band_degree
 def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
-    edge = _band_degree(data, n)
-    if edge != n:
-        return _differential(data, flavor, edge)
     return _rule_matrix(data, _image_terms, 1, flavor, n)
 
 
@@ -466,10 +477,9 @@ def _reduction(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
 
 
 def _reduced(data: MonopoleData, flavor: Flavor, n: int) -> Reduction:
-    """The certified reduction in degree n, folded onto the band as
-    _differential is."""
-    table = _reduction(data, flavor)
-    return table.get(n) or table[_band_degree(data, n)]
+    """The certified reduction in degree n, read at n's band degree: its
+    table holds band degrees only, as per_band_degree's memo does."""
+    return _reduction(data, flavor)[_band_degree(data, n)]
 
 
 def _reduced_differential(data: MonopoleData, flavor: Flavor,

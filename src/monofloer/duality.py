@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     Flavor,
-    _band_degree,
     _differential,
     _distinct_degrees,
     _kept,
@@ -24,6 +23,7 @@ from .complexes import (
     _slice,
     checked_window,
     generator_degree,
+    per_band_degree,
     require_valid,
     structural_map,
 )
@@ -172,7 +172,7 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
                for f, p, q, g in checks)
 
 
-@per_dataset
+@per_band_degree
 def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
     """Degree-n cohomology: the kernel of transpose(D at n + 1), since the
@@ -182,9 +182,6 @@ def _cohomology_at(data: MonopoleData, flavor: Flavor,
     makes (g^T, f^T, h^T) a reduction of the cochain complex, so D' gives
     the same groups; Hat and NonEquivariant have no pairs, and
     _reduced_differential returns their own D."""
-    edge = _band_degree(data, n)
-    if edge != n:
-        return _cohomology_at(data, flavor, edge)
     delta_out = _reduced_differential(data, flavor, n + 1).transpose()
     delta_in = _reduced_differential(data, flavor, n).transpose()
     return _quotient(data, _kernel(data, delta_out), delta_in).invariants

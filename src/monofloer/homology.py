@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
     _band_degree, _carried, _differential, _distinct_degrees, _kept, \
-    _reduced_differential, checked_window, require_valid, structural_map
+    _reduced_differential, checked_window, per_band_degree, require_valid, \
+    structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -62,7 +63,6 @@ class Tail:
 
     even: AbelianGroupInvariants
     odd: AbelianGroupInvariants
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _quotient(data: MonopoleData, z: Lattice,
     return QuotientPresentation(z, b)
 
 
-@per_dataset
+@per_band_degree
 def presentation_at(data: MonopoleData, flavor: Flavor,
                     n: int) -> QuotientPresentation:
     """Cycle lattice, boundary columns, and pinned generators in degree n,
@@ -121,12 +121,9 @@ def presentation_at(data: MonopoleData, flavor: Flavor,
     full complex, with cycles and generators in the coordinates of the
     critical generators.  A flavor without pairs is its own reduction.
     Raises the certificate's CheckFailed if the reduction fails it.
-    Outside the band of complexes._band this is the same object as at the
-    band-edge degree of n's parity."""
+    Outside the band this is, by complexes.per_band_degree, the same
+    object as at the band-edge degree of n's parity."""
     require_valid(data)
-    edge = _band_degree(data, n)
-    if edge != n:
-        return presentation_at(data, flavor, edge)
     return _quotient(data,
                      _kernel(data, _reduced_differential(data, flavor, n)),
                      _reduced_differential(data, flavor, n + 1))
@@ -165,17 +162,16 @@ def _tail(data: MonopoleData, edge: int, step: int, group_at,
         return None
     pair = {n % 2: group_at(_band_degree(data, n))
             for n in (edge + step, edge + 2 * step)}
-    return Tail(even=pair[0], odd=pair[1], verified=True)
+    return Tail(even=pair[0], odd=pair[1])
 
 
 def graded_homology(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int] | None = None) -> GradedAbelianGroup:
-    """Homology across the window, each degree read at its band degree,
-    plus _tail beyond each edge: Infinity repeats with period two in every
-    degree, and a flavor that keeps no generator past an edge vanishes."""
+    """Homology across the window, plus _tail beyond each edge: Infinity
+    repeats with period two in every degree, and a flavor that keeps no
+    generator past an edge vanishes."""
     lo, hi = checked_window(data, window)
-    groups = {n: homology_at(data, flavor, _band_degree(data, n))
-              for n in range(lo, hi + 1)}
+    groups = {n: homology_at(data, flavor, n) for n in range(lo, hi + 1)}
     tails = [_tail(data, edge, step, lambda n: homology_at(data, flavor, n),
                    lambda n: flavor is Flavor.INFINITY
                    or not _kept(data, flavor, n))

@@ -27,6 +27,7 @@ from .complexes import (
     _reduced,
     _reduced_differential,
     checked_window,
+    per_band_degree,
     require_valid,
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
@@ -83,7 +84,7 @@ class StructureTheoremResult:
 # filtration tables, cells and their differentials
 # ---------------------------------------------------------------------------
 
-@per_dataset
+@per_band_degree
 def _filtrations(data: MonopoleData, flavor: Flavor,
                  n: int) -> tuple[int, ...]:
     """The filtration of each kept position of degree n: its point's
@@ -93,7 +94,7 @@ def _filtrations(data: MonopoleData, flavor: Flavor,
                  for i in _kept(data, flavor, n))
 
 
-@per_dataset
+@per_band_degree
 def _critical_filtrations(data: MonopoleData, flavor: Flavor,
                           n: int) -> tuple[int, ...]:
     """The filtration of each critical generator of degree n in the

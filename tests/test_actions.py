@@ -8,6 +8,7 @@ import pytest
 from monofloer.data import InvalidInput, curated_instances
 from monofloer.complexes import Flavor, _band, default_window, \
     differential_matrix
+from monofloer.intlinalg import SparseIntMatrix
 from monofloer.homology import presentation_at, structural_chain_map, \
     induced_on_homology
 from monofloer.actions import (
@@ -110,6 +111,24 @@ def test_u_homotopy_fails_at_a_degree_far_outside_the_band(monkeypatch):
     monkeypatch.setattr(actions, "u_chain_map", broken)
     assert not verify_u_homotopy(d, Flavor.PLUS, window)
     assert verify_u_homotopy(d, Flavor.PLUS, (-600, 499))
+
+
+def test_u_homotopy_checks_the_first_degree_of_its_window(monkeypatch):
+    """A homotopy broken at one degree fails the one-degree window there."""
+    import monofloer.actions as actions
+
+    d = by_name("tail-chain")
+    lo, hi = _band(d)
+    n = next(n for n in range(lo, hi + 1) if not differential_matrix(
+        d, Flavor.PLUS, n - 1).mul(homotopy_h(d, Flavor.PLUS, n)).is_zero())
+    assert verify_u_homotopy(d, Flavor.PLUS, (n, n))
+
+    def broken(data, flavor, m):
+        h = homotopy_h(data, flavor, m)
+        return SparseIntMatrix.zero(h.rows, h.cols) if m == n else h
+
+    monkeypatch.setattr(actions, "homotopy_h", broken)
+    assert not verify_u_homotopy(d, Flavor.PLUS, (n, n))
 
 
 # -- induced module structure -----------------------------------------------

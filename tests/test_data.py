@@ -8,7 +8,9 @@ import weakref
 
 import pytest
 
+from monofloer import duality, homology, spectral
 from monofloer.cli import verify_all
+from monofloer.complexes import _band, _differential, _kept, default_window
 from monofloer.data import (
     CheckFailed,
     CriticalPoint,
@@ -214,6 +216,32 @@ def test_memo_lives_and_dies_with_its_dataset():
     del data
     gc.collect()
     assert ref() is None
+
+
+# every per-dataset memo keyed by (flavor, degree)
+BAND_DEGREE_MEMOS = (_kept, _differential, homology.presentation_at,
+                     duality._cohomology_at, spectral._filtrations,
+                     spectral._critical_filtrations)
+
+
+def test_far_windows_leave_the_memo_as_it_was():
+    """A memo keyed by degree stores band degrees only, onto which every
+    other degree folds, so windows far past the band add no entry."""
+    from test_acceptance import performance_instance
+
+    data = performance_instance()
+    assert verify_all(data)["ok"]
+    size = len(data._memo)
+    lo, hi = default_window(data)
+    for start in (10 ** 6, 2 * 10 ** 6, 3 * 10 ** 6):
+        assert verify_all(data, (start, start + hi - lo))["ok"]
+        assert len(data._memo) == size, start
+    band_lo, band_hi = _band(data)
+    folded = {fn.__wrapped__ for fn in BAND_DEGREE_MEMOS}
+    keys = [key for key in data._memo if key[0] in folded]
+    assert keys
+    for fn, flavor, n in keys:
+        assert band_lo <= n <= band_hi, (fn.__name__, flavor, n)
 
 
 def test_reverse_requires_valid_input():

@@ -357,12 +357,28 @@ def test_the_band_fold_is_exact():
                         data.name, flavor, n)
 
 
-def test_d_squared_over_a_wide_window_still_sees_a_broken_identity():
-    data, mutant = next(
+def _broken_pair() -> tuple[MonopoleData, MonopoleData]:
+    """The first pool dataset and a mutant of it whose D fails D D = 0."""
+    return next(
         (data, mutant) for data in POOL for slot in _slots(data)
         for mutant in (mutate(data, slot, 1),) if not squares_to_zero(mutant))
+
+
+def test_d_squared_over_a_wide_window_still_sees_a_broken_identity():
+    data, mutant = _broken_pair()
     assert check_d_squared(data, Flavor.INFINITY, (-1000, 1000))
     assert not check_d_squared(mutant, Flavor.INFINITY, (-1000, 1000))
+
+
+def test_d_squared_checks_the_first_degree_of_its_window():
+    """A one-degree window at a degree where D D fails still fails."""
+    data, mutant = _broken_pair()
+    lo, hi = _band(mutant)
+    n = next(n for n in range(lo, hi + 2) if not _differential(
+        mutant, Flavor.INFINITY, n - 1).mul(
+            _differential(mutant, Flavor.INFINITY, n)).is_zero())
+    assert check_d_squared(data, Flavor.INFINITY, (n, n))
+    assert not check_d_squared(mutant, Flavor.INFINITY, (n, n))
 
 
 # -- templates and selections ----------------------------------------------
