@@ -48,8 +48,15 @@ def _invariants_doc(g: AbelianGroupInvariants) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
+def _shared_docs(groups) -> dict:
+    """One _invariants_doc per distinct group, so that _dumps renders each
+    once per depth however many degrees or cells hold it."""
+    return {g: _invariants_doc(g) for g in set(groups)}
+
+
 def _groups_doc(groups: dict[int, AbelianGroupInvariants]) -> dict:
-    return {str(n): _invariants_doc(groups[n]) for n in sorted(groups)}
+    docs = _shared_docs(groups.values())
+    return {str(n): docs[groups[n]] for n in sorted(groups)}
 
 
 def _tail_doc(tail) -> dict | None:
@@ -193,7 +200,8 @@ def _cmd_spectral(data, args):
     pages = args.pages if args.pages is not None else min(3, max_page(data))
     results = {"flavor": "plus", "pages": []}
     for page in spectral_pages(data, Flavor.PLUS, pages):
-        cells = [{"p": p, "q": q, "group": _invariants_doc(g)}
+        docs = _shared_docs(page.cells.values())
+        cells = [{"p": p, "q": q, "group": docs[g]}
                  for (p, q), g in sorted(page.cells.items())]
         diffs = [{"p": p, "q": q, **_matrix_doc(mat)}
                  for (p, q), mat in sorted(page.differentials.items())
@@ -363,8 +371,50 @@ def _load(path: str) -> MonopoleData:
         return parse(handle.read())
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _dumps(report: dict) -> str:
+    """json.dumps(report, indent=2), byte for byte, for the types a report
+    holds: dicts with str keys, lists, str, int, bool and None.  Anything
+    else raises TypeError.  A dict met again at the same depth, such as a
+    shared _invariants_doc, is rendered once; json's indented encoder is
+    pure Python and would render it each time."""
+    memo: dict[tuple[int, str], str] = {}
+
+    def render(obj, pad: str) -> str:
+        kind = type(obj)
+        if kind is dict:
+            key = id(obj), pad
+            text = memo.get(key)
+            if text is None:
+                # _STRING raises TypeError on a key that is not a str
+                inner = pad + "  "
+                text = memo[key] = "{" + inner + ("," + inner).join(
+                    [_STRING(name) + ": " + render(value, inner)
+                     for name, value in obj.items()]) + pad + "}" \
+                    if obj else "{}"
+            return text
+        if kind is int:
+            return int.__repr__(obj)
+        if kind is str:
+            return _STRING(obj)
+        if kind is list:
+            inner = pad + "  "
+            return "[" + inner + ("," + inner).join(
+                [render(value, inner) for value in obj]) + pad + "]" \
+                if obj else "[]"
+        if kind is bool:
+            return "true" if obj else "false"
+        if obj is None:
+            return "null"
+        raise TypeError(f"a report holds no {kind.__name__}")
+
+    return render(report, "\n")
+
+
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

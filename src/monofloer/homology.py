@@ -171,7 +171,17 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
     repeats with period two in every degree, and a flavor that keeps no
     generator past an edge vanishes."""
     lo, hi = checked_window(data, window)
-    groups = {n: homology_at(data, flavor, n) for n in range(lo, hi + 1)}
+    band_lo, band_hi = _band(data)
+    # A degree more than two past the band has the group of the degree two
+    # nearer it, the same object by per_band_degree, so homology_at is asked
+    # only near the band, or at the two window degrees nearest it.
+    first = max(lo, min(hi - 1, band_lo - 2))
+    last = min(hi, max(lo + 1, band_hi + 2))
+    near = [homology_at(data, flavor, n) for n in range(first, last + 1)]
+    groups = {n: near[(n - first) % 2] for n in range(lo, first)}
+    groups.update(zip(range(first, last + 1), near))
+    groups.update((n, near[last - first - (n - last) % 2])
+                  for n in range(last + 1, hi + 1))
     tails = [_tail(data, edge, step, lambda n: homology_at(data, flavor, n),
                    lambda n: flavor is Flavor.INFINITY
                    or not _kept(data, flavor, n))

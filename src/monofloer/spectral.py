@@ -172,8 +172,26 @@ class _FreeCell(NamedTuple):
 _EMPTY = _FreeCell(())
 
 
-def _at(levels: tuple[int, ...], p: int) -> list[int]:
-    return [i for i, f in enumerate(levels) if f == p]
+def _grouped(levels: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The positions of a filtration table, ascending, by filtration."""
+    at: dict[int, list[int]] = {}
+    for i, f in enumerate(levels):
+        at.setdefault(f, []).append(i)
+    return {f: tuple(positions) for f, positions in at.items()}
+
+
+@per_band_degree
+def _positions(data: MonopoleData, flavor: Flavor,
+               n: int) -> dict[int, tuple[int, ...]]:
+    """_filtrations of degree n, grouped by filtration."""
+    return _grouped(_filtrations(data, flavor, n))
+
+
+@per_band_degree
+def _critical_positions(data: MonopoleData, flavor: Flavor,
+                        n: int) -> dict[int, tuple[int, ...]]:
+    """_critical_filtrations of degree n, grouped by filtration."""
+    return _grouped(_critical_filtrations(data, flavor, n))
 
 
 @per_dataset
@@ -184,14 +202,14 @@ def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
     the certified reduction, a filtered homotopy equivalence, which fixes
     every page past the first; a cell with no generator at filtration p is
     zero on every page, and is _EMPTY."""
-    levels = (_filtrations(data, flavor, n) if r == 0
-              else _critical_filtrations(data, flavor, n))
-    at = _at(levels, p)
-    if not at:
+    at = (_positions if r == 0 else _critical_positions)(
+        data, flavor, n).get(p)
+    if at is None:
         return _EMPTY
     if r == 0:
+        zero = (0,) * len(_filtrations(data, flavor, n))
         return _FreeCell(tuple(HomologyGenerator(
-            0, tuple(int(i == j) for i in range(len(levels)))) for j in at))
+            0, zero[:j] + (1,) + zero[j + 1:]) for j in at))
     return _quotient(data, _a_lattice(data, flavor, n, p, r),
                      _den_lattice(data, flavor, r, p, n))
 
@@ -205,8 +223,8 @@ def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
     generators."""
     if r == 0:
         return _differential(data, flavor, n).select(
-            _at(_filtrations(data, flavor, n - 1), p),
-            _at(_filtrations(data, flavor, n), p))
+            _positions(data, flavor, n - 1).get(p, ()),
+            _positions(data, flavor, n).get(p, ()))
     source = _cell(data, flavor, r, p, n)
     target = _cell(data, flavor, r, p - r, n - 1)
     if not target.generators:

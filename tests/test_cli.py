@@ -4,18 +4,23 @@ byte-determinism."""
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monofloer.cli import main, verify_all
+from monofloer import cli
+from monofloer.cli import _dumps, main, verify_all
 from monofloer.complexes import _band, default_window
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, invalid_instance, serialize
+from test_reports import CASES
 
 REPORT_KEYS = ["command", "engine_version", "dataset_name", "dataset_hash",
                "window", "results"]
@@ -407,6 +412,48 @@ def test_out_redirects_json(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert list(doc) == REPORT_KEYS
+
+
+# -- the report emitter ------------------------------------------------------
+
+_TEXT = st.text() | st.text(st.sampled_from(
+    'a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'))
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2 ** 200, 2 ** 200) | _TEXT)
+
+_TREES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(_TEXT, inner, max_size=4),
+                      max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_TREES, shared=_TREES.map(lambda tree: {"s": tree}))
+def test_the_emitter_writes_what_json_dumps_writes(tree, shared):
+    # the shared dict sits at two depths, and twice at one of them
+    report = {"tree": tree, "shared": shared,
+              "deeper": [shared, {"again": shared, "": {}}, []]}
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1: "a"}, {"a": [{"b": {None: 0}}]}, [float("nan")]])
+def test_the_emitter_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        _dumps({"results": value})
+
+
+def test_every_pinned_report_is_what_json_dumps_writes(tmp_path,
+                                                       monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(
+        report) or _dumps(report))
+    for key, data, command in CASES:
+        reports.clear()
+        path = write_dataset(tmp_path, data)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            main([*command, path])
+        assert len(reports) == 1, key
+        assert _dumps(reports[0]) == json.dumps(reports[0], indent=2), key
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -9,6 +9,7 @@ from monofloer.data import curated_instances, invalid_instance, InvalidInput
 from monofloer.actions import _U_FLAVORS, verify_u_homotopy
 from monofloer.complexes import Flavor, _band, check_d_squared, \
     default_window
+from monofloer import homology
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.homology import (
     ChainMapSlice,
@@ -221,6 +222,34 @@ def test_graded_homology_stores_no_memo_entry_per_degree():
             graded_homology(data, flavor, window)
             sizes.append(len(data._memo))
         assert sizes[0] == sizes[1], (flavor, sizes)
+
+
+def test_graded_homology_asks_once_per_fold_class(monkeypatch):
+    """graded_homology asks presentation_at as often over (-1000, 1000) as
+    over (-40, 40), and its groups, in ascending degree, are homology_at's
+    on windows below, across and above the band, down to one degree."""
+    calls = []
+    asked = homology.presentation_at
+    monkeypatch.setattr(homology, "presentation_at",
+                        lambda *args: calls.append(args) or asked(*args))
+    for data in (by_name("tail-chain"), performance_instance()):
+        band_lo, band_hi = _band(data)
+        windows = [(-1000, band_lo - 5), (band_lo - 9, band_hi + 9),
+                   (band_hi + 5, 1000), (-1000, 1000)]
+        windows += [(n, n + width) for edge in (band_lo, band_hi)
+                    for n in range(edge - 3, edge + 4) for width in (0, 1)]
+        for flavor in Flavor:
+            counts = []
+            for window in ((-40, 40), (-1000, 1000)):
+                calls.clear()
+                graded_homology(data, flavor, window)
+                counts.append(len(calls))
+            assert counts[0] == counts[1], (data.name, flavor, counts)
+            for lo, hi in windows:
+                got = graded_homology(data, flavor, (lo, hi)).groups
+                assert list(got.items()) == [
+                    (n, homology_at(data, flavor, n))
+                    for n in range(lo, hi + 1)], (data.name, flavor, lo, hi)
 
 
 # the checks of cli.verify_all, in its order, each called as it calls it,

@@ -241,6 +241,22 @@ def test_page_zero_and_trivial_cells_build_no_presentation(monkeypatch):
     assert built
 
 
+def test_page_zero_cells_are_free_on_unit_vectors():
+    # each generator of a page-0 cell is the unit vector of one kept
+    # position at the cell's filtration, in ascending order
+    for data in oracle_datasets():
+        lo, hi = default_window(data)
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            for p in _filtration_levels(data):
+                for n in range(lo, hi + 1):
+                    levels = _filtrations(data, flavor, n)
+                    assert [(g.order, g.vector) for g in _cell(
+                        data, flavor, 0, p, n).generators] == [
+                        (0, tuple(int(i == j) for i in range(len(levels))))
+                        for j, f in enumerate(levels) if f == p], (
+                        data.name, flavor, p, n)
+
+
 def raising_reduction(data, field):
     """The first band degree n where the Plus reduction's f, or h, has a
     slot that raises filtration, and that reduction with a 1 put there."""
