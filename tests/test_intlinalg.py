@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -476,6 +477,25 @@ def _scattered_diagonal(rng):
         (i, j, rng.choice((2, 3, 4, -6, 10, 14))) for i, j in zip(rows, cols)))
 
 
+# each reaches its diagonal only through the fix-up that adds a row whose
+# entry the pivot does not divide to the pivot row
+FROZEN_DIAGONALS = {(2, 3): [1, 6], (4, 6): [2, 12], (6, 10): [2, 30],
+                    (6, 10, 15): [1, 30, 30]}
+
+
+def _pinned_matrices():
+    rng = random.Random(1212)
+    return ([_diagonal(*values) for values in FROZEN_DIAGONALS]
+            + [_scattered_diagonal(rng) for _ in range(20)]
+            + [_random_matrix(rng) for _ in range(60)]
+            + [_random_matrix(rng, max_dim=6).scale(2) for _ in range(20)]
+            + [_random_matrix(rng, max_dim=12, bound=2) for _ in range(20)])
+
+
+def _sha256(record) -> str:
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
 # One SHA-256 over the diagonal, the rank and both tracked transforms, with
 # their inverses, of every matrix below, recorded before the kernel's fast
 # paths (no divisibility scan after a unit pivot, finished pivots leave the
@@ -483,34 +503,28 @@ def _scattered_diagonal(rng):
 # transform.
 PINNED_TRANSFORMS = (
     "80170c57768a607fd76b88c01978fafca6e44689ce69743b878805320f9b3934")
+# One SHA-256 over the diagonal and the rank alone of the same matrices: the
+# Smith form itself, which no change of pivot order or tie-break may move.
+PINNED_DIAGONALS = (
+    "8af33e154a98d4be8863376e7734593e561618bcb3f20bf29a92a079c64b4da9")
 
 
 def test_fast_paths_keep_every_pivot_and_transform():
-    import hashlib
-
-    from monofloer.intlinalg import _Factorization
-
-    # each reaches its diagonal only through the fix-up that adds a row
-    # whose entry the pivot does not divide to the pivot row
-    frozen = {(2, 3): [1, 6], (4, 6): [2, 12], (6, 10): [2, 30],
-              (6, 10, 15): [1, 30, 30]}
-    for values, diag in frozen.items():
+    for values, diag in FROZEN_DIAGONALS.items():
         assert _Factorization(_diagonal(*values)).diag == diag
-
-    rng = random.Random(1212)
-    mats = ([_diagonal(*values) for values in frozen]
-            + [_scattered_diagonal(rng) for _ in range(20)]
-            + [_random_matrix(rng) for _ in range(60)]
-            + [_random_matrix(rng, max_dim=6).scale(2) for _ in range(20)]
-            + [_random_matrix(rng, max_dim=12, bound=2) for _ in range(20)])
 
     def lines(side):
         return ([sorted(line.items()) for line in side.lines],
                 [sorted(line.items()) for line in side.inverse])
 
     record = []
-    for mat in mats:
+    for mat in _pinned_matrices():
         f = _Factorization(mat, True, True)
         record.append((list(f.diag), f.rank, lines(f.u), lines(f.v)))
-    digest = hashlib.sha256(repr(record).encode()).hexdigest()
-    assert digest == PINNED_TRANSFORMS
+    assert _sha256(record) == PINNED_TRANSFORMS
+
+
+def test_every_diagonal_and_rank_is_pinned():
+    record = [(list(f.diag), f.rank) for f in map(
+        _Factorization, _pinned_matrices())]
+    assert _sha256(record) == PINNED_DIAGONALS

@@ -49,6 +49,10 @@ LARGE_COMMANDS = (
     ("les", "hat"),
     ("duality",),
     ("homology", "--flavor", "plus"),
+    # the only pins of the generator-dependent `delta` and `differentials`
+    # fields on data from the instance generator
+    ("structure",),
+    ("spectral", "--pages", "3"),
 )
 # the widest window the contract admits: every degree outside the band
 # must repeat the band-edge verdicts, groups and witnesses
@@ -283,6 +287,10 @@ EXPECTED = {
         "aefb43a4aeeb44ae187c1ffeb1c474756c88e47e018acd8c8bc429c65787b3ae",
     "performance-50:homology --flavor plus":
         "9ac2dc4db7ab6ce9648dccdd279ef482fd1cf2e3e96038f5bbde485abb180f46",
+    "performance-50:structure":
+        "828f352a89107dec3cc58162bf4058b4d9cd736c61426a96f5d387054f706eea",
+    "performance-50:spectral --pages 3":
+        "1ca7d66fc8facf65492c8517178f7775936330140831d5c927664573a65471fb",
     "tail-chain:les main --window=-1000:1000":
         "4435fefe794db748e3599c807b1342b382dab76c92391e0596309b05594ac0a8",
     "tail-chain:les hat --window=-1000:1000":
