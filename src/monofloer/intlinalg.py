@@ -279,8 +279,9 @@ class _Transform:
 
     On the row side the lines are the rows of U and the inverse lines the
     columns of U^-1; on the column side they are the columns of V and the
-    rows of V^-1.  On either side, line_i -= q * line_t is inverse_t += q *
-    inverse_i, so the two stay inverse to each other.
+    rows of V^-1.  Line i belongs to row or column i of the matrix.  On
+    either side, line_i -= q * line_t is inverse_t += q * inverse_i, so the
+    two stay inverse to each other.
     """
 
     __slots__ = ("lines", "inverse")
@@ -299,10 +300,6 @@ class _Transform:
                 elif k in line:
                     del line[k]
 
-    def swap(self, i: int, t: int) -> None:
-        for lines in (self.lines, self.inverse):
-            lines[i], lines[t] = lines[t], lines[i]
-
     def negate(self, t: int) -> None:
         for line in (self.lines[t], self.inverse[t]):
             for k in line:
@@ -312,29 +309,34 @@ class _Transform:
 class _Factorization:
     """Sparse Smith reduction U * mat * V = S, tracking U or V on request.
 
+    Each pivot is cleared where it stands, at (pivot_rows[k],
+    pivot_cols[k]), and its row and column then leave the working matrix;
+    no line is ever moved.  With the rows of U and the columns of V read in
+    `_order` (the pivot lines in the order found, then the others
+    ascending), U * mat * V is diagonal with diag[k] at (k, k).
+
     Row operations premultiply (tracked in `u`, with U^-1, when `track_u`);
     column operations postmultiply (tracked in `v`, with V^-1, when
     `track_v`).  Tracking only records the operations: pivots are chosen
     from the working matrix alone, so every mode yields the same diagonal
     and the same transforms.  Pivots of minimal absolute value keep
     coefficient growth down; the pivot must divide the remaining submatrix
-    before it is finalized, so the diagonal forms the divisibility chain
+    before it is retired, so the diagonal forms the divisibility chain
     directly.  A unit pivot divides everything and skips that scan.
     """
 
-    __slots__ = ("diag", "rank", "u", "v")
+    __slots__ = ("diag", "rank", "pivot_rows", "pivot_cols", "u", "v")
 
     def __init__(self, mat: SparseIntMatrix, track_u: bool = False,
                  track_v: bool = False):
-        rows, cols = mat.rows, mat.cols
         a: dict[int, dict[int, int]] = {}
         colidx: dict[int, set[int]] = {}
         for (i, j, val) in mat.entries:
             a.setdefault(i, {})[j] = val
             colidx.setdefault(j, set()).add(i)
 
-        u = _Transform(rows) if track_u else None
-        v = _Transform(cols) if track_v else None
+        u = _Transform(mat.rows) if track_u else None
+        v = _Transform(mat.cols) if track_v else None
 
         def set_entry(i, j, val):
             row = a.get(i)
@@ -376,55 +378,7 @@ class _Factorization:
             if v is not None:
                 v.axpy(j, t, q)
 
-        def swap_rows(i, t):
-            ri = a.pop(i, None)
-            rt = a.pop(t, None)
-            if ri is not None:
-                a[t] = ri
-            if rt is not None:
-                a[i] = rt
-            for j in set((ri or {}).keys()) | set((rt or {}).keys()):
-                s = colidx[j]
-                has_i = i in s
-                has_t = t in s
-                if has_i != has_t:
-                    if has_i:
-                        s.discard(i)
-                        s.add(t)
-                    else:
-                        s.discard(t)
-                        s.add(i)
-            if u is not None:
-                u.swap(i, t)
-
-        def swap_cols(j, t):
-            for i in set(colidx.get(j, ())) | set(colidx.get(t, ())):
-                row = a[i]
-                vj = row.pop(j, None)
-                vt = row.pop(t, None)
-                if vj is not None:
-                    row[t] = vj
-                if vt is not None:
-                    row[j] = vt
-            sj = colidx.pop(j, set())
-            st = colidx.pop(t, set())
-            if sj:
-                colidx[t] = sj
-            if st:
-                colidx[j] = st
-            if v is not None:
-                v.swap(j, t)
-
-        def negate_row(t):
-            row = a.get(t)
-            if row:
-                for j in row:
-                    row[j] = -row[j]
-            if u is not None:
-                u.negate(t)
-
-        diag = []
-        t = 0
+        diag, pivot_rows, pivot_cols = [], [], []
         while colidx:
             best = None
             for j, rowset in colidx.items():
@@ -436,37 +390,33 @@ class _Factorization:
                             break
                 if best[0] == 1:
                     break
-            _, bi, bj = best
-            if bi != t:
-                swap_rows(bi, t)
-            if bj != t:
-                swap_cols(bj, t)
+            _, r, c = best
             while True:
-                if a[t][t] < 0:
-                    negate_row(t)
-                p = a[t][t]
+                row = a[r]
+                if row[c] < 0:
+                    for j in row:
+                        row[j] = -row[j]
+                    if u is not None:
+                        u.negate(r)
+                p = row[c]
                 dirty = False
-                for i in [i for i in colidx.get(t, ()) if i != t]:
-                    q = a[i][t] // p
-                    row_axpy(i, t, q)
-                    if t in a.get(i, {}):
+                for i in [i for i in colidx[c] if i != r]:
+                    row_axpy(i, r, a[i][c] // p)
+                    if c in a.get(i, {}):
                         dirty = True
                 if dirty:
-                    least = min(
-                        (i for i in colidx[t] if i != t),
-                        key=lambda i: abs(a[i][t]))
-                    swap_rows(least, t)
+                    # the least remainder in column c is the next pivot
+                    r = min((i for i in colidx[c] if i != r),
+                            key=lambda i: abs(a[i][c]))
                     continue
-                for j in [j for j in a.get(t, {}) if j != t]:
-                    q = a[t][j] // p
-                    col_axpy(j, t, q)
-                    if a.get(t, {}).get(j):
+                for j in [j for j in row if j != c]:
+                    col_axpy(j, c, row[j] // p)
+                    if j in row:
                         dirty = True
                 if dirty:
-                    least = min(
-                        (j for j in a[t] if j != t),
-                        key=lambda j: abs(a[t][j]))
-                    swap_cols(least, t)
+                    # and so is the least remainder in row r
+                    c = min((j for j in row if j != c),
+                            key=lambda j: abs(row[j]))
                     continue
                 if p == 1:
                     break
@@ -480,17 +430,27 @@ class _Factorization:
                         break
                 if off is None:
                     break
-                row_axpy(t, off, -1)
-            # row and column t hold only the pivot: retire them, so later
+                row_axpy(r, off, -1)
+            # row r and column c hold only the pivot: retire them, so later
             # searches and scans walk the active submatrix alone
-            diag.append(a.pop(t)[t])
-            del colidx[t]
-            t += 1
+            diag.append(a.pop(r)[c])
+            del colidx[c]
+            pivot_rows.append(r)
+            pivot_cols.append(c)
 
         self.diag = diag
-        self.rank = t
+        self.rank = len(diag)
+        self.pivot_rows = pivot_rows
+        self.pivot_cols = pivot_cols
         self.u = u
         self.v = v
+
+
+def _order(pivots: list[int], n: int) -> list[int]:
+    """The n lines of one side as a factorization reads them: its pivot
+    lines in the order found, then every other line ascending."""
+    taken = set(pivots)
+    return pivots + [i for i in range(n) if i not in taken]
 
 
 def _row_block(lines: list[dict[int, int]], which: Sequence[int],
@@ -568,37 +528,38 @@ class Lattice:
 # ---------------------------------------------------------------------------
 
 def kernel_basis(mat: SparseIntMatrix) -> Lattice:
-    """ker(mat) with a primitive basis, columns rank: of V; the
-    coordinates of v are rows rank: of V^-1 * v."""
+    """ker(mat) with a primitive basis, the columns of V at the non-pivot
+    columns, ascending; the coordinates of v are those rows of V^-1 * v."""
     f = _Factorization(mat, track_v=True)
-    kept = range(f.rank, mat.cols)
-    return Lattice(_row_block(f.v.lines, kept, mat.cols).transpose(),
-                   _row_block(f.v.inverse, kept, mat.cols))
+    kept = _order(f.pivot_cols, mat.cols)[f.rank:]
+    basis = SparseIntMatrix._trusted(mat.cols, len(kept), tuple(sorted(
+        (i, k, val) for k, j in enumerate(kept)
+        for i, val in f.v.lines[j].items())))
+    return Lattice(basis, _row_block(f.v.inverse, kept, mat.cols))
 
 
 def column_space_basis(mat: SparseIntMatrix) -> Lattice:
-    """The column lattice of mat with the independent basis U^-1[:, :rank]
-    * diag; the coordinates of v are rows :rank of U * v, each divided by
+    """The column lattice of mat with the independent basis: the columns
+    of U^-1 at the pivot rows, in pivot order, each times its diagonal
+    entry; the coordinates of v are those rows of U * v, each divided by
     its diagonal entry."""
     f = _Factorization(mat, track_u=True)
     items = []
-    for idx, d in enumerate(f.diag):
-        for r, v in f.u.inverse[idx].items():
-            items.append((r, idx, v * d))
+    for k, (r, d) in enumerate(zip(f.pivot_rows, f.diag)):
+        for i, val in f.u.inverse[r].items():
+            items.append((i, k, val * d))
     return Lattice(SparseIntMatrix.from_entries(mat.rows, f.rank, items),
-                   _row_block(f.u.lines, range(f.rank), mat.rows), f.diag)
+                   _row_block(f.u.lines, f.pivot_rows, mat.rows), f.diag)
 
 
 def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMatrix:
     """Columns spanning {x : mat * x lies in the column span of gens}: the
-    top mat.cols rows of the kernel columns of V for [mat | gens]."""
+    top mat.cols rows of the kernel basis of [mat | gens]."""
     if mat.rows != gens.rows:
         raise ValueError("row mismatch between map and target lattice")
-    f = _Factorization(hstack(mat, gens), track_v=True)
-    kernel = f.v.lines[f.rank:]
-    return SparseIntMatrix.from_entries(mat.cols, len(kernel), (
-        (i, j, v) for j, line in enumerate(kernel)
-        for i, v in line.items() if i < mat.cols))
+    kernel = kernel_basis(hstack(mat, gens)).basis
+    return SparseIntMatrix._trusted(mat.cols, kernel.cols, tuple(
+        e for e in kernel.entries if e[0] < mat.cols))
 
 
 @dataclass(frozen=True)
@@ -633,8 +594,8 @@ class QuotientPresentation:
 
         orders = []
         kept = []
-        for i in range(rank):
-            d = fx.diag[i] if i < fx.rank else 0
+        for k, i in enumerate(_order(fx.pivot_rows, rank)):
+            d = fx.diag[k] if k < fx.rank else 0
             if d != 1:
                 kept.append(i)
                 orders.append(d)

@@ -15,6 +15,7 @@ from monofloer.intlinalg import (
     QuotientPresentation,
     SparseIntMatrix,
     _Factorization,
+    _order,
     _row_block,
     column_space_basis,
     kernel_basis,
@@ -53,10 +54,11 @@ def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
     """Factor U * mat * V = S, diagonal with the divisibility chain."""
     f = _Factorization(mat, track_u=True, track_v=True)
     return SnfResult(
-        _row_block(f.u.lines, range(mat.rows), mat.rows),
+        _row_block(f.u.lines, _order(f.pivot_rows, mat.rows), mat.rows),
         SparseIntMatrix(mat.rows, mat.cols,
                         tuple((i, i, d) for i, d in enumerate(f.diag))),
-        _row_block(f.v.lines, range(mat.cols), mat.cols).transpose())
+        _row_block(f.v.lines, _order(f.pivot_cols, mat.cols),
+                   mat.cols).transpose())
 
 
 def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
@@ -497,12 +499,15 @@ def _sha256(record) -> str:
 
 
 # One SHA-256 over the diagonal, the rank and both tracked transforms, with
-# their inverses, of every matrix below, recorded before the kernel's fast
-# paths (no divisibility scan after a unit pivot, finished pivots leave the
-# search) landed.  Those paths may drop work, but never change a pivot or a
-# transform.
+# their inverses, of every matrix below.  First recorded before the kernel's
+# fast paths (no divisibility scan after a unit pivot, finished pivots leave
+# the search) landed: those paths may drop work, but never change a pivot
+# or a transform.  Recorded again when pivots stopped being swapped into
+# place: with no line relabelled, set and dict iteration break some ties
+# between equal pivots differently, and the non-pivot lines are read in
+# ascending order; PINNED_DIAGONALS did not move.
 PINNED_TRANSFORMS = (
-    "80170c57768a607fd76b88c01978fafca6e44689ce69743b878805320f9b3934")
+    "80df46c4d4673b5e77d02bb8b70a556cc289167c54a132424f8a5bb64a1b106c")
 # One SHA-256 over the diagonal and the rank alone of the same matrices: the
 # Smith form itself, which no change of pivot order or tie-break may move.
 PINNED_DIAGONALS = (
@@ -513,14 +518,18 @@ def test_fast_paths_keep_every_pivot_and_transform():
     for values, diag in FROZEN_DIAGONALS.items():
         assert _Factorization(_diagonal(*values)).diag == diag
 
-    def lines(side):
-        return ([sorted(line.items()) for line in side.lines],
-                [sorted(line.items()) for line in side.inverse])
+    def lines(side, pivots):
+        # U's rows and V's columns, with their inverses, as the readers
+        # take them: in pivot order, then the other lines ascending
+        order = _order(pivots, len(side.lines))
+        return ([sorted(side.lines[i].items()) for i in order],
+                [sorted(side.inverse[i].items()) for i in order])
 
     record = []
     for mat in _pinned_matrices():
         f = _Factorization(mat, True, True)
-        record.append((list(f.diag), f.rank, lines(f.u), lines(f.v)))
+        record.append((list(f.diag), f.rank, lines(f.u, f.pivot_rows),
+                       lines(f.v, f.pivot_cols)))
     assert _sha256(record) == PINNED_TRANSFORMS
 
 
