@@ -150,9 +150,9 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
     return _kernel(data, dropped).included(low, len(source))
 
 
-@per_dataset
 def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
                  n: int) -> SparseIntMatrix:
+    # not memoised: _cell, its only caller, is memoised under the same key
     below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
     above = _reduced_differential(data, flavor, n + 1).mul(
         _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)

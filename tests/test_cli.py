@@ -146,6 +146,8 @@ def test_homology_usage_errors(tmp_path, capsys):
                  ["verify-all", "--window", "5:-5", chain],
                  ["generate", "--seed", "1", "--size", "3", "--count", "-2"],
                  ["generate", "--seed", "1", "--size", "3", "--count", "1001"],
+                 ["generate", "--seed", "1", "--size", "3", "--count", "x"],
+                 ["homology", "--flavor", "plus", "--window", "a:b", path],
                  ["homology", "--flavor", "plus", "--window", "-1000:1001",
                   path],
                  ["verify-all", "--window", "0:2001", chain],
@@ -167,6 +169,28 @@ def test_les_main(tmp_path, capsys):
     assert results["exactness"]["all_exact"] is True
     assert results["reduced"]["groups"]["-2"] == {"free_rank": 1,
                                                   "torsion": []}
+
+
+def test_les_main_reports_a_reduced_mismatch(tmp_path, capsys, monkeypatch):
+    from monofloer.intlinalg import AbelianGroupInvariants
+
+    def failing(data, window):
+        raise CheckFailed(-2, "the cokernel differs from the kernel",
+                          cokernel=AbelianGroupInvariants(1),
+                          kernel=AbelianGroupInvariants(0))
+
+    monkeypatch.setattr(cli, "hf_red", failing)
+    path = write_dataset(tmp_path, by_name("theta-coupled-pair"))
+    code, out, err = run(capsys, ["les", "main", path])
+    assert code == 1
+    results = report_of(out)["results"]
+    # the sequence is still exact; only the reduced group is refused
+    assert results["exactness"]["all_exact"] is True
+    assert "reduced" not in results
+    assert results["reduced_mismatch"] == {
+        "degree": -2, "cokernel": {"free_rank": 1, "torsion": []},
+        "kernel": {"free_rank": 0, "torsion": []}}
+    assert "FAIL" in err and "Traceback" not in err
 
 
 def test_les_hat(tmp_path, capsys):

@@ -13,13 +13,14 @@ from monofloer.complexes import Flavor, _band, _differential, \
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, reverse_orientation, validate
 from monofloer.duality import (
+    _is_perfect,
     cohomology,
     duality_check,
     hat_pairing_matrix,
     pairing_matrix,
     verify_adjointness,
 )
-from monofloer.intlinalg import AbelianGroupInvariants
+from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -93,6 +94,19 @@ def test_pairing_degree_check_raises(monkeypatch):
                         lambda data, gen: real(data, gen) + 1)
     with pytest.raises(CheckFailed, match="degree 0"):
         pairing_matrix(by_name("empty"), 0)
+
+
+def test_a_perfect_pairing_is_a_permutation_of_ones():
+    def perfect(rows, cols, entries):
+        return _is_perfect(SparseIntMatrix.from_entries(rows, cols, entries))
+
+    assert perfect(2, 2, [(0, 1, 1), (1, 0, 1)])
+    assert perfect(0, 0, [])
+    assert not perfect(2, 2, [(0, 1, 1), (1, 0, -1)])  # a -1 entry
+    assert not perfect(2, 2, [(0, 0, 1), (0, 1, 1)])   # a repeated row
+    assert not perfect(2, 2, [(0, 0, 1), (1, 0, 1)])   # a repeated column
+    assert not perfect(2, 2, [(0, 0, 1)])              # a missing entry
+    assert not perfect(1, 2, [(0, 0, 1)])              # not square
 
 
 # -- adjointness ------------------------------------------------------------

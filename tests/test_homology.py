@@ -371,6 +371,30 @@ def test_a_break_far_outside_the_band_is_still_found_first():
     assert induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, chain, window)
 
 
+def test_induced_refuses_a_flavor_mismatch_and_a_misshapen_slice():
+    d = by_name("two-step")
+    window = (-1, 3)
+    chain = structural_chain_map(d, "projection_plus", window)
+    for source, target in ((Flavor.PLUS, Flavor.PLUS),
+                           (Flavor.INFINITY, Flavor.MINUS)):
+        with pytest.raises(InvalidInput, match="flavors disagree"):
+            induced_on_homology(d, source, target, chain, window)
+    bad = dict(chain.matrices)
+    bad[1] = SparseIntMatrix.zero(bad[1].rows + 1, bad[1].cols)
+    misshapen = ChainMapSlice(Flavor.INFINITY, Flavor.PLUS, 0, bad)
+    with pytest.raises(InvalidInput, match="degree-1 slice has the wrong"):
+        induced_on_homology(d, Flavor.INFINITY, Flavor.PLUS, misshapen,
+                            window)
+
+
+def test_structural_chain_map_refuses_an_unknown_map_and_a_bare_omega():
+    d = by_name("two-step")
+    with pytest.raises(InvalidInput, match="unknown structural map"):
+        structural_chain_map(d, "projection_sideways", (-1, 3))
+    with pytest.raises(InvalidInput, match="needs a flavor"):
+        structural_chain_map(d, "omega_inverse", (-1, 3))
+
+
 def test_window_too_small_detected():
     d = by_name("two-step")
     chain = structural_chain_map(d, "projection_plus", (0, 2))
