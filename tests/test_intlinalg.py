@@ -499,7 +499,7 @@ def _sha256(record) -> str:
 
 
 # One SHA-256 over the diagonal, the rank and both tracked transforms, with
-# their inverses, of every matrix below.  First recorded before the kernel's
+# their inverses, of every matrix of _pinned_matrices.  First recorded before the kernel's
 # fast paths (no divisibility scan after a unit pivot, finished pivots leave
 # the search) landed: those paths may drop work, but never change a pivot
 # or a transform.  Recorded again when pivots stopped being swapped into

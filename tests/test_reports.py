@@ -49,8 +49,8 @@ LARGE_COMMANDS = (
     ("les", "hat"),
     ("duality",),
     ("homology", "--flavor", "plus"),
-    # the only pins of the generator-dependent `delta` and `differentials`
-    # fields on data from the instance generator
+    # with these, the generator-dependent `delta` and `differentials`
+    # fields are pinned beyond the curated datasets
     ("structure",),
     ("spectral", "--pages", "3"),
 )
