@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,18 +61,6 @@ class Flavor(enum.Enum):
 
     # the members are singletons: memo keys hash them by identity
     __hash__ = object.__hash__
-
-
-def _admissible(flavor: Flavor, kind: str, k: int) -> bool:
-    if flavor is Flavor.INFINITY:
-        return True
-    if flavor is Flavor.MINUS:
-        return k < 0
-    if flavor is Flavor.PLUS:
-        return k >= 0
-    if flavor is Flavor.NONEQUIVARIANT and kind != KIND_ETA:
-        return False
-    return k == 0
 
 
 @dataclass(frozen=True)
@@ -221,9 +211,26 @@ def per_band_degree(fn):
 @per_band_degree
 def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     """The ascending positions of the Infinity basis of degree n that the
-    flavor admits."""
-    return tuple(i for i, (kind, _, k) in enumerate(_infinity_cells(data, n))
-                 if _admissible(flavor, kind, k))
+    flavor admits, read off the gradings: a point's generator in degree n
+    has k = (n - gr) // 2 and theta k = n / 2, so Plus (k >= 0) keeps
+    theta when n is even and n >= 0 and every point with grading <= n,
+    Minus (k < 0) the rest, Hat (k = 0) theta at n = 0 and the points at
+    grading n or n - 1, and NonEquivariant (the etas at k = 0) the points
+    at grading n.  So each flavor keeps, in every degree, the positions
+    whose k lies in one interval, and NonEquivariant its etas there."""
+    lead = 1 - n % 2  # theta leads the even slice
+    at = enumerate(data.points, lead)
+    if flavor is Flavor.INFINITY:
+        return tuple(range(lead + len(data.points)))
+    if flavor is Flavor.PLUS:
+        theta, kept = lead and n >= 0, [i for i, p in at if p.grading <= n]
+    elif flavor is Flavor.MINUS:
+        theta, kept = lead and n < 0, [i for i, p in at if p.grading > n]
+    elif flavor is Flavor.HAT:
+        theta, kept = n == 0, [i for i, p in at if n - 1 <= p.grading <= n]
+    else:
+        theta, kept = False, [i for i, p in at if p.grading == n]
+    return (0,) * theta + tuple(kept)
 
 
 @per_dataset
@@ -243,13 +250,43 @@ def _selection(data: MonopoleData, rule, drop: int, parity: int, rows,
 
 def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
                  n: int) -> SparseIntMatrix:
-    """The matrix of rule from degree n to degree n - drop.  A rule sends
-    power k to powers k and k - 1 and reads k nowhere else, and raising
-    every k by one maps Infinity slice n onto slice n + 2 in order; so the
-    Infinity matrix depends only on n's parity, and a flavor's is its
-    submatrix on the kept positions."""
+    """The matrix of rule from degree n to degree n - drop.  A rule reads k
+    only to shift it, and raising every k by one maps Infinity slice n onto
+    slice n + 2 in order; so the Infinity matrix depends only on n's
+    parity, and a flavor's is its submatrix on the kept positions.  Where
+    _restricts holds, a product of such submatrices is the submatrix of
+    the templates' product."""
     return _selection(data, rule, drop, n % 2, _kept(data, flavor, n - drop),
                       _kept(data, flavor, n))
+
+
+@per_dataset
+def _restricts(data: MonopoleData, flavor: Flavor, rule, drop: int) -> bool:
+    """The restriction lemma for rule: in every degree, a product A B of
+    the flavor's matrices of rules for which it holds is the product of
+    their Infinity templates at the kept positions.  The two differ by the
+    paths x -> y -> z with x and z kept and y not; none exists when
+    - every kept set is an interval in k, the same in every degree (for
+      NonEquivariant, the etas of one interval), which _kept's closed
+      forms give by construction;
+    - every template entry of the rule moves k by 0 or -1, so k(z) <= k(y)
+      <= k(x) and y's k lies in the interval;
+    - for NonEquivariant, no entry leads from a one or a theta to an eta,
+      so y is an eta too.
+    Infinity keeps every position, so it holds there outright.  Checked in
+    O(template entries)."""
+    if flavor is Flavor.INFINITY:
+        return True
+    for parity in (0, 1):
+        rows = tuple(_infinity_cells(data, parity - drop))
+        cols = tuple(_infinity_cells(data, parity))
+        for (i, j, _) in _template(data, rule, drop, parity).entries:
+            (kind, _, k), (source, _, power) = rows[i], cols[j]
+            if k - power not in (0, -1) or (
+                    flavor is Flavor.NONEQUIVARIANT and kind == KIND_ETA
+                    and source != KIND_ETA):
+                return False
+    return True
 
 
 @per_band_degree
@@ -280,11 +317,19 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
                     window: tuple[int, int]) -> bool:
     """True iff D composed with D vanishes at every degree of the window.
 
-    Validity of the data is deliberately not required here: on defective
-    coefficients this check is exactly what detects the broken identity.
-    The window is held to the bounds of checked_window.
+    When D D = 0 on the two parity templates and _restricts holds for D,
+    it holds in every degree of every flavor; otherwise each degree is
+    scanned.  Validity of the data is deliberately not required here: on
+    defective coefficients this check is exactly what detects the broken
+    identity, through the scan.  The window is held to the bounds of
+    checked_window.
     """
     lo, hi = _window_bounds(window)
+    if _restricts(data, flavor, _image_terms, 1) and all(
+            _template(data, _image_terms, 1, 1 - parity).mul(
+                _template(data, _image_terms, 1, parity)).is_zero()
+            for parity in (0, 1)):
+        return True
     for _, (second, first) in _distinct_degrees(
             range(lo, hi + 1), lambda n: (_differential(data, flavor, n - 1),
                                           _differential(data, flavor, n))):
@@ -323,18 +368,21 @@ class Reduction(NamedTuple):
 def _pairs(data: MonopoleData, flavor: Flavor, n: int):
     """The pairs from degree n to n - 1: (i, j, grading of a) for each
     kept eta_a^k whose partner 1_a^(k-1) is also kept, with i and j their
-    positions in the kept slices of degrees n and n - 1."""
-    above = {p: i for i, p in enumerate(_kept(data, flavor, n))}
-    below = {p: j for j, p in enumerate(_kept(data, flavor, n - 1))}
+    positions in the kept slices of degrees n and n - 1.  eta_a^k lies in
+    degree n when n - gr(a) = 2k, and both k and k - 1 are kept for every
+    such point in Infinity, for gr(a) <= n - 2 (k >= 1) in Plus and for
+    gr(a) >= n + 2 (k <= -1) in Minus; Hat and NonEquivariant keep k = 0
+    only, so they have no pairs."""
+    if flavor not in REDUCED_FLAVORS:
+        return []
+    low = n + 2 if flavor is Flavor.MINUS else -math.inf
+    high = n - 2 if flavor is Flavor.PLUS else math.inf
+    above, below = _kept(data, flavor, n), _kept(data, flavor, n - 1)
     # theta leads the even slice, so a point sits one place later there
     top, bottom = 1 - n % 2, n % 2
-    out = []
-    for index, point in enumerate(data.points):
-        if (n - point.grading) % 2 == 0:
-            i, j = above.get(index + top), below.get(index + bottom)
-            if i is not None and j is not None:
-                out.append((i, j, point.grading))
-    return out
+    return [(bisect_left(above, i + top), bisect_left(below, i + bottom),
+             p.grading) for i, p in enumerate(data.points)
+            if low <= p.grading <= high and (n - p.grading) % 2 == 0]
 
 
 def _flow(steps, chain: dict[int, int]):

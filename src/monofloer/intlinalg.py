@@ -18,7 +18,8 @@ homomorphism from Z^c to Z^r acting on column vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "SparseIntMatrix",
@@ -473,17 +474,25 @@ class Lattice:
     division running row by row; B lies in the lattice exactly when every
     division is exact and basis * X == B.  The map comes from the
     factorization that produced the basis, so reading coordinates is one
-    sparse product and never a new reduction.  Equality and hashing are by
-    basis: two lattices with one basis give the same coordinates.
+    sparse product and never a new reduction.  pre is the map or a
+    function that builds it on the first read, so a lattice whose
+    coordinates are never read never builds it.  Equality and hashing are
+    by basis: two lattices with one basis give the same coordinates.
     """
 
     __slots__ = ("basis", "_pre", "_divisors")
 
-    def __init__(self, basis: SparseIntMatrix, pre: SparseIntMatrix,
+    def __init__(self, basis: SparseIntMatrix,
+                 pre: SparseIntMatrix | Callable[[], SparseIntMatrix],
                  divisors: Sequence[int] | None = None):
         self.basis = basis
         self._pre = pre
         self._divisors = divisors
+
+    def _coordinate_map(self) -> SparseIntMatrix:
+        if not isinstance(self._pre, SparseIntMatrix):
+            self._pre = self._pre()
+        return self._pre
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -495,7 +504,7 @@ class Lattice:
         """X with basis * X == b, or None when a column of b lies outside."""
         if b.rows != self.basis.rows:
             raise ValueError("ambient dimension mismatch")
-        x = self._pre.mul(b)
+        x = self._coordinate_map().mul(b)
         divisors = self._divisors
         if divisors is not None:
             entries = []
@@ -518,8 +527,9 @@ class Lattice:
         kept."""
         basis = SparseIntMatrix(size, self.basis.cols, tuple(
             (slots[i], j, v) for (i, j, v) in self.basis.entries))
-        pre = SparseIntMatrix(self._pre.rows, size, tuple(
-            (i, slots[j], v) for (i, j, v) in self._pre.entries))
+        pre = self._coordinate_map()
+        pre = SparseIntMatrix(pre.rows, size, tuple(
+            (i, slots[j], v) for (i, j, v) in pre.entries))
         return Lattice(basis, pre, self._divisors)
 
 
@@ -535,7 +545,8 @@ def kernel_basis(mat: SparseIntMatrix) -> Lattice:
     basis = SparseIntMatrix._trusted(mat.cols, len(kept), tuple(sorted(
         (i, k, val) for k, j in enumerate(kept)
         for i, val in f.v.lines[j].items())))
-    return Lattice(basis, _row_block(f.v.inverse, kept, mat.cols))
+    # preimage_lattice reads the basis alone, so the map waits for a read
+    return Lattice(basis, partial(_row_block, f.v.inverse, kept, mat.cols))
 
 
 def column_space_basis(mat: SparseIntMatrix) -> Lattice:

@@ -15,20 +15,22 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms, u_chain_map, \
-    u_module_structure
+    u_module_structure, verify_u_homotopy
 from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
     REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
     _band_degree, _certify, _differential, _identification, _image_terms, \
-    _reduced, _reduction, _rule_matrix, _slice, _slice_map, \
-    check_d_squared, default_window
+    _kept, _pairs, _reduced, _reduction, _restricts, _rule_matrix, _slice, \
+    _slice_map, _template, check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
@@ -41,6 +43,10 @@ from monofloer.sequences import _delta_chain, _hat_delta_chain, _red_at, \
 from monofloer.spectral import spectral_pages
 from test_complexes import compare_with_oracle, full_presentation, \
     oracle_dataset
+
+# the repository root, for the benchmark's domino instances
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.inputs import domino_instance  # noqa: E402
 
 POOL = generate_instances(2026, 6, 60)
 
@@ -476,3 +482,153 @@ def test_every_chain_level_matrix_is_a_selection():
                     lambda gen: ((_partner(gen, not hat), 1),)).transpose()
                 assert _pairing_with(data, rev, n, hat) == want, (
                     data.name, hat, n)
+
+
+# -- kept positions and the restriction lemma ------------------------------
+
+def _engine_order(basis):
+    # theta first, then the points by id
+    return sorted(basis, key=lambda g: (g[1] is not None, g[1] or ""))
+
+
+def oracle_kept_and_pairs(data, flavor, n):
+    """_kept and _pairs from the oracle's basis, whose generators the
+    oracle admits by its own _admissible: the positions in the Infinity
+    basis of degree n of the flavor's generators, and each flavor eta_a^k
+    of degree n whose partner 1_a^(k-1) is a flavor generator of degree
+    n - 1, at their places in the two flavor slices."""
+    blob = oracle_dataset(data)
+    grading = {p.id: p.grading for p in data.points}
+    ambient = _engine_order(oracle.oracle_basis(blob, "infinity", n))
+    here = _engine_order(oracle.oracle_basis(blob, flavor.value, n))
+    below = {g: j for j, g in enumerate(_engine_order(
+        oracle.oracle_basis(blob, flavor.value, n - 1)))}
+    kept = tuple(i for i, g in enumerate(ambient) if g in set(here))
+    pairs = [(i, below[("one", point, k - 1)], grading[point])
+             for i, (kind, point, k) in enumerate(here)
+             if kind == "eta" and ("one", point, k - 1) in below]
+    return kept, pairs
+
+
+def _assert_kept_and_pairs(data):
+    lo, hi = _band(data)
+    for flavor in Flavor:
+        for n in range(lo - 5, hi + 6):
+            assert (_kept(data, flavor, n), _pairs(data, flavor, n)) == \
+                oracle_kept_and_pairs(data, flavor, n), (data.name, flavor, n)
+
+
+def test_kept_and_pairs_match_the_oracle_on_the_pool():
+    """The closed forms of _kept and _pairs, read off the gradings, are the
+    oracle's admissible generators over band +- 5, on every pool dataset,
+    the curated ones and invalid data alike."""
+    for data in [*POOL, *curated_instances(), invalid_instance()]:
+        _assert_kept_and_pairs(data)
+
+
+@SETTINGS
+@given(gauged)
+def test_kept_and_pairs_match_the_oracle_on_gauged_datasets(pair):
+    _assert_kept_and_pairs(pair[1])
+
+
+def _scanned(monkeypatch):
+    """Refuse the restriction lemma, so both checks take the per-degree
+    scan."""
+    import monofloer.actions as actions
+    import monofloer.complexes as complexes
+
+    for module in (complexes, actions):
+        monkeypatch.setattr(module, "_restricts", lambda *args: False)
+
+
+def test_templates_and_scan_agree_on_every_mutant(monkeypatch):
+    """Over every single-coefficient mutation of the pool, valid or not,
+    check_d_squared (every flavor) and verify_u_homotopy (every u flavor,
+    on valid data) give the template path's verdict on the scan too."""
+    def verdicts(data, window, valid):
+        return ([check_d_squared(data, flavor, window) for flavor in Flavor],
+                [verify_u_homotopy(data, flavor, window)
+                 for flavor in _U_FLAVORS] if valid else None)
+
+    cases = []
+    for data in MUTANTS:
+        lo, hi = default_window(data)
+        window, valid = (lo - 3, hi + 3), validate(data).ok
+        cases.append((data, window, valid, verdicts(data, window, valid)))
+    assert any(not all(d_squared) for *_, (d_squared, _) in cases)
+    _scanned(monkeypatch)
+    for data, window, valid, got in cases:
+        assert verdicts(data, window, valid) == got, data.name
+
+
+def _raising_rule(data, gen):
+    """D, plus one entry 1_a^k -> eta_c^(k + 1) that raises k."""
+    yield from _image_terms(data, gen)
+    if gen.kind == KIND_ONE and gen.point == "a":
+        yield Generator(KIND_ETA, "c", gen.k + 1), 1
+
+
+def test_a_rule_that_raises_k_fails_the_lemma_and_is_scanned(monkeypatch):
+    """eta_a -> eta_b -> eta_c sums to 1 in D D, and the raising entry
+    cancels it through 1_a^(k-1): D D = 0 on the templates, but every
+    flavor that drops 1_a^(-1) keeps only the first path, so only the
+    scan, which the failed lemma forces, gives their verdict."""
+    import monofloer.complexes as complexes
+
+    data = MonopoleData.build("raising", [("a", 2), ("b", 1), ("c", 0)],
+                              n=[("a", "b", 1), ("b", "c", 1)])
+    monkeypatch.setattr(complexes, "_image_terms", _raising_rule)
+    assert all(_template(data, _raising_rule, 1, 1 - parity).mul(
+        _template(data, _raising_rule, 1, parity)).is_zero()
+        for parity in (0, 1))
+    window = (-8, 8)
+    for flavor in Flavor:
+        scan = all(_differential(data, flavor, n - 1).mul(
+            _differential(data, flavor, n)).is_zero()
+            for n in range(window[0], window[1] + 1))
+        infinity = flavor is Flavor.INFINITY
+        assert _restricts(data, flavor, _raising_rule, 1) is infinity
+        assert check_d_squared(data, flavor, window) is scan is infinity, (
+            flavor)
+
+
+def test_the_lemma_refuses_an_entry_into_an_eta_for_nonequivariant():
+    """H sends 1_a to eta_a at the same k, so it keeps k but leaves the
+    NonEquivariant slices through a one and comes back to an eta: the
+    lemma fails there and holds in every other flavor."""
+    data = next(d for d in curated_instances() if d.name == "tail-chain")
+    for flavor in Flavor:
+        assert _restricts(data, flavor, _h_terms, 1) is (
+            flavor is not Flavor.NONEQUIVARIANT), flavor
+        assert _restricts(data, flavor, _image_terms, 1), flavor
+
+
+def test_a_u_broken_on_its_template_fails_in_every_flavor(monkeypatch):
+    """With every u matrix a selection of a template that breaks the
+    homotopy, the template identity, not a product per degree, must refuse
+    it."""
+    import monofloer.actions as actions
+
+    def doubled(data, gen):
+        for target, coeff in _u_terms(data, gen):
+            yield target, 2 * coeff
+
+    data = next(d for d in curated_instances() if d.name == "tail-chain")
+    monkeypatch.setattr(actions, "_u_terms", doubled)
+    for flavor in _U_FLAVORS:
+        assert not verify_u_homotopy(data, flavor, default_window(data))
+
+
+def test_every_flavor_matches_the_dense_oracle_at_fifty_points():
+    """Beyond the pool's six points: the engine's homology of all five
+    flavors of a 50-point domino instance equals the dense oracle's in
+    every default-window degree."""
+    data = domino_instance("oracle-50", 50, 7)
+    blob = oracle_dataset(data)
+    lo, hi = default_window(data)
+    for flavor in Flavor:
+        for n in range(lo, hi + 1):
+            got = homology_at(data, flavor, n)
+            assert (got.free_rank, list(got.torsion)) == \
+                oracle.oracle_homology_at(blob, flavor.value, n), (flavor, n)
