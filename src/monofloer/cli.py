@@ -48,23 +48,26 @@ def _invariants_doc(g: AbelianGroupInvariants) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def _shared_docs(items):
-    """(key, _invariants_doc of the group) for each (key, group) of items,
-    in their order, with one doc per group object, so that _dumps renders
-    each once per depth however many degrees or cells hold it.  Keying by
-    object skips the dataclass's Python-level hash; equal groups held as
-    two objects get two equal docs, which _dumps writes alike."""
-    docs: dict[int, dict] = {}
-    for key, group in items:
-        doc = docs.get(id(group))
-        if doc is None:
-            doc = docs[id(group)] = _invariants_doc(group)
-        yield key, doc
+def _shared_docs(groups) -> dict:
+    """One _invariants_doc per distinct group, so that _dumps renders each
+    once per depth however many degrees or cells hold it."""
+    return {g: _invariants_doc(g) for g in set(groups)}
 
 
 def _groups_doc(groups: dict[int, AbelianGroupInvariants]) -> dict:
-    # every caller builds its groups in ascending degree order
-    return {str(n): doc for n, doc in _shared_docs(groups.items())}
+    """The groups in their own order, ascending in every caller, walked
+    once.  Docs are shared by group object, so no group is hashed:
+    graded homology hands every degree of a fold class one object.
+    Spectral cells, whose equal groups are distinct objects, share by
+    value through _shared_docs."""
+    docs: dict[int, dict] = {}
+    out = {}
+    for n, group in groups.items():
+        doc = docs.get(id(group))
+        if doc is None:
+            doc = docs[id(group)] = _invariants_doc(group)
+        out[str(n)] = doc
+    return out
 
 
 def _tail_doc(tail) -> dict | None:
@@ -208,8 +211,9 @@ def _cmd_spectral(data, args):
     pages = args.pages if args.pages is not None else min(3, max_page(data))
     results = {"flavor": "plus", "pages": []}
     for page in spectral_pages(data, Flavor.PLUS, pages):
-        cells = [{"p": p, "q": q, "group": doc} for (p, q), doc in
-                 _shared_docs(sorted(page.cells.items()))]
+        docs = _shared_docs(page.cells.values())
+        cells = [{"p": p, "q": q, "group": docs[g]}
+                 for (p, q), g in sorted(page.cells.items())]
         diffs = [{"p": p, "q": q, **_matrix_doc(mat)}
                  for (p, q), mat in sorted(page.differentials.items())
                  if not mat.is_zero()]
