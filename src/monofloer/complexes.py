@@ -219,9 +219,9 @@ def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     at grading n.  So each flavor keeps, in every degree, the positions
     whose k lies in one interval, and NonEquivariant its etas there."""
     lead = 1 - n % 2  # theta leads the even slice
-    at = enumerate(data.points, lead)
     if flavor is Flavor.INFINITY:
         return tuple(range(lead + len(data.points)))
+    at = enumerate(data.points, lead)
     if flavor is Flavor.PLUS:
         theta, kept = lead and n >= 0, [i for i, p in at if p.grading <= n]
     elif flavor is Flavor.MINUS:

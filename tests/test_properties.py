@@ -503,7 +503,8 @@ def oracle_kept_and_pairs(data, flavor, n):
     here = _engine_order(oracle.oracle_basis(blob, flavor.value, n))
     below = {g: j for j, g in enumerate(_engine_order(
         oracle.oracle_basis(blob, flavor.value, n - 1)))}
-    kept = tuple(i for i, g in enumerate(ambient) if g in set(here))
+    admitted = set(here)
+    kept = tuple(i for i, g in enumerate(ambient) if g in admitted)
     pairs = [(i, below[("one", point, k - 1)], grading[point])
              for i, (kind, point, k) in enumerate(here)
              if kind == "eta" and ("one", point, k - 1) in below]
