@@ -48,35 +48,15 @@ def _invariants_doc(g: AbelianGroupInvariants) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
-def _shared_docs(groups) -> dict:
-    """One _invariants_doc per distinct group, so that _dumps renders each
-    once per depth however many degrees or cells hold it."""
-    return {g: _invariants_doc(g) for g in set(groups)}
-
-
 def _groups_doc(groups: dict[int, AbelianGroupInvariants]) -> dict:
-    """The groups in their own order, ascending in every caller, walked
-    once.  Docs are shared by group object, so no group is hashed:
-    graded homology hands every degree of a fold class one object.
-    Spectral cells, whose equal groups are distinct objects, share by
-    value through _shared_docs."""
-    docs: dict[int, dict] = {}
-    out = {}
-    for n, group in groups.items():
-        doc = docs.get(id(group))
-        if doc is None:
-            doc = docs[id(group)] = _invariants_doc(group)
-        out[str(n)] = doc
-    return out
+    return {str(n): g for n, g in groups.items()}
 
 
 def _tail_doc(tail) -> dict | None:
     if tail is None:
         return None
     # every tail is established; "verified" stays so report bytes do not move
-    return {"even": _invariants_doc(tail.even),
-            "odd": _invariants_doc(tail.odd),
-            "verified": True}
+    return {"even": tail.even, "odd": tail.odd, "verified": True}
 
 
 def _graded_doc(graded: GradedAbelianGroup) -> dict:
@@ -98,8 +78,8 @@ def _exactness_doc(report) -> dict:
             "degree": node.degree,
             "node": node.node,
             "exact": node.exact,
-            "image": _invariants_doc(node.image),
-            "kernel": _invariants_doc(node.kernel),
+            "image": node.image,
+            "kernel": node.kernel,
             "witness": (None if node.witness is None
                         else {"reason": node.witness[0],
                               "vector": list(node.witness[1])}),
@@ -108,9 +88,7 @@ def _exactness_doc(report) -> dict:
 
 
 def _failure_doc(err: CheckFailed) -> dict:
-    return {"degree": err.degree,
-            **{name: _invariants_doc(value)
-               for name, value in err.values.items()}}
+    return {"degree": err.degree, **err.values}
 
 
 def _dataset_hash(data: MonopoleData) -> str:
@@ -211,8 +189,7 @@ def _cmd_spectral(data, args):
     pages = args.pages if args.pages is not None else min(3, max_page(data))
     results = {"flavor": "plus", "pages": []}
     for page in spectral_pages(data, Flavor.PLUS, pages):
-        docs = _shared_docs(page.cells.values())
-        cells = [{"p": p, "q": q, "group": docs[g]}
+        cells = [{"p": p, "q": q, "group": g}
                  for (p, q), g in sorted(page.cells.items())]
         diffs = [{"p": p, "q": q, **_matrix_doc(mat)}
                  for (p, q), mat in sorted(page.differentials.items())
@@ -234,7 +211,7 @@ def _cmd_structure(data, args):
         "actual": _groups_doc(result.actual),
         "delta": {str(n): _matrix_doc(result.delta[n])
                   for n in sorted(result.delta)},
-        "t_terms": {str(k): _invariants_doc(result.t_terms[k])
+        "t_terms": {str(k): result.t_terms[k]
                     for k in sorted(result.t_terms)},
     }
     return results, result.matches
@@ -386,25 +363,28 @@ _STRING = json.encoder.encode_basestring_ascii
 
 
 def _dumps(report: dict) -> str:
-    """json.dumps(report, indent=2), byte for byte, for the types a report
-    holds: dicts with str keys, lists, str, int, bool and None.  Anything
-    else raises TypeError.  A dict met again at the same depth, such as a
-    shared _invariants_doc, is rendered once; json's indented encoder is
-    pure Python and would render it each time."""
-    memo: dict[tuple[int, str], str] = {}
+    """json.dumps(report, indent=2, default=_invariants_doc), byte for
+    byte, for the types a report holds: dicts with str keys, lists, str,
+    int, bool, None and AbelianGroupInvariants.  Anything else raises
+    TypeError.  A report repeats a few groups over many degrees or cells,
+    so each group is rendered once per value and indentation; json's
+    indented encoder is pure Python and would render every repeat."""
+    groups: dict[tuple[int, tuple[int, ...], str], str] = {}
 
     def render(obj, pad: str) -> str:
         kind = type(obj)
         if kind is dict:
-            key = id(obj), pad
-            text = memo.get(key)
+            # _STRING raises TypeError on a key that is not a str
+            inner = pad + "  "
+            return "{" + inner + ("," + inner).join(
+                [_STRING(name) + ": " + render(value, inner)
+                 for name, value in obj.items()]) + pad + "}" \
+                if obj else "{}"
+        if kind is AbelianGroupInvariants:
+            key = obj.free_rank, obj.torsion, pad
+            text = groups.get(key)
             if text is None:
-                # _STRING raises TypeError on a key that is not a str
-                inner = pad + "  "
-                text = memo[key] = "{" + inner + ("," + inner).join(
-                    [_STRING(name) + ": " + render(value, inner)
-                     for name, value in obj.items()]) + pad + "}" \
-                    if obj else "{}"
+                text = groups[key] = render(_invariants_doc(obj), pad)
             return text
         if kind is int:
             return int.__repr__(obj)

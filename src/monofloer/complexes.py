@@ -242,10 +242,11 @@ def _template(data: MonopoleData, rule, drop: int,
 
 
 @per_dataset
-def _selection(data: MonopoleData, rule, drop: int, parity: int, rows,
+def _selection(data: MonopoleData, template, key: tuple, rows,
                cols) -> SparseIntMatrix:
-    # memoised by the kept positions: degrees keeping the same share a matrix
-    return _template(data, rule, drop, parity).select(rows, cols)
+    """template(data, *key) at the positions rows and cols, memoised by
+    them: degrees keeping the same positions share a matrix."""
+    return template(data, *key).select(rows, cols)
 
 
 def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
@@ -256,8 +257,8 @@ def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
     parity, and a flavor's is its submatrix on the kept positions.  Where
     _restricts holds, a product of such submatrices is the submatrix of
     the templates' product."""
-    return _selection(data, rule, drop, n % 2, _kept(data, flavor, n - drop),
-                      _kept(data, flavor, n))
+    return _selection(data, _template, (rule, drop, n % 2),
+                      _kept(data, flavor, n - drop), _kept(data, flavor, n))
 
 
 @per_dataset
@@ -568,7 +569,7 @@ def _identification(data: MonopoleData, source: Flavor, target: Flavor,
     zero where the target flavor truncates it: the identity template at
     both sides' kept positions, since raising k keeps a generator's
     Infinity position."""
-    return _selection(data, _same, 0, n % 2,
+    return _selection(data, _template, (_same, 0, n % 2),
                       _kept(data, target, n + 2 * shift_k),
                       _kept(data, source, n))
 

@@ -20,6 +20,7 @@ from .complexes import (
     _distinct_degrees,
     _kept,
     _reduced_differential,
+    _selection,
     _slice,
     checked_window,
     generator_degree,
@@ -88,14 +89,7 @@ def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
     rows, cols = ((_kept(data, Flavor.HAT, n), _kept(rev, Flavor.HAT, -n))
                   if hat else (_kept(data, Flavor.PLUS, n),
                                _kept(rev, Flavor.MINUS, -2 - n)))
-    return _pairing_selection(data, rev, n % 2, rows, cols)
-
-
-@per_dataset
-def _pairing_selection(data: MonopoleData, rev: MonopoleData, parity: int,
-                       rows, cols) -> SparseIntMatrix:
-    # memoised by the kept positions, as complexes._selection is
-    return _pairing_template(data, rev, parity).select(rows, cols)
+    return _selection(data, _pairing_template, (rev, n % 2), rows, cols)
 
 
 def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:

@@ -17,6 +17,7 @@ homomorphism from Z^c to Z^r acting on column vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -154,7 +155,8 @@ class SparseIntMatrix:
                cols: Sequence[int]) -> "SparseIntMatrix":
         """The submatrix on ascending lists of rows and columns (itself when
         they list everything); renumbering keeps the entry order."""
-        if any(b <= a for seq in (rows, cols) for a, b in zip(seq, seq[1:])):
+        if not (all(map(operator.lt, rows, rows[1:]))
+                and all(map(operator.lt, cols, cols[1:]))):
             raise ValueError("selected indices not ascending")
         if len(rows) == self.rows and len(cols) == self.cols:
             return self

@@ -32,6 +32,7 @@ from .complexes import (
     _reduced,
     _reduced_differential,
     _selection,
+    _template,
     checked_window,
     require_valid,
 )
@@ -101,7 +102,7 @@ def _delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
     """Chain-level connecting map of the main sequence in degree n: lift a
     Plus chain into Infinity, apply D, restrict to Minus (faithful on
     cycles), which is the D template at those kept positions."""
-    return _selection(data, _image_terms, 1, n % 2,
+    return _selection(data, _template, (_image_terms, 1, n % 2),
                       _kept(data, Flavor.MINUS, n - 1),
                       _kept(data, Flavor.PLUS, n))
 
@@ -111,7 +112,7 @@ def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
     raise k to section omega-inverse, apply D on Plus, restrict to k = 0.
     Raising k keeps Infinity positions, so this is the D template of n's
     parity at those kept positions."""
-    return _selection(data, _image_terms, 1, n % 2,
+    return _selection(data, _template, (_image_terms, 1, n % 2),
                       _kept(data, Flavor.HAT, n + 1),
                       _kept(data, Flavor.PLUS, n))
 
@@ -129,7 +130,7 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     """
     require_valid(data)
     # the Infinity boundaries of lifted Plus chains
-    lifted = _selection(data, _image_terms, 1, n % 2,
+    lifted = _selection(data, _template, (_image_terms, 1, n % 2),
                         _kept(data, Flavor.INFINITY, n - 1),
                         _kept(data, Flavor.PLUS, n))
     restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)

@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
-    GradedAbelianGroup, _kernel, _quotient
+    GradedAbelianGroup, TRIVIAL, _kernel, _quotient
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
@@ -163,13 +163,10 @@ class _FreeCell(NamedTuple):
     """A free cell on unit vectors: a page-0 cell, or the zero cell."""
 
     generators: tuple[HomologyGenerator, ...]
-
-    @property
-    def invariants(self) -> AbelianGroupInvariants:
-        return AbelianGroupInvariants(len(self.generators))
+    invariants: AbelianGroupInvariants
 
 
-_EMPTY = _FreeCell(())
+_EMPTY = _FreeCell((), TRIVIAL)
 
 
 def _grouped(levels: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -209,7 +206,8 @@ def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
     if r == 0:
         zero = (0,) * len(_filtrations(data, flavor, n))
         return _FreeCell(tuple(HomologyGenerator(
-            0, zero[:j] + (1,) + zero[j + 1:]) for j in at))
+            0, zero[:j] + (1,) + zero[j + 1:]) for j in at),
+            AbelianGroupInvariants(len(at)))
     return _quotient(data, _a_lattice(data, flavor, n, p, r),
                      _den_lattice(data, flavor, r, p, n))
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monofloer import cli
-from monofloer.cli import _dumps, main, verify_all
+from monofloer.cli import _dumps, _invariants_doc, main, verify_all
 from monofloer.complexes import _band, default_window
 from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, invalid_instance, serialize
+from monofloer.intlinalg import AbelianGroupInvariants
 from test_reports import CASES
 
 REPORT_KEYS = ["command", "engine_version", "dataset_name", "dataset_hash",
@@ -459,6 +460,26 @@ def test_the_emitter_writes_what_json_dumps_writes(tree, shared):
     assert _dumps(report) == json.dumps(report, indent=2)
 
 
+_GROUPS = st.builds(AbelianGroupInvariants, st.integers(0, 3),
+                    st.sampled_from([(), (2,), (3,), (2, 4), (6, 12)]))
+_GROUP_TREES = st.recursive(
+    _SCALARS | _GROUPS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_GROUP_TREES, group=_GROUPS, other=_GROUPS)
+def test_the_emitter_writes_a_group_as_its_doc(tree, group, other):
+    # group sits at two depths, and twice at one of them, beside a group
+    # of its rank with other torsion
+    twin = AbelianGroupInvariants(group.free_rank, other.torsion)
+    report = {"tree": tree, "group": group,
+              "cells": [{"group": group}, {"twin": twin, "again": group},
+                        [other, group, {}]]}
+    assert _dumps(report) == json.dumps(report, indent=2,
+                                        default=_invariants_doc)
+
+
 @pytest.mark.parametrize("value", [
     1.5, (1, 2), {1: "a"}, {"a": [{"b": {None: 0}}]}, [float("nan")]])
 def test_the_emitter_refuses_what_a_report_never_holds(value):
@@ -477,7 +498,8 @@ def test_every_pinned_report_is_what_json_dumps_writes(tmp_path,
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             main([*command, path])
         assert len(reports) == 1, key
-        assert _dumps(reports[0]) == json.dumps(reports[0], indent=2), key
+        assert _dumps(reports[0]) == json.dumps(
+            reports[0], indent=2, default=_invariants_doc), key
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -548,6 +570,31 @@ def test_a_wide_grading_span_is_refused_at_once(tmp_path, argv, code):
     if code == 2:
         assert done.stdout == ""
         assert "gradings span" in done.stderr
+
+
+# valid data whose default window, -1104:1106, is just past the limit
+SPREAD = MonopoleData.build("spread", [("a", -1100), ("b", 1100)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"], ["verify-all", "--window=0:2"],
+    ["homology", "--flavor", "plus"], ["spectral"], ["structure"],
+    ["les", "main"], ["duality"]])
+def test_a_grading_span_just_past_the_limit_is_refused(tmp_path, capsys,
+                                                      argv):
+    code, out, err = run(capsys, [*argv, write_dataset(tmp_path, SPREAD)])
+    assert code == 2
+    assert out == ""
+    assert "gradings span its default window -1104:1106" in err
+
+
+def test_a_window_flag_without_its_value_is_a_usage_error(tmp_path, capsys):
+    path = write_dataset(tmp_path, by_name("empty"))
+    argv = ["homology", "--flavor", "plus", path, "--window"]
+    assert cli._glue_window(argv) == argv
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_package_has_no_assert_statements():

@@ -29,6 +29,7 @@ from monofloer.complexes import (
     _reduce,
     _reduced,
     _reduction,
+    _sums_to_identity,
     check_d_squared,
     checked_window,
     default_window,
@@ -460,6 +461,53 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
     with pytest.raises(CheckFailed) as info:
         _certify(data, flavor, broken)
     assert info.value.degree == n
+
+
+def _extra_row(mat):
+    return SparseIntMatrix(mat.rows + 1, mat.cols, mat.entries)
+
+
+def _extra_column(mat):
+    return SparseIntMatrix(mat.rows, mat.cols + 1, mat.entries)
+
+
+@pytest.mark.parametrize("field, breaking", [
+    # D f no longer composes: the product's ValueError is a failure
+    ("f", _extra_row),
+    # D h + h D is no longer square, so it sums to no identity
+    ("h", _extra_column)])
+def test_certificate_rejects_a_misshapen_reduction(field, breaking):
+    data = performance_instance()
+    broken, n = _broken(data, _reduce(data, Flavor.PLUS), field, breaking)
+    with pytest.raises(CheckFailed, match="the reduction fails") as info:
+        _certify(data, Flavor.PLUS, broken)
+    assert info.value.degree == n
+
+
+def test_certificate_rejects_a_phantom_critical_generator():
+    """A critical generator added at degree n with zero D', f and g keeps
+    every identity but g f = 1, whose new diagonal entry is zero."""
+    data = performance_instance()
+    table = _reduce(data, Flavor.PLUS)
+    lo, _ = _band(data)
+    n = next(n for n in sorted(table) if n > lo + 1 and n + 1 in table)
+    here, above = table[n], table[n + 1]
+    broken = dict(table)
+    broken[n] = here._replace(differential=_extra_column(here.differential),
+                              f=_extra_column(here.f), g=_extra_row(here.g))
+    broken[n + 1] = above._replace(
+        differential=_extra_row(above.differential))
+    with pytest.raises(CheckFailed, match="fails g f = 1") as info:
+        _certify(data, Flavor.PLUS, broken)
+    assert info.value.degree == n
+
+
+def test_only_a_square_sum_is_the_identity():
+    eye = SparseIntMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 1)])
+    wide = SparseIntMatrix(2, 3, eye.entries)
+    assert _sums_to_identity(eye)
+    assert not _sums_to_identity(wide)
+    assert not _sums_to_identity(eye, SparseIntMatrix(2, 3, ()))
 
 
 # a reduction broken under the CLI: its flavor, how it is broken, and the

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from monofloer import duality, homology, spectral
-from monofloer.cli import verify_all
+from monofloer.cli import main, verify_all
 from monofloer.complexes import _band, _differential, _kept, default_window
 from monofloer.data import (
     CheckFailed,
@@ -312,6 +312,48 @@ def test_parse_rejects_zero_value_and_bad_types():
               b'"n": [], "m": []}')
     with pytest.raises(SchemaError):
         parse(b'{"name": 7, "points": [], "n": [], "m": []}')
+
+
+_POINT = b'{"id": "a", "gr": 1}'
+_TO_THETA = b'{"from": "a", "to": "theta", "value": %d}'
+
+
+@pytest.mark.parametrize("doc, field", [
+    (b'[]', "$"),
+    (b'{"name": "x", "points": {}, "n": [], "m": []}', "points"),
+    (b'{"name": "x", "points": [], "n": {}, "m": []}', "n"),
+    (b'{"name": "x", "points": [], "n": [], "m": "m"}', "m"),
+    (b'{"name": "x", "points": [1], "n": [], "m": []}', "points"),
+    (b'{"name": "x", "points": [], "n": [[]], "m": []}', "n"),
+    (b'{"name": "x", "points": [], "n": [], "m": [null]}', "m"),
+    # parse passes a duplicated coefficient on; MonopoleData refuses it
+    (b'{"name": "x", "points": [' + _POINT + b'], "n": ['
+     + _TO_THETA % 1 + b', ' + _TO_THETA % 2 + b'], "m": []}', "n"),
+])
+def test_parse_refuses_a_misshapen_document_naming_the_field(
+        tmp_path, capsys, doc, field):
+    with pytest.raises(SchemaError) as e:
+        parse(doc)
+    assert e.value.field == field
+    path = tmp_path / "data.json"
+    path.write_bytes(doc)
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("points, n, field", [
+    ((CriticalPoint("b", 0), CriticalPoint("a", 0)), (), "id"),
+    ((CriticalPoint("a", 1),), (("a", THETA, 0),), "n"),
+    ((CriticalPoint("a", 1), CriticalPoint("b", 1)),
+     (("b", THETA, 1), ("a", THETA, 1)), "n"),
+])
+def test_data_built_directly_must_be_canonical(points, n, field):
+    # unsorted points, a stored zero, unsorted coefficients
+    with pytest.raises(SchemaError) as e:
+        MonopoleData("x", points, n)
+    assert e.value.field == field
 
 
 def test_parse_error_carries_position():

@@ -43,6 +43,35 @@ def test_delta_frozen_on_theta_pair():
     assert (at2.rows, at2.cols) == (0, 1)
 
 
+@pytest.mark.parametrize("row, message", [
+    (2, "a lifted boundary escapes the subcomplex"),
+    (0, "the connecting map depends on the lift")])
+def test_connecting_delta_refuses_a_wrong_lift(monkeypatch, row, message):
+    """The lift on theta-coupled-pair, D from the Plus columns of degree
+    -1 to the Infinity rows of degree -2, gains an entry in column 0: at
+    row 2, which Minus does not keep, a lifted boundary leaves the
+    subcomplex; at row 0, theta, a lifted Plus boundary is a nonzero Minus
+    class."""
+    import monofloer.sequences as sequences
+    from monofloer.complexes import _kept
+
+    data = by_name("theta-coupled-pair")
+    lift_rows = _kept(data, Flavor.INFINITY, -2)
+    selection = sequences._selection
+
+    def wrong_lift(data, template, key, rows, cols):
+        mat = selection(data, template, key, rows, cols)
+        if rows != lift_rows:
+            return mat
+        return mat.add(SparseIntMatrix.from_entries(
+            mat.rows, mat.cols, [(row, 0, 1)]))
+
+    monkeypatch.setattr(sequences, "_selection", wrong_lift)
+    with pytest.raises(CheckFailed, match=message) as info:
+        connecting_delta(data, -1)
+    assert info.value.degree == -1
+
+
 # -- main sequence ----------------------------------------------------------
 
 def test_les_main_exact_on_theta_tower():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,8 @@ from monofloer.cli import verify_all
 from monofloer.complexes import Flavor, _band, _reduced, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances, generate_instances
-from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
+from monofloer.intlinalg import AbelianGroupInvariants, HomologyGenerator, \
+    SparseIntMatrix
 from monofloer.spectral import (
     _cell,
     _composite_vanishes,
@@ -64,6 +66,19 @@ def test_delta_map_frozen():
 def test_delta_map_rejects_negative():
     with pytest.raises(InvalidInput):
         delta_map(by_name("empty"), -1)
+
+
+def test_delta_map_refuses_a_torsion_class_with_an_obstruction(
+        monkeypatch):
+    # theta-coupled-pair's degree-1 class, whose obstruction value is 1,
+    # recorded as a class of order 2
+    import monofloer.spectral as spectral
+
+    monkeypatch.setattr(spectral, "presentation_at", lambda *args: (
+        SimpleNamespace(generators=(HomologyGenerator(2, (1,)),))))
+    with pytest.raises(CheckFailed, match="torsion class") as info:
+        delta_map(by_name("theta-coupled-pair"), 0)
+    assert info.value.degree == 1
 
 
 # -- spectral pages ---------------------------------------------------------

@@ -1,0 +1,263 @@
+"""Mutation harness: named source mutants against the test suite.
+
+Run from anywhere, with the interpreter that runs the tests:
+
+    python3 tools/mutants.py               # every mutant
+    python3 tools/mutants.py NAME [NAME]   # only the named ones
+
+Each mutant is one exact string replacement in a module of
+``src/monofloer/``, applied to a fresh temporary copy of ``src/``; the
+string must occur exactly once, so a mutant that no longer matches the
+source stops the run instead of passing silently.  For each mutant the
+harness runs the test files the mutant names, then, if they all pass, the
+whole test suite; the mutant is killed when either run fails.  A mutant
+marked equivalent carries the reason it cannot be killed.  One line per
+mutant goes to stderr; the last line of output is one JSON object:
+
+    {"killed": K, "survived": S, "survivors": [...], "equivalent": [...]}
+
+where ``equivalent`` lists the mutants run that are marked equivalent.  The
+exit status is 1 when a mutant not marked equivalent survives.  Tests that
+start a child interpreter with the repository's own ``src/`` on its path
+(``test_a_wide_grading_span_is_refused_at_once``,
+``test_module_entry_point``) never see a mutant, so a mutant needs an
+in-process test to be killed.  A killed mutant costs its named test
+files, a survivor the whole suite as well (about half a minute); the full
+list takes a few minutes.  The harness is not part of the test suite;
+``tools/test_mutants.py`` tests it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # the file under src/monofloer/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root
+    equivalent: str | None = None  # why no test can kill it
+
+
+def _drop(name, module, condition, tests, equivalent=None):
+    """The mutant that never takes a branch: condition is its exact line,
+    such as '    if x:', followed by the start of the next line where the
+    line alone is not unique, and the mutant reads '    if False:'."""
+    head, _, rest = condition.partition("if ")
+    test = rest.split(":\n", 1)
+    tail = ":\n" + test[1] if len(test) > 1 else ":"
+    return Mutant(name, module, condition, head + "if False" + tail,
+                  tests, equivalent)
+
+
+MUTANTS = (
+    # windowed checks that skip the first degree of their window
+    Mutant("d2-from-lo-plus-1", "complexes.py",
+           "            range(lo, hi + 1), lambda n: (_differential(",
+           "            range(lo + 1, hi + 1), lambda n: (_differential(",
+           ("tests/test_properties.py",)),
+    Mutant("u-from-lo-plus-1", "actions.py",
+           "_distinct_degrees(range(lo, hi + 1), lambda n: (",
+           "_distinct_degrees(range(lo + 1, hi + 1), lambda n: (",
+           ("tests/test_actions.py",)),
+    Mutant("u-skips-by-content", "actions.py",
+           "all(map(operator.is_, matrices,",
+           "all(map(operator.eq, matrices,",
+           ("tests/test_actions.py",),
+           equivalent="a degree whose six matrices equal the template "
+                      "selections by content has the template's verdict"),
+    # the closed forms and template proofs of kept positions
+    Mutant("kept-plus-strict", "complexes.py",
+           "[i for i, p in at if p.grading <= n]",
+           "[i for i, p in at if p.grading < n]",
+           ("tests/test_properties.py",)),
+    Mutant("hat-drops-grading-n-1", "complexes.py",
+           "[i for i, p in at if n - 1 <= p.grading <= n]",
+           "[i for i, p in at if n <= p.grading <= n]",
+           ("tests/test_properties.py",)),
+    Mutant("pairs-plus-k2", "complexes.py",
+           "    high = n - 2 if flavor is Flavor.PLUS else math.inf",
+           "    high = n - 4 if flavor is Flavor.PLUS else math.inf",
+           ("tests/test_properties.py",)),
+    Mutant("d2-one-parity", "complexes.py",
+           "            for parity in (0, 1)):",
+           "            for parity in (0,)):",
+           ("tests/test_properties.py",)),
+    Mutant("d2-ignores-lemma", "complexes.py",
+           "    if _restricts(data, flavor, _image_terms, 1) and all(",
+           "    if all(",
+           ("tests/test_properties.py",)),
+    Mutant("lemma-no-noneq-clause", "complexes.py",
+           "                    flavor is Flavor.NONEQUIVARIANT and kind ==",
+           "                    False and kind ==",
+           ("tests/test_properties.py",)),
+    Mutant("u-ignores-template-identity", "actions.py",
+           "        _homotopy_on_templates(data)\n",
+           "        True\n",
+           ("tests/test_properties.py",)),
+    # the certificate and the filtration checks
+    Mutant("certify-skips-g-f", "complexes.py",
+           "lambda: _sums_to_identity(here.g.mul(here.f))",
+           "lambda: True",
+           ("tests/test_complexes.py",)),
+    Mutant("certify-skips-homotopy", "complexes.py",
+           "(\"1 - f g = D h + h D\", lambda: _sums_to_identity(",
+           "(\"1 - f g = D h + h D\", lambda: True or _sums_to_identity(",
+           ("tests/test_complexes.py",)),
+    _drop("filtration-unchecked", "spectral.py",
+          "            if any(rows[i] > cols[j] for i, j, _ in mat.entries):",
+          ("tests/test_spectral.py",)),
+    _drop("composite-ignores-torsion", "spectral.py",
+          "        elif v % orders[i] != 0:",
+          ("tests/test_spectral.py",)),
+    # the band's padding around the gradings
+    Mutant("band-pads-2-below", "complexes.py",
+           "    return min(gradings) - 3, max(gradings) + 4",
+           "    return min(gradings) - 2, max(gradings) + 4",
+           ("tests/test_complexes.py", "tests/test_homology.py")),
+    Mutant("band-pads-3-above", "complexes.py",
+           "    return min(gradings) - 3, max(gradings) + 4",
+           "    return min(gradings) - 3, max(gradings) + 3",
+           ("tests/test_complexes.py", "tests/test_homology.py")),
+    Mutant("is-perfect-accepts-minus-one", "duality.py",
+           "        v == 1 for (_, _, v) in mat.entries)",
+           "        v in (1, -1) for (_, _, v) in mat.entries)",
+           ("tests/test_duality.py",)),
+    # the report emitter's group memo
+    Mutant("group-memo-ignores-indentation", "cli.py",
+           "key = obj.free_rank, obj.torsion, pad",
+           "key = obj.free_rank, obj.torsion",
+           ("tests/test_cli.py",)),
+    Mutant("group-memo-ignores-torsion", "cli.py",
+           "key = obj.free_rank, obj.torsion, pad",
+           "key = obj.free_rank, pad",
+           ("tests/test_cli.py",)),
+    # refusals, each with its check dropped
+    _drop("window-span-unchecked", "complexes.py",
+          "    if hi - lo + 1 > MAX_WINDOW_DEGREES:\n"
+          "        raise InvalidInput(f\"the dataset's",
+          ("tests/test_cli.py",)),
+    _drop("lift-escape-unchecked", "sequences.py",
+          "        if vectors != back.mul(restrict.mul(vectors)):",
+          ("tests/test_sequences.py",)),
+    _drop("lift-dependence-unchecked", "sequences.py",
+          "        if not target.is_zero_class(col):",
+          ("tests/test_sequences.py",)),
+    _drop("obstruction-torsion-unchecked", "spectral.py",
+          "        if gen.order != 0 and value != 0:",
+          ("tests/test_spectral.py",)),
+    Mutant("certify-shape-error-raises", "complexes.py",
+           "            try:\n"
+           "                ok = holds()\n"
+           "            except ValueError:  # shapes that do not compose\n"
+           "                ok = False\n",
+           "            ok = holds()\n",
+           ("tests/test_complexes.py",)),
+    _drop("identity-shape-unchecked", "complexes.py",
+          "    if any((t.rows, t.cols) != (size, size) for t in terms):",
+          ("tests/test_complexes.py",)),
+    _drop("parse-root-unchecked", "data.py",
+          "    if not isinstance(doc, dict):",
+          ("tests/test_data.py",)),
+    _drop("parse-points-array-unchecked", "data.py",
+          "    if not isinstance(doc[\"points\"], list):",
+          ("tests/test_data.py",)),
+    _drop("parse-points-entry-unchecked", "data.py",
+          "        if not isinstance(item, dict):\n"
+          "            raise SchemaError(\"points entries",
+          ("tests/test_data.py",)),
+    _drop("parse-coefficients-array-unchecked", "data.py",
+          "        if not isinstance(doc[key], list):",
+          ("tests/test_data.py",)),
+    _drop("parse-coefficients-entry-unchecked", "data.py",
+          "            if not isinstance(item, dict):\n"
+          "                raise SchemaError(f\"{key} entries",
+          ("tests/test_data.py",)),
+    _drop("duplicate-coefficient-unchecked", "data.py",
+          "                if (src, dst) in seen:",
+          ("tests/test_data.py",)),
+    _drop("point-order-unchecked", "data.py",
+          "        if list(self.points) != sorted(self.points, "
+          "key=lambda p: p.id):",
+          ("tests/test_data.py",)),
+    _drop("stored-zero-unchecked", "data.py",
+          "                if value == 0:\n"
+          "                    raise SchemaError(\"stored zero",
+          ("tests/test_data.py",)),
+    _drop("coefficient-order-unchecked", "data.py",
+          "            if list(coeffs) != sorted(coeffs):",
+          ("tests/test_data.py",)),
+    _drop("trailing-window-unchecked", "cli.py",
+          "            if value is None:",
+          ("tests/test_cli.py",)),
+)
+
+
+def _apply(mutant: Mutant, src: Path) -> None:
+    path = src / "monofloer" / mutant.module
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        sys.exit(f"mutant {mutant.name}: its string occurs {found} times "
+                 f"in {mutant.module}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _passes(src: Path, targets: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *targets],
+        cwd=ROOT, env=env, capture_output=True, check=False)
+    return done.returncode == 0
+
+
+def run(mutants) -> dict:
+    killed, survivors = 0, []
+    for mutant in mutants:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            _apply(mutant, src)
+            survived = _passes(src, mutant.tests) and _passes(src, ())
+        verdict = "survived" if survived else "killed"
+        if mutant.equivalent:
+            verdict += f" (equivalent: {mutant.equivalent})"
+        print(f"{mutant.name}: {verdict}", file=sys.stderr)
+        if survived:
+            survivors.append(mutant.name)
+        else:
+            killed += 1
+    return {"killed": killed, "survived": len(survivors),
+            "survivors": survivors,
+            "equivalent": [m.name for m in mutants if m.equivalent]}
+
+
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(unknown)}")
+    mutants = [by_name[name] for name in names] if names else list(MUTANTS)
+    summary = run(mutants)
+    print(json.dumps(summary))
+    equivalent = set(summary["equivalent"])
+    return 1 if any(name not in equivalent
+                    for name in summary["survivors"]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
