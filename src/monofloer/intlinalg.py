@@ -1,8 +1,9 @@
 """Exact integer matrix algebra.
 
 Kernels, column spaces, preimages, and quotient presentations with
-recorded generators, each read off a Smith factorization.  `kernel_basis`
-and `column_space_basis` return a `Lattice`: an independent basis together
+recorded generators, each read off a Smith factorization: one dense
+routine, since the matrices it factors are tiny.  `kernel_basis` and
+`column_space_basis` return a `Lattice`: an independent basis together
 with the coordinate map of the factorization that produced it, so
 coordinates in the lattice, and membership, cost one sparse product and no
 further reduction.  `QuotientPresentation` is the one quotient routine: it
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "SparseIntMatrix",
@@ -274,195 +274,123 @@ class AbelianGroupInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form on a sparse working representation
+# Smith normal form on small dense matrices
 # ---------------------------------------------------------------------------
 
-class _Transform:
-    """A unimodular transform tracked line by line together with its inverse.
+def _identity(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
-    On the row side the lines are the rows of U and the inverse lines the
-    columns of U^-1; on the column side they are the columns of V and the
-    rows of V^-1.  Line i belongs to row or column i of the matrix.  On
-    either side, line_i -= q * line_t is inverse_t += q * inverse_i, so the
-    two stay inverse to each other.
-    """
 
-    __slots__ = ("lines", "inverse")
+def _axpy(lines: list[list[int]], inverse: list[list[int]], i: int, t: int,
+          q: int) -> None:
+    """line_i -= q * line_t on a transform, and so inverse_t += q * inverse_i
+    on its inverse: the two stay inverse to each other."""
+    lines[i] = [x - q * y for x, y in zip(lines[i], lines[t])]
+    inverse[t] = [x + q * y for x, y in zip(inverse[t], inverse[i])]
 
-    def __init__(self, n: int):
-        self.lines = [{i: 1} for i in range(n)]
-        self.inverse = [{i: 1} for i in range(n)]
 
-    def axpy(self, i: int, t: int, q: int) -> None:
-        for line, other, c in ((self.lines[i], self.lines[t], -q),
-                               (self.inverse[t], self.inverse[i], q)):
-            for k, v in other.items():
-                w = line.get(k, 0) + c * v
-                if w:
-                    line[k] = w
-                elif k in line:
-                    del line[k]
-
-    def negate(self, t: int) -> None:
-        for line in (self.lines[t], self.inverse[t]):
-            for k in line:
-                line[k] = -line[k]
+def _least(cells: Iterable[tuple[Any, int]]) -> Any:
+    """The index of the first (index, entry) cell of least nonzero absolute
+    value, or None when every entry is zero."""
+    best = at = None
+    for index, x in cells:
+        if x and (best is None or abs(x) < best):
+            best, at = abs(x), index
+            if best == 1:
+                break
+    return at
 
 
 class _Factorization:
-    """Sparse Smith reduction U * mat * V = S, tracking U or V on request.
+    """Dense Smith reduction U * mat * V = S, tracking both transforms.
 
-    Each pivot is cleared where it stands, at (pivot_rows[k],
-    pivot_cols[k]), and its row and column then leave the working matrix;
-    no line is ever moved.  With the rows of U and the columns of V read in
-    `_order` (the pivot lines in the order found, then the others
-    ascending), U * mat * V is diagonal with diag[k] at (k, k).
-
-    Row operations premultiply (tracked in `u`, with U^-1, when `track_u`);
-    column operations postmultiply (tracked in `v`, with V^-1, when
-    `track_v`).  Tracking only records the operations: pivots are chosen
-    from the working matrix alone, so every mode yields the same diagonal
-    and the same transforms.  Pivots of minimal absolute value keep
-    coefficient growth down; the pivot must divide the remaining submatrix
-    before it is retired, so the diagonal forms the divisibility chain
-    directly.  A unit pivot divides everything and skips that scan.
+    Each pivot is swapped to (k, k) before it is cleared, so S holds diag[k]
+    at (k, k) and line k of every transform belongs to it: `u` lists the
+    rows of U, `u_inv` the columns of U^-1, `v` the columns of V and `v_inv`
+    the rows of V^-1.  Row operations premultiply, column operations
+    postmultiply.  The pivot is the first entry of least absolute value in
+    the active block, in row order, which keeps coefficients small; a
+    remainder left in its column or row becomes the pivot in its place.
+    A pivot must divide the rest of the block before it is retired, so the
+    diagonal forms the divisibility chain directly; a unit pivot divides
+    everything and skips that scan.
     """
 
-    __slots__ = ("diag", "rank", "pivot_rows", "pivot_cols", "u", "v")
+    __slots__ = ("diag", "rank", "u", "u_inv", "v", "v_inv")
 
-    def __init__(self, mat: SparseIntMatrix, track_u: bool = False,
-                 track_v: bool = False):
-        a: dict[int, dict[int, int]] = {}
-        colidx: dict[int, set[int]] = {}
-        for (i, j, val) in mat.entries:
-            a.setdefault(i, {})[j] = val
-            colidx.setdefault(j, set()).add(i)
+    def __init__(self, mat: SparseIntMatrix):
+        m, n = mat.rows, mat.cols
+        a = mat.to_dense()
+        # a transform's lines are replaced, never changed in place, so it
+        # and its inverse can start from the same identity rows
+        u, v = _identity(m), _identity(n)
+        u_inv, v_inv = u[:], v[:]
 
-        u = _Transform(mat.rows) if track_u else None
-        v = _Transform(mat.cols) if track_v else None
+        def swap_rows(i, k):
+            for lines in (a, u, u_inv):
+                lines[i], lines[k] = lines[k], lines[i]
 
-        def set_entry(i, j, val):
-            row = a.get(i)
-            if val:
-                if row is None:
-                    a[i] = {j: val}
-                else:
-                    row[j] = val
-                colidx.setdefault(j, set()).add(i)
-            elif row is not None and j in row:
-                del row[j]
-                if not row:
-                    del a[i]
-                s = colidx[j]
-                s.discard(i)
-                if not s:
-                    del colidx[j]
+        def swap_cols(j, k):
+            for lines in (*a, v, v_inv):
+                lines[j], lines[k] = lines[k], lines[j]
 
-        def row_axpy(i, t, q):
-            # row_i -= q * row_t
-            rt = a.get(t)
-            if not rt or not q:
-                return
-            for j, w in list(rt.items()):
-                ri = a.get(i)
-                cur = ri.get(j, 0) if ri else 0
-                set_entry(i, j, cur - q * w)
-            if u is not None:
-                u.axpy(i, t, q)
-
-        def col_axpy(j, t, q):
-            # col_j -= q * col_t
-            if not q:
-                return
-            for i in list(colidx.get(t, ())):
-                w = a[i][t]
-                cur = a[i].get(j, 0)
-                set_entry(i, j, cur - q * w)
-            if v is not None:
-                v.axpy(j, t, q)
-
-        diag, pivot_rows, pivot_cols = [], [], []
-        while colidx:
-            best = None
-            for j, rowset in colidx.items():
-                for i in rowset:
-                    av = abs(a[i][j])
-                    if best is None or av < best[0]:
-                        best = (av, i, j)
-                        if av == 1:
-                            break
-                if best[0] == 1:
-                    break
-            _, r, c = best
+        diag = []
+        # the rank is at most the number of nonzero entries
+        for k in range(min(m, n, len(mat.entries))):
+            # rows from k on are zero left of column k
+            at = _least(((i, j), x) for i in range(k, m) if any(a[i])
+                        for j, x in enumerate(a[i]) if x)
+            if at is None:
+                break
+            swap_rows(at[0], k)
+            swap_cols(at[1], k)
             while True:
-                row = a[r]
-                if row[c] < 0:
-                    for j in row:
-                        row[j] = -row[j]
-                    if u is not None:
-                        u.negate(r)
-                p = row[c]
-                dirty = False
-                for i in [i for i in colidx[c] if i != r]:
-                    row_axpy(i, r, a[i][c] // p)
-                    if c in a.get(i, {}):
-                        dirty = True
-                if dirty:
-                    # the least remainder in column c is the next pivot
-                    r = min((i for i in colidx[c] if i != r),
-                            key=lambda i: abs(a[i][c]))
+                if a[k][k] < 0:
+                    for lines in (a, u, u_inv):
+                        lines[k] = [-x for x in lines[k]]
+                row = a[k]
+                p = row[k]
+                for i in range(k + 1, m):
+                    q = a[i][k] // p
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], row)]
+                        _axpy(u, u_inv, i, k, q)
+                i = _least((i, a[i][k]) for i in range(k + 1, m))
+                if i is not None:
+                    swap_rows(i, k)
                     continue
-                for j in [j for j in row if j != c]:
-                    col_axpy(j, c, row[j] // p)
-                    if j in row:
-                        dirty = True
-                if dirty:
-                    # and so is the least remainder in row r
-                    c = min((j for j in row if j != c),
-                            key=lambda j: abs(row[j]))
+                # column k now holds the pivot alone, so clearing row k
+                # changes no other row
+                for j in range(k + 1, n):
+                    q = row[j] // p
+                    if q:
+                        row[j] -= q * p
+                        _axpy(v, v_inv, j, k, q)
+                j = _least((j, row[j]) for j in range(k + 1, n))
+                if j is not None:
+                    swap_cols(j, k)
                     continue
                 if p == 1:
                     break
-                off = None
-                for j, rowset in colidx.items():
-                    for i in rowset:
-                        if a[i][j] % p:
-                            off = i
-                            break
-                    if off is not None:
-                        break
+                off = next((i for i in range(k + 1, m)
+                            if any(x % p for x in a[i])), None)
                 if off is None:
                     break
-                row_axpy(r, off, -1)
-            # row r and column c hold only the pivot: retire them, so later
-            # searches and scans walk the active submatrix alone
-            diag.append(a.pop(r)[c])
-            del colidx[c]
-            pivot_rows.append(r)
-            pivot_cols.append(c)
+                a[k] = [x + y for x, y in zip(row, a[off])]
+                _axpy(u, u_inv, k, off, -1)
+            diag.append(p)
 
         self.diag = diag
         self.rank = len(diag)
-        self.pivot_rows = pivot_rows
-        self.pivot_cols = pivot_cols
-        self.u = u
-        self.v = v
+        self.u, self.u_inv, self.v, self.v_inv = u, u_inv, v, v_inv
 
 
-def _order(pivots: list[int], n: int) -> list[int]:
-    """The n lines of one side as a factorization reads them: its pivot
-    lines in the order found, then every other line ascending."""
-    taken = set(pivots)
-    return pivots + [i for i in range(n) if i not in taken]
-
-
-def _row_block(lines: list[dict[int, int]], which: Sequence[int],
-               width: int) -> SparseIntMatrix:
-    """The listed lines of a tracked transform as the rows of a matrix,
-    renumbered from zero."""
-    return SparseIntMatrix._trusted(len(which), width, tuple(
-        (k, j, v) for k, i in enumerate(which)
-        for j, v in sorted(lines[i].items())))
+def _matrix(rows: int, cols: int,
+            dense: Iterable[Sequence[int]]) -> SparseIntMatrix:
+    """The rows x cols matrix with these dense rows."""
+    return SparseIntMatrix._trusted(rows, cols, tuple(
+        (i, j, x) for i, line in enumerate(dense)
+        for j, x in enumerate(line) if x))
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +402,19 @@ class Lattice:
 
     The coordinates of the columns of B are X = (pre * B) / divisors, the
     division running row by row; B lies in the lattice exactly when every
-    division is exact and basis * X == B.  The map comes from the
+    division is exact and basis * X == B.  The map pre comes from the
     factorization that produced the basis, so reading coordinates is one
-    sparse product and never a new reduction.  pre is the map or a
-    function that builds it on the first read, so a lattice whose
-    coordinates are never read never builds it.  Equality and hashing are
-    by basis: two lattices with one basis give the same coordinates.
+    sparse product and never a new reduction.  Equality and hashing are by
+    basis: two lattices with one basis give the same coordinates.
     """
 
     __slots__ = ("basis", "_pre", "_divisors")
 
-    def __init__(self, basis: SparseIntMatrix,
-                 pre: SparseIntMatrix | Callable[[], SparseIntMatrix],
+    def __init__(self, basis: SparseIntMatrix, pre: SparseIntMatrix,
                  divisors: Sequence[int] | None = None):
         self.basis = basis
         self._pre = pre
         self._divisors = divisors
-
-    def _coordinate_map(self) -> SparseIntMatrix:
-        if not isinstance(self._pre, SparseIntMatrix):
-            self._pre = self._pre()
-        return self._pre
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lattice) and self.basis == other.basis
@@ -506,7 +426,7 @@ class Lattice:
         """X with basis * X == b, or None when a column of b lies outside."""
         if b.rows != self.basis.rows:
             raise ValueError("ambient dimension mismatch")
-        x = self._coordinate_map().mul(b)
+        x = self._pre.mul(b)
         divisors = self._divisors
         if divisors is not None:
             entries = []
@@ -529,9 +449,8 @@ class Lattice:
         kept."""
         basis = SparseIntMatrix(size, self.basis.cols, tuple(
             (slots[i], j, v) for (i, j, v) in self.basis.entries))
-        pre = self._coordinate_map()
-        pre = SparseIntMatrix(pre.rows, size, tuple(
-            (i, slots[j], v) for (i, j, v) in pre.entries))
+        pre = SparseIntMatrix(self._pre.rows, size, tuple(
+            (i, slots[j], v) for (i, j, v) in self._pre.entries))
         return Lattice(basis, pre, self._divisors)
 
 
@@ -540,29 +459,22 @@ class Lattice:
 # ---------------------------------------------------------------------------
 
 def kernel_basis(mat: SparseIntMatrix) -> Lattice:
-    """ker(mat) with a primitive basis, the columns of V at the non-pivot
-    columns, ascending; the coordinates of v are those rows of V^-1 * v."""
-    f = _Factorization(mat, track_v=True)
-    kept = _order(f.pivot_cols, mat.cols)[f.rank:]
-    basis = SparseIntMatrix._trusted(mat.cols, len(kept), tuple(sorted(
-        (i, k, val) for k, j in enumerate(kept)
-        for i, val in f.v.lines[j].items())))
-    # preimage_lattice reads the basis alone, so the map waits for a read
-    return Lattice(basis, partial(_row_block, f.v.inverse, kept, mat.cols))
+    """ker(mat) with a primitive basis, the columns of V past the rank; the
+    coordinates of v are those rows of V^-1 * v."""
+    f = _Factorization(mat)
+    basis, pre = f.v[f.rank:], f.v_inv[f.rank:]
+    return Lattice(_matrix(mat.cols, len(basis), zip(*basis)),
+                   _matrix(len(pre), mat.cols, pre))
 
 
 def column_space_basis(mat: SparseIntMatrix) -> Lattice:
-    """The column lattice of mat with the independent basis: the columns
-    of U^-1 at the pivot rows, in pivot order, each times its diagonal
-    entry; the coordinates of v are those rows of U * v, each divided by
-    its diagonal entry."""
-    f = _Factorization(mat, track_u=True)
-    items = []
-    for k, (r, d) in enumerate(zip(f.pivot_rows, f.diag)):
-        for i, val in f.u.inverse[r].items():
-            items.append((i, k, val * d))
-    return Lattice(SparseIntMatrix.from_entries(mat.rows, f.rank, items),
-                   _row_block(f.u.lines, f.pivot_rows, mat.rows), f.diag)
+    """The column lattice of mat with the independent basis: the first rank
+    columns of U^-1, each times its diagonal entry; the coordinates of v
+    are those rows of U * v, each divided by its diagonal entry."""
+    f = _Factorization(mat)
+    basis = [[x * d for x in line] for line, d in zip(f.u_inv, f.diag)]
+    return Lattice(_matrix(mat.rows, f.rank, zip(*basis)),
+                   _matrix(f.rank, mat.rows, f.u[:f.rank]), f.diag)
 
 
 def preimage_lattice(mat: SparseIntMatrix, gens: SparseIntMatrix) -> SparseIntMatrix:
@@ -603,30 +515,19 @@ class QuotientPresentation:
                 "a column is not an integral combination of the numerator "
                 "basis")
         rank = lattice.basis.cols
-        fx = _Factorization(coords, track_u=True)
-
-        orders = []
-        kept = []
-        for k, i in enumerate(_order(fx.pivot_rows, rank)):
-            d = fx.diag[k] if k < fx.rank else 0
-            if d != 1:
-                kept.append(i)
-                orders.append(d)
-        gens = []
-        for i, order in zip(kept, orders):
-            coord = [0] * rank
-            for r, v in fx.u.inverse[i].items():
-                coord[r] = v
-            gens.append(HomologyGenerator(
-                order, tuple(lattice.basis.apply(coord))))
-
-        torsion = tuple(d for d in orders if d > 1)
-        free = sum(1 for d in orders if d == 0)
+        fx = _Factorization(coords)
+        orders = fx.diag + [0] * (rank - fx.rank)
+        kept = [k for k, d in enumerate(orders) if d != 1]
+        orders = [orders[k] for k in kept]
         self.lattice = lattice
-        self.invariants = AbelianGroupInvariants(free, torsion)
-        self.generators = tuple(gens)
+        self.invariants = AbelianGroupInvariants(
+            orders.count(0), tuple(d for d in orders if d > 1))
+        self.generators = tuple(
+            HomologyGenerator(d, tuple(lattice.basis.apply(fx.u_inv[k])))
+            for k, d in zip(kept, orders))
         self._orders = orders
-        self._to_generators = _row_block(fx.u.lines, kept, rank)
+        self._to_generators = _matrix(
+            len(kept), rank, (fx.u[k] for k in kept))
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in span(Z), the numerator lattice."""

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monofloer
 from monofloer import cli
 from monofloer.cli import _dumps, _invariants_doc, main, verify_all
 from monofloer.complexes import _band, default_window
@@ -22,6 +23,10 @@ from monofloer.data import CheckFailed, MonopoleData, THETA, \
     curated_instances, invalid_instance, serialize
 from monofloer.intlinalg import AbelianGroupInvariants
 from test_reports import CASES
+
+# the directory that holds the package this process imported, so a child
+# interpreter runs the code under test, a mutated copy included
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(monofloer.__file__)))
 
 REPORT_KEYS = ["command", "engine_version", "dataset_name", "dataset_hash",
                "window", "results"]
@@ -521,9 +526,7 @@ def test_exit_codes_never_leave_contract(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
 
     def module_run(*argv):
         return subprocess.run([sys.executable, "-m", "monofloer.cli", *argv],
@@ -558,13 +561,11 @@ WIDE = MonopoleData.build("wide", [("a", 0), ("b", 3000000)])
 def test_a_wide_grading_span_is_refused_at_once(tmp_path, argv, code):
     # in a subprocess with a timeout, so a command that walks the band
     # fails this test instead of hanging the suite
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-m", "monofloer.cli", *argv,
          write_dataset(tmp_path, WIDE)],
         capture_output=True, text=True, timeout=20,
-        env=dict(os.environ, PYTHONPATH=src))
+        env=dict(os.environ, PYTHONPATH=SRC))
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
     if code == 2:
@@ -599,8 +600,7 @@ def test_a_window_flag_without_its_value_is_a_usage_error(tmp_path, capsys):
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no check may rest on one
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / \
-        "monofloer"
+    package = pathlib.Path(monofloer.__file__).resolve().parent
     modules = sorted(package.rglob("*.py"))
     assert modules
     for module in modules:

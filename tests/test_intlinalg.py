@@ -15,8 +15,6 @@ from monofloer.intlinalg import (
     QuotientPresentation,
     SparseIntMatrix,
     _Factorization,
-    _order,
-    _row_block,
     column_space_basis,
     kernel_basis,
     preimage_lattice,
@@ -52,13 +50,19 @@ class SnfResult:
 
 def smith_normal_form(mat: SparseIntMatrix) -> SnfResult:
     """Factor U * mat * V = S, diagonal with the divisibility chain."""
-    f = _Factorization(mat, track_u=True, track_v=True)
-    return SnfResult(
-        _row_block(f.u.lines, _order(f.pivot_rows, mat.rows), mat.rows),
-        SparseIntMatrix(mat.rows, mat.cols,
-                        tuple((i, i, d) for i, d in enumerate(f.diag))),
-        _row_block(f.v.lines, _order(f.pivot_cols, mat.cols),
-                   mat.cols).transpose())
+    u, _, s, _, v = _transforms(mat)
+    return SnfResult(u, s, v)
+
+
+def _transforms(mat: SparseIntMatrix):
+    """U, U^-1, S, V^-1 and V of the engine's factorization of mat."""
+    f = _Factorization(mat)
+    return (M(f.u, cols=mat.rows),
+            SparseIntMatrix.from_columns(mat.rows, f.u_inv),
+            SparseIntMatrix(mat.rows, mat.cols,
+                            tuple((i, i, d) for i, d in enumerate(f.diag))),
+            M(f.v_inv, cols=mat.cols),
+            SparseIntMatrix.from_columns(mat.cols, f.v))
 
 
 def cokernel_invariants(mat: SparseIntMatrix) -> AbelianGroupInvariants:
@@ -435,32 +439,16 @@ def test_presentation_over_a_kernel_factors_once(work):
         assert work["factorizations"] == 1
 
 
-def test_tracking_never_steers_the_reduction():
-    # pivots come from the working matrix alone, so every tracking mode
-    # gives one diagonal and one set of transforms, and each tracked side
-    # carries its exact inverse
-    from monofloer.intlinalg import _Factorization, _row_block
-
-    def identity(n):
-        return SparseIntMatrix.identity(n).to_dense()
-
-    rng = random.Random(1211)
-    for _ in range(40):
-        mat = _random_matrix(rng)
-        runs = {(tu, tv): _Factorization(mat, track_u=tu, track_v=tv)
-                for tu in (False, True) for tv in (False, True)}
-        both = runs[True, True]
-        assert all(f.diag == both.diag for f in runs.values())
-        assert runs[True, False].u.lines == both.u.lines
-        assert runs[False, True].v.lines == both.v.lines
-
-        every_row, every_col = range(mat.rows), range(mat.cols)
-        u = _row_block(both.u.lines, every_row, mat.rows).to_dense()
-        u_inv = _row_block(both.u.inverse, every_row, mat.rows).transpose()
-        v = _row_block(both.v.lines, every_col, mat.cols).transpose()
-        v_inv = _row_block(both.v.inverse, every_col, mat.cols).to_dense()
-        assert oracle.dense_mul(u, u_inv.to_dense()) == identity(mat.rows)
-        assert oracle.dense_mul(v.to_dense(), v_inv) == identity(mat.cols)
+def test_each_transform_carries_its_inverse():
+    # line k of every transform belongs to diagonal entry k, so U * M * V
+    # is S itself, and each side is tracked with its exact inverse
+    empty = [SparseIntMatrix.zero(rows, cols)
+             for rows, cols in [(0, 0), (0, 3), (3, 0)]]
+    for mat in _pinned_matrices() + empty:
+        u, u_inv, s, v_inv, v = _transforms(mat)
+        assert u.mul(u_inv) == SparseIntMatrix.identity(mat.rows)
+        assert v.mul(v_inv) == SparseIntMatrix.identity(mat.cols)
+        assert u.mul(mat).mul(v) == s
 
 
 def _diagonal(*values):
@@ -498,16 +486,17 @@ def _sha256(record) -> str:
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
-# One SHA-256 over the diagonal, the rank and both tracked transforms, with
-# their inverses, of every matrix of _pinned_matrices.  First recorded before the kernel's
-# fast paths (no divisibility scan after a unit pivot, finished pivots leave
-# the search) landed: those paths may drop work, but never change a pivot
-# or a transform.  Recorded again when pivots stopped being swapped into
-# place: with no line relabelled, set and dict iteration break some ties
-# between equal pivots differently, and the non-pivot lines are read in
-# ascending order; PINNED_DIAGONALS did not move.
+# One SHA-256 over the diagonal, the rank and both transforms, with their
+# inverses, of every matrix of _pinned_matrices.  First recorded before the
+# kernel's fast paths (no divisibility scan after a unit pivot, finished
+# pivots leave the search) landed: those paths may drop work, but never
+# change a pivot or a transform.  Recorded again when pivots stopped being
+# swapped into place, and once more when the dense reduction replaced the
+# sparse one: that one broke ties between equal pivots in dict and set
+# iteration order, and this one swaps each pivot to (k, k) again.
+# PINNED_DIAGONALS did not move either time.
 PINNED_TRANSFORMS = (
-    "80df46c4d4673b5e77d02bb8b70a556cc289167c54a132424f8a5bb64a1b106c")
+    "a954c3e36e70fcdf0e6452417430ef66c9f5825784f4f0ad98da40c9b1c94eee")
 # One SHA-256 over the diagonal and the rank alone of the same matrices: the
 # Smith form itself, which no change of pivot order or tie-break may move.
 PINNED_DIAGONALS = (
@@ -518,18 +507,8 @@ def test_fast_paths_keep_every_pivot_and_transform():
     for values, diag in FROZEN_DIAGONALS.items():
         assert _Factorization(_diagonal(*values)).diag == diag
 
-    def lines(side, pivots):
-        # U's rows and V's columns, with their inverses, as the readers
-        # take them: in pivot order, then the other lines ascending
-        order = _order(pivots, len(side.lines))
-        return ([sorted(side.lines[i].items()) for i in order],
-                [sorted(side.inverse[i].items()) for i in order])
-
-    record = []
-    for mat in _pinned_matrices():
-        f = _Factorization(mat, True, True)
-        record.append((list(f.diag), f.rank, lines(f.u, f.pivot_rows),
-                       lines(f.v, f.pivot_cols)))
+    record = [(f.diag, f.rank, f.u, f.u_inv, f.v, f.v_inv)
+              for f in map(_Factorization, _pinned_matrices())]
     assert _sha256(record) == PINNED_TRANSFORMS
 
 

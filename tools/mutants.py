@@ -18,12 +18,11 @@ mutant goes to stderr; the last line of output is one JSON object:
 
 where ``equivalent`` lists the mutants run that are marked equivalent.  The
 exit status is 1 when a mutant not marked equivalent survives.  Tests that
-start a child interpreter with the repository's own ``src/`` on its path
-(``test_a_wide_grading_span_is_refused_at_once``,
-``test_module_entry_point``) never see a mutant, so a mutant needs an
-in-process test to be killed.  A killed mutant costs its named test
-files, a survivor the whole suite as well (about half a minute); the full
-list takes a few minutes.  The harness is not part of the test suite;
+start a child interpreter (``test_a_wide_grading_span_is_refused_at_once``,
+``test_module_entry_point``) put the imported package's directory on its
+path, so the child runs the mutated copy too.  A killed mutant costs its
+named tests, a survivor the whole suite as well (about half a minute); the
+full list takes a few minutes.  The harness is not part of the test suite;
 ``tools/test_mutants.py`` tests it.
 """
 
@@ -46,7 +45,7 @@ class Mutant(NamedTuple):
     module: str  # the file under src/monofloer/
     old: str
     new: str
-    tests: tuple[str, ...]  # test files, relative to the repository root
+    tests: tuple[str, ...]  # test files or test ids, from the repository root
     equivalent: str | None = None  # why no test can kill it
 
 
@@ -143,11 +142,35 @@ MUTANTS = (
            "key = obj.free_rank, obj.torsion, pad",
            "key = obj.free_rank, pad",
            ("tests/test_cli.py",)),
-    # refusals, each with its check dropped
+    # the dense Smith routine
+    Mutant("pivot-largest", "intlinalg.py",
+           "if x and (best is None or abs(x) < best):",
+           "if x and (best is None or abs(x) > best):",
+           ("tests/test_intlinalg.py",)),
+    _drop("pivot-sign-unnormalised", "intlinalg.py",
+          "                if a[k][k] < 0:",
+          ("tests/test_intlinalg.py",)),
+    Mutant("divisibility-fixup-skipped", "intlinalg.py",
+           "                if p == 1:\n",
+           "                if True:\n",
+           ("tests/test_intlinalg.py",)),
+    Mutant("inverse-update-sign-flipped", "intlinalg.py",
+           "    inverse[t] = [x + q * y for",
+           "    inverse[t] = [x - q * y for",
+           ("tests/test_intlinalg.py",)),
+    Mutant("kernel-one-line-early", "intlinalg.py",
+           "    basis, pre = f.v[f.rank:], f.v_inv[f.rank:]",
+           "    basis, pre = f.v[f.rank - 1:], f.v_inv[f.rank - 1:]",
+           ("tests/test_intlinalg.py",)),
+    # refusals, each with its check dropped; the first two are named by
+    # tests that run the command line in a child interpreter
     _drop("window-span-unchecked", "complexes.py",
           "    if hi - lo + 1 > MAX_WINDOW_DEGREES:\n"
           "        raise InvalidInput(f\"the dataset's",
-          ("tests/test_cli.py",)),
+          ("tests/test_cli.py::test_a_wide_grading_span_is_refused_at_once",)),
+    _drop("module-entry-point-dropped", "cli.py",
+          "if __name__ == \"__main__\":",
+          ("tests/test_cli.py::test_module_entry_point",)),
     _drop("lift-escape-unchecked", "sequences.py",
           "        if vectors != back.mul(restrict.mul(vectors)):",
           ("tests/test_sequences.py",)),
