@@ -1,10 +1,11 @@
 """Flavored chain complexes over the Omega-power bookkeeping.
 
-Five flavors restrict which Omega-powers k a generator may carry: Infinity
-takes all k, Minus takes k < 0, Plus takes k >= 0, Hat takes k = 0, and
-NonEquivariant keeps only the eta generators at k = 0.  Each irreducible
-point a contributes generators eta_a (degree 2k + gr(a)) and 1_a (degree
-2k + gr(a) + 1); the reducible contributes 1_theta (degree 2k).  The
+Five flavors restrict which Omega-powers k a generator may carry, each to
+one interval (_POWERS): Infinity takes all k, Minus takes k < 0, Plus takes
+k >= 0, Hat takes k = 0, and NonEquivariant keeps only the eta generators at
+k = 0.  Each irreducible point a contributes generators eta_a (degree 2k +
+gr(a)) and 1_a (degree 2k + gr(a) + 1); the reducible contributes 1_theta
+(degree 2k).  The
 differential is assembled from the n and m coefficient families.  Every
 chain-level matrix is built once per parity on Infinity, and a flavor reads
 its submatrix on the basis positions it keeps, which realizes the subcomplex
@@ -21,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +61,18 @@ class Flavor(enum.Enum):
 
     # the members are singletons: memo keys hash them by identity
     __hash__ = object.__hash__
+
+
+# the closed interval of Omega-powers k each flavor keeps; NonEquivariant
+# keeps the etas of its interval only.  Minus, Infinity and Plus come in the
+# main sequence's order, which REDUCED_FLAVORS keeps
+_POWERS = {
+    Flavor.MINUS: (-math.inf, -1),
+    Flavor.INFINITY: (-math.inf, math.inf),
+    Flavor.PLUS: (0, math.inf),
+    Flavor.HAT: (0, 0),
+    Flavor.NONEQUIVARIANT: (0, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -170,10 +182,12 @@ def _band(data: MonopoleData) -> tuple[int, int]:
     """The degrees whose differentials and presentations are built.
 
     D(n) reads the Infinity template of n's parity at _kept(n - 1) and
-    _kept(n).  _kept(n + 2) == _kept(n) unless slice n holds a generator at
-    the flavor's k edge (k = -1 for Minus and Plus, k in {-1, 0} for Hat
-    and NonEquivariant); with g the gradings plus 0, that cannot happen for
-    n >= max(g) + 2 or n <= min(g) - 3.  So D(n + 2) == D(n) for
+    _kept(n).  Raising every k by one maps slice n onto slice n + 2, so
+    _kept(n + 2) == _kept(n) unless slice n holds a generator whose k or
+    k + 1, but not both, lies in the flavor's _POWERS interval (k = -1 for
+    Minus and Plus, k in {-1, 0} for Hat and NonEquivariant); with g the
+    gradings plus 0, that cannot happen for n >= max(g) + 2 or
+    n <= min(g) - 3.  So D(n + 2) == D(n) for
     n >= max(g) + 3 or n <= min(g) - 3, and a presentation, which reads
     D(n) and D(n + 1), repeats outside [min(g) - 3, max(g) + 4].  Validity
     of the data plays no part."""
@@ -210,27 +224,20 @@ def per_band_degree(fn):
 
 @per_band_degree
 def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
-    """The ascending positions of the Infinity basis of degree n that the
-    flavor admits, read off the gradings: a point's generator in degree n
-    has k = (n - gr) // 2 and theta k = n / 2, so Plus (k >= 0) keeps
-    theta when n is even and n >= 0 and every point with grading <= n,
-    Minus (k < 0) the rest, Hat (k = 0) theta at n = 0 and the points at
-    grading n or n - 1, and NonEquivariant (the etas at k = 0) the points
-    at grading n.  So each flavor keeps, in every degree, the positions
-    whose k lies in one interval, and NonEquivariant its etas there."""
+    """The ascending positions of the Infinity basis of degree n whose k
+    lies in the flavor's _POWERS interval, read off the gradings: a point's
+    generator in degree n has k = (n - gr) // 2, an eta when n - gr is
+    even, and theta k = n / 2.  NonEquivariant keeps only the etas, so not
+    theta.  So each flavor keeps, in every degree, the positions whose k
+    lies in one interval, and NonEquivariant its etas there."""
+    low, high = _POWERS[flavor]
+    etas = flavor is Flavor.NONEQUIVARIANT
     lead = 1 - n % 2  # theta leads the even slice
-    if flavor is Flavor.INFINITY:
-        return tuple(range(lead + len(data.points)))
-    at = enumerate(data.points, lead)
-    if flavor is Flavor.PLUS:
-        theta, kept = lead and n >= 0, [i for i, p in at if p.grading <= n]
-    elif flavor is Flavor.MINUS:
-        theta, kept = lead and n < 0, [i for i, p in at if p.grading > n]
-    elif flavor is Flavor.HAT:
-        theta, kept = n == 0, [i for i, p in at if n - 1 <= p.grading <= n]
-    else:
-        theta, kept = False, [i for i, p in at if p.grading == n]
-    return (0,) * theta + tuple(kept)
+    theta = lead and not etas and low <= n // 2 <= high
+    return (0,) * theta + tuple(
+        i for i, p in enumerate(data.points, lead)
+        if low <= (n - p.grading) // 2 <= high
+        and not (etas and (n - p.grading) % 2))
 
 
 @per_dataset
@@ -268,8 +275,8 @@ def _restricts(data: MonopoleData, flavor: Flavor, rule, drop: int) -> bool:
     their Infinity templates at the kept positions.  The two differ by the
     paths x -> y -> z with x and z kept and y not; none exists when
     - every kept set is an interval in k, the same in every degree (for
-      NonEquivariant, the etas of one interval), which _kept's closed
-      forms give by construction;
+      NonEquivariant, the etas of one interval), which _kept gives by
+      construction, reading the interval off _POWERS;
     - every template entry of the rule moves k by 0 or -1, so k(z) <= k(y)
       <= k(x) and y's k lies in the interval;
     - for NonEquivariant, no entry leads from a one or a theta to an eta,
@@ -343,9 +350,10 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
 # cancelling the unit pairs
 # ---------------------------------------------------------------------------
 
-# the flavors with pairs to cancel: Hat and NonEquivariant keep k = 0 only,
-# so they never keep both eta_a^k and 1_a^(k-1)
-REDUCED_FLAVORS = (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS)
+# the flavors with pairs to cancel, Minus, Infinity and Plus: only an interval
+# of more than one power keeps both eta_a^k and 1_a^(k-1)
+REDUCED_FLAVORS = tuple(flavor for flavor, (low, high) in _POWERS.items()
+                        if low < high)
 
 
 class Reduction(NamedTuple):
@@ -368,22 +376,18 @@ class Reduction(NamedTuple):
 
 def _pairs(data: MonopoleData, flavor: Flavor, n: int):
     """The pairs from degree n to n - 1: (i, j, grading of a) for each
-    kept eta_a^k whose partner 1_a^(k-1) is also kept, with i and j their
-    positions in the kept slices of degrees n and n - 1.  eta_a^k lies in
-    degree n when n - gr(a) = 2k, and both k and k - 1 are kept for every
-    such point in Infinity, for gr(a) <= n - 2 (k >= 1) in Plus and for
-    gr(a) >= n + 2 (k <= -1) in Minus; Hat and NonEquivariant keep k = 0
-    only, so they have no pairs."""
-    if flavor not in REDUCED_FLAVORS:
-        return []
-    low = n + 2 if flavor is Flavor.MINUS else -math.inf
-    high = n - 2 if flavor is Flavor.PLUS else math.inf
-    above, below = _kept(data, flavor, n), _kept(data, flavor, n - 1)
+    point a whose generator in degree n is an eta, eta_a^k, and whose
+    positions are kept in degrees n and n - 1 (its generator there is
+    eta_a^k's partner 1_a^(k-1)); i and j are those positions in the two
+    kept slices.  Hat and NonEquivariant keep one power each, so they have
+    no pairs."""
+    above, below = ({p: i for i, p in enumerate(_kept(data, flavor, m))}
+                    for m in (n, n - 1))
     # theta leads the even slice, so a point sits one place later there
     top, bottom = 1 - n % 2, n % 2
-    return [(bisect_left(above, i + top), bisect_left(below, i + bottom),
-             p.grading) for i, p in enumerate(data.points)
-            if low <= p.grading <= high and (n - p.grading) % 2 == 0]
+    return [(above[i + top], below[i + bottom], p.grading)
+            for i, p in enumerate(data.points) if (n - p.grading) % 2 == 0
+            and i + top in above and i + bottom in below]
 
 
 def _flow(steps, chain: dict[int, int]):
@@ -525,10 +529,12 @@ def _reduction(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     return table
 
 
+@per_band_degree
 def _reduced(data: MonopoleData, flavor: Flavor, n: int) -> Reduction:
-    """The certified reduction in degree n, read at n's band degree: its
-    table holds band degrees only, as per_band_degree's memo does."""
-    return _reduction(data, flavor)[_band_degree(data, n)]
+    """The certified reduction in degree n, a band degree: the table holds
+    band degrees only.  A failed certificate raises before per_band_degree
+    stores anything, so nothing is read uncertified."""
+    return _reduction(data, flavor)[n]
 
 
 def _reduced_differential(data: MonopoleData, flavor: Flavor,

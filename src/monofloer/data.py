@@ -349,6 +349,10 @@ def parse(text: bytes | str) -> MonopoleData:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from e
+    except (RecursionError, ValueError) as e:
+        # nested deeper than the decoder recurses, or an integer longer
+        # than int() converts
+        raise ParseError(f"unreadable JSON: {e}", 1, 1) from e
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object", field="$")
     _require_fields(doc, ("name", "points", "n", "m"), "document root")

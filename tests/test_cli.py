@@ -93,6 +93,27 @@ def test_validate_unparseable_file(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,
+    '{"name": "x", "points": [{"id": "a", "gr": %s}], "n": [], "m": []}'
+    % ("9" * 5000)], ids=["deeply-nested", "long-integer"])
+def test_validate_unreadable_json(tmp_path, text):
+    """JSON nested deeper than the decoder recurses, or holding an integer
+    longer than int() converts, is malformed input: exit 2 with one error
+    line, not a traceback with exit 1."""
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "monofloer.cli", "validate", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
 # -- homology ---------------------------------------------------------------
 
 def test_homology_windowed_plus(tmp_path, capsys):

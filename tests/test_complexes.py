@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
@@ -482,6 +483,27 @@ def test_certificate_rejects_a_misshapen_reduction(field, breaking):
     with pytest.raises(CheckFailed, match="the reduction fails") as info:
         _certify(data, Flavor.PLUS, broken)
     assert info.value.degree == n
+
+
+@pytest.mark.parametrize("field, breaking, identity", [
+    ("f", _extra_column, "D f = f D'"),
+    ("g", _extra_row, "g D = D' g")])
+def test_certificate_fails_the_band_edge_table_below_the_band(
+        field, breaking, identity):
+    """Degree lo - 1 reads the table at lo as the one below it, before
+    degree lo proves it.  An extra critical column in f(lo), or row in
+    g(lo), fails D f = f D', or g D = D' g, there alone: every other
+    identity at lo - 1 reads unbroken matrices.  At any later degree each
+    of these two follows from the other three identities of that degree
+    and the one before it, with D D = 0, so only lo - 1 tells them apart."""
+    data = performance_instance()
+    table = _reduce(data, Flavor.PLUS)
+    lo, _ = _band(data)
+    broken = {**table, lo: table[lo]._replace(
+        **{field: breaking(getattr(table[lo], field))})}
+    with pytest.raises(CheckFailed, match=re.escape(identity)) as info:
+        _certify(data, Flavor.PLUS, broken)
+    assert info.value.degree == lo - 1
 
 
 def test_certificate_rejects_a_phantom_critical_generator():

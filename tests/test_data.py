@@ -19,6 +19,7 @@ from monofloer.data import (
     ParseError,
     SchemaError,
     THETA,
+    _structure_compatible,
     curated_instances,
     generate_instances,
     invalid_instance,
@@ -392,6 +393,18 @@ def test_generate_finds_noncurated_instances():
     extra = out[len(curated_instances()):]
     assert extra
     assert any(d.n_coeffs or d.m_coeffs for d in extra)
+
+
+def test_generate_drops_data_the_structure_theorem_rejects():
+    """Valid data can fail the orbit-complex comparison, here at degree 0
+    (prediction Z + Z/2, direct Z); the corpus leaves such data out."""
+    data = MonopoleData.build("structure-fails", [("g0", 1), ("g1", 0)],
+                              n=[("g0", "g1", 2), ("g0", THETA, -1)])
+    assert validate(data).ok
+    assert not _structure_compatible(data)
+    with pytest.raises(CheckFailed) as info:
+        spectral.structure_theorem(data)
+    assert info.value.degree == 0
 
 
 def test_generate_rejects_oversized_request():

@@ -16,6 +16,7 @@ from monofloer.intlinalg import (
     SparseIntMatrix,
     _Factorization,
     column_space_basis,
+    hstack,
     kernel_basis,
     preimage_lattice,
 )
@@ -383,6 +384,24 @@ def test_public_constructors_reject_malformed_input():
     for build in malformed:
         with pytest.raises(ValueError):
             build()
+
+
+ONE_BY_TWO = SparseIntMatrix.zero(1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SparseIntMatrix.from_entries(-1, 2, []),
+    lambda: ONE_BY_TWO.add(ONE_BY_TWO.transpose()),
+    lambda: ONE_BY_TWO.apply([1]),
+    lambda: hstack(ONE_BY_TWO, ONE_BY_TWO.transpose()),
+    lambda: kernel_basis(ONE_BY_TWO).coordinates(SparseIntMatrix.zero(3, 1)),
+    lambda: preimage_lattice(ONE_BY_TWO, ONE_BY_TWO.transpose()),
+    lambda: AbelianGroupInvariants.from_parts(0, [-2]),
+], ids=["from_entries", "add", "apply", "hstack", "coordinates",
+        "preimage_lattice", "from_parts"])
+def test_kernel_operations_refuse_misshapen_arguments(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_invariants_canonical_form():

@@ -111,6 +111,8 @@ def test_les_main_node_lookup():
     assert node.exact
     # delta from HF^+_{-1} = 0 lands trivially; l to HF^infty is injective
     assert node.image == ZERO and node.kernel == ZERO
+    with pytest.raises(KeyError):
+        report.node(9, "minus")  # past the window
 
 
 def test_composites_vanish_on_homology():

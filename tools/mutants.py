@@ -76,18 +76,18 @@ MUTANTS = (
            ("tests/test_actions.py",),
            equivalent="a degree whose six matrices equal the template "
                       "selections by content has the template's verdict"),
-    # the closed forms and template proofs of kept positions
-    Mutant("kept-plus-strict", "complexes.py",
-           "[i for i, p in at if p.grading <= n]",
-           "[i for i, p in at if p.grading < n]",
+    # the table of kept powers, the pairing rule and the template proofs
+    Mutant("plus-powers-from-1", "complexes.py",
+           "    Flavor.PLUS: (0, math.inf),",
+           "    Flavor.PLUS: (1, math.inf),",
            ("tests/test_properties.py",)),
-    Mutant("hat-drops-grading-n-1", "complexes.py",
-           "[i for i, p in at if n - 1 <= p.grading <= n]",
-           "[i for i, p in at if n <= p.grading <= n]",
+    Mutant("hat-keeps-only-etas", "complexes.py",
+           "    etas = flavor is Flavor.NONEQUIVARIANT",
+           "    etas = flavor in (Flavor.NONEQUIVARIANT, Flavor.HAT)",
            ("tests/test_properties.py",)),
-    Mutant("pairs-plus-k2", "complexes.py",
-           "    high = n - 2 if flavor is Flavor.PLUS else math.inf",
-           "    high = n - 4 if flavor is Flavor.PLUS else math.inf",
+    Mutant("pairs-read-one-slice", "complexes.py",
+           "                    for m in (n, n - 1))",
+           "                    for m in (n, n))",
            ("tests/test_properties.py",)),
     Mutant("d2-one-parity", "complexes.py",
            "            for parity in (0, 1)):",
@@ -106,6 +106,16 @@ MUTANTS = (
            "        True\n",
            ("tests/test_properties.py",)),
     # the certificate and the filtration checks
+    Mutant("certify-skips-d-f", "complexes.py",
+           "(\"D f = f D'\", lambda: d.mul(here.f) == below.f.mul(\n"
+           "                here.differential)),",
+           "(\"D f = f D'\", lambda: True),",
+           ("tests/test_complexes.py",)),
+    Mutant("certify-skips-g-d", "complexes.py",
+           "(\"g D = D' g\", lambda: below.g.mul(d) == "
+           "here.differential.mul(\n                here.g)),",
+           "(\"g D = D' g\", lambda: True),",
+           ("tests/test_complexes.py",)),
     Mutant("certify-skips-g-f", "complexes.py",
            "lambda: _sums_to_identity(here.g.mul(here.f))",
            "lambda: True",
