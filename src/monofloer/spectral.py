@@ -152,7 +152,8 @@ def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
 
 def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
                  n: int) -> SparseIntMatrix:
-    # not memoised: _cell, its only caller, is memoised under the same key
+    # not memoised: _live_cell, its only caller, is memoised under the
+    # same key
     below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
     above = _reduced_differential(data, flavor, n + 1).mul(
         _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)
@@ -191,20 +192,24 @@ def _critical_positions(data: MonopoleData, flavor: Flavor,
     return _grouped(_critical_filtrations(data, flavor, n))
 
 
+def _generators_at(data: MonopoleData, flavor: Flavor, r: int,
+                   n: int) -> dict[int, tuple[int, ...]]:
+    """The generators of degree n that page r's cells are built on, by
+    filtration: the kept positions on page 0, the critical ones later.  A
+    cell has a generator at p exactly when p is a key."""
+    return (_positions if r == 0 else _critical_positions)(data, flavor, n)
+
+
 @per_dataset
-def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
-          n: int) -> QuotientPresentation | _FreeCell:
-    """The page-r cell at filtration p, degree n.  Page 0 is F_p / F_(p-1),
-    free on the kept positions at filtration p.  A later page is read on
-    the certified reduction, a filtered homotopy equivalence, which fixes
-    every page past the first; a cell with no generator at filtration p is
-    zero on every page, and is _EMPTY."""
-    at = (_positions if r == 0 else _critical_positions)(
-        data, flavor, n).get(p)
-    if at is None:
-        return _EMPTY
+def _live_cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
+               n: int) -> QuotientPresentation | _FreeCell:
+    """The page-r cell at filtration p, degree n, which has a generator at
+    p.  Page 0 is F_p / F_(p-1), free on the kept positions at filtration
+    p.  A later page is read on the certified reduction, a filtered
+    homotopy equivalence, which fixes every page past the first."""
     if r == 0:
         zero = (0,) * len(_filtrations(data, flavor, n))
+        at = _positions(data, flavor, n)[p]
         return _FreeCell(tuple(HomologyGenerator(
             0, zero[:j] + (1,) + zero[j + 1:]) for j in at),
             AbelianGroupInvariants(len(at)))
@@ -212,29 +217,82 @@ def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
                      _den_lattice(data, flavor, r, p, n))
 
 
+def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
+          n: int) -> QuotientPresentation | _FreeCell:
+    """The page-r cell at filtration p, degree n: _live_cell when a
+    generator lies at p, and otherwise _EMPTY, zero on every page, with no
+    memo entry."""
+    if p in _generators_at(data, flavor, r, n):
+        return _live_cell(data, flavor, r, p, n)
+    return _EMPTY
+
+
 @per_dataset
-def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
-               n: int) -> SparseIntMatrix:
-    """Page-r differential out of the cell at filtration p, degree n: on
-    page 0 the block of D between the positions at p, later the classes
-    of D' on the source generators, and zero into a cell without
+def _zero(data: MonopoleData, rows: int, cols: int) -> SparseIntMatrix:
+    """The zero matrix of one shape, shared by every differential of that
+    shape into or out of a cell without generators."""
+    return SparseIntMatrix.zero(rows, cols)
+
+
+@per_band_degree
+def _d0_blocks(data: MonopoleData, flavor: Flavor,
+               n: int) -> dict[int, SparseIntMatrix]:
+    """d_0 out of degree n at each filtration p with kept positions in
+    degrees n and n - 1: the block of D between the positions at p, all
+    read off D's entries in one pass."""
+    source = _positions(data, flavor, n)
+    target = _positions(data, flavor, n - 1)
+    cols = _filtrations(data, flavor, n)
+    rows = _filtrations(data, flavor, n - 1)
+    col_at = {j: k for at in source.values() for k, j in enumerate(at)}
+    row_at = {i: k for at in target.values() for k, i in enumerate(at)}
+    entries = {p: [] for p in source if p in target}
+    for i, j, v in _differential(data, flavor, n).entries:
+        if rows[i] == cols[j]:
+            entries[cols[j]].append((row_at[i], col_at[j], v))
+    return {p: SparseIntMatrix.from_entries(
+        len(target[p]), len(source[p]), items)
+        for p, items in entries.items()}
+
+
+@per_dataset
+def _live_dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
+                    n: int) -> SparseIntMatrix:
+    """_dr_matrix between two cells with generators: on page 0 the block
+    of D between the positions at p, later the classes of D' on the source
     generators."""
     if r == 0:
-        return _differential(data, flavor, n).select(
-            _positions(data, flavor, n - 1).get(p, ()),
-            _positions(data, flavor, n).get(p, ()))
-    source = _cell(data, flavor, r, p, n)
-    target = _cell(data, flavor, r, p - r, n - 1)
-    if not target.generators:
-        return SparseIntMatrix.zero(0, len(source.generators))
+        return _d0_blocks(data, flavor, n)[p]
+    source = _live_cell(data, flavor, r, p, n)
+    target = _live_cell(data, flavor, r, p - r, n - 1)
     d_n = _reduced_differential(data, flavor, n)
     columns = [target.coordinate_of(d_n.apply(g.vector))
                for g in source.generators]
     return SparseIntMatrix.from_columns(len(target.generators), columns)
 
 
+def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
+               n: int) -> SparseIntMatrix:
+    """Page-r differential out of the cell at filtration p, degree n, into
+    the cell at p - r, degree n - 1: (target generators) x (source
+    generators).  It is _live_dr_matrix when both cells have generators,
+    and otherwise the shared zero of that shape."""
+    source = _cell(data, flavor, r, p, n)
+    target = _cell(data, flavor, r, p - r, n - 1)
+    if source.generators and target.generators:
+        return _live_dr_matrix(data, flavor, r, p, n)
+    return _zero(data, len(target.generators), len(source.generators))
+
+
 def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,
                         orders: tuple[int, ...]) -> bool:
+    """second . first is zero modulo the torsion orders of its rows; maps
+    whose shapes do not compose fail, and a zero factor forms no
+    product."""
+    if second.cols != first.rows:
+        return False
+    if not (second.entries and first.entries):
+        return True
     product = second.mul(first)
     for (i, _, v) in product.entries:
         if orders[i] == 0:
@@ -288,7 +346,11 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     Cells cover the filtration levels present in the data crossed with the
     default degree window.  Page 0 is read off the complex, later pages
     off its certified reduction, once _check_filtered has shown that the
-    reduction keeps the filtration.  Every page is checked: composing
+    reduction keeps the filtration.  Each page looks up once per degree
+    the filtrations that hold a generator, and builds and memoises only
+    those cells, and only the differentials between two cells with
+    generators; every other cell is _EMPTY and every other differential
+    the shared zero of its shape.  Every page is checked: composing
     consecutive differentials yields zero, even pages past the first carry
     no differential, and on Plus the page-3 maps into the reducible tower
     match the coefficient-product formula.
@@ -303,21 +365,29 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
         raise InvalidInput(f"page bound must lie in [0, {cap}] for this data")
     _check_filtered(data, flavor)
 
+    window = range(lo, hi + 1)
     pages = []
     for r in range(up_to_r + 1):
-        cells = {}
-        diffs = {}
+        live = {n: _generators_at(data, flavor, r, n) for n in window}
+        built, cells, diffs = {}, {}, {}
         for p in levels:
-            for n in range(lo, hi + 1):
-                q = n - p
-                cells[(p, q)] = _cell(data, flavor, r, p, n).invariants
-                diffs[(p, q)] = _dr_matrix(data, flavor, r, p, n)
+            for n in window:
+                key = (p, n - p)
+                built[key] = cell = (_live_cell(data, flavor, r, p, n)
+                                     if p in live[n] else _EMPTY)
+                cells[key] = cell.invariants
+                diffs[key] = _dr_matrix(data, flavor, r, p, n)
         for (p, q), mat in diffs.items():
             n = p + q
-            follow = _dr_matrix(data, flavor, r, p - r, n - 1)
-            orders = tuple(
-                g.order for g in
-                _cell(data, flavor, r, p - 2 * r, n - 2).generators)
+            # the page's own tables inside the grid, the memo outside it
+            follow = diffs.get((p - r, q + r - 1))
+            if follow is None:
+                follow = _dr_matrix(data, flavor, r, p - r, n - 1)
+            below = built.get((p - 2 * r, q + 2 * r - 2))
+            if below is None:
+                below = _cell(data, flavor, r, p - 2 * r, n - 2)
+            orders = (tuple(g.order for g in below.generators)
+                      if below.generators else ())
             if not _composite_vanishes(follow, mat, orders):
                 raise CheckFailed(
                     n, f"page-{r} differentials fail to square to zero at "

@@ -520,9 +520,10 @@ def _assert_kept_and_pairs(data):
 
 
 def test_kept_and_pairs_match_the_oracle_on_the_pool():
-    """The closed forms of _kept and _pairs, read off the gradings, are the
-    oracle's admissible generators over band +- 5, on every pool dataset,
-    the curated ones and invalid data alike."""
+    """_kept and _pairs, one rule over the _POWERS table of kept
+    Omega-powers read off the gradings, are the oracle's admissible
+    generators over band +- 5, on every pool dataset, the curated ones and
+    invalid data alike."""
     for data in [*POOL, *curated_instances(), invalid_instance()]:
         _assert_kept_and_pairs(data)
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +28,12 @@ from monofloer.spectral import (
     spectral_pages,
     structure_theorem,
 )
+from test_acceptance import performance_instance
 from test_complexes import oracle_dataset
+
+# the repository root, for the benchmark's domino instances
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.inputs import domino_instance  # noqa: E402
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -194,6 +202,64 @@ def test_next_page_is_cellwise_homology():
     assert moved
 
 
+def _pages_digest(datasets):
+    digest = hashlib.sha256()
+    for data in datasets:
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            for page in spectral_pages(data, flavor, 3):
+                for key in sorted(page.cells):
+                    group, mat = page.cells[key], page.differentials[key]
+                    digest.update(repr((
+                        data.name, flavor.value, page.r, key,
+                        group.free_rank, group.torsion,
+                        mat.rows, mat.cols, mat.entries)).encode())
+    return digest.hexdigest()
+
+
+# every cell's invariants and every differential's shape and entries, zero
+# ones included, of the Plus and Infinity pages 0-3 of the curated datasets
+# and the 50-point instance, as built when every cell was memoised
+PAGE_TABLES = \
+    "1431a217c5ee8657711dc79eefd8090a699340039a2954f7aaa9b6746ee763a7"
+
+
+def test_pages_keep_every_cell_and_differential_shape():
+    """The report drops zero differentials, so this pins their shapes:
+    test_next_page_is_cellwise_homology reads them."""
+    assert _pages_digest([*curated_instances(), performance_instance()]) \
+        == PAGE_TABLES
+
+
+def test_pages_build_only_the_cells_with_a_generator():
+    """The pages memoise a cell only where a generator lies at its
+    filtration, and a differential only between two cells with generators:
+    the number of memoised cells is the number of (r, p, n) the pages read
+    (a grid cell, its differential's target and that target's own) that
+    have a generator at p."""
+    import monofloer.spectral as spectral
+
+    data = domino_instance("spectral-24", 24, 2026)
+    spectral_pages(data, Flavor.PLUS, 3)
+    memo = dict(data._memo)
+    lo, hi = default_window(data)
+    read = {(r, p - k * r, n - k) for r in range(4)
+            for p in _filtration_levels(data) for n in range(lo, hi + 1)
+            for k in range(3)}
+    live = {(r, p, n) for r, p, n in read
+            if p in spectral._generators_at(data, Flavor.PLUS, r, n)}
+    cells = {key[2:]: value for key, value in memo.items()
+             if key[0] is spectral._live_cell.__wrapped__}
+    assert all(cell is not spectral._EMPTY for cell in cells.values())
+    assert len(cells) == len(live) and set(cells) == live
+    diffs = [key[2:] for key in memo
+             if key[0] is spectral._live_dr_matrix.__wrapped__]
+    assert diffs
+    for r, p, n in diffs:
+        assert _cell(data, Flavor.PLUS, r, p, n).generators, (r, p, n)
+        assert _cell(data, Flavor.PLUS, r, p - r, n - 1).generators, (r, p, n)
+    assert len(data._memo) == len(memo)
+
+
 @functools.lru_cache(maxsize=1)
 def oracle_datasets():
     """The curated datasets and the five largest generated ones of the
@@ -325,6 +391,42 @@ def test_composite_vanishes_reads_torsion_orders():
     assert not _composite_vanishes(column(4, 5), one, (2, 3))
     # a nonzero entry on a free generator
     assert not _composite_vanishes(column(0, 5), one, (2, 0))
+
+
+def test_composite_of_maps_that_do_not_compose_fails():
+    # a zero factor forms no product, but its shape must still compose
+    assert _composite_vanishes(SparseIntMatrix.zero(2, 3),
+                               SparseIntMatrix.zero(3, 1), (0, 0))
+    assert not _composite_vanishes(SparseIntMatrix.zero(2, 3),
+                                   SparseIntMatrix.zero(2, 1), (0, 0))
+    one = SparseIntMatrix.from_columns(1, [[1]])
+    assert not _composite_vanishes(one, SparseIntMatrix.zero(2, 1), (0,))
+
+
+def test_the_d_squared_check_composes_each_cell_with_its_follower(
+        monkeypatch):
+    # every cell's check reads the page's own d_r out of the target cell
+    # and the torsion orders of the target's target, inside the grid and
+    # below it, where Infinity keeps generators in every degree
+    import monofloer.spectral as spectral
+    from monofloer.spectral import _dr_matrix
+
+    seen = []
+    monkeypatch.setattr(spectral, "_composite_vanishes",
+                        lambda *args: seen.append(args) or True)
+    for label in ("tail-chain", "gap-three-chain"):
+        data = by_name(label)
+        lo, hi = default_window(data)
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            spectral_pages(data, flavor, 3)
+            assert seen == [
+                (_dr_matrix(data, flavor, r, p - r, n - 1),
+                 _dr_matrix(data, flavor, r, p, n),
+                 tuple(g.order for g in _cell(
+                     data, flavor, r, p - 2 * r, n - 2).generators))
+                for r in range(4) for p in _filtration_levels(data)
+                for n in range(lo, hi + 1)], (label, flavor)
+            seen.clear()
 
 
 def test_an_even_page_with_a_differential_fails(monkeypatch):

@@ -130,6 +130,50 @@ MUTANTS = (
     _drop("composite-ignores-torsion", "spectral.py",
           "        elif v % orders[i] != 0:",
           ("tests/test_spectral.py",)),
+    # the spectral pages: which cells are built, the shared zeros, and the
+    # d-squared check's reads of the page's own tables
+    Mutant("live-reads-positions", "spectral.py",
+           "    return (_positions if r == 0 else _critical_positions)"
+           "(data, flavor, n)",
+           "    return _positions(data, flavor, n)",
+           ("tests/test_spectral.py::"
+            "test_pages_build_only_the_cells_with_a_generator",
+            "tests/test_spectral.py::"
+            "test_page_zero_and_trivial_cells_build_no_presentation")),
+    Mutant("empty-source-zero-drops-target-rows", "spectral.py",
+           "    return _zero(data, len(target.generators), "
+           "len(source.generators))",
+           "    return _zero(data, len(target.generators) "
+           "if source.generators else 0,\n"
+           "                 len(source.generators))",
+           ("tests/test_spectral.py::"
+            "test_pages_keep_every_cell_and_differential_shape",)),
+    Mutant("dr-built-with-one-empty-end", "spectral.py",
+           "    if source.generators and target.generators:",
+           "    if source.generators or target.generators:",
+           ("tests/test_spectral.py::"
+            "test_pages_build_only_the_cells_with_a_generator",)),
+    Mutant("follow-from-previous-page", "spectral.py",
+           "            follow = diffs.get((p - r, q + r - 1))",
+           "            follow = (pages[-1].differentials if pages "
+           "else diffs).get(\n"
+           "                (p - r, q + r - 1))",
+           ("tests/test_spectral.py::"
+            "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
+    Mutant("orders-of-the-follow-source", "spectral.py",
+           "            below = built.get((p - 2 * r, q + 2 * r - 2))",
+           "            below = built.get((p - r, q + r - 1))",
+           ("tests/test_spectral.py::"
+            "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
+    Mutant("follow-below-the-grid-skipped", "spectral.py",
+           "                follow = _dr_matrix(data, flavor, r, p - r, n - 1)",
+           "                follow = _zero(data, 0, mat.rows)",
+           ("tests/test_spectral.py::"
+            "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
+    _drop("composite-shape-unchecked", "spectral.py",
+          "    if second.cols != first.rows:",
+          ("tests/test_spectral.py::"
+           "test_composite_of_maps_that_do_not_compose_fails",)),
     # the band's padding around the gradings
     Mutant("band-pads-2-below", "complexes.py",
            "    return min(gradings) - 3, max(gradings) + 4",
