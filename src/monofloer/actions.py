@@ -155,7 +155,7 @@ def u_module_structure(data: MonopoleData, flavor: Flavor,
                 for n in range(lo - 2, hi + 3)}
     induced = induced_on_homology(
         data, flavor, flavor,
-        ChainMapSlice(flavor, flavor, -2, matrices), (lo, hi))
+        ChainMapSlice(flavor, flavor, -2, matrices, (_u_terms, 2)), (lo, hi))
     omega = induced_on_homology(
         data, flavor, flavor,
         structural_chain_map(data, "omega_inverse", (lo, hi), flavor=flavor),

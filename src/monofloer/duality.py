@@ -7,7 +7,7 @@ differentials gives cohomology, and the pairing turns the cohomology of one
 orientation into the homology of the other, degree by degree.  Both sides
 of that comparison are read off the certified reductions of
 complexes._reduced, each on its own dataset; the pairings, which bridge the
-two, are checked on the unreduced complexes.
+two, are proved once per parity on the Infinity templates (_pairing_proved).
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from .complexes import (
     Flavor,
     _differential,
     _distinct_degrees,
+    _image_terms,
+    _infinity_cells,
     _kept,
     _reduced_differential,
     _selection,
     _slice,
+    _template,
     checked_window,
     generator_degree,
     per_band_degree,
@@ -82,14 +85,41 @@ def _pairing_template(data: MonopoleData, rev: MonopoleData,
                                         theta + len(rev.points), items)
 
 
+def _partner_kept(data: MonopoleData, rev: MonopoleData, n: int,
+                  hat: bool) -> tuple:
+    # each kept generator's partner is kept (_pairing_proved)
+    return ((_kept(data, Flavor.HAT, n), _kept(rev, Flavor.HAT, -n)) if hat
+            else (_kept(data, Flavor.PLUS, n), _kept(rev, Flavor.MINUS, -2 - n)))
+
+
 def _pairing_with(data: MonopoleData, rev: MonopoleData, n: int,
                   hat: bool = False) -> SparseIntMatrix:
-    # k >= 0 exactly when -k - 1 < 0, and k = 0 stays 0: a kept generator's
-    # partner is kept, so selecting both sides' kept positions loses none
-    rows, cols = ((_kept(data, Flavor.HAT, n), _kept(rev, Flavor.HAT, -n))
-                  if hat else (_kept(data, Flavor.PLUS, n),
-                               _kept(rev, Flavor.MINUS, -2 - n)))
-    return _selection(data, _pairing_template, (rev, n % 2), rows, cols)
+    return _selection(data, _pairing_template, (rev, n % 2),
+                      *_partner_kept(data, rev, n, hat))
+
+
+@per_dataset
+def _pairing_proved(data: MonopoleData, rev: MonopoleData) -> bool:
+    """Per parity p, the lemma: _pairing_template(p) is a permutation of
+    ones pairing power k in degree p with power -k - 1 in degree -2 - p
+    (theta with theta, a point with its toggled partner, of grading
+    -gr - 1).  Two degrees up both powers move by one, oppositely, so it
+    maps Plus's kept positions (k >= 0) of every degree n onto the
+    reverse's Minus positions of degree -2 - n, and Hat's (k = 0) onto the
+    reverse's Hat positions of degree -n: every slice is a perfect
+    bijection of kept sets.  And the identity transpose(D(p)) . P(1 - p)
+    == P(p) . D_rev(1 - p) on the Infinity templates."""
+    for p in (0, 1):
+        pairing = _pairing_template(data, rev, p)
+        ours, theirs = (tuple(_infinity_cells(x, m))
+                        for x, m in ((data, p), (rev, -2 - p)))
+        if not (_is_perfect(pairing) and all(
+                theirs[j][2] == -1 - ours[i][2] for i, j, _ in pairing.entries)
+                and _template(data, _image_terms, 1, p).transpose().mul(
+                    _pairing_template(data, rev, 1 - p)) == pairing.mul(
+                    _template(rev, _image_terms, 1, 1 - p))):
+            return False
+    return True
 
 
 def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
@@ -137,33 +167,54 @@ def _is_perfect(mat: SparseIntMatrix) -> bool:
 def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
     """Check that the pairing is adjoint for D and the periodicity action.
 
-    For every degree n of the window this verifies, as exact matrix
-    identities against the reversed dataset:
+    For every degree n of the window these are exact matrix identities
+    against the reversed dataset:
 
       * transpose(D_n on plus) composed with the degree-(n-1) pairing equals
         the degree-n pairing composed with D at degree -1-n on minus;
       * the same with the degree-lowering periodicity action on both sides
         (pairing degrees n and n-2 against -n and -2-n);
       * the hat analogue of the first identity, pairing degree n against -n.
+
+    _pairing_proved proves all three wherever the pairing slices are the
+    selections it covers: a product of selections is the templates'
+    product selected, less the paths through an unkept middle, and a
+    bijection of kept sets leaves none.  Hat reads the same templates, and
+    omega_inverse, an identity at kept positions, leaves each side the
+    pairing selected.  Any other degree forms its products.
     """
     lo, hi = checked_window(data, window)
-    rev = reverse_orientation(data)
+    return _complex_level(data, reverse_orientation(data), lo, hi)[1]
+
+
+def _complex_level(data: MonopoleData, rev: MonopoleData, lo: int,
+                   hi: int) -> tuple[bool, bool]:
+    """Whether the window's pairing slices are perfect and adjoint, each
+    read once and checked only if not a selection _pairing_proved covers."""
+    proved = _pairing_proved(data, rev)
+    slices = {(n, hat): _pairing_with(data, rev, n, hat)
+              for hat in (False, True) for n in range(lo - 2 + hat, hi + 1)}
+    unproved = {key for key, mat in slices.items() if not proved or mat
+                is not _selection(data, _pairing_template, (rev, key[0] % 2),
+                                  *_partner_kept(data, rev, *key))}
 
     # each identity as (f, P, Q, g) with transpose(f) . P == Q . g
     def identities(n):
-        pair = {m: _pairing_with(data, rev, m) for m in (n - 2, n - 1, n)}
-        hat = {m: _pairing_with(data, rev, m, True) for m in (n - 1, n)}
-        return ((_differential(data, Flavor.PLUS, n), pair[n - 1], pair[n],
-                 _differential(rev, Flavor.MINUS, -1 - n)),
+        return ((_differential(data, Flavor.PLUS, n), slices[n - 1, False],
+                 slices[n, False], _differential(rev, Flavor.MINUS, -1 - n)),
                 (structural_map(data, "omega_inverse", Flavor.PLUS, n),
-                 pair[n - 2], pair[n],
+                 slices[n - 2, False], slices[n, False],
                  structural_map(rev, "omega_inverse", Flavor.MINUS, -n)),
-                (_differential(data, Flavor.HAT, n), hat[n - 1], hat[n],
-                 _differential(rev, Flavor.HAT, 1 - n)))
+                (_differential(data, Flavor.HAT, n), slices[n - 1, True],
+                 slices[n, True], _differential(rev, Flavor.HAT, 1 - n)))
 
-    return all(f.transpose().mul(p) == q.mul(g) for _, checks in
-               _distinct_degrees(range(lo, hi + 1), identities)
-               for f, p, q, g in checks)
+    # degree n reads Plus's slices at n - 2 to n and Hat's at n - 1 and n
+    scanned = sorted(n for n in {m + d for m, hat in unproved
+                                 for d in range(3 - hat)} if lo <= n <= hi)
+    return all(_is_perfect(slices[key]) for key in unproved
+               if key[0] >= lo), all(
+        f.transpose().mul(p) == q.mul(g) for _, checks in
+        _distinct_degrees(scanned, identities) for f, p, q, g in checks)
 
 
 @per_band_degree
@@ -202,7 +253,8 @@ def duality_check(data: MonopoleData,
     windowed pairing matrix (plus against minus, hat against hat) must be a
     perfect permutation and adjoint for D and the periodicity action, which
     exhibits the dual of one complex as an isomorphic copy of the reversed
-    complex rather than merely comparing ranks.  Then the graded level:
+    complex rather than merely comparing ranks (see verify_adjointness for
+    the slices _pairing_proved covers).  Then the graded level:
     cohomology of one orientation must equal homology of the other at the
     partner degree for the (plus, minus), (minus, plus), and (hat, hat)
     pairs, with CheckFailed raised on the first disagreement; each side is
@@ -217,12 +269,7 @@ def duality_check(data: MonopoleData,
                  and double.n_coeffs == data.n_coeffs
                  and double.m_coeffs == data.m_coeffs)
 
-    perfect = all(
-        _is_perfect(pairing) and _is_perfect(hat)
-        for _, (pairing, hat) in _distinct_degrees(
-            range(lo, hi + 1), lambda n: (_pairing_with(data, rev, n),
-                                          _pairing_with(data, rev, n, True))))
-    adjoint = verify_adjointness(data, (lo, hi))
+    perfect, adjoint = _complex_level(data, rev, lo, hi)
 
     plus_vs_minus = {}
     minus_vs_plus = {}

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _carried, _differential, _distinct_degrees, _kept, \
-    _reduced_differential, checked_window, per_band_degree, require_valid, \
-    structural_map
+from .complexes import _POWERS, _STRUCTURAL, Flavor, MonopoleData, _band, \
+    _band_degree, _carried, _differential, _distinct_degrees, _image_terms, \
+    _kept, _reduced_differential, _restricts, _same, _selection, _template, \
+    checked_window, per_band_degree, require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -77,12 +77,14 @@ class GradedAbelianGroup:
 class ChainMapSlice:
     """Per-degree matrices of a chain map with a uniform degree shift; the
     degree-n matrix maps the source degree-n basis to the target degree-
-    (n + shift) basis."""
+    (n + shift) basis.  rule, if given, is the (rule, drop) of the
+    templates the matrices claim to select (see induced_on_homology)."""
 
     source: Flavor
     target: Flavor
     shift: int
     matrices: dict[int, SparseIntMatrix]
+    rule: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,24 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
 # induced maps
 # ---------------------------------------------------------------------------
 
+@per_dataset
+def _commutes_on_templates(data: MonopoleData, source: Flavor,
+                           target: Flavor, rule, drop: int,
+                           shift: int) -> bool:
+    """D M = M D on both parity templates, where M(n) reads rule's
+    template at degree n + shift, with the restriction lemma and the
+    ordered intervals of induced_on_homology."""
+    if shift + drop not in (0, -2) or not (source is target or (
+            Flavor.NONEQUIVARIANT not in (source, target) and all(
+                s <= t for s, t in zip(_POWERS[source], _POWERS[target])))):
+        return False
+    d, m = ({p: _template(data, r, dr, p) for p in (0, 1)}
+            for r, dr in ((_image_terms, 1), (rule, drop)))
+    return all(_restricts(data, flavor, r, dr) for flavor in (source, target)
+               for r, dr in ((_image_terms, 1), (rule, drop))) and all(
+        d[(p + shift) % 2].mul(m[p]) == m[1 - p].mul(d[p]) for p in (0, 1))
+
+
 def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
                         chain_map: ChainMapSlice,
                         window: tuple[int, int]) -> HomologyClassMap:
@@ -203,6 +223,15 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
     plus one degree of margin, since a map carried as g . map . f could
     hide a failure; it raises NotChainMap with the offending degree.  The
     map is then carried with complexes._carried.
+
+    A map M whose rule names its templates is proved on them once per
+    parity (_commutes_on_templates): a product of selections is the
+    templates' product selected, less the paths x -> y -> z through a y
+    the middle flavor drops.  D never raises k, nor does M, which moves it
+    by its template's move (0 or -1, _restricts) plus (shift + drop) / 2
+    (0 or -1); so y lies below its kept interval, and x below the target's
+    as the source's starts and ends no later.  A degree whose slices are
+    not the rule's selections forms its products.
     """
     lo, hi = checked_window(data, window)
     if chain_map.source is not source or chain_map.target is not target:
@@ -216,10 +245,20 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         want_rows = len(_kept(data, target, n + shift))
         if (mat.rows, mat.cols) != (want_rows, want_cols):
             raise InvalidInput(f"degree-{n} slice has the wrong shape")
+    rule = chain_map.rule
+    proved = rule is not None and _commutes_on_templates(
+        data, source, target, *rule, shift)
+
+    def selected(m):
+        return _selection(data, _template, (*rule, m % 2),
+                          _kept(data, target, m + shift), _kept(data, source, m))
+
     for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
             range(lo, hi + 2), lambda n: (
                 _differential(data, target, n + shift), chain_map.matrices[n],
                 chain_map.matrices[n - 1], _differential(data, source, n))):
+        if proved and mat is selected(n) and mat_prev is selected(n - 1):
+            continue
         if d_target.mul(mat) != mat_prev.mul(d_source):
             raise NotChainMap(n)
 
@@ -257,7 +296,7 @@ def structural_chain_map(data: MonopoleData, which: str,
         raise InvalidInput(f"unknown structural map: {which}")
     matrices = {n: structural_map(data, which, ambient, n)
                 for n in range(lo - 2, hi + 3)}
-    return ChainMapSlice(source, target, shift, matrices)
+    return ChainMapSlice(source, target, shift, matrices, (_same, 0))
 
 
 def identity_chain_map(data: MonopoleData, flavor: Flavor,

@@ -10,10 +10,11 @@ import pytest
 
 from monofloer.complexes import Flavor, _band, _differential, \
     default_window
-from monofloer.data import CheckFailed, MonopoleData, THETA, \
+from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances, reverse_orientation, validate
 from monofloer.duality import (
     _is_perfect,
+    _pairing_proved,
     cohomology,
     duality_check,
     hat_pairing_matrix,
@@ -21,6 +22,7 @@ from monofloer.duality import (
     verify_adjointness,
 )
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
+from test_acceptance import performance_instance
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -178,6 +180,76 @@ def test_sign_convention_is_forced():
         if good:
             satisfying.append(signs)
     assert satisfying == [(-1, 1, 1, 1)]
+
+
+def _scanned(monkeypatch):
+    """Refuse the pairing proof, so every degree forms its products."""
+    import monofloer.duality as duality
+
+    monkeypatch.setattr(duality, "_pairing_proved", lambda *args: False)
+
+
+def _outcome(data, window):
+    # an invalid reverse is refused where the scan reads its omega_inverse
+    try:
+        return verify_adjointness(data, window)
+    except InvalidInput:
+        return "invalid"
+
+
+def test_templates_and_scan_agree_on_every_sign_convention(monkeypatch):
+    """Only the forced convention passes, through the pairing proof; every
+    other one fails the proof, and the scan gives the same verdict."""
+    import monofloer.duality as duality
+
+    conventions = list(product((1, -1), repeat=4))
+    routes = []
+    for signs in conventions:
+        data = probe_instance()
+        rev = signed_reversal(data, *signs)
+        monkeypatch.setattr(duality, "reverse_orientation", lambda _: rev)
+        routes.append((_pairing_proved(data, rev), _outcome(data, (-6, 6))))
+    assert [signs for signs, (proved, _) in zip(conventions, routes)
+            if proved] == [(-1, 1, 1, 1)]
+    assert [signs for signs, (_, verdict) in zip(conventions, routes)
+            if verdict is True] == [(-1, 1, 1, 1)]
+    _scanned(monkeypatch)
+    for signs, (_, verdict) in zip(conventions, routes):
+        data = probe_instance()
+        rev = signed_reversal(data, *signs)
+        monkeypatch.setattr(duality, "reverse_orientation", lambda _: rev)
+        assert _outcome(data, (-6, 6)) == verdict, signs
+
+
+def test_partners_one_power_off_fail_the_proof_and_the_scan(monkeypatch):
+    """A reverse with every grading raised by two keeps the templates, so
+    the identity holds on them, but a point's partner has power -k - 2:
+    Plus's kept positions no longer map onto Minus's, and the edge degrees
+    fail.  Only the powers clause of the lemma sends them to the scan."""
+    import monofloer.duality as duality
+
+    data = MonopoleData.build("domino", [("a", 2), ("b", 1)],
+                              n=[("a", "b", 1)])
+    rev = reverse_orientation(data)
+    raised = MonopoleData.build(rev.name, [(p.id, p.grading + 2)
+                                           for p in rev.points],
+                                rev.n_coeffs, rev.m_coeffs)
+    monkeypatch.setattr(duality, "reverse_orientation", lambda _: raised)
+    assert not _pairing_proved(data, raised)
+    assert not verify_adjointness(data, default_window(data))
+
+
+def test_adjointness_forms_four_products_once(work):
+    """The pairing proof forms the template identity's four products on
+    the 50-point instance, where the scan formed 330; a second call forms
+    none."""
+    data = performance_instance()
+    window = default_window(data)
+    assert verify_adjointness(data, window)
+    assert work["mul"] <= 4
+    work.clear()
+    assert verify_adjointness(data, window)
+    assert work["mul"] == 0
 
 
 def test_frozen_reversal_matches_forced_signs():

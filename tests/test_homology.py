@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import oracle
-from monofloer.data import curated_instances, invalid_instance, InvalidInput
+from monofloer.data import MonopoleData, curated_instances, \
+    invalid_instance, InvalidInput
 from monofloer.actions import _U_FLAVORS, verify_u_homotopy
-from monofloer.complexes import Flavor, _band, check_d_squared, \
-    default_window
+from monofloer.complexes import Flavor, _band, _kept, _same, _selection, \
+    _template, check_d_squared, default_window
 from monofloer import homology
 from monofloer.intlinalg import AbelianGroupInvariants, SparseIntMatrix
 from monofloer.homology import (
@@ -369,6 +372,62 @@ def test_a_break_far_outside_the_band_is_still_found_first():
         induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, broken, window)
     assert err.value.degree == 500
     assert induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, chain, window)
+
+
+def test_a_replaced_slice_of_a_proved_map_is_still_checked():
+    """A chain map that names its templates skips only the degrees whose
+    slices are those templates' selections; a zeroed slice forms its
+    products and fails."""
+    d = by_name("two-step")
+    window = (-1, 3)
+    chain = structural_chain_map(d, "projection_plus", window)
+    assert homology._commutes_on_templates(
+        d, Flavor.INFINITY, Flavor.PLUS, *chain.rule, 0)
+    bad = dict(chain.matrices)
+    bad[1] = SparseIntMatrix.zero(bad[1].rows, bad[1].cols)
+    with pytest.raises(NotChainMap) as err:
+        induced_on_homology(d, Flavor.INFINITY, Flavor.PLUS,
+                            replace(chain, matrices=bad), window)
+    assert err.value.degree in (1, 2)
+
+
+def test_named_maps_that_are_not_chain_maps_are_scanned():
+    """Two identity selections whose templates commute with D but which
+    are no chain maps: from Plus into Infinity, though Plus is a quotient
+    (D takes eta_a^0 to 1_a^(-1), which Plus lacks), and Omega on Plus,
+    which raises k.  The proof refuses both, one for Plus's interval
+    starting after Infinity's and one for its shift, so the scan finds
+    the break."""
+    d = by_name("two-step")
+    window = (-1, 3)
+    for source, target, shift in ((Flavor.PLUS, Flavor.INFINITY, 0),
+                                  (Flavor.PLUS, Flavor.PLUS, 2)):
+        matrices = {n: _selection(d, _template, (_same, 0, n % 2),
+                                  _kept(d, target, n + shift),
+                                  _kept(d, source, n))
+                    for n in range(window[0] - 2, window[1] + 3)}
+        chain = ChainMapSlice(source, target, shift, matrices, (_same, 0))
+        assert not homology._commutes_on_templates(
+            d, source, target, _same, 0, shift)
+        with pytest.raises(NotChainMap):
+            induced_on_homology(d, source, target, chain, window)
+
+
+def test_a_proved_chain_map_forms_no_commutation_product(work):
+    """omega_inverse on Plus is proved once on its templates, so a second
+    call forms no product in a window of acyclic degrees, which carry no
+    homology generator; the same slices without their rule form products
+    on every call."""
+    d = MonopoleData.build("domino", [("a", -4), ("b", -5)],
+                           n=[("a", "b", 1)])
+    window = (-9, -1)
+    chain = structural_chain_map(d, "omega_inverse", window, Flavor.PLUS)
+    for rule, scanned in ((chain.rule, False), (None, True)):
+        named = replace(chain, rule=rule)
+        induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, named, window)
+        work.clear()
+        induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, named, window)
+        assert (work["mul"] > 0) is scanned, rule
 
 
 def test_induced_refuses_a_flavor_mismatch_and_a_misshapen_slice():

@@ -29,14 +29,16 @@ from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
     REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
     _band_degree, _certify, _differential, _identification, _image_terms, \
-    _kept, _pairs, _reduced, _reduction, _restricts, _rule_matrix, _slice, \
-    _slice_map, _template, check_d_squared, default_window
+    _kept, _pairs, _reduced, _reduction, _restricts, _rule_matrix, _same, \
+    _slice, _slice_map, _template, check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
-from monofloer.duality import _cohomology_at, _pairing_with, duality_check
-from monofloer.homology import graded_homology, homology_at, \
-    induced_on_homology, presentation_at, structural_chain_map
+from monofloer import homology
+from monofloer.duality import _cohomology_at, _complex_level, \
+    _pairing_proved, _pairing_with, duality_check
+from monofloer.homology import _commutes_on_templates, graded_homology, \
+    homology_at, induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _delta_chain, _hat_delta_chain, _red_at, \
     connecting_delta, hf_red
@@ -562,6 +564,52 @@ def test_templates_and_scan_agree_on_every_mutant(monkeypatch):
     _scanned(monkeypatch)
     for data, window, valid, got in cases:
         assert verdicts(data, window, valid) == got, data.name
+
+
+def test_pairing_proof_and_scan_agree_on_every_valid_mutant(monkeypatch):
+    """On every valid single-coefficient mutation of the pool the pairing
+    lemma and the adjointness identity hold on the templates, and with the
+    proof refused the scan finds every pairing slice perfect and adjoint
+    too."""
+    import monofloer.duality as duality
+
+    cases = []
+    for data in MUTANTS:
+        if validate(data).ok:
+            lo, hi = default_window(data)
+            rev = reverse_orientation(data)
+            assert _pairing_proved(data, rev), data.name
+            cases.append((data, rev, (lo - 3, hi + 3)))
+    assert len(cases) > 300
+    monkeypatch.setattr(duality, "_pairing_proved", lambda *args: False)
+    for data, rev, window in cases:
+        assert _complex_level(data, rev, *window) == (True, True), data.name
+
+
+def test_chain_map_proof_and_scan_agree_on_the_pool(monkeypatch):
+    """On every pool dataset the structural maps, omega_inverse and u are
+    proved on their templates, and with the proof refused the scan
+    induces the same matrices."""
+    def induced(data):
+        # u_module_structure induces both u and omega_inverse
+        window = default_window(data)
+        chains = [structural_chain_map(data, which, window)
+                  for which in _STRUCTURAL]
+        return [induced_on_homology(data, chain.source, chain.target, chain,
+                                    window).matrices for chain in chains] + [
+            u_module_structure(data, flavor, window).matrices
+            for flavor in _U_FLAVORS]
+
+    for data in POOL:
+        for which, (source, target, _) in _STRUCTURAL.items():
+            assert _commutes_on_templates(data, source, target, _same, 0, 0)
+        for flavor in _U_FLAVORS:
+            for rule in ((_same, 0), (_u_terms, 2)):
+                assert _commutes_on_templates(data, flavor, flavor, *rule, -2)
+    got = [induced(data) for data in POOL]
+    monkeypatch.setattr(homology, "_commutes_on_templates",
+                        lambda *args: False)
+    assert [induced(data) for data in POOL] == got
 
 
 def _raising_rule(data, gen):

@@ -105,6 +105,40 @@ MUTANTS = (
            "        _homotopy_on_templates(data)\n",
            "        True\n",
            ("tests/test_properties.py",)),
+    # the pairing and chain-map proofs on the templates, and their skips
+    Mutant("pairing-template-wrong-parity", "duality.py",
+           "        pairing = _pairing_template(data, rev, p)\n",
+           "        pairing = _pairing_template(data, rev, 1 - p)\n",
+           ("tests/test_duality.py::"
+            "test_adjointness_forms_four_products_once",)),
+    Mutant("pairing-lemma-ignores-powers", "duality.py",
+           "theirs[j][2] == -1 - ours[i][2] for",
+           "True for",
+           ("tests/test_duality.py::"
+            "test_partners_one_power_off_fail_the_proof_and_the_scan",)),
+    Mutant("pairing-skip-without-is", "duality.py",
+           "                is not _selection(data, _pairing_template,",
+           "                is None and _selection(data, _pairing_template,",
+           ("tests/test_duality.py::"
+            "test_adjointness_fails_at_a_degree_far_outside_the_band",)),
+    Mutant("commutation-skip-without-is", "homology.py",
+           "        if proved and mat is selected(n) and mat_prev is "
+           "selected(n - 1):",
+           "        if proved:",
+           ("tests/test_homology.py::"
+            "test_a_replaced_slice_of_a_proved_map_is_still_checked",
+            "tests/test_sequences.py::"
+            "test_les_hat_rejects_a_u_that_is_not_a_chain_map")),
+    Mutant("commutation-ignores-interval-order", "homology.py",
+           "                s <= t for s, t in zip(",
+           "                True for s, t in zip(",
+           ("tests/test_homology.py::"
+            "test_named_maps_that_are_not_chain_maps_are_scanned",)),
+    Mutant("commutation-ignores-shift", "homology.py",
+           "    if shift + drop not in (0, -2) or not (",
+           "    if not (",
+           ("tests/test_homology.py::"
+            "test_named_maps_that_are_not_chain_maps_are_scanned",)),
     # the certificate and the filtration checks
     Mutant("certify-skips-d-f", "complexes.py",
            "(\"D f = f D'\", lambda: d.mul(here.f) == below.f.mul(\n"
