@@ -20,7 +20,6 @@ from .complexes import (
     KIND_THETA,
     MonopoleData,
     _differential,
-    _distinct_degrees,
     _identification,
     _image_terms,
     _restricts,
@@ -28,6 +27,7 @@ from .complexes import (
     _same,
     _template,
     checked_window,
+    per_band_degree,
     require_valid,
     structural_map,
 )
@@ -89,9 +89,12 @@ def homotopy_h(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     return _rule_matrix(data, _h_terms, 1, flavor, n)
 
 
+@per_band_degree
 def _templated(data: MonopoleData, flavor: Flavor, n: int) -> tuple:
     """The six matrices verify_u_homotopy reads in degree n, as the
-    selections of their Infinity templates at the kept positions."""
+    selections of their Infinity templates at the kept positions; they
+    read the kept positions of degrees n - 2 to n, which repeat with period
+    two beyond the band, so a far degree shares its band degree's tuple."""
     return (_rule_matrix(data, _u_terms, 2, flavor, n),
             _identification(data, flavor, flavor, n, shift_k=-1),
             _rule_matrix(data, _image_terms, 1, flavor, n - 1),
@@ -124,12 +127,13 @@ def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
     proved = all(_restricts(data, flavor, rule, 1)
                  for rule in (_image_terms, _h_terms)) and \
         _homotopy_on_templates(data)
-    for n, matrices in _distinct_degrees(range(lo, hi + 1), lambda n: (
+    for n in range(lo, hi + 1):
+        matrices = (
             u_chain_map(data, flavor, n),
             structural_map(data, "omega_inverse", flavor, n),
             _differential(data, flavor, n - 1),
             homotopy_h(data, flavor, n), homotopy_h(data, flavor, n - 1),
-            _differential(data, flavor, n))):
+            _differential(data, flavor, n))
         if proved and all(map(operator.is_, matrices,
                               _templated(data, flavor, n))):
             continue

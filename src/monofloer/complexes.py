@@ -309,41 +309,26 @@ def differential_matrix(data: MonopoleData, flavor: Flavor,
     return _differential(data, flavor, n)
 
 
-def _distinct_degrees(degrees, matrices_at):
-    """(n, matrices_at(n)) for each degree n whose tuple of matrices differs
-    by content from every earlier one: equal matrices give equal verdicts,
-    so testing only these degrees keeps the first failing one."""
-    seen = set()
-    for n in degrees:
-        matrices = matrices_at(n)
-        if matrices not in seen:
-            seen.add(matrices)
-            yield n, matrices
-
-
 def check_d_squared(data: MonopoleData, flavor: Flavor,
-                    window: tuple[int, int]) -> bool:
+                    window: tuple[int, int] | None) -> bool:
     """True iff D composed with D vanishes at every degree of the window.
 
     When D D = 0 on the two parity templates and _restricts holds for D,
     it holds in every degree of every flavor; otherwise each degree is
     scanned.  Validity of the data is deliberately not required here: on
     defective coefficients this check is exactly what detects the broken
-    identity, through the scan.  The window is held to the bounds of
-    checked_window.
+    identity, through the scan.  The window, default_window(data) if None,
+    is held to the bounds of checked_window.
     """
-    lo, hi = _window_bounds(window)
+    lo, hi = _window_bounds(default_window(data) if window is None
+                            else window)
     if _restricts(data, flavor, _image_terms, 1) and all(
             _template(data, _image_terms, 1, 1 - parity).mul(
                 _template(data, _image_terms, 1, parity)).is_zero()
             for parity in (0, 1)):
         return True
-    for _, (second, first) in _distinct_degrees(
-            range(lo, hi + 1), lambda n: (_differential(data, flavor, n - 1),
-                                          _differential(data, flavor, n))):
-        if not second.mul(first).is_zero():
-            return False
-    return True
+    return all(_differential(data, flavor, n - 1).mul(
+        _differential(data, flavor, n)).is_zero() for n in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +467,14 @@ def _certify(data: MonopoleData, flavor: Flavor,
     lo - 1 and hi + 1, so this proves every degree.  Raises CheckFailed at
     the first degree where an identity fails."""
     lo, hi = _band(data)
-    for n, (d, d_next, below, here) in _distinct_degrees(
-            range(lo - 1, hi + 2), lambda n: (
-                _differential(data, flavor, n),
-                _differential(data, flavor, n + 1),
-                table[_band_degree(data, n - 1)],
-                table[_band_degree(data, n)])):
+    seen = set()
+    for n in range(lo - 1, hi + 2):
+        matrices = d, d_next, below, here = (
+            _differential(data, flavor, n), _differential(data, flavor, n + 1),
+            table[_band_degree(data, n - 1)], table[_band_degree(data, n)])
+        if matrices in seen:
+            continue
+        seen.add(matrices)
         identities = (
             ("D f = f D'", lambda: d.mul(here.f) == below.f.mul(
                 here.differential)),
@@ -624,7 +611,12 @@ MAX_WINDOW_DEGREES = 2001
 
 
 def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
-    # the window half of checked_window, which check_d_squared applies alone
+    # the window half of checked_window, which check_d_squared applies
+    # alone; type, not isinstance, since a bool is an int
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and type(window[0]) is int and type(window[1]) is int):
+        raise InvalidInput(f"degree window {window!r} is not a pair of "
+                           f"integers")
     lo, hi = window
     if lo > hi:
         raise InvalidInput(f"degree window {lo}:{hi} is empty")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .complexes import (
     Flavor,
     _differential,
-    _distinct_degrees,
     _image_terms,
     _infinity_cells,
     _kept,
@@ -190,31 +189,32 @@ def verify_adjointness(data: MonopoleData, window: tuple[int, int]) -> bool:
 def _complex_level(data: MonopoleData, rev: MonopoleData, lo: int,
                    hi: int) -> tuple[bool, bool]:
     """Whether the window's pairing slices are perfect and adjoint, each
-    read once and checked only if not a selection _pairing_proved covers."""
+    read once and checked only if not a selection _pairing_proved covers;
+    a degree's identities are tested only if it reads such a slice."""
     proved = _pairing_proved(data, rev)
     slices = {(n, hat): _pairing_with(data, rev, n, hat)
               for hat in (False, True) for n in range(lo - 2 + hat, hi + 1)}
     unproved = {key for key, mat in slices.items() if not proved or mat
                 is not _selection(data, _pairing_template, (rev, key[0] % 2),
                                   *_partner_kept(data, rev, *key))}
-
-    # each identity as (f, P, Q, g) with transpose(f) . P == Q . g
-    def identities(n):
-        return ((_differential(data, Flavor.PLUS, n), slices[n - 1, False],
+    perfect = all(_is_perfect(slices[key]) for key in unproved
+                  if key[0] >= lo)
+    # degree n reads Plus's slices at n - 2 to n and Hat's at n - 1 and n
+    reading = {m + d for m, hat in unproved for d in range(3 - hat)}
+    for n in range(lo, hi + 1):
+        if n not in reading:
+            continue
+        # each identity as (f, P, Q, g) with transpose(f) . P == Q . g
+        if not all(f.transpose().mul(p) == q.mul(g) for f, p, q, g in (
+                (_differential(data, Flavor.PLUS, n), slices[n - 1, False],
                  slices[n, False], _differential(rev, Flavor.MINUS, -1 - n)),
                 (structural_map(data, "omega_inverse", Flavor.PLUS, n),
                  slices[n - 2, False], slices[n, False],
                  structural_map(rev, "omega_inverse", Flavor.MINUS, -n)),
                 (_differential(data, Flavor.HAT, n), slices[n - 1, True],
-                 slices[n, True], _differential(rev, Flavor.HAT, 1 - n)))
-
-    # degree n reads Plus's slices at n - 2 to n and Hat's at n - 1 and n
-    scanned = sorted(n for n in {m + d for m, hat in unproved
-                                 for d in range(3 - hat)} if lo <= n <= hi)
-    return all(_is_perfect(slices[key]) for key in unproved
-               if key[0] >= lo), all(
-        f.transpose().mul(p) == q.mul(g) for _, checks in
-        _distinct_degrees(scanned, identities) for f, p, q, g in checks)
+                 slices[n, True], _differential(rev, Flavor.HAT, 1 - n)))):
+            return perfect, False
+    return perfect, True
 
 
 @per_band_degree

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import _POWERS, _STRUCTURAL, Flavor, MonopoleData, _band, \
-    _band_degree, _carried, _differential, _distinct_degrees, _image_terms, \
+    _band_degree, _carried, _differential, _identification, _image_terms, \
     _kept, _reduced_differential, _restricts, _same, _selection, _template, \
     checked_window, per_band_degree, require_valid, structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
@@ -253,13 +253,12 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         return _selection(data, _template, (*rule, m % 2),
                           _kept(data, target, m + shift), _kept(data, source, m))
 
-    for n, (d_target, mat, mat_prev, d_source) in _distinct_degrees(
-            range(lo, hi + 2), lambda n: (
-                _differential(data, target, n + shift), chain_map.matrices[n],
-                chain_map.matrices[n - 1], _differential(data, source, n))):
+    for n in range(lo, hi + 2):
+        mat, mat_prev = chain_map.matrices[n], chain_map.matrices[n - 1]
         if proved and mat is selected(n) and mat_prev is selected(n - 1):
             continue
-        if d_target.mul(mat) != mat_prev.mul(d_source):
+        if _differential(data, target, n + shift).mul(mat) != mat_prev.mul(
+                _differential(data, source, n)):
             raise NotChainMap(n)
 
     # reduced presentations and carried matrices are memoised by content,
@@ -302,7 +301,6 @@ def structural_chain_map(data: MonopoleData, which: str,
 def identity_chain_map(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int]) -> ChainMapSlice:
     lo, hi = checked_window(data, window)
-    matrices = {
-        n: SparseIntMatrix.identity(len(_kept(data, flavor, n)))
-        for n in range(lo - 2, hi + 3)}
-    return ChainMapSlice(flavor, flavor, 0, matrices)
+    matrices = {n: _identification(data, flavor, flavor, n)
+                for n in range(lo - 2, hi + 3)}
+    return ChainMapSlice(flavor, flavor, 0, matrices, (_same, 0))

@@ -93,9 +93,9 @@ def test_u_homotopy_infinity_wide_window():
 
 
 def test_u_homotopy_fails_at_a_degree_far_outside_the_band(monkeypatch):
-    """Degrees whose matrices repeat an earlier degree's are not checked
-    again; a u broken only at 500, far above the band, differs from every
-    earlier degree's and is still checked."""
+    """A degree whose matrices are not the selections the proof covers
+    is checked; a u broken only at 500, far above the band, differs from
+    every earlier degree's and is still checked."""
     import monofloer.actions as actions
 
     d = by_name("tail-chain")

@@ -422,6 +422,30 @@ def test_checked_window():
         checked_window(invalid_instance(), (0, 1))
 
 
+@pytest.mark.parametrize("window", [(0.5, 3), (0, 3.0), ("0", 3), (True, 3),
+                                    (0, False), (0, 1, 2), 3],
+                         ids=["float-lo", "float-hi", "str", "bool-lo",
+                              "bool-hi", "triple", "int"])
+@pytest.mark.parametrize("name", list(_windowed_entry_points()))
+def test_windowed_entry_points_take_only_pairs_of_ints(name, window):
+    call = _windowed_entry_points()[name]
+    with pytest.raises(InvalidInput, match="not a pair of integers"):
+        call(by_name("tail-chain"), window)
+
+
+def test_d_squared_without_a_window_checks_the_default_one():
+    """None stands for default_window(data), as in checked_window, but the
+    data need not be valid; the span bound still holds."""
+    for data in (by_name("tail-chain"), invalid_instance()):
+        for flavor in ALL_FLAVORS:
+            assert check_d_squared(data, flavor, None) == check_d_squared(
+                data, flavor, default_window(data)), (data.name, flavor)
+    assert not check_d_squared(invalid_instance(), Flavor.INFINITY, None)
+    wide = MonopoleData.build("wide", [("a", 0), ("b", 3000000)])
+    with pytest.raises(InvalidInput, match="spans more than"):
+        check_d_squared(wide, Flavor.PLUS, None)
+
+
 # -- the certified reduction ------------------------------------------------
 
 def _drop_first(mat):
@@ -462,6 +486,19 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
     with pytest.raises(CheckFailed) as info:
         _certify(data, flavor, broken)
     assert info.value.degree == n
+
+
+@pytest.mark.parametrize("data", [*curated_instances(),
+                                  performance_instance()],
+                         ids=lambda data: data.name)
+def test_infinity_certificate_forms_sixteen_products(data, work):
+    """Infinity keeps every position, so its certificate reads two distinct
+    tuples of matrices, one per parity: each new tuple forms the four
+    identities' eight products, and a repeated tuple forms none."""
+    table = _reduce(data, Flavor.INFINITY)
+    work.clear()
+    _certify(data, Flavor.INFINITY, table)
+    assert work["mul"] == 16
 
 
 def _extra_row(mat):

@@ -125,8 +125,8 @@ def test_adjointness_on_probe():
 
 
 def test_adjointness_fails_at_a_degree_far_outside_the_band(monkeypatch):
-    """Degrees whose matrices repeat an earlier degree's are not checked
-    again; a pairing negated only at 500, far above the band, differs from
+    """A degree is checked whenever it reads a slice the proof does not
+    cover; a pairing negated only at 500, far above the band, differs from
     every earlier degree's and is still checked."""
     import monofloer.duality as duality
 
@@ -143,6 +143,27 @@ def test_adjointness_fails_at_a_degree_far_outside_the_band(monkeypatch):
     monkeypatch.setattr(duality, "_pairing_with", broken)
     assert not verify_adjointness(d, window)
     assert verify_adjointness(d, (-600, 499))
+
+
+def test_a_replaced_hat_pairing_is_checked(monkeypatch):
+    """Every Plus/Minus pairing slice is the selection the proof covers, but
+    a Hat slice that is not makes the degrees reading it form the Hat
+    identity's products: negated at n - 1, below a degree n whose Hat D is
+    not zero, the identity fails at n."""
+    import monofloer.duality as duality
+
+    d = by_name("tail-chain")
+    window = default_window(d)
+    n = next(n for n in range(*window)
+             if not _differential(d, Flavor.HAT, n).is_zero())
+    pairing = duality._pairing_with
+
+    def broken(data, rev, m, hat=False):
+        mat = pairing(data, rev, m, hat)
+        return mat.scale(-1) if (m, hat) == (n - 1, True) else mat
+
+    monkeypatch.setattr(duality, "_pairing_with", broken)
+    assert not verify_adjointness(d, window)
 
 
 def signed_reversal(data, s_irr, s_to_theta, s_from_theta, s_euler):

@@ -358,9 +358,9 @@ def test_broken_chain_map_detected():
 
 
 def test_a_break_far_outside_the_band_is_still_found_first():
-    """Degrees whose matrices repeat an earlier degree's are not checked
-    again; a slice broken at 500, far above the band, differs from every
-    earlier one, so the first failing degree is still 500."""
+    """A slice that is not the selection of a named rule is checked at
+    every degree; a slice broken at 500, far above the band, differs from
+    every earlier one, so the first failing degree is still 500."""
     d = by_name("tail-chain")
     window = (-600, 600)
     assert _band(d)[1] < 500
@@ -372,6 +372,29 @@ def test_a_break_far_outside_the_band_is_still_found_first():
         induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, broken, window)
     assert err.value.degree == 500
     assert induced_on_homology(d, Flavor.PLUS, Flavor.PLUS, chain, window)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+def test_a_second_induced_identity_forms_no_commutation_product(
+        flavor, monkeypatch):
+    """identity_chain_map names its rule, (_same, 0), so its slices are
+    the selections _commutes_on_templates proves: once that proof is
+    memoised, the commutation check reads no differential at any window
+    degree, and so forms none of its products."""
+    d = by_name("tail-chain")
+    window = (-40, 40)
+    chain = identity_chain_map(d, flavor, window)
+    assert chain.rule == (_same, 0)
+    first = induced_on_homology(d, flavor, flavor, chain, window)
+    differential, reads = homology._differential, []
+
+    def counted(*args):
+        reads.append(args)
+        return differential(*args)
+
+    monkeypatch.setattr(homology, "_differential", counted)
+    assert induced_on_homology(d, flavor, flavor, chain, window) == first
+    assert reads == []
 
 
 def test_a_replaced_slice_of_a_proved_map_is_still_checked():

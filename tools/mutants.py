@@ -63,13 +63,15 @@ def _drop(name, module, condition, tests, equivalent=None):
 MUTANTS = (
     # windowed checks that skip the first degree of their window
     Mutant("d2-from-lo-plus-1", "complexes.py",
-           "            range(lo, hi + 1), lambda n: (_differential(",
-           "            range(lo + 1, hi + 1), lambda n: (_differential(",
-           ("tests/test_properties.py",)),
+           ".is_zero() for n in range(lo, hi + 1))",
+           ".is_zero() for n in range(lo + 1, hi + 1))",
+           ("tests/test_properties.py::"
+            "test_d_squared_checks_the_first_degree_of_its_window",)),
     Mutant("u-from-lo-plus-1", "actions.py",
-           "_distinct_degrees(range(lo, hi + 1), lambda n: (",
-           "_distinct_degrees(range(lo + 1, hi + 1), lambda n: (",
-           ("tests/test_actions.py",)),
+           "    for n in range(lo, hi + 1):\n        matrices = (",
+           "    for n in range(lo + 1, hi + 1):\n        matrices = (",
+           ("tests/test_actions.py::"
+            "test_u_homotopy_checks_the_first_degree_of_its_window",)),
     Mutant("u-skips-by-content", "actions.py",
            "all(map(operator.is_, matrices,",
            "all(map(operator.eq, matrices,",
@@ -129,6 +131,23 @@ MUTANTS = (
             "test_a_replaced_slice_of_a_proved_map_is_still_checked",
             "tests/test_sequences.py::"
             "test_les_hat_rejects_a_u_that_is_not_a_chain_map")),
+    Mutant("identity-map-unnamed", "homology.py",
+           "    return ChainMapSlice(flavor, flavor, 0, matrices, (_same, 0))",
+           "    return ChainMapSlice(flavor, flavor, 0, matrices)",
+           ("tests/test_homology.py::"
+            "test_a_second_induced_identity_forms_no_commutation_product",)),
+    Mutant("adjointness-ignores-hat-slices", "duality.py",
+           "    reading = {m + d for m, hat in unproved "
+           "for d in range(3 - hat)}",
+           "    reading = {m + d for m, hat in unproved if not hat\n"
+           "               for d in range(3)}",
+           ("tests/test_duality.py::"
+            "test_a_replaced_hat_pairing_is_checked",)),
+    Mutant("certify-first-degree-only", "complexes.py",
+           "        if matrices in seen:",
+           "        if seen:",
+           ("tests/test_complexes.py::"
+            "test_certificate_rejects_a_broken_reduction",)),
     Mutant("commutation-ignores-interval-order", "homology.py",
            "                s <= t for s, t in zip(",
            "                True for s, t in zip(",
