@@ -315,7 +315,9 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
 
     When D D = 0 on the two parity templates and _restricts holds for D,
     it holds in every degree of every flavor; otherwise each degree is
-    scanned.  Validity of the data is deliberately not required here: on
+    scanned, with its product memoised by content (_product), so a degree
+    beyond the band, whose D(n - 1) and D(n) are a band degree's, costs a
+    lookup.  Validity of the data is deliberately not required here: on
     defective coefficients this check is exactly what detects the broken
     identity, through the scan.  The window, default_window(data) if None,
     is held to the bounds of checked_window.
@@ -327,8 +329,9 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
                 _template(data, _image_terms, 1, parity)).is_zero()
             for parity in (0, 1)):
         return True
-    return all(_differential(data, flavor, n - 1).mul(
-        _differential(data, flavor, n)).is_zero() for n in range(lo, hi + 1))
+    return all(_product(data, _differential(data, flavor, n - 1),
+                        _differential(data, flavor, n))
+               .is_zero() for n in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +349,15 @@ class Reduction(NamedTuple):
 
     The critical generators c_n are the kept ones that no pair uses.
     differential is D'(n): c_n -> c_{n-1}; f(n): c_n -> C_n and g(n): C_n
-    -> c_n are chain maps and h(n): C_n -> C_{n+1} a homotopy, with g f = 1
-    and 1 - f g = D h + h D, so f and g are mutually inverse on homology.
-    critical lists, ascending, the positions in the kept slice of degree n
-    of the generators in c_n.
+    -> c_n are chain maps with g f = 1, and f g is homotopic to 1 by the
+    algebraic Morse theorem (_certify), so f and g are mutually inverse on
+    homology.  critical lists, ascending, the positions in the kept slice
+    of degree n of the generators in c_n.
     """
 
     differential: SparseIntMatrix
     f: SparseIntMatrix
     g: SparseIntMatrix
-    h: SparseIntMatrix
     critical: tuple[int, ...]
 
 
@@ -375,14 +377,48 @@ def _pairs(data: MonopoleData, flavor: Flavor, n: int):
             and i + top in above and i + bottom in below]
 
 
+@per_band_degree
+def _matching(data: MonopoleData, flavor: Flavor, n: int):
+    """The pairs down from degree n and down from n + 1 (_pairs), and the
+    critical positions of degree n: the kept ones that neither uses."""
+    down, up = _pairs(data, flavor, n), _pairs(data, flavor, n + 1)
+    paired = {i for i, _, _ in down} | {j for _, j, _ in up}
+    return down, up, tuple(p for p in range(len(_kept(data, flavor, n)))
+                           if p not in paired)
+
+
+@per_dataset
+def _unit_triangular(data: MonopoleData, parity: int) -> bool:
+    """The matching check on the Infinity template of D from degrees of
+    this parity: from each eta_a^k, the entry at its partner 1_a^(k-1) is
+    -1 and every other entry at a one falls to a lower grading.  So
+    A = D[U, M] is -1 on the pairs and unit-triangular in grading order.
+    A flavor's D is the template at its kept positions and its pairs are
+    the template's there (_pairs), so its A is the template's on matched
+    rows and columns, and unit-triangular too.  O(template entries)."""
+    rows = tuple(_infinity_cells(data, parity - 1))
+    cols = tuple(_infinity_cells(data, parity))
+    template = _template(data, _image_terms, 1, parity)
+    level = {p.id: p.grading for p in data.points}
+    suspect = [(rows[i][1] == cols[j][1], v) for (i, j, v) in template.entries
+               if rows[i][0] == KIND_ONE and cols[j][0] == KIND_ETA
+               and level[rows[i][1]] >= level[cols[j][1]]]
+    return suspect == [(True, -1)] * sum(c[0] == KIND_ETA for c in cols)
+
+
 def _flow(steps, chain: dict[int, int]):
-    """Cancel the chain's components on paired 1-generators by adding
-    multiples of their partners' boundaries; returns the chain left, which
-    has none, and the multiple added of each partner.  steps maps a paired
-    1-generator to (minus its grading, its partner, the partner's boundary).
-    A boundary meets other paired 1-generators only through m-couplings,
-    two gradings lower, so in order of decreasing grading each is cancelled
-    once and never comes back."""
+    """Cancel the chain's components on the paired positions steps names
+    by adding multiples of their partners' lines; returns the chain left
+    and the multiple added of each partner.  steps maps a paired position
+    to (its rank in the order of cancelling, its partner, the partner's
+    line, which is -1 there).  Down a column of D the paired positions are
+    1-generators, ranked by decreasing grading, and a line is a partner's
+    boundary; along a row of D they are etas, ranked by increasing
+    grading, and a line is a partner's row.  A line meets other paired
+    positions only through m-couplings, two gradings on in that order
+    (_unit_triangular), so each is cancelled once, none comes back, and
+    the chain left has none.  A position earlier in the order is never
+    queued again, so the flow ends on any input."""
     pending = {j for j in chain if j in steps}
     added = {}
     while pending:
@@ -390,101 +426,119 @@ def _flow(steps, chain: dict[int, int]):
         pending.remove(j)
         c = chain.pop(j, 0)
         if c:
-            _, partner, boundary = steps[j]
+            rank, partner, line = steps[j]
             added[partner] = c
-            for r, w in boundary.items():
+            for r, w in line.items():
                 if r != j:
-                    if r in steps:
+                    if r in steps and steps[r][0] > rank:
                         pending.add(r)
                     chain[r] = chain.get(r, 0) + c * w
     return chain, added
 
 
-def _columns(mat: SparseIntMatrix) -> dict[int, dict[int, int]]:
+def _lines(triples) -> dict[int, dict[int, int]]:
+    """{a: {b: v}} from (a, b, v) triples: a matrix's rows from its
+    entries, its columns from them transposed."""
     out: dict[int, dict[int, int]] = {}
-    for (i, j, v) in mat.entries:
-        out.setdefault(j, {})[i] = v
+    for (a, b, v) in triples:
+        out.setdefault(a, {})[b] = v
     return out
 
 
 def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     """The reduction of every band degree, not yet certified.
 
-    With M the paired etas of degree n, U their partners and A = D[U, M],
-    unit-triangular in grading order: D' = D[c, c] - D[c, M] A^-1 D[U, c],
-    f = i_c - i_M A^-1 D[U, c], g = p_c - D(n + 1)[c, M] A^-1 p_U and h =
-    i_M A^-1 p_U, each column read off one _flow, which adds -A^-1 of
-    what it cancels.  Degree n reads only n's parity and the kept positions
-    of degrees n - 2 to n + 1, so degrees that agree on these share one
+    With M the paired etas of degree n, U their partners, A = D[U, M],
+    unit-triangular in grading order, and c the critical generators:
+    D' = D[c, c] - D[c, M] A^-1 D[U, c], f = i_c - i_M A^-1 D[U, c] and
+    g = p_c - D(n + 1)[c, M] A^-1 p_U.  A critical generator's column of
+    D' and f is read off one _flow down its column of D(n), and its row of
+    g off one _flow along its row of D(n + 1); each adds -A^-1 of what it
+    cancels.  Degree n reads only n's parity and the kept positions of
+    degrees n - 2 to n + 1, so degrees that agree on these share one
     Reduction, built at the first of them from the pairs of degrees n - 1
     to n + 1 alone: Infinity, which keeps every position, builds two."""
     lo, hi = _band(data)
     key = {n: (n % 2, *(_kept(data, flavor, m) for m in range(n - 2, n + 2)))
            for n in range(lo, hi + 1)}
     first = {k: n for n, k in reversed(key.items())}
-    near = {n + d for n in first.values() for d in (-1, 0)}
-    pairs = {m: _pairs(data, flavor, m) for m in near | {m + 1 for m in near}}
-    columns = {m + 1: _columns(_differential(data, flavor, m + 1))
-               for m in near}
-    critical, steps = {}, {}
-    for m in near:
-        paired = {i for i, _, _ in pairs[m]} | {j for _, j, _ in pairs[m + 1]}
-        critical[m] = {p: c for c, p in enumerate(
-            p for p in range(len(_kept(data, flavor, m))) if p not in paired)}
-        steps[m] = {j: (-grading, i, columns[m + 1][i])
-                    for i, j, grading in pairs[m + 1]}
     built = {}
     for k, n in first.items():
-        crit, below = critical[n], critical[n - 1]
-        size = len(_kept(data, flavor, n))
-        d_red, f, g, h = [], [], [], []
-        for p, c in crit.items():
-            rest, added = _flow(steps[n - 1], dict(columns[n].get(p, {})))
+        d = _differential(data, flavor, n)
+        down_pairs, up_pairs, crit = _matching(data, flavor, n)
+        below = {p: c for c, p in enumerate(_matching(data, flavor, n - 1)[2])}
+        columns = _lines((j, i, v) for (i, j, v) in d.entries)
+        rows = _lines(_differential(data, flavor, n + 1).entries)
+        down = {j: (-grading, i, columns[i]) for i, j, grading in down_pairs}
+        along = {i: (grading, j, rows[j]) for i, j, grading in up_pairs}
+        d_red, f, g = [], [], []
+        for c, p in enumerate(crit):
+            rest, added = _flow(down, dict(columns.get(p, {})))
             d_red += [(below[r], c, v) for r, v in rest.items() if r in below]
             f += [(p, c, 1), *((i, c, v) for i, v in added.items())]
-        g += [(c, p, 1) for p, c in crit.items()]
-        for p in steps[n]:
-            rest, added = _flow(steps[n], {p: 1})
-            g += [(crit[r], p, v) for r, v in rest.items() if r in crit]
-            h += [(i, p, -v) for i, v in added.items()]
+            _, added = _flow(along, dict(rows.get(p, {})))
+            g += [(c, p, 1), *((c, j, v) for j, v in added.items())]
         built[k] = Reduction(
             SparseIntMatrix.from_entries(len(below), len(crit), d_red),
-            SparseIntMatrix.from_entries(size, len(crit), f),
-            SparseIntMatrix.from_entries(len(crit), size, g),
-            SparseIntMatrix.from_entries(
-                len(_kept(data, flavor, n + 1)), size, h),
-            tuple(crit))
+            SparseIntMatrix.from_entries(d.cols, len(crit), f),
+            SparseIntMatrix.from_entries(len(crit), d.cols, g), crit)
     return {n: built[k] for n, k in key.items()}
 
 
 def _certify(data: MonopoleData, flavor: Flavor,
              table: dict[int, Reduction]) -> None:
     """Prove that table, read as _reduced reads it, reduces the flavor's
-    complex, with exact sparse products and no memo of its own: at each
-    degree n from lo - 1 to hi + 1 whose (D(n), D(n + 1), reduction at
-    n - 1, reduction at n) is new by content, D f = f D', g D = D' g, g f =
-    1 and 1 - f g = D h + h D.  Those degrees repeat with period two beyond
-    lo - 1 and hi + 1, so this proves every degree.  Raises CheckFailed at
-    the first degree where an identity fails."""
+    complex, with exact sparse products and no memo of its own.
+
+    With M, U, A and c as in _reduce, at each degree n:
+    - A is -1 on the pairs and unit-triangular (_unit_triangular);
+    - critical lists the kept positions that no pair uses;
+    - f[c] = 1 and f[U] = 0, g[., c] = 1 and g[., M] = 0;
+    - D f = f D', g D = D' g and g f = 1.
+    Given the rest, D f = f D' has f[M] = -A^-1 D[U, c] and D' = (D f)[c]
+    as its only solution, and g D = D' g has g[., U] = -D[c, M] A^-1: so
+    D', f and g are the Morse data of an acyclic matching.  The algebraic
+    Morse theorem (Skoldberg, Trans. AMS 358 (2006); Kozlov, C. R. Acad.
+    Sci. Paris 340 (2005)) then gives a homotopy from f g to 1: a theorem
+    replaces the product check of the homotopy identity, and no homotopy
+    is built.  Degree n reads n's parity, the kept positions of
+    n - 1 to n + 1 and the reductions at n - 1 and n; it is checked from
+    lo - 1 to hi + 1 when these are new by content.  They repeat with
+    period two beyond, so this proves every degree.  Raises CheckFailed at
+    the first degree where a check fails."""
     lo, hi = _band(data)
     seen = set()
     for n in range(lo - 1, hi + 2):
-        matrices = d, d_next, below, here = (
-            _differential(data, flavor, n), _differential(data, flavor, n + 1),
-            table[_band_degree(data, n - 1)], table[_band_degree(data, n)])
-        if matrices in seen:
+        kept = tuple(_kept(data, flavor, m) for m in (n - 1, n, n + 1))
+        below, here = (table[_band_degree(data, m)] for m in (n - 1, n))
+        reads = n % 2, kept, below, here
+        if reads in seen:
             continue
-        seen.add(matrices)
-        identities = (
+        seen.add(reads)
+        d = _differential(data, flavor, n)
+        down, up, crit = _matching(data, flavor, n)
+        # each kept position is critical, in M or in U: off M, f is 1 on
+        # the critical ones and 0 elsewhere, and so is g off U
+        tops, bottoms = {i for i, _, _ in down}, {j for _, j, _ in up}
+        units = {(p, c, 1) for c, p in enumerate(crit)}
+        checks = (
+            ("a unit-triangular matching",
+             lambda: _unit_triangular(data, n % 2)),
+            ("critical = the unpaired positions",
+             lambda: here.critical == crit),
+            ("f[c] = 1, f[U] = 0", lambda: {
+                (i, c, v) for (i, c, v) in here.f.entries
+                if i not in tops} == units),
+            ("g[., c] = 1, g[., M] = 0", lambda: {
+                (j, c, v) for (c, j, v) in here.g.entries
+                if j not in bottoms} == units),
             ("D f = f D'", lambda: d.mul(here.f) == below.f.mul(
                 here.differential)),
             ("g D = D' g", lambda: below.g.mul(d) == here.differential.mul(
                 here.g)),
             ("g f = 1", lambda: _sums_to_identity(here.g.mul(here.f))),
-            ("1 - f g = D h + h D", lambda: _sums_to_identity(
-                here.f.mul(here.g), d_next.mul(here.h), below.h.mul(d))),
         )
-        for name, holds in identities:
+        for name, holds in checks:
             try:
                 ok = holds()
             except ValueError:  # shapes that do not compose

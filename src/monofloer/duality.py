@@ -222,11 +222,13 @@ def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
     """Degree-n cohomology: the kernel of transpose(D at n + 1), since the
     transposed differential raises degree by one, modulo the image of
-    transpose(D at n), read on the certified reduction.  Transposing its
-    identities D f = f D', g D = D' g, g f = 1 and 1 - f g = D h + h D
-    makes (g^T, f^T, h^T) a reduction of the cochain complex, so D' gives
-    the same groups; Hat and NonEquivariant have no pairs, and
-    _reduced_differential returns their own D."""
+    transpose(D at n), read on the certified reduction.  Its identities
+    D f = f D', g D = D' g and g f = 1 transpose, and so does the Morse
+    theorem that replaces a homotopy check (complexes._certify): the
+    transposed matching is unit-triangular too.  So (g^T, f^T) is a
+    reduction of the cochain complex, and D' gives the same groups; Hat
+    and NonEquivariant have no pairs, and _reduced_differential returns
+    their own D."""
     delta_out = _reduced_differential(data, flavor, n + 1).transpose()
     delta_in = _reduced_differential(data, flavor, n).transpose()
     return _quotient(data, _kernel(data, delta_out), delta_in).invariants

@@ -460,7 +460,12 @@ class Lattice:
 
 def kernel_basis(mat: SparseIntMatrix) -> Lattice:
     """ker(mat) with a primitive basis, the columns of V past the rank; the
-    coordinates of v are those rows of V^-1 * v."""
+    coordinates of v are those rows of V^-1 * v.  A matrix with no entries
+    is its own Smith form, with V = 1, so its kernel is read off its
+    shape."""
+    if not mat.entries:
+        unit = SparseIntMatrix.identity(mat.cols)
+        return Lattice(unit, unit)
     f = _Factorization(mat)
     basis, pre = f.v[f.rank:], f.v_inv[f.rank:]
     return Lattice(_matrix(mat.cols, len(basis), zip(*basis)),
@@ -502,7 +507,8 @@ class QuotientPresentation:
     Z is a `Lattice`; B's columns must lie in it.  B is mapped to
     coordinates in Z with one sparse product, and generators are read off the
     Smith form of that coordinate matrix, in Smith order, skipping the
-    trivial factors.
+    trivial factors.  A coordinate matrix with no entries is its own Smith
+    form, with identity transforms, and is not factored.
     """
 
     __slots__ = ("lattice", "invariants", "generators", "_orders",
@@ -515,19 +521,24 @@ class QuotientPresentation:
                 "a column is not an integral combination of the numerator "
                 "basis")
         rank = lattice.basis.cols
-        fx = _Factorization(coords)
-        orders = fx.diag + [0] * (rank - fx.rank)
+        if coords.entries:
+            fx = _Factorization(coords)
+            diag, u, u_inv = fx.diag, fx.u, fx.u_inv
+        else:
+            diag, u = [], _identity(rank)
+            u_inv = u
+        orders = diag + [0] * (rank - len(diag))
         kept = [k for k, d in enumerate(orders) if d != 1]
         orders = [orders[k] for k in kept]
         self.lattice = lattice
         self.invariants = AbelianGroupInvariants(
             orders.count(0), tuple(d for d in orders if d > 1))
         self.generators = tuple(
-            HomologyGenerator(d, tuple(lattice.basis.apply(fx.u_inv[k])))
+            HomologyGenerator(d, tuple(lattice.basis.apply(u_inv[k])))
             for k, d in zip(kept, orders))
         self._orders = orders
         self._to_generators = _matrix(
-            len(kept), rank, (fx.u[k] for k in kept))
+            len(kept), rank, (u[k] for k in kept))
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Whether vec lies in span(Z), the numerator lattice."""

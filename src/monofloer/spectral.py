@@ -24,6 +24,7 @@ from .complexes import (
     _band,
     _differential,
     _kept,
+    _matching,
     _reduced,
     _reduced_differential,
     checked_window,
@@ -106,21 +107,26 @@ def _critical_filtrations(data: MonopoleData, flavor: Flavor,
 @per_dataset
 def _check_filtered(data: MonopoleData, flavor: Flavor) -> None:
     """Pages past the first are read on the certified reduction, which
-    fixes them only if it is filtered: every cancelled pair sits at one
-    point, so no entry of D', f, g or h may raise filtration.  Tests every
-    entry of every band degree; raises CheckFailed at the first degree
-    where one does."""
+    fixes them only if it is filtered.  It is when no entry of D', f or g
+    raises filtration and every cancelled pair lies in one filtration, as
+    a pair at one point does: then the homotopy the Morse theorem gives
+    keeps filtration too (Mischaikow and Nanda, Discrete Comput. Geom. 50
+    (2013)).  Tests every pair and every entry of every band degree;
+    raises CheckFailed at the first degree where one fails."""
     lo, hi = _band(data)
     for n in range(lo, hi + 1):
         red = _reduced(data, flavor, n)
         full = _filtrations(data, flavor, n)
+        below = _filtrations(data, flavor, n - 1)
+        if any(full[i] != below[j]
+               for i, j, _ in _matching(data, flavor, n)[0]):
+            raise CheckFailed(n, "a cancelled pair spans two filtrations")
         crit = _critical_filtrations(data, flavor, n)
         for name, mat, rows, cols in (
                 ("D'", red.differential,
                  _critical_filtrations(data, flavor, n - 1), crit),
                 ("f", red.f, full, crit),
-                ("g", red.g, crit, full),
-                ("h", red.h, _filtrations(data, flavor, n + 1), full)):
+                ("g", red.g, crit, full)):
             if any(rows[i] > cols[j] for i, j, _ in mat.entries):
                 raise CheckFailed(
                     n, f"the reduction's {name} raises filtration")

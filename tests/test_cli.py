@@ -326,7 +326,7 @@ def test_spectral_reports_a_prediction_outside_its_cell(tmp_path, capsys,
     assert "FAIL" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field", ["f", "h"])
+@pytest.mark.parametrize("field", ["f", "g"])
 def test_spectral_reports_a_reduction_that_raises_filtration(
         tmp_path, capsys, monkeypatch, field):
     from test_spectral import patch_reduction, raising_reduction

@@ -446,6 +446,34 @@ def test_d_squared_without_a_window_checks_the_default_one():
         check_d_squared(wide, Flavor.PLUS, None)
 
 
+def test_d_squared_scan_forms_no_product_past_the_band(monkeypatch, work):
+    """On invalid data the template identity fails and the window is
+    scanned.  Its products are memoised by content, so (-1000, 1000) forms
+    as many as the default window, and the scan still stops at the first
+    degree of the window where D D does not vanish."""
+    import monofloer.complexes as complexes
+
+    real = complexes._differential
+    read = []
+    monkeypatch.setattr(complexes, "_differential", lambda data, flavor, n:
+                        read.append(n) or real(data, flavor, n))
+    for flavor in ALL_FLAVORS:
+        counts = []
+        for window in (default_window(invalid_instance()), (-1000, 1000)):
+            data = invalid_instance()
+            lo, hi = window
+            first = next((n for n in range(lo, hi + 1) if not real(
+                data, flavor, n - 1).mul(real(data, flavor, n)).is_zero()),
+                None)
+            data = invalid_instance()
+            work.clear()
+            read.clear()
+            holds = check_d_squared(data, flavor, window)
+            counts.append(work["mul"])
+            assert (None if holds else read[-1]) == first, (flavor, window)
+        assert counts[0] == counts[1], flavor
+
+
 # -- the certified reduction ------------------------------------------------
 
 def _drop_first(mat):
@@ -458,7 +486,7 @@ def _flip_first(mat):
 
 
 # a broken reduction: the field of one band degree and how it is broken
-BROKEN_REDUCTIONS = {"h drops an entry": ("h", _drop_first),
+BROKEN_REDUCTIONS = {"g drops an entry": ("g", _drop_first),
                      "f flips a sign": ("f", _flip_first)}
 
 
@@ -491,14 +519,16 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
 @pytest.mark.parametrize("data", [*curated_instances(),
                                   performance_instance()],
                          ids=lambda data: data.name)
-def test_infinity_certificate_forms_sixteen_products(data, work):
+def test_infinity_certificate_forms_ten_products(data, work):
     """Infinity keeps every position, so its certificate reads two distinct
-    tuples of matrices, one per parity: each new tuple forms the four
-    identities' eight products, and a repeated tuple forms none."""
+    tuples of matrices, one per parity: each new tuple forms the three
+    identities' five products, and a repeated tuple forms none.  The
+    matching, the critical positions and the unit blocks of f and g are
+    checked without a product."""
     table = _reduce(data, Flavor.INFINITY)
     work.clear()
     _certify(data, Flavor.INFINITY, table)
-    assert work["mul"] == 16
+    assert work["mul"] == 10
 
 
 def _extra_row(mat):
@@ -512,8 +542,8 @@ def _extra_column(mat):
 @pytest.mark.parametrize("field, breaking", [
     # D f no longer composes: the product's ValueError is a failure
     ("f", _extra_row),
-    # D h + h D is no longer square, so it sums to no identity
-    ("h", _extra_column)])
+    # g D and D' g compose but differ in shape
+    ("g", _extra_column)])
 def test_certificate_rejects_a_misshapen_reduction(field, breaking):
     data = performance_instance()
     broken, n = _broken(data, _reduce(data, Flavor.PLUS), field, breaking)
@@ -561,6 +591,138 @@ def test_certificate_rejects_a_phantom_critical_generator():
     assert info.value.degree == n
 
 
+def test_certificate_rejects_critical_positions_that_a_pair_uses():
+    data = performance_instance()
+    table = _reduce(data, Flavor.PLUS)
+    lo, _ = _band(data)
+    n = next(n for n in sorted(table) if n > lo + 1 and table[n].critical)
+    broken = {**table, n: table[n]._replace(
+        critical=tuple(p + 1 for p in table[n].critical))}
+    with pytest.raises(CheckFailed, match="critical = the unpaired") as info:
+        _certify(data, Flavor.PLUS, broken)
+    assert info.value.degree == n
+
+
+def test_a_broken_g_entry_on_a_paired_column_fails_the_next_degree():
+    """g(n)[., U] is pinned by g D = D' g at degree n + 1, where g(n) is
+    the reduction below: dropping such an entry fails there."""
+    data = by_name("tail-chain")
+    table = _reduce(data, Flavor.INFINITY)
+    lo, _ = _band(data)
+    n, entry = next((n, e) for n in sorted(table) if n > lo + 1
+                    for e in table[n].g.entries
+                    if e[1] not in table[n].critical)
+    g = table[n].g
+    broken = {**table, n: table[n]._replace(g=SparseIntMatrix(
+        g.rows, g.cols, tuple(e for e in g.entries if e != entry)))}
+    with pytest.raises(CheckFailed, match=re.escape("g D = D' g")) as info:
+        _certify(data, Flavor.INFINITY, broken)
+    assert info.value.degree == n + 1
+
+
+def _homotopic(data, table, field):
+    """A band degree n above lo + 1 and a copy of table with f(n) or g(n)
+    moved by a chain homotopy that D f = f D', g D = D' g and g f = 1 all
+    accept.  f becomes f + D(n + 1) s, with s sending a critical generator
+    to a paired eta of degree n + 1, where D'(n + 1) = 0; g becomes
+    g + t D(n), with t sending a paired one of degree n - 1 to a critical
+    generator, where D'(n) = 0.  The line of D chosen meets no critical
+    position, so f[c] = 1 and g[., c] = 1 still hold; it meets the partner
+    of its pair, so f[U], or g[., M], is no longer zero."""
+    from monofloer.complexes import _differential, _pairs
+
+    lo, _ = _band(data)
+    for n in sorted(table):
+        crit = table[n].critical
+        if n <= lo + 1 or not crit or n + 1 not in table:
+            continue
+        if field == "f" and table[n + 1].differential.is_zero():
+            d = _differential(data, Flavor.PLUS, n + 1)
+            lines = {i: [(r, v) for (r, j, v) in d.entries if j == i]
+                     for i, _, _ in _pairs(data, Flavor.PLUS, n + 1)}
+        elif field == "g" and table[n].differential.is_zero():
+            d = _differential(data, Flavor.PLUS, n)
+            lines = {j: [(c, v) for (r, c, v) in d.entries if r == j]
+                     for _, j, _ in _pairs(data, Flavor.PLUS, n)}
+        else:
+            continue
+        line = next((line for line in lines.values()
+                     if not any(p in crit for p, _ in line)), None)
+        if line is not None:
+            mat = getattr(table[n], field)
+            moved = [(p, 0, v) if field == "f" else (0, p, v)
+                     for p, v in line]
+            return n, {**table, n: table[n]._replace(**{
+                field: SparseIntMatrix.from_entries(
+                    mat.rows, mat.cols, [*mat.entries, *moved])})}
+    raise AssertionError("no degree admits the homotopy")
+
+
+@pytest.mark.parametrize("field, check", [("f", "f[c] = 1, f[U] = 0"),
+                                          ("g", "g[., c] = 1, g[., M] = 0")])
+def test_a_homotopic_f_or_g_fails_its_unit_block(field, check):
+    """The three identities hold for every map chain homotopic to f, or
+    g, through the pairs; only f[U] = 0, or g[., M] = 0, pins the Morse
+    data the theorem needs."""
+    data = performance_instance()
+    table = _reduce(data, Flavor.PLUS)
+    n, broken = _homotopic(data, table, field)
+    with pytest.raises(CheckFailed, match=re.escape(check)) as info:
+        _certify(data, Flavor.PLUS, broken)
+    assert info.value.degree == n
+
+
+def _with_rule(monkeypatch, extra):
+    """complexes._image_terms with the terms of extra(gen) added to gen's
+    boundary, or put in place of those with the same target."""
+    import monofloer.complexes as complexes
+
+    real = complexes._image_terms
+
+    def rule(data, gen):
+        terms = dict(real(data, gen))
+        terms.update(extra(gen))
+        return list(terms.items())
+
+    monkeypatch.setattr(complexes, "_image_terms", rule)
+
+
+@pytest.mark.parametrize("flavor", REDUCED_FLAVORS)
+def test_a_pair_whose_entry_is_not_minus_one_fails_the_matching(
+        monkeypatch, flavor):
+    """eta_a^k -> 1_a^(k-1) with +1, a unit but not -1: the matching check
+    fails at the first degree that reads the template of a's parity."""
+    data = performance_instance()
+    point = data.points[11]
+    _with_rule(monkeypatch, lambda gen: [
+        (Generator(KIND_ONE, point.id, gen.k - 1), 1)]
+        if (gen.kind, gen.point) == (KIND_ETA, point.id) else [])
+    lo, _ = _band(data)
+    with pytest.raises(CheckFailed, match="unit-triangular matching") as info:
+        _reduction(data, flavor)
+    assert info.value.degree == lo - 1 + (lo - 1 - point.grading) % 2
+
+
+def test_a_cyclic_matching_fails_the_matching(monkeypatch):
+    """Two points of one grading whose etas each meet the other's partner:
+    A = [[-1, 2], [1, -1]] is invertible over Z, but the matching is
+    cyclic, so no homotopy need exist.  The flows still end, and the
+    matching check fails at the first degree of the certificate."""
+    data = MonopoleData.build("twins", [("a", 1), ("b", 1), ("c", 0)],
+                              n=[("a", "c", 1), ("b", "c", 1)])
+    other = {"a": ("b", 2), "b": ("a", 1)}
+    _with_rule(monkeypatch, lambda gen: [
+        (Generator(KIND_ONE, other[gen.point][0], gen.k - 1),
+         other[gen.point][1])] if gen.kind == KIND_ETA
+        and gen.point in other else [])
+    lo, _ = _band(data)
+    for flavor in REDUCED_FLAVORS:
+        with pytest.raises(CheckFailed,
+                           match="unit-triangular matching") as info:
+            _reduction(data, flavor)
+        assert info.value.degree == lo - 1 + (lo - 1 - 1) % 2
+
+
 def test_only_a_square_sum_is_the_identity():
     eye = SparseIntMatrix.from_entries(2, 2, [(0, 0, 1), (1, 1, 1)])
     wide = SparseIntMatrix(2, 3, eye.entries)
@@ -572,9 +734,9 @@ def test_only_a_square_sum_is_the_identity():
 # a reduction broken under the CLI: its flavor, how it is broken, and the
 # verify-all checks that read that flavor's reduction
 CLI_BROKEN = {
-    "h drops an entry": (Flavor.PLUS, "h drops an entry"),
+    "g drops an entry": (Flavor.PLUS, "g drops an entry"),
     "f flips a sign": (Flavor.PLUS, "f flips a sign"),
-    "Infinity, h drops an entry": (Flavor.INFINITY, "h drops an entry"),
+    "Infinity, g drops an entry": (Flavor.INFINITY, "g drops an entry"),
 }
 READERS = {
     Flavor.PLUS: ("les-main", "reduced-comparison", "les-hat", "structure",
@@ -650,16 +812,18 @@ def _tables_digest(tables):
     for table in tables:
         for n in sorted(table):
             red = table[n]
-            for mat in (red.differential, red.f, red.g, red.h):
+            digest.update(repr((n, red.critical)).encode())
+            for mat in (red.differential, red.f, red.g):
                 digest.update(repr((n, mat.rows, mat.cols,
                                     mat.entries)).encode())
     return digest.hexdigest()
 
 
-# the Minus, Infinity and Plus tables of the curated datasets and the
-# 50-point instance, as built when every band degree built its own
+# D', f, g and critical of the Minus, Infinity and Plus tables of the
+# curated datasets and the 50-point instance, as built when g was read off
+# one flow per paired one-generator, together with a homotopy h
 REDUCTION_TABLES = \
-    "02fb8d249d3d39685a9b077af895e3df463297b40b5c488dc9781d4eb1598979"
+    "ff9c73e3be8de70a0e422e289f4f6ef90f8a0f018667f3b99973662d6dfb327e"
 
 
 def test_infinity_builds_one_reduction_per_parity():
@@ -689,8 +853,8 @@ def test_reduce_builds_only_what_a_new_key_needs(monkeypatch):
 
 def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
     """Forty points in one m-chain with m = 3: cancelling the pairs of a
-    degree multiplies the couplings along the chain, up to 3^39 (62 bits),
-    and the reduced homology stays exact."""
+    degree multiplies the couplings along the chain, up to 3^39 (62 bits)
+    in f and g, and the reduced homology stays exact."""
     from monofloer.homology import presentation_at
     from monofloer.sequences import check_les_main
 
@@ -708,6 +872,6 @@ def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
                 oracle.oracle_homology_at(blob, flavor.value, n), (flavor, n)
     largest = max(abs(v) for flavor in REDUCED_FLAVORS
                   for red in _reduction(data, flavor).values()
-                  for mat in (red.differential, red.f, red.g, red.h)
+                  for mat in (red.differential, red.f, red.g)
                   for (_, _, v) in mat.entries)
     assert largest > 2 ** 60

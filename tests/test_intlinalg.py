@@ -453,9 +453,38 @@ def test_presentation_over_a_kernel_factors_once(work):
                                  for _ in range(lattice.basis.cols)], cols=3))
         work.clear()
         QuotientPresentation(lattice, b)
-        # only the coordinate matrix is reduced; the kernel is not factored
-        # again and no column is solved on its own
-        assert work["factorizations"] == 1
+        # only the coordinate matrix is reduced, and only when it has
+        # entries; the kernel is not factored again and no column is
+        # solved on its own
+        assert work["factorizations"] == (1 if b.entries else 0)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_a_matrix_with_no_entries_is_answered_from_its_shape(work, rows,
+                                                             cols):
+    """kernel_basis of a matrix with no entries, and a quotient whose
+    coordinate matrix has none, factor nothing.  Each equals by content
+    what the Smith route gives, a zero matrix being its own Smith form
+    with identity transforms, and the dense oracle agrees."""
+    from monofloer.intlinalg import _Factorization, _matrix
+
+    mat = SparseIntMatrix.zero(rows, cols)
+    smith = _Factorization(mat)
+    work.clear()
+    lattice = kernel_basis(mat)
+    assert (lattice.basis, lattice.coordinates(SparseIntMatrix.identity(
+        cols))) == (_matrix(cols, cols, zip(*smith.v)),
+                    _matrix(cols, cols, smith.v_inv))
+    assert [list(c) for c in lattice.basis.columns()] == \
+        oracle.dense_kernel_basis(mat.to_dense(), cols)
+    pres = QuotientPresentation(lattice, SparseIntMatrix.zero(cols, 2))
+    assert work["factorizations"] == 0
+    assert pres.invariants == AbelianGroupInvariants(cols)
+    assert [(g.order, g.vector) for g in pres.generators] == [
+        (0, tuple(line)) for line in _Factorization(
+            SparseIntMatrix.zero(cols, 2)).u_inv]
+    vec = list(range(1, cols + 1))
+    assert pres.coordinate_of(vec) == tuple(vec)
 
 
 def test_each_transform_carries_its_inverse():

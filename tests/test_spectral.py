@@ -339,14 +339,13 @@ def test_page_zero_cells_are_free_on_unit_vectors():
 
 
 def raising_reduction(data, field):
-    """The first band degree n where the Plus reduction's f, or h, has a
+    """The first band degree n where the Plus reduction's f, or g, has a
     slot that raises filtration, and that reduction with a 1 put there."""
     lo, hi = _band(data)
     for n in range(lo, hi + 1):
         full = _filtrations(data, Flavor.PLUS, n)
-        rows, cols = {
-            "f": (full, _critical_filtrations(data, Flavor.PLUS, n)),
-            "h": (_filtrations(data, Flavor.PLUS, n + 1), full)}[field]
+        crit = _critical_filtrations(data, Flavor.PLUS, n)
+        rows, cols = {"f": (full, crit), "g": (crit, full)}[field]
         slot = next(((i, j) for i, a in enumerate(rows)
                      for j, b in enumerate(cols) if a > b), None)
         if slot is not None:
@@ -368,13 +367,40 @@ def patch_reduction(monkeypatch, n, broken):
         if (flavor, m) == (Flavor.PLUS, n) else real(data, flavor, m))
 
 
-@pytest.mark.parametrize("field", ["f", "h"])
+@pytest.mark.parametrize("field", ["f", "g"])
 def test_a_reduction_that_raises_filtration_fails(monkeypatch, field):
     n, broken = raising_reduction(by_name("tail-chain"), field)
     patch_reduction(monkeypatch, n, broken)
     with pytest.raises(CheckFailed,
                        match=f"reduction's {field} raises filtration") as info:
         spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
+    assert info.value.degree == n
+
+
+def test_a_pair_across_two_filtrations_fails(monkeypatch):
+    """The filtration check reads the cancelled pairs too: one that joins
+    generators of two filtrations fails at its degree, although D', f and
+    g keep filtration."""
+    import monofloer.spectral as spectral
+
+    data = by_name("tail-chain")
+    real = spectral._matching
+    lo, hi = _band(data)
+    for n in range(lo, hi + 1):
+        below = _filtrations(data, Flavor.PLUS, n - 1)
+        pairs, up, crit = real(data, Flavor.PLUS, n)
+        other = next((j for j, f in enumerate(below) if pairs
+                      and f != below[pairs[0][1]]), None)
+        if other is not None:
+            break
+    (i, _, grading), *rest = pairs
+    crossed = [(i, other, grading), *rest], up, crit
+    monkeypatch.setattr(spectral, "_matching", lambda data, flavor, m: crossed
+                        if (flavor, m) == (Flavor.PLUS, n)
+                        else real(data, flavor, m))
+    with pytest.raises(CheckFailed,
+                       match="pair spans two filtrations") as info:
+        spectral_pages(data, Flavor.PLUS, 3)
     assert info.value.degree == n
 
 

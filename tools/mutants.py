@@ -144,7 +144,7 @@ MUTANTS = (
            ("tests/test_duality.py::"
             "test_a_replaced_hat_pairing_is_checked",)),
     Mutant("certify-first-degree-only", "complexes.py",
-           "        if matrices in seen:",
+           "        if reads in seen:",
            "        if seen:",
            ("tests/test_complexes.py::"
             "test_certificate_rejects_a_broken_reduction",)),
@@ -173,10 +173,37 @@ MUTANTS = (
            "lambda: _sums_to_identity(here.g.mul(here.f))",
            "lambda: True",
            ("tests/test_complexes.py",)),
-    Mutant("certify-skips-homotopy", "complexes.py",
-           "(\"1 - f g = D h + h D\", lambda: _sums_to_identity(",
-           "(\"1 - f g = D h + h D\", lambda: True or _sums_to_identity(",
-           ("tests/test_complexes.py",)),
+    # the matching check and the unit blocks that pin the Morse data
+    Mutant("matching-accepts-any-pair-entry", "complexes.py",
+           "    suspect = [(rows[i][1] == cols[j][1], v)",
+           "    suspect = [(rows[i][1] == cols[j][1], -1)",
+           ("tests/test_complexes.py::"
+            "test_a_pair_whose_entry_is_not_minus_one_fails_the_matching",)),
+    Mutant("matching-triangularity-unchecked", "complexes.py",
+           "               and level[rows[i][1]] >= level[cols[j][1]]]",
+           "               and rows[i][1] == cols[j][1]]",
+           ("tests/test_complexes.py::"
+            "test_a_cyclic_matching_fails_the_matching",)),
+    Mutant("certify-critical-unchecked", "complexes.py",
+           "             lambda: here.critical == crit),",
+           "             lambda: True),",
+           ("tests/test_complexes.py::"
+            "test_certificate_rejects_critical_positions_that_a_pair_uses",)),
+    Mutant("certify-f-ignores-u", "complexes.py",
+           "                if i not in tops} == units),",
+           "                if i in crit} == units),",
+           ("tests/test_complexes.py::"
+            "test_a_homotopic_f_or_g_fails_its_unit_block",)),
+    Mutant("certify-g-ignores-m", "complexes.py",
+           "                if j not in bottoms} == units),",
+           "                if j in crit} == units),",
+           ("tests/test_complexes.py::"
+            "test_a_homotopic_f_or_g_fails_its_unit_block",)),
+    _drop("filtration-pairs-unchecked", "spectral.py",
+          "        if any(full[i] != below[j]\n"
+          "               for i, j, _ in _matching(data, flavor, n)[0]):",
+          ("tests/test_spectral.py::"
+           "test_a_pair_across_two_filtrations_fails",)),
     _drop("filtration-unchecked", "spectral.py",
           "            if any(rows[i] > cols[j] for i, j, _ in mat.entries):",
           ("tests/test_spectral.py",)),
