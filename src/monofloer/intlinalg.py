@@ -475,7 +475,12 @@ def kernel_basis(mat: SparseIntMatrix) -> Lattice:
 def column_space_basis(mat: SparseIntMatrix) -> Lattice:
     """The column lattice of mat with the independent basis: the first rank
     columns of U^-1, each times its diagonal entry; the coordinates of v
-    are those rows of U * v, each divided by its diagonal entry."""
+    are those rows of U * v, each divided by its diagonal entry.  A matrix
+    with no entries has rank 0, so its column lattice, zero, is read off
+    its shape."""
+    if not mat.entries:
+        return Lattice(SparseIntMatrix.zero(mat.rows, 0),
+                       SparseIntMatrix.zero(0, mat.rows))
     f = _Factorization(mat)
     basis = [[x * d for x in line] for line, d in zip(f.u_inv, f.diag)]
     return Lattice(_matrix(mat.rows, f.rank, zip(*basis)),

@@ -37,7 +37,6 @@ from .homology import graded_homology, homology_at, presentation_at, \
 from .intlinalg import (
     AbelianGroupInvariants,
     ContainmentError,
-    HomologyGenerator,
     Lattice,
     QuotientPresentation,
     SparseIntMatrix,
@@ -166,10 +165,24 @@ def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
     return hstack(below, above)
 
 
-class _FreeCell(NamedTuple):
-    """A free cell on unit vectors: a page-0 cell, or the zero cell."""
+class _UnitGenerator(NamedTuple):
+    """A page-0 generator: free, on the unit vector of one kept position of
+    a slice of the given length, which is built only when read."""
 
-    generators: tuple[HomologyGenerator, ...]
+    position: int
+    length: int
+    order = 0
+
+    @property
+    def vector(self) -> tuple[int, ...]:
+        return tuple(int(i == self.position) for i in range(self.length))
+
+
+class _FreeCell(NamedTuple):
+    """A free cell: a page-0 cell on the unit generators of its kept
+    positions, or the zero cell."""
+
+    generators: tuple[_UnitGenerator, ...]
     invariants: AbelianGroupInvariants
 
 
@@ -214,11 +227,10 @@ def _live_cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
     p.  A later page is read on the certified reduction, a filtered
     homotopy equivalence, which fixes every page past the first."""
     if r == 0:
-        zero = (0,) * len(_filtrations(data, flavor, n))
+        length = len(_filtrations(data, flavor, n))
         at = _positions(data, flavor, n)[p]
-        return _FreeCell(tuple(HomologyGenerator(
-            0, zero[:j] + (1,) + zero[j + 1:]) for j in at),
-            AbelianGroupInvariants(len(at)))
+        return _FreeCell(tuple(_UnitGenerator(j, length) for j in at),
+                         AbelianGroupInvariants(len(at)))
     return _quotient(data, _a_lattice(data, flavor, n, p, r),
                      _den_lattice(data, flavor, r, p, n))
 
@@ -299,14 +311,10 @@ def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,
         return False
     if not (second.entries and first.entries):
         return True
-    product = second.mul(first)
-    for (i, _, v) in product.entries:
-        if orders[i] == 0:
-            if v != 0:
-                return False
-        elif v % orders[i] != 0:
-            return False
-    return True
+    # an entry is never zero, so it vanishes only on a torsion row whose
+    # order divides it
+    return all(orders[i] and v % orders[i] == 0
+               for i, _, v in second.mul(first).entries)
 
 
 def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
@@ -352,14 +360,20 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     Cells cover the filtration levels present in the data crossed with the
     default degree window.  Page 0 is read off the complex, later pages
     off its certified reduction, once _check_filtered has shown that the
-    reduction keeps the filtration.  Each page looks up once per degree
-    the filtrations that hold a generator, and builds and memoises only
-    those cells, and only the differentials between two cells with
-    generators; every other cell is _EMPTY and every other differential
-    the shared zero of its shape.  Every page is checked: composing
-    consecutive differentials yields zero, even pages past the first carry
-    no differential, and on Plus the page-3 maps into the reducible tower
-    match the coefficient-product formula.
+    reduction keeps the filtration.  up_to_r must be an int, not a bool.
+
+    Each page fills its grid in bulk with the trivial group and the
+    shared 0 x 0 zero, then walks, in grid order, only its live keys:
+    those whose cell, or whose differential's target, holds a generator
+    (_generators_at).  There it builds the cell and the differential:
+    _live_dr_matrix when both cells have generators, and otherwise the
+    shared zero whose shape is the two cells' generator counts.  Every
+    page is checked: a differential with entries composes to zero with
+    its follower, the page's own d_r out of its target, which is formed
+    only where the follower has entries too, since a zero factor gives a
+    zero composite; even pages past the first carry no differential; and
+    on Plus the page-3 maps into the reducible tower match the
+    coefficient-product formula.
     """
     lo, hi = checked_window(data, None)
     if flavor not in _PAGE_FLAVORS:
@@ -367,38 +381,39 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
             "spectral pages exist for the infinity and plus flavors only")
     levels = _filtration_levels(data)
     cap = max_page(data)
-    if not 0 <= up_to_r <= cap:
-        raise InvalidInput(f"page bound must lie in [0, {cap}] for this data")
+    if type(up_to_r) is not int or not 0 <= up_to_r <= cap:
+        raise InvalidInput(f"page bound must be an integer in [0, {cap}]")
     _check_filtered(data, flavor)
 
     window = range(lo, hi + 1)
+    grid = [(p, n - p) for p in levels for n in window]
     pages = []
     for r in range(up_to_r + 1):
-        live = {n: _generators_at(data, flavor, r, n) for n in window}
-        built, cells, diffs = {}, {}, {}
-        for p in levels:
-            for n in window:
-                key = (p, n - p)
-                built[key] = cell = (_live_cell(data, flavor, r, p, n)
-                                     if p in live[n] else _EMPTY)
-                cells[key] = cell.invariants
-                diffs[key] = _dr_matrix(data, flavor, r, p, n)
-        for (p, q), mat in diffs.items():
+        cells = dict.fromkeys(grid, TRIVIAL)
+        diffs = dict.fromkeys(grid, _zero(data, 0, 0))
+        live = set()  # the keys whose source or target holds a generator
+        for n in window:
+            live.update((p, n - p) for p in _generators_at(data, flavor, r, n))
+            live.update((p + r, n - p - r) for p in
+                        _generators_at(data, flavor, r, n - 1))
+        # in grid order, so that each follower is built before it is read
+        for p, q in sorted(cells.keys() & live):
             n = p + q
-            # the page's own tables inside the grid, the memo outside it
+            cells[p, q] = _cell(data, flavor, r, p, n).invariants
+            diffs[p, q] = mat = _dr_matrix(data, flavor, r, p, n)
+            if not mat.entries:
+                continue
+            # the page's own tables inside the grid, the memo below it
             follow = diffs.get((p - r, q + r - 1))
             if follow is None:
                 follow = _dr_matrix(data, flavor, r, p - r, n - 1)
-            below = built.get((p - 2 * r, q + 2 * r - 2))
-            if below is None:
-                below = _cell(data, flavor, r, p - 2 * r, n - 2)
-            orders = (tuple(g.order for g in below.generators)
-                      if below.generators else ())
-            if not _composite_vanishes(follow, mat, orders):
+            if follow.entries and not _composite_vanishes(
+                    follow, mat, tuple(g.order for g in _cell(
+                        data, flavor, r, p - 2 * r, n - 2).generators)):
                 raise CheckFailed(
                     n, f"page-{r} differentials fail to square to zero at "
                     f"({p}, {q})")
-            if r >= 2 and r % 2 == 0 and not mat.is_zero():
+            if r >= 2 and r % 2 == 0:
                 raise CheckFailed(
                     n, f"even page {r} carries a nonzero differential at "
                     f"({p}, {q})")

@@ -277,16 +277,27 @@ def test_les_hat_reports_a_failed_check(tmp_path, capsys, monkeypatch):
 
 def test_spectral_reports_a_failed_check(tmp_path, capsys, monkeypatch):
     import monofloer.spectral as spectral
+    from monofloer.complexes import Flavor
+    from test_spectral import move_every_map
 
+    # every map between two cells with generators gets an entry, so the
+    # d-squared check forms composites
+    move_every_map(monkeypatch)
     monkeypatch.setattr(spectral, "_composite_vanishes",
                         lambda second, first, orders: False)
     data = by_name("two-step")
     path = write_dataset(tmp_path, data)
     code, out, err = run(capsys, ["spectral", "--pages", "3", path])
     assert code == 1
-    # the page-0 check fails first, at the lowest degree of the window
-    lo, _ = default_window(data)
-    assert report_of(out)["results"] == {"ok": False, "degree": lo}
+    # the first composite fails: page 0's, at the first key in grid order
+    # whose cell, its target and its target's target hold generators
+    lo, hi = default_window(data)
+    degree = next(n for p in spectral._filtration_levels(data)
+                  for n in range(lo, hi + 1)
+                  if all(p in spectral._generators_at(data, Flavor.PLUS, 0,
+                                                      n - k)
+                         for k in range(3)))
+    assert report_of(out)["results"] == {"ok": False, "degree": degree}
     assert "FAIL" in err and "Traceback" not in err
 
 

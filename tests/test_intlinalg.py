@@ -487,6 +487,35 @@ def test_a_matrix_with_no_entries_is_answered_from_its_shape(work, rows,
     assert pres.coordinate_of(vec) == tuple(vec)
 
 
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_a_column_space_with_no_entries_is_answered_from_its_shape(
+        work, rows, cols):
+    """column_space_basis of a matrix with no entries factors nothing.  It
+    equals the lattice the Smith route gives, by basis and by coordinates:
+    the zero lattice, which holds the zero vector and nothing else, as the
+    dense oracle says."""
+    from monofloer.intlinalg import Lattice, _Factorization, _matrix
+
+    mat = SparseIntMatrix.zero(rows, cols)
+    smith = _Factorization(mat)
+    route = Lattice(_matrix(rows, smith.rank, ()),
+                    _matrix(smith.rank, rows, smith.u[:smith.rank]),
+                    smith.diag)
+    work.clear()
+    lattice = column_space_basis(mat)
+    assert work["factorizations"] == 0
+    assert lattice.basis == route.basis == SparseIntMatrix.zero(rows, 0)
+    for b in (SparseIntMatrix.zero(rows, 2),
+              SparseIntMatrix.identity(rows)):
+        assert lattice.coordinates(b) == route.coordinates(b)
+    for vec in ([0] * rows, list(range(1, rows + 1))):
+        assert lattice.contains(vec) == oracle.dense_in_span(
+            mat.to_dense(), vec) == (not any(vec))
+    pres = QuotientPresentation(lattice, SparseIntMatrix.zero(rows, 2))
+    assert (pres.invariants, pres.generators) == (
+        AbelianGroupInvariants(0), ())
+
 def test_each_transform_carries_its_inverse():
     # line k of every transform belongs to diagonal entry k, so U * M * V
     # is S itself, and each side is tracked with its exact inverse

@@ -429,33 +429,88 @@ def test_composite_of_maps_that_do_not_compose_fails():
     assert not _composite_vanishes(one, SparseIntMatrix.zero(2, 1), (0,))
 
 
+def move_every_map(monkeypatch, walked=None):
+    """Give each differential between two cells with generators the entry
+    r + 1 in its corner, so that the d-squared check forms composites: no
+    page of the curated data or the 24-point instance composes two maps
+    with entries.  Appends each (r, p, n) asked for to walked."""
+    import monofloer.spectral as spectral
+
+    real = spectral._dr_matrix
+
+    def moved(data, flavor, r, p, n):
+        if walked is not None:
+            walked.append((r, p, n))
+        mat = real(data, flavor, r, p, n)
+        if mat.rows and mat.cols:
+            return SparseIntMatrix.from_entries(mat.rows, mat.cols,
+                                                [(0, 0, r + 1)])
+        return mat
+
+    monkeypatch.setattr(spectral, "_dr_matrix", moved)
+    return moved
+
+
+def composites(data, flavor, pages, dr_matrix):
+    """The d-squared check's composites in the order the pages form them:
+    (follower, differential, torsion orders of the follower's target) for
+    each grid key, in grid order, whose differential and follower both
+    have entries.  The follower is read off dr_matrix, inside the grid and
+    below it, where Infinity keeps generators in every degree."""
+    want = []
+    for page in pages:
+        r = page.r
+        for (p, q), mat in sorted(page.differentials.items()):
+            n = p + q
+            follow = dr_matrix(data, flavor, r, p - r, n - 1)
+            if mat.entries and follow.entries:
+                want.append((follow, mat, tuple(g.order for g in _cell(
+                    data, flavor, r, p - 2 * r, n - 2).generators)))
+    return want
+
+
 def test_the_d_squared_check_composes_each_cell_with_its_follower(
         monkeypatch):
-    # every cell's check reads the page's own d_r out of the target cell
-    # and the torsion orders of the target's target, inside the grid and
-    # below it, where Infinity keeps generators in every degree
+    # every differential with entries is composed with the page's own d_r
+    # out of its target cell, when that has entries too, modulo the
+    # torsion orders of the target's target, inside the grid and below it
     import monofloer.spectral as spectral
-    from monofloer.spectral import _dr_matrix
 
+    moved = move_every_map(monkeypatch)
     seen = []
     monkeypatch.setattr(spectral, "_composite_vanishes",
                         lambda *args: seen.append(args) or True)
+    # the moved page-3 maps fail the page-3 formula, not under test here
+    monkeypatch.setattr(spectral, "_check_d3_formula", lambda *args: None)
+    below = 0
     for label in ("tail-chain", "gap-three-chain"):
         data = by_name(label)
-        lo, hi = default_window(data)
         for flavor in (Flavor.PLUS, Flavor.INFINITY):
-            spectral_pages(data, flavor, 3)
-            assert seen == [
-                (_dr_matrix(data, flavor, r, p - r, n - 1),
-                 _dr_matrix(data, flavor, r, p, n),
-                 tuple(g.order for g in _cell(
-                     data, flavor, r, p - 2 * r, n - 2).generators))
-                for r in range(4) for p in _filtration_levels(data)
-                for n in range(lo, hi + 1)], (label, flavor)
+            pages = spectral_pages(data, flavor, 3)
+            assert seen and seen == composites(data, flavor, pages, moved), (
+                label, flavor)
+            # a follower below the grid is not in the page's tables
+            below += sum(1 for follow, _, _ in seen
+                         if all(follow is not mat for page in pages
+                                for mat in page.differentials.values()))
             seen.clear()
+    assert below
+
+
+def is_live(data, flavor, r, p, n):
+    """Whether the page-r cell at filtration p, degree n, or its
+    differential's target holds a generator."""
+    from monofloer.spectral import _generators_at
+
+    return (p in _generators_at(data, flavor, r, n)
+            or p - r in _generators_at(data, flavor, r, n - 1))
 
 
 def test_an_even_page_with_a_differential_fails(monkeypatch):
+    """An even page that carries a nonzero differential fails at the
+    first one in grid order, with its degree and key.  Page 2 here carries
+    one at each key whose source or target holds a generator, the keys
+    where a differential can have entries."""
     import monofloer.spectral as spectral
 
     real = spectral._dr_matrix
@@ -471,9 +526,55 @@ def test_an_even_page_with_a_differential_fails(monkeypatch):
     monkeypatch.setattr(spectral, "_composite_vanishes",
                         lambda second, first, orders: True)
     data = by_name("tail-chain")
-    with pytest.raises(CheckFailed, match="even page 2") as info:
+    lo, hi = default_window(data)
+    p, n = next((p, n) for p in _filtration_levels(data)
+                for n in range(lo, hi + 1)
+                if is_live(data, Flavor.PLUS, 2, p, n))
+    with pytest.raises(CheckFailed, match=rf"even page 2 carries a nonzero "
+                       rf"differential at \({p}, {n - p}\)") as info:
         spectral_pages(data, Flavor.PLUS, 2)
-    assert info.value.degree == default_window(data)[0]
+    assert info.value.degree == n
+
+
+def test_pages_walk_only_their_live_cells(monkeypatch):
+    """On the 24-point instance, with every map between two cells with
+    generators given an entry, each page asks for a differential once at
+    each grid key whose source or target holds a generator, in grid
+    order, and at no other key.  It builds a cell only where a generator
+    lies, at such a key, its target or its target's target, and forms one
+    composite per key whose differential and follower both have entries.
+    The page-3 formula check runs after the last walk and is not
+    counted."""
+    import monofloer.spectral as spectral
+
+    data = domino_instance("spectral-24", 24, 2026)
+    walked, cells, seen, formula = [], [], [], []
+    moved = move_every_map(monkeypatch, walked)
+    real_cell, real_formula = spectral._live_cell, spectral._check_d3_formula
+
+    def live_cell(data, flavor, r, p, n):
+        if not formula:
+            cells.append((r, p, n))
+        return real_cell(data, flavor, r, p, n)
+
+    monkeypatch.setattr(spectral, "_live_cell", live_cell)
+    monkeypatch.setattr(spectral, "_composite_vanishes",
+                        lambda *args: seen.append(args) or True)
+    monkeypatch.setattr(spectral, "_check_d3_formula",
+                        lambda *args: formula.append(len(walked))
+                        or real_formula(*args))
+    pages = spectral_pages(data, Flavor.PLUS, 3)
+    lo, hi = default_window(data)
+    live = [(r, p, n) for r in range(4) for p in _filtration_levels(data)
+            for n in range(lo, hi + 1) if is_live(data, Flavor.PLUS, r, p, n)]
+    assert formula and walked[:formula[0]] == live
+    assert len(live) < 2 * len(_filtration_levels(data)) * (hi - lo + 1)
+    assert all(p in spectral._generators_at(data, Flavor.PLUS, r, n)
+               for r, p, n in cells)
+    assert set(cells) <= {(r, p - k * r, n - k)
+                          for r, p, n in live for k in range(3)}
+    want = composites(data, Flavor.PLUS, pages, moved)
+    assert seen == want and 0 < len(want) < len(live)
 
 
 def test_pages_and_structure_build_no_flavored_slice(monkeypatch):
@@ -498,6 +599,12 @@ def test_pages_and_structure_build_no_flavored_slice(monkeypatch):
         structure_theorem(data)
     assert built
     assert [b for b in built if b[1] is not Flavor.INFINITY] == []
+
+
+@pytest.mark.parametrize("up_to_r", [2.0, "2", None, True, False])
+def test_a_page_bound_must_be_an_int(up_to_r):
+    with pytest.raises(InvalidInput, match="page bound"):
+        spectral_pages(by_name("two-step"), Flavor.PLUS, up_to_r)
 
 
 def test_spectral_pages_input_checks():

@@ -207,11 +207,13 @@ MUTANTS = (
     _drop("filtration-unchecked", "spectral.py",
           "            if any(rows[i] > cols[j] for i, j, _ in mat.entries):",
           ("tests/test_spectral.py",)),
-    _drop("composite-ignores-torsion", "spectral.py",
-          "        elif v % orders[i] != 0:",
-          ("tests/test_spectral.py",)),
-    # the spectral pages: which cells are built, the shared zeros, and the
-    # d-squared check's reads of the page's own tables
+    Mutant("composite-ignores-torsion", "spectral.py",
+           "orders[i] and v % orders[i] == 0",
+           "orders[i] and True",
+           ("tests/test_spectral.py",)),
+    # the spectral pages: which cells are built, the shared zeros, the
+    # walk's live keys and its order, and the d-squared check's reads of the
+    # page's own tables
     Mutant("live-reads-positions", "spectral.py",
            "    return (_positions if r == 0 else _critical_positions)"
            "(data, flavor, n)",
@@ -241,8 +243,8 @@ MUTANTS = (
            ("tests/test_spectral.py::"
             "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
     Mutant("orders-of-the-follow-source", "spectral.py",
-           "            below = built.get((p - 2 * r, q + 2 * r - 2))",
-           "            below = built.get((p - r, q + r - 1))",
+           "data, flavor, r, p - 2 * r, n - 2).generators",
+           "data, flavor, r, p - r, n - 1).generators",
            ("tests/test_spectral.py::"
             "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
     Mutant("follow-below-the-grid-skipped", "spectral.py",
@@ -250,6 +252,16 @@ MUTANTS = (
            "                follow = _zero(data, 0, mat.rows)",
            ("tests/test_spectral.py::"
             "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
+    Mutant("live-pair-composite-skipped", "spectral.py",
+           "sorted(cells.keys() & live)",
+           "sorted(cells.keys() & live, reverse=True)",
+           ("tests/test_spectral.py::"
+            "test_pages_walk_only_their_live_cells",)),
+    Mutant("zero-shape-from-the-source-only", "spectral.py",
+           "_generators_at(data, flavor, r, n - 1))",
+           "())",
+           ("tests/test_spectral.py::"
+            "test_pages_keep_every_cell_and_differential_shape",)),
     _drop("composite-shape-unchecked", "spectral.py",
           "    if second.cols != first.rows:",
           ("tests/test_spectral.py::"
