@@ -26,9 +26,9 @@ from .complexes import (
     _rule_matrix,
     _same,
     _template,
+    checked_degree,
     checked_window,
     per_band_degree,
-    require_valid,
     structural_map,
 )
 from .data import THETA, CheckFailed, InvalidInput, per_dataset
@@ -72,10 +72,10 @@ def _h_terms(data, gen):
 
 def u_chain_map(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     """Matrix of u from the degree-n slice to the degree-(n-2) slice."""
+    checked_degree(data, n, flavor)
     if flavor not in _U_FLAVORS:
         raise InvalidInput(
             "u is defined only on the infinity, minus, and plus flavors")
-    require_valid(data)
     return _rule_matrix(data, _u_terms, 2, flavor, n)
 
 
@@ -85,7 +85,7 @@ def homotopy_h(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix:
     Sends each generator 1_a to eta_a at the same power of Omega and kills
     eta and theta generators.
     """
-    require_valid(data)
+    checked_degree(data, n, flavor)
     return _rule_matrix(data, _h_terms, 1, flavor, n)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ __all__ = [
     "default_window",
     "require_valid",
     "MAX_WINDOW_DEGREES",
+    "checked_degree",
     "checked_window",
 ]
 
@@ -97,10 +99,7 @@ def require_valid(data: MonopoleData) -> None:
 def generator_degree(data: MonopoleData, gen: Generator) -> int:
     if gen.kind == KIND_THETA:
         return 2 * gen.k
-    grading = data.grading_of(gen.point)
-    if gen.kind == KIND_ETA:
-        return 2 * gen.k + grading
-    return 2 * gen.k + grading + 1
+    return 2 * gen.k + data.grading_of(gen.point) + (gen.kind == KIND_ONE)
 
 
 def _infinity_cells(data: MonopoleData, n: int):
@@ -126,39 +125,30 @@ def generators_in_degree(data: MonopoleData, flavor: Flavor,
                          n: int) -> DegreeSlice:
     """The canonical degree-n basis: theta generator first, then one
     generator per point in id order (the parity of n - gr picks the kind)."""
-    require_valid(data)
+    checked_degree(data, n, flavor)
     return _slice(data, flavor, n)
 
 
 def _image_terms(data: MonopoleData, gen: Generator):
-    # the untruncated differential; flavor restriction happens at lookup
-    out: list[tuple[Generator, int]] = []
-    if gen.kind == KIND_ETA:
-        grading = data.grading_of(gen.point)
-        for b in data.ids_at(grading - 1):
-            v = data.n_value(gen.point, b)
-            if v:
-                out.append((Generator(KIND_ETA, b, gen.k), v))
-        for c in data.ids_at(grading - 2):
-            v = data.m_value(gen.point, c)
-            if v:
-                out.append((Generator(KIND_ONE, c, gen.k), v))
+    # the untruncated differential; flavor restriction happens at lookup.
+    # A generator meets the n-couplings one grading down in its own kind (a
+    # one with the sign flipped); an eta also meets the m-couplings two
+    # down, its partner one and, from grading 1, theta; theta meets the
+    # ones at grading -2
+    if gen.kind == KIND_THETA:
+        return [(Generator(KIND_ONE, d, gen.k), v)
+                for d in data.ids_at(-2) if (v := data.n_value(THETA, d))]
+    grading, eta = data.grading_of(gen.point), gen.kind == KIND_ETA
+    out = [(Generator(gen.kind, b, gen.k), v if eta else -v)
+           for b in data.ids_at(grading - 1)
+           if (v := data.n_value(gen.point, b))]
+    if eta:
+        out += [(Generator(KIND_ONE, c, gen.k), v)
+                for c in data.ids_at(grading - 2)
+                if (v := data.m_value(gen.point, c))]
         out.append((Generator(KIND_ONE, gen.point, gen.k - 1), -1))
-        if grading == 1:
-            v = data.n_value(gen.point, THETA)
-            if v:
-                out.append((Generator(KIND_THETA, None, gen.k), v))
-    elif gen.kind == KIND_ONE:
-        grading = data.grading_of(gen.point)
-        for b in data.ids_at(grading - 1):
-            v = data.n_value(gen.point, b)
-            if v:
-                out.append((Generator(KIND_ONE, b, gen.k), -v))
-    else:
-        for d in data.ids_at(-2):
-            v = data.n_value(THETA, d)
-            if v:
-                out.append((Generator(KIND_ONE, d, gen.k), v))
+        if grading == 1 and (v := data.n_value(gen.point, THETA)):
+            out.append((Generator(KIND_THETA, None, gen.k), v))
     return out
 
 
@@ -168,13 +158,10 @@ def _slice_map(rows: DegreeSlice, cols: DegreeSlice,
     slice.  terms(gen) yields (target, coefficient) pairs; targets outside
     the rows slice are dropped."""
     index = {g: i for i, g in enumerate(rows.basis)}
-    items = []
-    for j, gen in enumerate(cols.basis):
-        for (target, value) in terms(gen):
-            i = index.get(target)
-            if i is not None:
-                items.append((i, j, value))
-    return SparseIntMatrix.from_entries(len(rows.basis), len(cols.basis), items)
+    return SparseIntMatrix.from_entries(len(rows.basis), len(cols.basis), (
+        (i, j, value) for j, gen in enumerate(cols.basis)
+        for (target, value) in terms(gen)
+        if (i := index.get(target)) is not None))
 
 
 @per_dataset
@@ -199,11 +186,8 @@ def _band_degree(data: MonopoleData, n: int) -> int:
     """n inside the band; outside it, the band-edge degree of n's parity,
     whose kept positions, differential and presentation are n's."""
     lo, hi = _band(data)
-    if n < lo:
-        return lo + (n - lo) % 2
-    if n > hi:
-        return hi - (n - hi) % 2
-    return n
+    return (lo + (n - lo) % 2 if n < lo else hi - (n - hi) % 2 if n > hi
+            else n)
 
 
 def per_band_degree(fn):
@@ -305,7 +289,7 @@ def _differential(data: MonopoleData, flavor: Flavor, n: int) -> SparseIntMatrix
 def differential_matrix(data: MonopoleData, flavor: Flavor,
                         n: int) -> SparseIntMatrix:
     """Matrix of D from the degree-n basis to the degree-(n-1) basis."""
-    require_valid(data)
+    checked_degree(data, n, flavor)
     return _differential(data, flavor, n)
 
 
@@ -347,12 +331,13 @@ REDUCED_FLAVORS = tuple(flavor for flavor, (low, high) in _POWERS.items()
 class Reduction(NamedTuple):
     """Degree n of the cancellation of a flavor's unit pairs.
 
-    The critical generators c_n are the kept ones that no pair uses.
-    differential is D'(n): c_n -> c_{n-1}; f(n): c_n -> C_n and g(n): C_n
-    -> c_n are chain maps with g f = 1, and f g is homotopic to 1 by the
-    algebraic Morse theorem (_certify), so f and g are mutually inverse on
-    homology.  critical lists, ascending, the positions in the kept slice
-    of degree n of the generators in c_n.
+    The critical generators c_n are the kept ones that no pair uses
+    (_critical).  differential is D'(n): c_n -> c_{n-1}; f(n): c_n -> C_n
+    and g(n): C_n -> c_n are chain maps with g f = 1, and f g is homotopic
+    to 1 by the algebraic Morse theorem (_certify), so f and g are mutually
+    inverse on homology.  critical lists, ascending, the positions in the
+    kept slice of degree n of the generators in c_n.  _reduce builds it on
+    the parity templates' lines and _certify proves it against them.
     """
 
     differential: SparseIntMatrix
@@ -362,87 +347,112 @@ class Reduction(NamedTuple):
 
 
 def _pairs(data: MonopoleData, flavor: Flavor, n: int):
-    """The pairs from degree n to n - 1: (i, j, grading of a) for each
-    point a whose generator in degree n is an eta, eta_a^k, and whose
-    positions are kept in degrees n and n - 1 (its generator there is
-    eta_a^k's partner 1_a^(k-1)); i and j are those positions in the two
-    kept slices.  Hat and NonEquivariant keep one power each, so they have
-    no pairs."""
-    above, below = ({p: i for i, p in enumerate(_kept(data, flavor, m))}
-                    for m in (n, n - 1))
-    # theta leads the even slice, so a point sits one place later there
-    top, bottom = 1 - n % 2, n % 2
-    return [(above[i + top], below[i + bottom], p.grading)
-            for i, p in enumerate(data.points) if (n - p.grading) % 2 == 0
-            and i + top in above and i + bottom in below]
+    """The pairs down from degree n, the steps of _flow the reduction takes
+    there (_active): (i, j, grading of a) for each eta_a^k of degree n
+    paired with 1_a^(k-1), with i and j their positions in the kept slices
+    of n and n - 1.  O(points), for the filtration check."""
+    above, below = _kept(data, flavor, n), _kept(data, flavor, n - 1)
+    along = _lines(data, n % 2)[3]
+    step = _active(along, flavor, n)
+    return [(bisect_left(above, j), bisect_left(below, s[1]), s[0])
+            for j in along if (s := step(j))]
 
 
 @per_band_degree
-def _matching(data: MonopoleData, flavor: Flavor, n: int):
-    """The pairs down from degree n and down from n + 1 (_pairs), and the
-    critical positions of degree n: the kept ones that neither uses."""
-    down, up = _pairs(data, flavor, n), _pairs(data, flavor, n + 1)
-    paired = {i for i, _, _ in down} | {j for _, j, _ in up}
-    return down, up, tuple(p for p in range(len(_kept(data, flavor, n)))
-                           if p not in paired)
+def _critical(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
+    """The critical positions of degree n for a flavor of REDUCED_FLAVORS,
+    ascending in its kept slice: the kept generators no pair uses, which by
+    the rule of _active are theta and the generators at the k edge,
+    eta_a^low and 1_a^high.  Found through ids_at and placed by bisect on
+    _kept, in O(edge generators times log points).  These are the kept
+    positions of n that no pair with n - 1 or n + 1 uses, so they repeat
+    with period two beyond the band, as per_band_degree needs."""
+    low, high = _POWERS[flavor]
+    top, kept = 1 - n % 2, _kept(data, flavor, n)
+    edge = [bisect_left(data.points, a, key=lambda p: p.id) + top
+            for grading in (n - 2 * low, n - 2 * high - 1)
+            for a in data.ids_at(grading)]
+    theta = [0] * (top and low <= n // 2 <= high)
+    return tuple(sorted(bisect_left(kept, p) for p in theta + edge))
+
+
+@per_dataset
+def _lines(data: MonopoleData, parity: int):
+    """The Infinity template of D from degrees of this parity as lines,
+    and its pairs as the steps of _flow: columns[j] and rows[i] are
+    {index: value}; down maps the row of each 1_a^(k-1) to (-gr(a), the
+    column of eta_a^k, that column, k), and along maps the column of each
+    eta_a^k to (gr(a), the row of 1_a^(k-1), that row, k), with k read in
+    degree parity.  Degree parity + 2 s is the template with every k
+    raised by s, so its pairs are the steps _active keeps there.  Built
+    once per dataset and parity."""
+    columns, rows, down, along = {}, {}, {}, {}
+    for (i, j, v) in _template(data, _image_terms, 1, parity).entries:
+        columns.setdefault(j, {})[i] = v
+        rows.setdefault(i, {})[j] = v
+    for a, p in enumerate(data.points):
+        if (parity - p.grading) % 2 == 0:
+            # theta leads the even slice, so a point sits one place later
+            i, j, k = a + parity, a + 1 - parity, (parity - p.grading) // 2
+            down[i] = (-p.grading, j, columns.get(j, {}), k)
+            along[j] = (p.grading, i, rows.get(i, {}), k)
+    return columns, rows, down, along
 
 
 @per_dataset
 def _unit_triangular(data: MonopoleData, parity: int) -> bool:
     """The matching check on the Infinity template of D from degrees of
     this parity: from each eta_a^k, the entry at its partner 1_a^(k-1) is
-    -1 and every other entry at a one falls to a lower grading.  So
-    A = D[U, M] is -1 on the pairs and unit-triangular in grading order.
-    A flavor's D is the template at its kept positions and its pairs are
-    the template's there (_pairs), so its A is the template's on matched
-    rows and columns, and unit-triangular too.  O(template entries)."""
-    rows = tuple(_infinity_cells(data, parity - 1))
-    cols = tuple(_infinity_cells(data, parity))
-    template = _template(data, _image_terms, 1, parity)
-    level = {p.id: p.grading for p in data.points}
-    suspect = [(rows[i][1] == cols[j][1], v) for (i, j, v) in template.entries
-               if rows[i][0] == KIND_ONE and cols[j][0] == KIND_ETA
-               and level[rows[i][1]] >= level[cols[j][1]]]
-    return suspect == [(True, -1)] * sum(c[0] == KIND_ETA for c in cols)
+    -1 and every other entry at a one falls to a lower grading, read off
+    the steps of _lines.  So A = D[U, M] is -1 on the pairs and
+    unit-triangular in grading order.  A flavor's D is the template at its
+    kept positions and its pairs are the template's there (_active), so
+    its A is the template's on matched rows and columns, and
+    unit-triangular too.  O(template entries)."""
+    down = _lines(data, parity)[2]
+    return all(line.get(i) == -1 and all(
+        down[r][0] > rank for r in line if r in down and r != i)
+        for i, (rank, _, line, _) in down.items())
 
 
-def _flow(steps, chain: dict[int, int]):
-    """Cancel the chain's components on the paired positions steps names
-    by adding multiples of their partners' lines; returns the chain left
-    and the multiple added of each partner.  steps maps a paired position
-    to (its rank in the order of cancelling, its partner, the partner's
-    line, which is -1 there).  Down a column of D the paired positions are
-    1-generators, ranked by decreasing grading, and a line is a partner's
-    boundary; along a row of D they are etas, ranked by increasing
-    grading, and a line is a partner's row.  A line meets other paired
-    positions only through m-couplings, two gradings on in that order
-    (_unit_triangular), so each is cancelled once, none comes back, and
-    the chain left has none.  A position earlier in the order is never
-    queued again, so the flow ends on any input."""
-    pending = {j for j in chain if j in steps}
+def _active(steps: dict, flavor: Flavor, n: int):
+    """The pair rule, as step(j) of _flow: the step of a _lines table of
+    n's parity at j if the flavor keeps both eta_a^k and 1_a^(k-1) between
+    degrees n and n - 1, that is low < k <= high on its _POWERS interval,
+    with k the table's raised by n // 2, and None or False otherwise.  So a
+    kept eta_a^k is paired iff k - 1 >= low, a kept 1_a^j iff j + 1 <=
+    high, and theta never; Hat and NonEquivariant, whose intervals hold
+    one power, pair nothing."""
+    low, high = _POWERS[flavor]
+    return lambda j: (s := steps.get(j)) and low < s[3] + n // 2 <= high and s
+
+
+def _flow(step, chain: dict[int, int]):
+    """Cancel the chain's components on the paired positions by adding
+    multiples of their partners' lines; returns the chain left and the
+    multiple added of each partner.  step(j) is falsy off the paired
+    positions and at a paired one (its rank in the order of cancelling, its
+    partner, the partner's line, which is -1 there, its k).  Down a column
+    of D the paired positions are 1-generators, ranked by decreasing
+    grading, and a line is a partner's boundary; along a row of D they are
+    etas, ranked by increasing grading, and a line is a partner's row.  A
+    line meets other paired positions only through m-couplings, two
+    gradings on in that order (_unit_triangular), so each is cancelled
+    once, none comes back, and the chain left is zero on them.  A position
+    earlier in the order is never queued again, so the flow ends on any
+    input."""
+    pending = {j: s for j in chain if (s := step(j))}
     added = {}
     while pending:
-        j = min(pending, key=lambda j: steps[j][0])
-        pending.remove(j)
-        c = chain.pop(j, 0)
-        if c:
-            rank, partner, line = steps[j]
+        j = min(pending, key=lambda j: pending[j][0])
+        rank, partner, line, _ = pending.pop(j)
+        if c := chain.get(j):
             added[partner] = c
             for r, w in line.items():
-                if r != j:
-                    if r in steps and steps[r][0] > rank:
-                        pending.add(r)
-                    chain[r] = chain.get(r, 0) + c * w
+                if (s := step(r)) and s[0] > rank:
+                    pending[r] = s
+                chain[r] = chain.get(r, 0) + c * w
     return chain, added
-
-
-def _lines(triples) -> dict[int, dict[int, int]]:
-    """{a: {b: v}} from (a, b, v) triples: a matrix's rows from its
-    entries, its columns from them transposed."""
-    out: dict[int, dict[int, int]] = {}
-    for (a, b, v) in triples:
-        out.setdefault(a, {})[b] = v
-    return out
 
 
 def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
@@ -452,37 +462,62 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     unit-triangular in grading order, and c the critical generators:
     D' = D[c, c] - D[c, M] A^-1 D[U, c], f = i_c - i_M A^-1 D[U, c] and
     g = p_c - D(n + 1)[c, M] A^-1 p_U.  A critical generator's column of
-    D' and f is read off one _flow down its column of D(n), and its row of
-    g off one _flow along its row of D(n + 1); each adds -A^-1 of what it
-    cancels.  Degree n reads only n's parity and the kept positions of
-    degrees n - 2 to n + 1, so degrees that agree on these share one
-    Reduction, built at the first of them from the pairs of degrees n - 1
-    to n + 1 alone: Infinity, which keeps every position, builds two."""
+    D' and f is read off one _flow down its column of the parity template
+    of D(n), and its row of g off one _flow along its row of the template
+    of D(n + 1): the flows follow the templates' lines (_lines), with k
+    shifted to the degree, step only at the pairs the flavor keeps there
+    (_active), and drop what they leave outside its kept positions.  So a
+    degree costs its critical generators and their flows, and selects no
+    D.  Degree n reads only n's parity and the kept positions of degrees
+    n - 2 to n + 1, so degrees that agree on these share one Reduction,
+    built at the first of them: Infinity, which keeps every position,
+    builds two."""
     lo, hi = _band(data)
     key = {n: (n % 2, *(_kept(data, flavor, m) for m in range(n - 2, n + 2)))
            for n in range(lo, hi + 1)}
     first = {k: n for n, k in reversed(key.items())}
     built = {}
     for k, n in first.items():
-        d = _differential(data, flavor, n)
-        down_pairs, up_pairs, crit = _matching(data, flavor, n)
-        below = {p: c for c, p in enumerate(_matching(data, flavor, n - 1)[2])}
-        columns = _lines((j, i, v) for (i, j, v) in d.entries)
-        rows = _lines(_differential(data, flavor, n + 1).entries)
-        down = {j: (-grading, i, columns[i]) for i, j, grading in down_pairs}
-        along = {i: (grading, j, rows[j]) for i, j, grading in up_pairs}
+        kept, crit = _kept(data, flavor, n), _critical(data, flavor, n)
+        below = {_kept(data, flavor, n - 1)[q]: c
+                 for c, q in enumerate(_critical(data, flavor, n - 1))}
+        columns, _, down, _ = _lines(data, n % 2)
+        _, rows, _, along = _lines(data, 1 - n % 2)
+        down, along = _active(down, flavor, n), _active(along, flavor, n + 1)
         d_red, f, g = [], [], []
-        for c, p in enumerate(crit):
-            rest, added = _flow(down, dict(columns.get(p, {})))
+        for c, q in enumerate(crit):
+            rest, added = _flow(down, dict(columns.get(kept[q], {})))
             d_red += [(below[r], c, v) for r, v in rest.items() if r in below]
-            f += [(p, c, 1), *((i, c, v) for i, v in added.items())]
-            _, added = _flow(along, dict(rows.get(p, {})))
-            g += [(c, p, 1), *((c, j, v) for j, v in added.items())]
+            f += [(q, c, 1), *((bisect_left(kept, i), c, v)
+                               for i, v in added.items())]
+            _, added = _flow(along, dict(rows.get(kept[q], {})))
+            g += [(c, q, 1), *((c, bisect_left(kept, j), v)
+                               for j, v in added.items())]
         built[k] = Reduction(
             SparseIntMatrix.from_entries(len(below), len(crit), d_red),
-            SparseIntMatrix.from_entries(d.cols, len(crit), f),
-            SparseIntMatrix.from_entries(len(crit), d.cols, g), crit)
+            SparseIntMatrix.from_entries(len(kept), len(crit), f),
+            SparseIntMatrix.from_entries(len(crit), len(kept), g), crit)
     return {n: built[k] for n, k in key.items()}
+
+
+def _on_template(lines: dict, mat: SparseIntMatrix, source: tuple,
+                 target: tuple, left: bool = False) -> SparseIntMatrix:
+    """T E at the positions target lists, where T is the parity template
+    whose line at position r is lines[r] and E is mat with its rows moved
+    to the positions source lists; with left, E T, with mat's columns moved
+    and T's lines its rows.  A flavor's D(n) f is T E with the columns of
+    D(n)'s template, source _kept(n) and target _kept(n - 1), and exactly
+    so, since f's rows are kept; g D is E T with the rows.  O(entries of
+    mat times their lines)."""
+    if (mat.cols if left else mat.rows) != len(source):
+        raise ValueError("shape mismatch in matrix product")
+    items = [(t, c, v * w) for (i, c, v) in (
+        ((j, c, v) for (c, j, v) in mat.entries) if left else mat.entries)
+        for r, w in lines.get(source[i], {}).items()
+        if (t := bisect_left(target, r)) < len(target) and target[t] == r]
+    return SparseIntMatrix.from_entries(
+        mat.rows, len(target), ((c, t, v) for (t, c, v) in items)) if left \
+        else SparseIntMatrix.from_entries(len(target), mat.cols, items)
 
 
 def _certify(data: MonopoleData, flavor: Flavor,
@@ -492,9 +527,12 @@ def _certify(data: MonopoleData, flavor: Flavor,
 
     With M, U, A and c as in _reduce, at each degree n:
     - A is -1 on the pairs and unit-triangular (_unit_triangular);
-    - critical lists the kept positions that no pair uses;
-    - f[c] = 1 and f[U] = 0, g[., c] = 1 and g[., M] = 0;
-    - D f = f D', g D = D' g and g f = 1.
+    - critical lists the kept positions that no pair uses (_critical);
+    - f[c] = 1 and f[U] = 0, g[., c] = 1 and g[., M] = 0, where M and U
+      are read off the rule (_active), not off a pass over the slice;
+    - D f = f D', g D = D' g and g f = 1, where D f and g D are formed on
+      the parity template's lines with f and g at their Infinity positions
+      (_on_template), so no D is selected.
     Given the rest, D f = f D' has f[M] = -A^-1 D[U, c] and D' = (D f)[c]
     as its only solution, and g D = D' g has g[., U] = -D[c, M] A^-1: so
     D', f and g are the Morse data of an acyclic matching.  The algebraic
@@ -511,15 +549,15 @@ def _certify(data: MonopoleData, flavor: Flavor,
     for n in range(lo - 1, hi + 2):
         kept = tuple(_kept(data, flavor, m) for m in (n - 1, n, n + 1))
         below, here = (table[_band_degree(data, m)] for m in (n - 1, n))
-        reads = n % 2, kept, below, here
-        if reads in seen:
+        if (reads := (n % 2, kept, below, here)) in seen:
             continue
         seen.add(reads)
-        d = _differential(data, flavor, n)
-        down, up, crit = _matching(data, flavor, n)
+        (under, over, _), crit = kept, _critical(data, flavor, n)
+        columns, rows, _, along = _lines(data, n % 2)
         # each kept position is critical, in M or in U: off M, f is 1 on
         # the critical ones and 0 elsewhere, and so is g off U
-        tops, bottoms = {i for i, _, _ in down}, {j for _, j, _ in up}
+        tops = _active(along, flavor, n)
+        bottoms = _active(_lines(data, 1 - n % 2)[2], flavor, n + 1)
         units = {(p, c, 1) for c, p in enumerate(crit)}
         checks = (
             ("a unit-triangular matching",
@@ -528,20 +566,21 @@ def _certify(data: MonopoleData, flavor: Flavor,
              lambda: here.critical == crit),
             ("f[c] = 1, f[U] = 0", lambda: {
                 (i, c, v) for (i, c, v) in here.f.entries
-                if i not in tops} == units),
+                if not tops(over[i])} == units),
             ("g[., c] = 1, g[., M] = 0", lambda: {
                 (j, c, v) for (c, j, v) in here.g.entries
-                if j not in bottoms} == units),
-            ("D f = f D'", lambda: d.mul(here.f) == below.f.mul(
-                here.differential)),
-            ("g D = D' g", lambda: below.g.mul(d) == here.differential.mul(
-                here.g)),
+                if not bottoms(over[j])} == units),
+            ("D f = f D'", lambda: _on_template(columns, here.f, over, under)
+             == below.f.mul(here.differential)),
+            ("g D = D' g", lambda: _on_template(rows, below.g, under, over,
+                                                left=True)
+             == here.differential.mul(here.g)),
             ("g f = 1", lambda: _sums_to_identity(here.g.mul(here.f))),
         )
         for name, holds in checks:
             try:
                 ok = holds()
-            except ValueError:  # shapes that do not compose
+            except (IndexError, ValueError):  # shapes that do not fit
                 ok = False
             if not ok:
                 raise CheckFailed(n, f"the reduction fails {name}")
@@ -551,12 +590,8 @@ def _sums_to_identity(*terms: SparseIntMatrix) -> bool:
     size = terms[0].rows
     if any((t.rows, t.cols) != (size, size) for t in terms):
         return False
-    total: dict[tuple[int, int], int] = {}
-    for term in terms:
-        for (i, j, v) in term.entries:
-            total[i, j] = total.get((i, j), 0) + v
-    return {k: v for k, v in total.items() if v} == {
-        (i, i): 1 for i in range(size)}
+    return functools.reduce(SparseIntMatrix.add, terms).entries == tuple(
+        (i, i, 1) for i in range(size))
 
 
 @per_dataset
@@ -638,7 +673,7 @@ def structural_map(data: MonopoleData, which: str, flavor: Flavor,
     Hat into Plus; omega_inverse lowers k by one within the given flavor,
     mapping degree n to degree n - 2 and dropping truncated targets.
     """
-    require_valid(data)
+    checked_degree(data, n, flavor)
     if which == "omega_inverse":
         if flavor is Flavor.NONEQUIVARIANT:
             raise InvalidInput(
@@ -678,6 +713,18 @@ def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
         raise InvalidInput(f"degree window {lo}:{hi} spans more than "
                            f"{MAX_WINDOW_DEGREES} degrees")
     return lo, hi
+
+
+def checked_degree(data: MonopoleData, n: int, flavor=Flavor.INFINITY):
+    """The input contract of every per-degree entry point: the data must
+    be valid, the degree an int that is not a bool (type, not isinstance,
+    as in _window_bounds) and the flavor, where the entry point takes one,
+    a Flavor; raises InvalidInput.  The per_dataset and per_band_degree
+    memos, the hot path, apply none of it."""
+    if type(n) is not int or type(flavor) is not Flavor:
+        raise InvalidInput(f"a degree must be an int and a flavor a Flavor, "
+                           f"not {n!r} and {flavor!r}")
+    require_valid(data)
 
 
 def checked_window(data: MonopoleData,

@@ -24,10 +24,10 @@ from .complexes import (
     _selection,
     _slice,
     _template,
+    checked_degree,
     checked_window,
     generator_degree,
     per_band_degree,
-    require_valid,
     structural_map,
 )
 from .data import CheckFailed, MonopoleData, _toggle_id, per_dataset, \
@@ -130,7 +130,7 @@ def pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     row (eta and one-generators swap kinds and k maps to -k-1, the theta
     one-generators pair with each other the same way).
     """
-    require_valid(data)
+    checked_degree(data, n)
     rev = reverse_orientation(data)
     mat = _pairing_with(data, rev, n)
     rows = _slice(data, Flavor.PLUS, n).basis
@@ -149,7 +149,7 @@ def hat_pairing_matrix(data: MonopoleData, n: int) -> PairingSlice:
     Both sides live at k = 0, so partners keep k and the paired degrees sum
     to zero instead of -2.
     """
-    require_valid(data)
+    checked_degree(data, n)
     rev = reverse_orientation(data)
     return PairingSlice(n, _pairing_with(data, rev, n, hat=True))
 

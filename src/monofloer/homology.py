@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .complexes import _POWERS, _STRUCTURAL, Flavor, MonopoleData, _band, \
     _band_degree, _carried, _differential, _identification, _image_terms, \
     _kept, _reduced_differential, _restricts, _same, _selection, _template, \
-    checked_window, per_band_degree, require_valid, structural_map
+    checked_degree, checked_window, per_band_degree, require_valid, \
+    structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -133,6 +134,7 @@ def presentation_at(data: MonopoleData, flavor: Flavor,
 
 def homology_at(data: MonopoleData, flavor: Flavor,
                 n: int) -> AbelianGroupInvariants:
+    checked_degree(data, n, flavor)
     return presentation_at(data, flavor, n).invariants
 
 

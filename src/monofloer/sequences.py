@@ -33,8 +33,8 @@ from .complexes import (
     _reduced_differential,
     _selection,
     _template,
+    checked_degree,
     checked_window,
-    require_valid,
 )
 from .data import CheckFailed, per_dataset
 from .homology import GradedAbelianGroup, TRIVIAL, _quotient, _tail, \
@@ -128,7 +128,7 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     representatives; classes are read through g on the reduced Minus
     homology.
     """
-    require_valid(data)
+    checked_degree(data, n)
     # the Infinity boundaries of lifted Plus chains
     lifted = _selection(data, _template, (_image_terms, 1, n % 2),
                         _kept(data, Flavor.INFINITY, n - 1),

@@ -24,7 +24,7 @@ from .complexes import (
     _band,
     _differential,
     _kept,
-    _matching,
+    _pairs,
     _reduced,
     _reduced_differential,
     checked_window,
@@ -118,7 +118,7 @@ def _check_filtered(data: MonopoleData, flavor: Flavor) -> None:
         full = _filtrations(data, flavor, n)
         below = _filtrations(data, flavor, n - 1)
         if any(full[i] != below[j]
-               for i, j, _ in _matching(data, flavor, n)[0]):
+               for i, j, _ in _pairs(data, flavor, n)):
             raise CheckFailed(n, "a cancelled pair spans two filtrations")
         crit = _critical_filtrations(data, flavor, n)
         for name, mat, rows, cols in (

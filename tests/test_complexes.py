@@ -433,6 +433,63 @@ def test_windowed_entry_points_take_only_pairs_of_ints(name, window):
         call(by_name("tail-chain"), window)
 
 
+# -- the degree contract ----------------------------------------------------
+
+def _per_degree_entry_points():
+    """Each public per-degree entry point as a call of (data, n, flavor),
+    and whether it takes a flavor."""
+    from monofloer.actions import homotopy_h, u_chain_map
+    from monofloer.duality import hat_pairing_matrix, pairing_matrix
+    from monofloer.homology import homology_at
+    from monofloer.sequences import connecting_delta
+
+    return {
+        "differential_matrix": (differential_matrix, True),
+        "generators_in_degree": (generators_in_degree, True),
+        "structural_map": (lambda d, f, n: structural_map(
+            d, "omega_inverse", f, n), True),
+        "u_chain_map": (u_chain_map, True),
+        "homotopy_h": (homotopy_h, True),
+        "homology_at": (homology_at, True),
+        "pairing_matrix": (lambda d, f, n: pairing_matrix(d, n), False),
+        "hat_pairing_matrix": (lambda d, f, n: hat_pairing_matrix(d, n),
+                               False),
+        "connecting_delta": (lambda d, f, n: connecting_delta(d, n), False),
+    }
+
+
+@pytest.mark.parametrize("degree", [1.5, 2.0, True, "3", None],
+                         ids=["float", "integral-float", "bool", "str",
+                              "none"])
+@pytest.mark.parametrize("name", list(_per_degree_entry_points()))
+def test_per_degree_entry_points_take_only_int_degrees(name, degree):
+    """A degree must be an int that is not a bool: 2.0 would build a slice
+    of degree 2.0 with float powers and True would answer for degree 1,
+    where the entry points now raise InvalidInput, as they do for 1.5, "3"
+    and None, which raised KeyError or TypeError."""
+    call, _ = _per_degree_entry_points()[name]
+    data = by_name("tail-chain")
+    call(data, Flavor.PLUS, 2)
+    with pytest.raises(InvalidInput, match="a degree must be an int"):
+        call(data, Flavor.PLUS, degree)
+
+
+@pytest.mark.parametrize("flavor", ["plus", None, 1])
+@pytest.mark.parametrize("name", [name for name, (_, flavored) in
+                                  _per_degree_entry_points().items()
+                                  if flavored])
+def test_per_degree_entry_points_take_only_flavors(name, flavor):
+    call, _ = _per_degree_entry_points()[name]
+    with pytest.raises(InvalidInput, match="a flavor a Flavor"):
+        call(by_name("tail-chain"), flavor, 3)
+
+
+def test_the_degree_contract_refuses_invalid_data():
+    for name, (call, _) in _per_degree_entry_points().items():
+        with pytest.raises(InvalidInput, match="invalid data"):
+            call(invalid_instance(), Flavor.PLUS, 2)
+
+
 def test_d_squared_without_a_window_checks_the_default_one():
     """None stands for default_window(data), as in checked_window, but the
     data need not be valid; the span bound still holds."""
@@ -519,16 +576,24 @@ def test_certificate_rejects_a_broken_reduction(flavor, label):
 @pytest.mark.parametrize("data", [*curated_instances(),
                                   performance_instance()],
                          ids=lambda data: data.name)
-def test_infinity_certificate_forms_ten_products(data, work):
+def test_infinity_certificate_forms_ten_products(data, work, monkeypatch):
     """Infinity keeps every position, so its certificate reads two distinct
     tuples of matrices, one per parity: each new tuple forms the three
-    identities' five products, and a repeated tuple forms none.  The
-    matching, the critical positions and the unit blocks of f and g are
-    checked without a product."""
+    identities' five products, two of them, D f and g D, on the parity
+    template's lines (_on_template) and three as sparse products, and a
+    repeated tuple forms none.  No D is selected.  The matching, the
+    critical positions and the unit blocks of f and g are checked without
+    a product."""
+    import monofloer.complexes as complexes
+
     table = _reduce(data, Flavor.INFINITY)
+    real = complexes._on_template
+    monkeypatch.setattr(complexes, "_on_template", lambda *args, **kw: work.
+                        update(["template products"]) or real(*args, **kw))
     work.clear()
     _certify(data, Flavor.INFINITY, table)
-    assert work["mul"] == 10
+    assert (work["mul"], work["template products"], work["select"]) == \
+        (6, 4, 0)
 
 
 def _extra_row(mat):
@@ -840,16 +905,137 @@ def test_infinity_builds_one_reduction_per_parity():
 
 
 def test_reduce_builds_only_what_a_new_key_needs(monkeypatch):
-    """Infinity's two Reductions read the pairs of four consecutive
-    degrees, not of every band degree."""
+    """Infinity's two Reductions read the pair rule's critical positions
+    of three consecutive degrees (each key's degree and the one below), not
+    of every band degree, and run one flow down and one along per critical
+    generator: theta, in the even degree."""
     import monofloer.complexes as complexes
 
-    calls = []
-    real = complexes._pairs
-    monkeypatch.setattr(complexes, "_pairs",
-                        lambda *args: calls.append(args) or real(*args))
+    calls, flows = [], []
+    real, flow = complexes._critical, complexes._flow
+    monkeypatch.setattr(complexes, "_critical",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    monkeypatch.setattr(complexes, "_flow",
+                        lambda *args: flows.append(1) or flow(*args))
     _reduce(performance_instance(), Flavor.INFINITY)
-    assert 0 < len(calls) <= 6
+    assert 0 < len(calls) <= 4
+    assert sorted(set(calls)) == list(range(min(calls), min(calls) + 3))
+    assert len(flows) == 2
+
+def test_template_products_are_the_products_of_the_selections():
+    """_on_template reads D(n) E, and with left E D(n), on the parity
+    template's lines at the kept positions: with E the identity on the kept
+    slice it is D(n) itself in every flavor and degree, and with E = f(n),
+    or g(n - 1), it is the product the certificate compares, exactly,
+    since f's rows and g's columns are kept."""
+    import monofloer.complexes as complexes
+    from monofloer.complexes import _differential, _kept, _lines
+
+    for data in [*curated_instances(), performance_instance()]:
+        lo, hi = _band(data)
+        for flavor in ALL_FLAVORS:
+            for n in range(lo - 1, hi + 2):
+                columns, rows, _, _ = _lines(data, n % 2)
+                above, below = (_kept(data, flavor, m) for m in (n, n - 1))
+                d = _differential(data, flavor, n)
+                assert complexes._on_template(
+                    columns, SparseIntMatrix.identity(len(above)), above,
+                    below) == d, (data.name, flavor, n)
+                assert complexes._on_template(
+                    rows, SparseIntMatrix.identity(len(below)), below,
+                    above, left=True) == d, (data.name, flavor, n)
+                if flavor in REDUCED_FLAVORS:
+                    f = _reduced(data, flavor, n).f
+                    g = _reduced(data, flavor, n - 1).g
+                    assert complexes._on_template(
+                        columns, f, above, below) == d.mul(f)
+                    assert complexes._on_template(
+                        rows, g, below, above, left=True) == g.mul(d)
+
+
+class _CountedPasses(tuple):
+    """A dataset's points that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        type(self).passes += 1
+        return super().__iter__()
+
+
+def test_reductions_select_nothing_and_pass_over_the_points_per_parity(
+        work):
+    """On the 50-point instance, once the kept positions are known,
+    certified reductions of Minus, Infinity and Plus select no D and make
+    no pass over the points in any degree: they read the parity templates
+    and their lines, a constant number of passes for more than sixty band
+    degrees."""
+    from monofloer.complexes import _kept
+
+    data = performance_instance()
+    lo, hi = _band(data)
+    for flavor in REDUCED_FLAVORS:
+        for n in range(lo - 3, hi + 3):
+            _kept(data, flavor, n)
+    checked_window(data, None)
+    object.__setattr__(data, "points", _CountedPasses(data.points))
+    work.clear()
+    for flavor in REDUCED_FLAVORS:
+        _reduction(data, flavor)
+    assert work["select"] == 0
+    assert 0 < _CountedPasses.passes <= 6 < hi - lo
+
+
+@pytest.mark.parametrize("flavor", REDUCED_FLAVORS)
+def test_a_broken_flow_fails_the_certificate_at_its_degree(
+        monkeypatch, flavor):
+    """One _flow output broken, for each flow of a reduction of the
+    curated datasets and the 50-point instance in turn: the first multiple
+    it adds, or else the first entry of the chain it leaves, plus one.
+    Each table this changes fails the certificate at the first degree that
+    reads the change or, for a g entry on a paired column, which only
+    g D = D' g reads where g is the reduction below, at the next."""
+    import monofloer.complexes as complexes
+    from monofloer.complexes import _band_degree
+
+    real = complexes._flow
+    calls = []
+
+    def flow(step, chain):
+        rest, added = real(step, chain)
+        calls.append(1)
+        if len(calls) - 1 == broken:
+            if added:
+                added = {**added, next(iter(added)): 1 + next(
+                    iter(added.values()))}
+            elif rest:
+                rest = {**rest, next(iter(rest)): 1 + next(
+                    iter(rest.values()))}
+        return rest, added
+
+    monkeypatch.setattr(complexes, "_flow", flow)
+    failed = []
+    for data in [*curated_instances(), performance_instance()]:
+        broken, (lo, hi) = -1, _band(data)
+        clean = _reduce(data, flavor)
+        for broken in range(len(calls)):
+            calls.clear()
+            table = _reduce(data, flavor)
+            changed = {n for n in table if table[n] != clean[n]}
+            if changed:
+                # the certificate's degrees from lo - 1 read the tables at
+                # the band degrees of n - 1 and n
+                first = next(n for n in range(lo - 1, hi + 2) if changed & {
+                    _band_degree(data, n - 1), _band_degree(data, n)})
+                with pytest.raises(CheckFailed) as info:
+                    _certify(data, flavor, table)
+                assert info.value.degree in (first, first + 1), (
+                    data.name, broken)
+                failed.append(info.value.degree)
+        calls.clear()
+    assert len(failed) >= (2 if flavor is Flavor.INFINITY else 30), \
+        len(failed)
+
 
 def test_a_long_m_chain_reduces_exactly_with_big_coefficients():
     """Forty points in one m-chain with m = 3: cancelling the pairs of a

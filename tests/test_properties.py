@@ -28,9 +28,10 @@ from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms, u_chain_map, \
 from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
     REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
-    _band_degree, _certify, _differential, _identification, _image_terms, \
-    _kept, _pairs, _reduced, _reduction, _restricts, _rule_matrix, _same, \
-    _slice, _slice_map, _template, check_d_squared, default_window
+    _band_degree, _certify, _critical, _differential, _identification, \
+    _image_terms, _kept, _pairs, _reduced, _reduction, _restricts, \
+    _rule_matrix, _same, _slice, _slice_map, _template, check_d_squared, \
+    default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
@@ -498,7 +499,8 @@ def oracle_kept_and_pairs(data, flavor, n):
     oracle admits by its own _admissible: the positions in the Infinity
     basis of degree n of the flavor's generators, and each flavor eta_a^k
     of degree n whose partner 1_a^(k-1) is a flavor generator of degree
-    n - 1, at their places in the two flavor slices."""
+    n - 1, at their places in the two flavor slices.  The pair rule of the
+    reductions must give exactly these pairs."""
     blob = oracle_dataset(data)
     grading = {p.id: p.grading for p in data.points}
     ambient = _engine_order(oracle.oracle_basis(blob, "infinity", n))
@@ -513,19 +515,33 @@ def oracle_kept_and_pairs(data, flavor, n):
     return kept, pairs
 
 
+def oracle_critical(data, flavor, n):
+    """The critical positions from the oracle's basis: those of the flavor
+    slice of degree n that no oracle pair down from n or up from n + 1
+    uses."""
+    kept, pairs = oracle_kept_and_pairs(data, flavor, n)
+    used = {i for i, _, _ in pairs} | {
+        j for _, j, _ in oracle_kept_and_pairs(data, flavor, n + 1)[1]}
+    return tuple(p for p in range(len(kept)) if p not in used)
+
+
 def _assert_kept_and_pairs(data):
     lo, hi = _band(data)
     for flavor in Flavor:
         for n in range(lo - 5, hi + 6):
             assert (_kept(data, flavor, n), _pairs(data, flavor, n)) == \
                 oracle_kept_and_pairs(data, flavor, n), (data.name, flavor, n)
+            if flavor in REDUCED_FLAVORS:
+                assert _critical(data, flavor, n) == oracle_critical(
+                    data, flavor, n), (data.name, flavor, n)
 
 
 def test_kept_and_pairs_match_the_oracle_on_the_pool():
     """_kept and _pairs, one rule over the _POWERS table of kept
     Omega-powers read off the gradings, are the oracle's admissible
     generators over band +- 5, on every pool dataset, the curated ones and
-    invalid data alike."""
+    invalid data alike; so are the critical positions of Minus, Infinity
+    and Plus, which _critical reads off the edge of the pair rule."""
     for data in [*POOL, *curated_instances(), invalid_instance()]:
         _assert_kept_and_pairs(data)
 

@@ -384,18 +384,18 @@ def test_a_pair_across_two_filtrations_fails(monkeypatch):
     import monofloer.spectral as spectral
 
     data = by_name("tail-chain")
-    real = spectral._matching
+    real = spectral._pairs
     lo, hi = _band(data)
     for n in range(lo, hi + 1):
         below = _filtrations(data, Flavor.PLUS, n - 1)
-        pairs, up, crit = real(data, Flavor.PLUS, n)
+        pairs = real(data, Flavor.PLUS, n)
         other = next((j for j, f in enumerate(below) if pairs
                       and f != below[pairs[0][1]]), None)
         if other is not None:
             break
     (i, _, grading), *rest = pairs
-    crossed = [(i, other, grading), *rest], up, crit
-    monkeypatch.setattr(spectral, "_matching", lambda data, flavor, m: crossed
+    crossed = [(i, other, grading), *rest]
+    monkeypatch.setattr(spectral, "_pairs", lambda data, flavor, m: crossed
                         if (flavor, m) == (Flavor.PLUS, n)
                         else real(data, flavor, m))
     with pytest.raises(CheckFailed,

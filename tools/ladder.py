@@ -1,21 +1,25 @@
-"""Scaling ladders: in-process ``verify_all`` and ``spectral_pages`` on
-domino instances of growing size.
+"""Scaling ladders: in-process ``verify_all``, ``spectral_pages`` and the
+certified reductions on domino instances of growing size.
 
 Run from anywhere, with the interpreter that runs the tests:
 
     python3 tools/ladder.py
 
 The ``verify_all`` ladder takes N = 25, 50, 100, 200 and 400, the
-``spectral_pages`` ladder N = 50, 100 and 200.  For each N it starts three
-fresh interpreters one after another.  Each builds
+``spectral_pages`` ladder N = 50, 100 and 200 and the ``reductions``
+ladder N = 50, 100, 200 and 400.  For each N it starts three fresh
+interpreters one after another.  Each builds
 ``perfbench.inputs.domino_instance`` with N points at seed 2026, times one
-``monofloer.cli.verify_all`` on it, or one
-``monofloer.spectral.spectral_pages`` of Plus pages 0-3, and prints the
-seconds; a ``verify_all`` report that is not ``ok`` stops the ladder, as
-does a failed page check.  The last line of output is one JSON object:
+``monofloer.cli.verify_all`` on it, one
+``monofloer.spectral.spectral_pages`` of Plus pages 0-3, or the certified
+``monofloer.complexes._reduction`` of Minus, Infinity and Plus (after
+the data is validated, so the time is the reductions' own: kept positions,
+templates, flows and certificates), and prints the seconds; a
+``verify_all`` report that is not ``ok`` stops the ladder, as does a failed
+page check or certificate.  The last line of output is one JSON object:
 per ladder, the median seconds per size and the slope
-log(t2 / t1) / log(N2 / N1) between neighbouring sizes.  The two ladders
-take about a minute and a half; they are not part of the test suite.
+log(t2 / t1) / log(N2 / N1) between neighbouring sizes.  The three ladders
+take about two minutes; they are not part of the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDERS = {"verify_all": (25, 50, 100, 200, 400),
-           "spectral_pages": (50, 100, 200)}
+           "spectral_pages": (50, 100, 200),
+           "reductions": (50, 100, 200, 400)}
 RUNS = 3
 SEED = 2026
 
@@ -38,16 +43,22 @@ CHILD = """
 import sys, time
 from perfbench.inputs import domino_instance
 from monofloer.cli import verify_all
-from monofloer.complexes import Flavor
+from monofloer.complexes import REDUCED_FLAVORS, Flavor, _reduction, \
+    require_valid
 from monofloer.spectral import spectral_pages
 
 ladder, size, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 data = domino_instance(f"ladder-{size}", size, seed)
+if ladder == "reductions":
+    require_valid(data)
 start = time.perf_counter()
 if ladder == "verify_all":
     report = verify_all(data)
     if not report["ok"]:
         sys.exit(f"verify_all failed at N = {size}: {report['checks']}")
+elif ladder == "reductions":
+    for flavor in REDUCED_FLAVORS:
+        _reduction(data, flavor)
 else:
     spectral_pages(data, Flavor.PLUS, 3)
 print(time.perf_counter() - start)

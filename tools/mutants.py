@@ -88,9 +88,20 @@ MUTANTS = (
            "    etas = flavor in (Flavor.NONEQUIVARIANT, Flavor.HAT)",
            ("tests/test_properties.py",)),
     Mutant("pairs-read-one-slice", "complexes.py",
-           "                    for m in (n, n - 1))",
-           "                    for m in (n, n))",
+           "_kept(data, flavor, n), _kept(data, flavor, n - 1)",
+           "_kept(data, flavor, n), _kept(data, flavor, n)",
            ("tests/test_properties.py",)),
+    # the pair rule of the reductions and the critical positions at its edge
+    Mutant("pair-rule-keeps-the-edge", "complexes.py",
+           "and low < s[3] + n // 2 <= high",
+           "and low <= s[3] + n // 2 <= high",
+           ("tests/test_properties.py::"
+            "test_kept_and_pairs_match_the_oracle_on_the_pool",)),
+    Mutant("critical-edge-off-by-one", "complexes.py",
+           "            for grading in (n - 2 * low, n - 2 * high - 1)",
+           "            for grading in (n - 2 * low - 2, n - 2 * high - 1)",
+           ("tests/test_properties.py::"
+            "test_kept_and_pairs_match_the_oracle_on_the_pool",)),
     Mutant("d2-one-parity", "complexes.py",
            "            for parity in (0, 1)):",
            "            for parity in (0,)):",
@@ -144,8 +155,8 @@ MUTANTS = (
            ("tests/test_duality.py::"
             "test_a_replaced_hat_pairing_is_checked",)),
     Mutant("certify-first-degree-only", "complexes.py",
-           "        if reads in seen:",
-           "        if seen:",
+           "        if (reads := (n % 2, kept, below, here)) in seen:",
+           "        if (reads := (n % 2, kept, below, here)) and seen:",
            ("tests/test_complexes.py::"
             "test_certificate_rejects_a_broken_reduction",)),
     Mutant("commutation-ignores-interval-order", "homology.py",
@@ -160,28 +171,36 @@ MUTANTS = (
             "test_named_maps_that_are_not_chain_maps_are_scanned",)),
     # the certificate and the filtration checks
     Mutant("certify-skips-d-f", "complexes.py",
-           "(\"D f = f D'\", lambda: d.mul(here.f) == below.f.mul(\n"
-           "                here.differential)),",
+           "(\"D f = f D'\", lambda: _on_template(columns, here.f, over, "
+           "under)\n             == below.f.mul(here.differential)),",
            "(\"D f = f D'\", lambda: True),",
            ("tests/test_complexes.py",)),
     Mutant("certify-skips-g-d", "complexes.py",
-           "(\"g D = D' g\", lambda: below.g.mul(d) == "
-           "here.differential.mul(\n                here.g)),",
+           "(\"g D = D' g\", lambda: _on_template(rows, below.g, under, "
+           "over,\n                                                "
+           "left=True)\n             == here.differential.mul(here.g)),",
            "(\"g D = D' g\", lambda: True),",
            ("tests/test_complexes.py",)),
+    # a template product read at every position its lines reach
+    Mutant("template-product-keeps-every-row", "complexes.py",
+           "        if (t := bisect_left(target, r)) < len(target) "
+           "and target[t] == r]",
+           "        if (t := bisect_left(target, r)) < len(target)]",
+           ("tests/test_complexes.py::"
+            "test_template_products_are_the_products_of_the_selections",)),
     Mutant("certify-skips-g-f", "complexes.py",
            "lambda: _sums_to_identity(here.g.mul(here.f))",
            "lambda: True",
            ("tests/test_complexes.py",)),
     # the matching check and the unit blocks that pin the Morse data
     Mutant("matching-accepts-any-pair-entry", "complexes.py",
-           "    suspect = [(rows[i][1] == cols[j][1], v)",
-           "    suspect = [(rows[i][1] == cols[j][1], -1)",
+           "    return all(line.get(i) == -1 and all(",
+           "    return all(i in line and all(",
            ("tests/test_complexes.py::"
             "test_a_pair_whose_entry_is_not_minus_one_fails_the_matching",)),
     Mutant("matching-triangularity-unchecked", "complexes.py",
-           "               and level[rows[i][1]] >= level[cols[j][1]]]",
-           "               and rows[i][1] == cols[j][1]]",
+           "        down[r][0] > rank for r in line if r in down and r != i)",
+           "        True for r in line if r in down and r != i)",
            ("tests/test_complexes.py::"
             "test_a_cyclic_matching_fails_the_matching",)),
     Mutant("certify-critical-unchecked", "complexes.py",
@@ -190,18 +209,18 @@ MUTANTS = (
            ("tests/test_complexes.py::"
             "test_certificate_rejects_critical_positions_that_a_pair_uses",)),
     Mutant("certify-f-ignores-u", "complexes.py",
-           "                if i not in tops} == units),",
+           "                if not tops(over[i])} == units),",
            "                if i in crit} == units),",
            ("tests/test_complexes.py::"
             "test_a_homotopic_f_or_g_fails_its_unit_block",)),
     Mutant("certify-g-ignores-m", "complexes.py",
-           "                if j not in bottoms} == units),",
+           "                if not bottoms(over[j])} == units),",
            "                if j in crit} == units),",
            ("tests/test_complexes.py::"
             "test_a_homotopic_f_or_g_fails_its_unit_block",)),
     _drop("filtration-pairs-unchecked", "spectral.py",
           "        if any(full[i] != below[j]\n"
-          "               for i, j, _ in _matching(data, flavor, n)[0]):",
+          "               for i, j, _ in _pairs(data, flavor, n)):",
           ("tests/test_spectral.py::"
            "test_a_pair_across_two_filtrations_fails",)),
     _drop("filtration-unchecked", "spectral.py",
@@ -329,7 +348,8 @@ MUTANTS = (
     Mutant("certify-shape-error-raises", "complexes.py",
            "            try:\n"
            "                ok = holds()\n"
-           "            except ValueError:  # shapes that do not compose\n"
+           "            except (IndexError, ValueError):  # shapes that do "
+           "not fit\n"
            "                ok = False\n",
            "            ok = holds()\n",
            ("tests/test_complexes.py",)),
