@@ -240,16 +240,22 @@ def _selection(data: MonopoleData, template, key: tuple, rows,
     return template(data, *key).select(rows, cols)
 
 
-def _rule_matrix(data: MonopoleData, rule, drop: int, flavor: Flavor,
-                 n: int) -> SparseIntMatrix:
-    """The matrix of rule from degree n to degree n - drop.  A rule reads k
-    only to shift it, and raising every k by one maps Infinity slice n onto
-    slice n + 2 in order; so the Infinity matrix depends only on n's
-    parity, and a flavor's is its submatrix on the kept positions.  Where
-    _restricts holds, a product of such submatrices is the submatrix of
-    the templates' product."""
+def _rule_matrix(data: MonopoleData, rule, drop: int, source: Flavor,
+                 n: int, target: Flavor | None = None,
+                 shift: int | None = None) -> SparseIntMatrix:
+    """The matrix of rule from degree n of source to degree n + shift of
+    target (by default source and -drop): the one cut of every flavored
+    map.  A rule reads k only to shift it, and raising every k by one maps
+    Infinity slice n onto slice n + 2 in order; so the Infinity matrix
+    depends only on n's parity, and a flavored one is its submatrix at the
+    two sides' kept positions, the rows read at degree n + shift, which is
+    n - drop raised by (shift + drop) / 2 powers.  Where _restricts holds,
+    a product of such submatrices is the submatrix of the templates'
+    product."""
+    target = source if target is None else target
+    shift = -drop if shift is None else shift
     return _selection(data, _template, (rule, drop, n % 2),
-                      _kept(data, flavor, n - drop), _kept(data, flavor, n))
+                      _kept(data, target, n + shift), _kept(data, source, n))
 
 
 @per_dataset
@@ -304,10 +310,12 @@ def check_d_squared(data: MonopoleData, flavor: Flavor,
     lookup.  Validity of the data is deliberately not required here: on
     defective coefficients this check is exactly what detects the broken
     identity, through the scan.  The window, default_window(data) if None,
-    is held to the bounds of checked_window.
+    is held to the bounds of checked_window, and the flavor to the types
+    of checked_degree.
     """
     lo, hi = _window_bounds(default_window(data) if window is None
                             else window)
+    _degree_types(lo, flavor)
     if _restricts(data, flavor, _image_terms, 1) and all(
             _template(data, _image_terms, 1, 1 - parity).mul(
                 _template(data, _image_terms, 1, parity)).is_zero()
@@ -586,12 +594,8 @@ def _certify(data: MonopoleData, flavor: Flavor,
                 raise CheckFailed(n, f"the reduction fails {name}")
 
 
-def _sums_to_identity(*terms: SparseIntMatrix) -> bool:
-    size = terms[0].rows
-    if any((t.rows, t.cols) != (size, size) for t in terms):
-        return False
-    return functools.reduce(SparseIntMatrix.add, terms).entries == tuple(
-        (i, i, 1) for i in range(size))
+def _sums_to_identity(mat: SparseIntMatrix) -> bool:
+    return mat == SparseIntMatrix.identity(mat.rows)
 
 
 @per_dataset
@@ -648,12 +652,9 @@ def _identification(data: MonopoleData, source: Flavor, target: Flavor,
                     n: int, shift_k: int = 0) -> SparseIntMatrix:
     """Each source generator of degree n to the target generator of the same
     kind and point with k raised by shift_k (degree n + 2 shift_k), or to
-    zero where the target flavor truncates it: the identity template at
-    both sides' kept positions, since raising k keeps a generator's
-    Infinity position."""
-    return _selection(data, _template, (_same, 0, n % 2),
-                      _kept(data, target, n + 2 * shift_k),
-                      _kept(data, source, n))
+    zero where the target flavor truncates it: the cut of the identity
+    rule _same."""
+    return _rule_matrix(data, _same, 0, source, n, target, 2 * shift_k)
 
 
 # which: (source flavor, target flavor, the flavor the map lives in)
@@ -715,15 +716,22 @@ def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def checked_degree(data: MonopoleData, n: int, flavor=Flavor.INFINITY):
-    """The input contract of every per-degree entry point: the data must
-    be valid, the degree an int that is not a bool (type, not isinstance,
-    as in _window_bounds) and the flavor, where the entry point takes one,
-    a Flavor; raises InvalidInput.  The per_dataset and per_band_degree
-    memos, the hot path, apply none of it."""
+def _degree_types(n, flavor) -> None:
+    # the type half of checked_degree, which check_d_squared applies alone;
+    # type, not isinstance, as in _window_bounds
     if type(n) is not int or type(flavor) is not Flavor:
         raise InvalidInput(f"a degree must be an int and a flavor a Flavor, "
                            f"not {n!r} and {flavor!r}")
+
+
+def checked_degree(data: MonopoleData, n: int, flavor=Flavor.INFINITY):
+    """The input contract of every per-degree entry point: the data must
+    be valid, the degree an int that is not a bool and the flavor, where
+    the entry point takes one, a Flavor; raises InvalidInput.  A windowed
+    entry point that takes a flavor holds it to this contract at its
+    window's first degree.  The per_dataset and per_band_degree memos, the
+    hot path, apply none of it."""
+    _degree_types(n, flavor)
     require_valid(data)
 
 

@@ -243,6 +243,7 @@ def cohomology(data: MonopoleData, flavor: Flavor,
     the report carries the windowed groups only.
     """
     lo, hi = checked_window(data, window)
+    checked_degree(data, lo, flavor)
     groups = {n: _cohomology_at(data, flavor, n) for n in range(lo, hi + 1)}
     return GradedAbelianGroup((lo, hi), groups, None, None)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import _POWERS, _STRUCTURAL, Flavor, MonopoleData, _band, \
     _band_degree, _carried, _differential, _identification, _image_terms, \
-    _kept, _reduced_differential, _restricts, _same, _selection, _template, \
+    _kept, _reduced_differential, _restricts, _rule_matrix, _same, \
     checked_degree, checked_window, per_band_degree, require_valid, \
     structural_map
 from .data import CheckFailed, InvalidInput, per_dataset
@@ -203,12 +203,13 @@ def _commutes_on_templates(data: MonopoleData, source: Flavor,
                            shift: int) -> bool:
     """D M = M D on both parity templates, where M(n) reads rule's
     template at degree n + shift, with the restriction lemma and the
-    ordered intervals of induced_on_homology."""
+    ordered intervals of induced_on_homology.  Infinity keeps every
+    position, so its cut of a rule at degree p is the template itself."""
     if shift + drop not in (0, -2) or not (source is target or (
             Flavor.NONEQUIVARIANT not in (source, target) and all(
                 s <= t for s, t in zip(_POWERS[source], _POWERS[target])))):
         return False
-    d, m = ({p: _template(data, r, dr, p) for p in (0, 1)}
+    d, m = ({p: _rule_matrix(data, r, dr, Flavor.INFINITY, p) for p in (0, 1)}
             for r, dr in ((_image_terms, 1), (rule, drop)))
     return all(_restricts(data, flavor, r, dr) for flavor in (source, target)
                for r, dr in ((_image_terms, 1), (rule, drop))) and all(
@@ -252,8 +253,7 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
         data, source, target, *rule, shift)
 
     def selected(m):
-        return _selection(data, _template, (*rule, m % 2),
-                          _kept(data, target, m + shift), _kept(data, source, m))
+        return _rule_matrix(data, *rule, source, m, target, shift)
 
     for n in range(lo, hi + 2):
         mat, mat_prev = chain_map.matrices[n], chain_map.matrices[n - 1]
@@ -303,6 +303,7 @@ def structural_chain_map(data: MonopoleData, which: str,
 def identity_chain_map(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int]) -> ChainMapSlice:
     lo, hi = checked_window(data, window)
+    checked_degree(data, lo, flavor)
     matrices = {n: _identification(data, flavor, flavor, n)
                 for n in range(lo - 2, hi + 3)}
     return ChainMapSlice(flavor, flavor, 0, matrices, (_same, 0))

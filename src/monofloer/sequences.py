@@ -26,13 +26,11 @@ from .complexes import (
     _band,
     _carried,
     _differential,
-    _identification,
     _image_terms,
-    _kept,
     _reduced,
     _reduced_differential,
-    _selection,
-    _template,
+    _rule_matrix,
+    _same,
     checked_degree,
     checked_window,
 )
@@ -98,25 +96,6 @@ class HatSequenceReport(ExactnessReport):
 # connecting maps at the chain level
 # ---------------------------------------------------------------------------
 
-def _delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
-    """Chain-level connecting map of the main sequence in degree n: lift a
-    Plus chain into Infinity, apply D, restrict to Minus (faithful on
-    cycles), which is the D template at those kept positions."""
-    return _selection(data, _template, (_image_terms, 1, n % 2),
-                      _kept(data, Flavor.MINUS, n - 1),
-                      _kept(data, Flavor.PLUS, n))
-
-
-def _hat_delta_chain(data: MonopoleData, n: int) -> SparseIntMatrix:
-    """Chain-level connecting map of the hat sequence, degree n to n + 1:
-    raise k to section omega-inverse, apply D on Plus, restrict to k = 0.
-    Raising k keeps Infinity positions, so this is the D template of n's
-    parity at those kept positions."""
-    return _selection(data, _template, (_image_terms, 1, n % 2),
-                      _kept(data, Flavor.HAT, n + 1),
-                      _kept(data, Flavor.PLUS, n))
-
-
 def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     """Matrix of the connecting map on the recorded generators of the
     certified reductions, degree n of Plus to degree n - 1 of Minus.
@@ -130,11 +109,11 @@ def connecting_delta(data: MonopoleData, n: int) -> SparseIntMatrix:
     """
     checked_degree(data, n)
     # the Infinity boundaries of lifted Plus chains
-    lifted = _selection(data, _template, (_image_terms, 1, n % 2),
-                        _kept(data, Flavor.INFINITY, n - 1),
-                        _kept(data, Flavor.PLUS, n))
-    restrict = _identification(data, Flavor.INFINITY, Flavor.MINUS, n - 1)
-    back = _identification(data, Flavor.MINUS, Flavor.INFINITY, n - 1)
+    lifted = _rule_matrix(data, _image_terms, 1, Flavor.PLUS, n,
+                          Flavor.INFINITY)
+    restrict = _rule_matrix(data, _same, 0, Flavor.INFINITY, n - 1,
+                            Flavor.MINUS)
+    back = _rule_matrix(data, _same, 0, Flavor.MINUS, n - 1, Flavor.INFINITY)
     source = presentation_at(data, Flavor.PLUS, n)
     target = presentation_at(data, Flavor.MINUS, n - 1)
     g = _reduced(data, Flavor.MINUS, n - 1).g
@@ -204,28 +183,33 @@ def _exactness(data, cycles: SparseIntMatrix, bd: SparseIntMatrix,
     return image.invariants, kernel.invariants, witness
 
 
-# a long exact sequence as (names, flavors, connecting map, degree shifts)
+# a long exact sequence as (names, flavors, the (rule, drop) of each map,
+# degree shifts), each map cut by _chain_map: maps 0 and 1 identify kept
+# positions, and map 2, the connecting map, lifts, applies D and
+# restricts, which is D at the kept positions of its two ends
 _MAIN = (("minus", "infinity", "plus"),
-         (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS), _delta_chain,
-         (0, 0, -1))
+         (Flavor.MINUS, Flavor.INFINITY, Flavor.PLUS),
+         ((_same, 0), (_same, 0), (_image_terms, 1)), (0, 0, -1))
 _HAT = (("hat", "plus-head", "plus-tail"),
-        (Flavor.HAT, Flavor.PLUS, Flavor.PLUS), _hat_delta_chain, (0, -2, 1))
+        (Flavor.HAT, Flavor.PLUS, Flavor.PLUS),
+        ((_same, 0), (_same, 0), (_image_terms, 1)), (0, -2, 1))
+
+
+def _chain_map(data: MonopoleData, sequence, j: int,
+               m: int) -> SparseIntMatrix:
+    """Map j of a sequence in degree m, from node j in degree m to node
+    j + 1 (cyclically) in degree m + shift j, carried to the reductions."""
+    _, flavors, maps, shifts = sequence
+    source, target = flavors[j], flavors[(j + 1) % 3]
+    chain = _rule_matrix(data, *maps[j], source, m, target, shifts[j])
+    return _carried(data, chain, source, m, target, m + shifts[j])
 
 
 def _node(data: MonopoleData, sequence, i: int, n: int) -> NodeReport:
-    """Node i of a sequence in degree n, on the reductions.  Map i runs
-    from node i in degree n to node i + 1 (cyclically) in degree n + shift
-    i; maps 0 and 1 identify kept positions and map 2 connects.  The node's
-    incoming image is that of map i - 1, and a witness is carried back to
-    the node's own generators through f."""
-    names, flavors, connecting, shifts = sequence
-
-    def chain_map(j, m):
-        chain = connecting(data, m) if j == 2 else _identification(
-            data, flavors[j], flavors[j + 1], m, shifts[j] // 2)
-        return _carried(data, chain, flavors[j], m, flavors[(j + 1) % 3],
-                        m + shifts[j])
-
+    """Node i of a sequence in degree n, on the reductions.  The node's
+    incoming image is that of map i - 1 (_chain_map), and a witness is
+    carried back to the node's own generators through f."""
+    names, flavors, _, shifts = sequence
     flavor, m = flavors[i], n - shifts[i - 1]
     pres = presentation_at(data, flavor, n)
     if pres.invariants.is_trivial:
@@ -235,8 +219,8 @@ def _node(data: MonopoleData, sequence, i: int, n: int) -> NodeReport:
         data, pres.lattice.basis,
         _reduced_differential(data, flavor, n + 1),
         _images_of_classes(presentation_at(data, flavors[i - 1], m),
-                           chain_map((i - 1) % 3, m)),
-        chain_map(i, n),
+                           _chain_map(data, sequence, (i - 1) % 3, m)),
+        _chain_map(data, sequence, i, n),
         _reduced_differential(data, flavors[(i + 1) % 3], n + shifts[i] + 1))
     if witness is not None and flavor in REDUCED_FLAVORS:
         reason, vector = witness
@@ -266,10 +250,8 @@ def check_les_main(data: MonopoleData,
 def _red_at(data: MonopoleData, n: int) -> AbelianGroupInvariants:
     """Common value of the projection cokernel at n and the inclusion
     kernel at n - 1; raises CheckFailed if they differ."""
-    images = _images_of_classes(
-        presentation_at(data, Flavor.INFINITY, n),
-        _carried(data, _identification(data, Flavor.INFINITY, Flavor.PLUS, n),
-                 Flavor.INFINITY, n, Flavor.PLUS, n))
+    images = _images_of_classes(presentation_at(data, Flavor.INFINITY, n),
+                                _chain_map(data, _MAIN, 1, n))
     coker = _quotient(
         data, presentation_at(data, Flavor.PLUS, n).lattice,
         hstack(_reduced_differential(data, Flavor.PLUS, n + 1),

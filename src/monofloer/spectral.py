@@ -27,9 +27,9 @@ from .complexes import (
     _pairs,
     _reduced,
     _reduced_differential,
+    checked_degree,
     checked_window,
     per_band_degree,
-    require_valid,
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
 from .homology import graded_homology, homology_at, presentation_at, \
@@ -443,7 +443,7 @@ def delta_map(data: MonopoleData, k: int) -> SparseIntMatrix:
     2k+1 to grading 1, then pairs with the reducible coupling column.
     Torsion generators must map to zero; CheckFailed is raised otherwise.
     """
-    require_valid(data)
+    checked_degree(data, k)
     if k < 0:
         raise InvalidInput("the obstruction maps live in odd degrees 2k+1, "
                            "k nonnegative")

@@ -305,7 +305,9 @@ def test_default_window():
 
 # -- the window contract ----------------------------------------------------
 
-def _windowed_entry_points():
+def _windowed_entry_points(flavor=Flavor.PLUS):
+    """Each public windowed entry point as a call of (data, window); those
+    of _FLAVORED_WINDOWED take flavor."""
     from monofloer.actions import u_module_structure, verify_u_homotopy
     from monofloer.cli import verify_all
     from monofloer.duality import cohomology, duality_check, \
@@ -321,27 +323,43 @@ def _windowed_entry_points():
                                    window)
 
     return {
-        "graded_homology": lambda d, w: graded_homology(d, Flavor.PLUS, w),
+        "graded_homology": lambda d, w: graded_homology(d, flavor, w),
         "induced_on_homology": induced,
         "structural_chain_map": lambda d, w: structural_chain_map(
             d, "omega_inverse", w, Flavor.PLUS),
-        "identity_chain_map": lambda d, w: identity_chain_map(
-            d, Flavor.PLUS, w),
-        "verify_u_homotopy": lambda d, w: verify_u_homotopy(
-            d, Flavor.PLUS, w),
-        "u_module_structure": lambda d, w: u_module_structure(
-            d, Flavor.PLUS, w),
+        "identity_chain_map": lambda d, w: identity_chain_map(d, flavor, w),
+        "verify_u_homotopy": lambda d, w: verify_u_homotopy(d, flavor, w),
+        "u_module_structure": lambda d, w: u_module_structure(d, flavor, w),
         "check_les_main": check_les_main,
         "hf_red": hf_red,
         "check_les_hat": check_les_hat,
         "structure_theorem": structure_theorem,
         "verify_adjointness": verify_adjointness,
-        "cohomology": lambda d, w: cohomology(d, Flavor.PLUS, w),
+        "cohomology": lambda d, w: cohomology(d, flavor, w),
         "duality_check": duality_check,
         "verify_all": verify_all,
         # the window half only: this check also runs on invalid data
-        "check_d_squared": lambda d, w: check_d_squared(d, Flavor.PLUS, w),
+        "check_d_squared": lambda d, w: check_d_squared(d, flavor, w),
     }
+
+
+# the windowed entry points whose one flavor argument is required; in
+# structural_chain_map, None stands for no flavor, and induced_on_homology
+# takes its flavors from the chain map
+_FLAVORED_WINDOWED = ("graded_homology", "identity_chain_map",
+                      "verify_u_homotopy", "u_module_structure",
+                      "cohomology", "check_d_squared")
+
+
+@pytest.mark.parametrize("flavor", ["plus", None, 1])
+@pytest.mark.parametrize("name", _FLAVORED_WINDOWED)
+def test_windowed_entry_points_take_only_flavors(name, flavor):
+    """A flavor that is not a Flavor raises checked_degree's InvalidInput,
+    where check_d_squared answered True and cohomology and
+    identity_chain_map raised KeyError."""
+    call = _windowed_entry_points(flavor)[name]
+    with pytest.raises(InvalidInput, match="a flavor a Flavor"):
+        call(by_name("tail-chain"), (0, 2))
 
 
 @pytest.mark.parametrize("window", [(5, -5), (-1000, 1001)])
@@ -442,6 +460,7 @@ def _per_degree_entry_points():
     from monofloer.duality import hat_pairing_matrix, pairing_matrix
     from monofloer.homology import homology_at
     from monofloer.sequences import connecting_delta
+    from monofloer.spectral import delta_map
 
     return {
         "differential_matrix": (differential_matrix, True),
@@ -455,6 +474,7 @@ def _per_degree_entry_points():
         "hat_pairing_matrix": (lambda d, f, n: hat_pairing_matrix(d, n),
                                False),
         "connecting_delta": (lambda d, f, n: connecting_delta(d, n), False),
+        "delta_map": (lambda d, f, n: delta_map(d, n), False),
     }
 
 
@@ -793,7 +813,6 @@ def test_only_a_square_sum_is_the_identity():
     wide = SparseIntMatrix(2, 3, eye.entries)
     assert _sums_to_identity(eye)
     assert not _sums_to_identity(wide)
-    assert not _sums_to_identity(eye, SparseIntMatrix(2, 3, ()))
 
 
 # a reduction broken under the CLI: its flavor, how it is broken, and the

@@ -41,8 +41,7 @@ from monofloer.duality import _cohomology_at, _complex_level, \
 from monofloer.homology import _commutes_on_templates, graded_homology, \
     homology_at, induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
-from monofloer.sequences import _delta_chain, _hat_delta_chain, _red_at, \
-    connecting_delta, hf_red
+from monofloer.sequences import _red_at, connecting_delta, hf_red
 from monofloer.spectral import spectral_pages
 from test_complexes import compare_with_oracle, full_presentation, \
     oracle_dataset
@@ -193,7 +192,8 @@ def _class_maps(data, window):
         lambda n: projection.matrices[n])
     yield (Flavor.PLUS, Flavor.MINUS, -1,
            {n: connecting_delta(data, n) for n in range(lo, hi + 1)},
-           lambda n: _delta_chain(data, n))
+           lambda n: _rule_matrix(data, _image_terms, 1, Flavor.PLUS, n,
+                                  Flavor.MINUS))
 
 
 def assert_class_maps_commute(data):
@@ -465,11 +465,13 @@ def test_every_chain_level_matrix_is_a_selection():
                     source, target, n, shift), (
                     data.name, source, target, shift, n)
             # lift, differentiate, restrict
-            assert _delta_chain(data, n) == identify(
+            assert _rule_matrix(data, _image_terms, 1, Flavor.PLUS, n,
+                                Flavor.MINUS) == identify(
                 Flavor.INFINITY, Flavor.MINUS, n - 1, 0).mul(
                 build(_image_terms, Flavor.INFINITY, n, 1)).mul(
                 identify(Flavor.PLUS, Flavor.INFINITY, n, 0)), (data.name, n)
-            assert _hat_delta_chain(data, n) == identify(
+            assert _rule_matrix(data, _image_terms, 1, Flavor.PLUS, n,
+                                Flavor.HAT, 1) == identify(
                 Flavor.PLUS, Flavor.HAT, n + 1, 0).mul(
                 build(_image_terms, Flavor.PLUS, n + 2, 1)).mul(
                 identify(Flavor.PLUS, Flavor.PLUS, n, 1)), (data.name, n)

@@ -52,21 +52,21 @@ def test_connecting_delta_refuses_a_wrong_lift(monkeypatch, row, message):
     row 2, which Minus does not keep, a lifted boundary leaves the
     subcomplex; at row 0, theta, a lifted Plus boundary is a nonzero Minus
     class."""
-    import monofloer.sequences as sequences
+    import monofloer.complexes as complexes
     from monofloer.complexes import _kept
 
     data = by_name("theta-coupled-pair")
-    lift_rows = _kept(data, Flavor.INFINITY, -2)
-    selection = sequences._selection
+    lift = (_kept(data, Flavor.INFINITY, -2), _kept(data, Flavor.PLUS, -1))
+    selection = complexes._selection
 
     def wrong_lift(data, template, key, rows, cols):
         mat = selection(data, template, key, rows, cols)
-        if rows != lift_rows:
+        if (rows, cols) != lift:
             return mat
         return mat.add(SparseIntMatrix.from_entries(
             mat.rows, mat.cols, [(row, 0, 1)]))
 
-    monkeypatch.setattr(sequences, "_selection", wrong_lift)
+    monkeypatch.setattr(complexes, "_selection", wrong_lift)
     with pytest.raises(CheckFailed, match=message) as info:
         connecting_delta(data, -1)
     assert info.value.degree == -1
@@ -116,8 +116,8 @@ def test_les_main_node_lookup():
 
 
 def test_composites_vanish_on_homology():
-    from monofloer.complexes import structural_map, _differential, _slice
-    from monofloer.sequences import _delta_chain
+    from monofloer.complexes import structural_map, _differential, \
+        _image_terms, _rule_matrix, _slice
 
     for data in curated_instances():
         lo, hi = default_window(data)
@@ -125,7 +125,8 @@ def test_composites_vanish_on_homology():
             # delta after projection: zero into HF^-_{n-1}
             pres_inf = full_presentation(data, Flavor.INFINITY, n)
             proj = structural_map(data, "projection_plus", Flavor.INFINITY, n)
-            delta = _delta_chain(data, n)
+            delta = _rule_matrix(data, _image_terms, 1, Flavor.PLUS, n,
+                                 Flavor.MINUS)
             tgt = full_presentation(data, Flavor.MINUS, n - 1)
             for gen in pres_inf.generators:
                 image = delta.apply(proj.apply(gen.vector))
@@ -208,14 +209,13 @@ def test_witnesses_on_the_reductions_are_unreduced_cycles(monkeypatch):
     import monofloer.sequences as sequences
     from monofloer.complexes import _differential, _kept
 
-    names, flavors, _, shifts = sequences._MAIN
+    names, flavors, maps, shifts = sequences._MAIN
 
-    def zero_delta(data, n):
-        return SparseIntMatrix.zero(len(_kept(data, Flavor.MINUS, n - 1)),
-                                    len(_kept(data, Flavor.PLUS, n)))
+    def nothing(data, gen):
+        return ()
 
     monkeypatch.setattr(sequences, "_MAIN",
-                        (names, flavors, zero_delta, shifts))
+                        (names, flavors, (*maps[:2], (nothing, 1)), shifts))
     flavor_of = dict(zip(names, flavors))
     found = 0
     for data in curated_instances():

@@ -191,7 +191,8 @@ MUTANTS = (
     Mutant("certify-skips-g-f", "complexes.py",
            "lambda: _sums_to_identity(here.g.mul(here.f))",
            "lambda: True",
-           ("tests/test_complexes.py",)),
+           ("tests/test_complexes.py::"
+            "test_certificate_rejects_a_phantom_critical_generator",)),
     # the matching check and the unit blocks that pin the Morse data
     Mutant("matching-accepts-any-pair-entry", "complexes.py",
            "    return all(line.get(i) == -1 and all(",
@@ -285,6 +286,12 @@ MUTANTS = (
           "    if second.cols != first.rows:",
           ("tests/test_spectral.py::"
            "test_composite_of_maps_that_do_not_compose_fails",)),
+    # the one cut of every flavored map: its rows at degree n + shift
+    Mutant("cut-ignores-shift", "complexes.py",
+           "_kept(data, target, n + shift)",
+           "_kept(data, target, n - drop)",
+           ("tests/test_properties.py::"
+            "test_every_chain_level_matrix_is_a_selection",)),
     # the band's padding around the gradings
     Mutant("band-pads-2-below", "complexes.py",
            "    return min(gradings) - 3, max(gradings) + 4",
@@ -353,9 +360,12 @@ MUTANTS = (
            "                ok = False\n",
            "            ok = holds()\n",
            ("tests/test_complexes.py",)),
-    _drop("identity-shape-unchecked", "complexes.py",
-          "    if any((t.rows, t.cols) != (size, size) for t in terms):",
-          ("tests/test_complexes.py",)),
+    Mutant("identity-shape-unchecked", "complexes.py",
+           "    return mat == SparseIntMatrix.identity(mat.rows)",
+           "    return mat.entries == SparseIntMatrix.identity("
+           "mat.rows).entries",
+           ("tests/test_complexes.py::"
+            "test_only_a_square_sum_is_the_identity",)),
     _drop("parse-root-unchecked", "data.py",
           "    if not isinstance(doc, dict):",
           ("tests/test_data.py",)),
