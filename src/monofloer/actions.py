@@ -40,28 +40,26 @@ _U_FLAVORS = (Flavor.INFINITY, Flavor.MINUS, Flavor.PLUS)
 
 
 def _u_terms(data, gen):
-    """Untruncated image of one generator under u, as (generator, coeff)."""
-    gr = data.grading_of(gen.point) if gen.kind != KIND_THETA else 0
-    if gen.kind == KIND_ETA:
-        for c in data.ids_at(gr - 2):
-            coeff = data.m_value(gen.point, c)
-            if coeff:
-                yield Generator(KIND_ETA, c, gen.k), coeff
-    elif gen.kind == KIND_ONE:
-        for c in data.ids_at(gr - 2):
-            coeff = data.m_value(gen.point, c)
-            if coeff:
-                yield Generator(KIND_ONE, c, gen.k), coeff
-        if gr == 1:
-            coeff = data.n_value(gen.point, THETA)
-            if coeff:
-                yield Generator(KIND_THETA, None, gen.k), coeff
-    else:
+    """Untruncated image of one generator under u, as (generator, coeff):
+    an eta or a one meets the m-couplings two gradings down in its own
+    kind, and a one of grading 1 also theta; theta meets the etas at
+    grading -2 and itself one power down."""
+    if gen.kind == KIND_THETA:
         for d in data.ids_at(-2):
             coeff = data.n_value(THETA, d)
             if coeff:
                 yield Generator(KIND_ETA, d, gen.k), coeff
         yield Generator(KIND_THETA, None, gen.k - 1), 1
+        return
+    gr = data.grading_of(gen.point)
+    for c in data.ids_at(gr - 2):
+        coeff = data.m_value(gen.point, c)
+        if coeff:
+            yield Generator(gen.kind, c, gen.k), coeff
+    if gen.kind == KIND_ONE and gr == 1:
+        coeff = data.n_value(gen.point, THETA)
+        if coeff:
+            yield Generator(KIND_THETA, None, gen.k), coeff
 
 
 def _h_terms(data, gen):
@@ -123,7 +121,7 @@ def verify_u_homotopy(data: MonopoleData, flavor: Flavor,
     holds on the Infinity templates, it holds at every degree whose six
     matrices are the selections _templated names; any other degree, such
     as one whose map was replaced, forms its products."""
-    lo, hi = checked_window(data, window)
+    lo, hi = checked_window(data, window, flavor)
     proved = all(_restricts(data, flavor, rule, 1)
                  for rule in (_image_terms, _h_terms)) and \
         _homotopy_on_templates(data)
@@ -154,7 +152,7 @@ def u_module_structure(data: MonopoleData, flavor: Flavor,
     returning, and raises CheckFailed at the first degree where they differ;
     this is the u-check of sequences.check_les_hat.
     """
-    lo, hi = checked_window(data, window)
+    lo, hi = checked_window(data, window, flavor)
     matrices = {n: u_chain_map(data, flavor, n)
                 for n in range(lo - 2, hi + 3)}
     induced = induced_on_homology(

@@ -102,21 +102,29 @@ def generator_degree(data: MonopoleData, gen: Generator) -> int:
     return 2 * gen.k + data.grading_of(gen.point) + (gen.kind == KIND_ONE)
 
 
-def _infinity_cells(data: MonopoleData, n: int):
+@per_dataset
+def _layout(data: MonopoleData, parity: int) -> tuple[tuple, ...]:
+    """The Infinity basis order, stated once: (kind, point id, k, grading)
+    of each generator of degree parity (0 or 1), in the order of
+    generators_in_degree.  Theta, (KIND_THETA, None, 0, 0), leads the even
+    slice; then comes one generator per point in id order, an eta where
+    parity - gr is even, a one otherwise, with k = (parity - gr) // 2.
+    Degree parity + 2 s lists the same generators with every k raised by
+    s.  Every reader of the basis order reads this table."""
+    return ((KIND_THETA, None, 0, 0),) * (1 - parity) + tuple(
+        (KIND_ONE if (parity - p.grading) % 2 else KIND_ETA, p.id,
+         (parity - p.grading) // 2, p.grading) for p in data.points)
+
+
+def _infinity_cells(data: MonopoleData, n: int) -> tuple[tuple, ...]:
     """(kind, point id, k) of each Infinity generator of degree n, in the
-    order of generators_in_degree."""
-    if n % 2 == 0:
-        yield KIND_THETA, None, n // 2
-    for p in data.points:
-        gap = n - p.grading
-        if gap % 2 == 0:
-            yield KIND_ETA, p.id, gap // 2
-        else:
-            yield KIND_ONE, p.id, (gap - 1) // 2
+    order of generators_in_degree: the layout's k raised by n // 2."""
+    return tuple((kind, a, k + n // 2)
+                 for kind, a, k, _ in _layout(data, n % 2))
 
 
 def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
-    cells = tuple(_infinity_cells(data, n))
+    cells = _infinity_cells(data, n)
     return DegreeSlice(n, tuple(
         Generator(*cells[i]) for i in _kept(data, flavor, n)))
 
@@ -173,12 +181,12 @@ def _band(data: MonopoleData) -> tuple[int, int]:
     _kept(n + 2) == _kept(n) unless slice n holds a generator whose k or
     k + 1, but not both, lies in the flavor's _POWERS interval (k = -1 for
     Minus and Plus, k in {-1, 0} for Hat and NonEquivariant); with g the
-    gradings plus 0, that cannot happen for n >= max(g) + 2 or
-    n <= min(g) - 3.  So D(n + 2) == D(n) for
+    gradings of the even layout, theta's 0 among them, that cannot happen
+    for n >= max(g) + 2 or n <= min(g) - 3.  So D(n + 2) == D(n) for
     n >= max(g) + 3 or n <= min(g) - 3, and a presentation, which reads
     D(n) and D(n + 1), repeats outside [min(g) - 3, max(g) + 4].  Validity
     of the data plays no part."""
-    gradings = [p.grading for p in data.points] + [0]
+    gradings = [grading for *_, grading in _layout(data, 0)]
     return min(gradings) - 3, max(gradings) + 4
 
 
@@ -208,20 +216,15 @@ def per_band_degree(fn):
 
 @per_band_degree
 def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
-    """The ascending positions of the Infinity basis of degree n whose k
-    lies in the flavor's _POWERS interval, read off the gradings: a point's
-    generator in degree n has k = (n - gr) // 2, an eta when n - gr is
-    even, and theta k = n / 2.  NonEquivariant keeps only the etas, so not
-    theta.  So each flavor keeps, in every degree, the positions whose k
-    lies in one interval, and NonEquivariant its etas there."""
+    """The ascending positions of the Infinity basis of degree n whose k,
+    the layout's raised by n // 2, lies in the flavor's _POWERS interval;
+    NonEquivariant keeps only the etas there.  So each flavor keeps, in
+    every degree, the positions whose k lies in one interval, and
+    NonEquivariant its etas there."""
     low, high = _POWERS[flavor]
-    etas = flavor is Flavor.NONEQUIVARIANT
-    lead = 1 - n % 2  # theta leads the even slice
-    theta = lead and not etas and low <= n // 2 <= high
-    return (0,) * theta + tuple(
-        i for i, p in enumerate(data.points, lead)
-        if low <= (n - p.grading) // 2 <= high
-        and not (etas and (n - p.grading) % 2))
+    return tuple(i for i, (kind, _, k, _) in enumerate(_layout(data, n % 2))
+                 if low <= k + n // 2 <= high
+                 and (kind == KIND_ETA or flavor is not Flavor.NONEQUIVARIANT))
 
 
 @per_dataset
@@ -276,8 +279,8 @@ def _restricts(data: MonopoleData, flavor: Flavor, rule, drop: int) -> bool:
     if flavor is Flavor.INFINITY:
         return True
     for parity in (0, 1):
-        rows = tuple(_infinity_cells(data, parity - drop))
-        cols = tuple(_infinity_cells(data, parity))
+        rows = _infinity_cells(data, parity - drop)
+        cols = _infinity_cells(data, parity)
         for (i, j, _) in _template(data, rule, drop, parity).entries:
             (kind, _, k), (source, _, power) = rows[i], cols[j]
             if k - power not in (0, -1) or (
@@ -371,10 +374,13 @@ def _critical(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     """The critical positions of degree n for a flavor of REDUCED_FLAVORS,
     ascending in its kept slice: the kept generators no pair uses, which by
     the rule of _active are theta and the generators at the k edge,
-    eta_a^low and 1_a^high.  Found through ids_at and placed by bisect on
-    _kept, in O(edge generators times log points).  These are the kept
-    positions of n that no pair with n - 1 or n + 1 uses, so they repeat
-    with period two beyond the band, as per_band_degree needs."""
+    eta_a^low and 1_a^high.  Found through ids_at, each is placed by its
+    point's index, bisected in the points and one place later in the even
+    slice, which theta leads, then by bisect on _kept: O(edge generators
+    times log points), where a scan of the layout costs O(points).  These
+    are the kept positions of n that no pair with n - 1 or n + 1 uses, so
+    they repeat with period two beyond the band, as per_band_degree
+    needs."""
     low, high = _POWERS[flavor]
     top, kept = 1 - n % 2, _kept(data, flavor, n)
     edge = [bisect_left(data.points, a, key=lambda p: p.id) + top
@@ -392,18 +398,19 @@ def _lines(data: MonopoleData, parity: int):
     column of eta_a^k, that column, k), and along maps the column of each
     eta_a^k to (gr(a), the row of 1_a^(k-1), that row, k), with k read in
     degree parity.  Degree parity + 2 s is the template with every k
-    raised by s, so its pairs are the steps _active keeps there.  Built
-    once per dataset and parity."""
+    raised by s, so its pairs are the steps _active keeps there.  The
+    etas are the layout's, and each partner is placed by its point's
+    index: theta leads the even slice, so a point sits one place later
+    there.  Built once per dataset and parity."""
     columns, rows, down, along = {}, {}, {}, {}
     for (i, j, v) in _template(data, _image_terms, 1, parity).entries:
         columns.setdefault(j, {})[i] = v
         rows.setdefault(i, {})[j] = v
-    for a, p in enumerate(data.points):
-        if (parity - p.grading) % 2 == 0:
-            # theta leads the even slice, so a point sits one place later
-            i, j, k = a + parity, a + 1 - parity, (parity - p.grading) // 2
-            down[i] = (-p.grading, j, columns.get(j, {}), k)
-            along[j] = (p.grading, i, rows.get(i, {}), k)
+    for j, (kind, _, k, grading) in enumerate(_layout(data, parity)):
+        if kind == KIND_ETA:
+            i = j - 1 + 2 * parity
+            down[i] = (-grading, j, columns.get(j, {}), k)
+            along[j] = (grading, i, rows.get(i, {}), k)
     return columns, rows, down, along
 
 
@@ -728,22 +735,27 @@ def checked_degree(data: MonopoleData, n: int, flavor=Flavor.INFINITY):
     """The input contract of every per-degree entry point: the data must
     be valid, the degree an int that is not a bool and the flavor, where
     the entry point takes one, a Flavor; raises InvalidInput.  A windowed
-    entry point that takes a flavor holds it to this contract at its
-    window's first degree.  The per_dataset and per_band_degree memos, the
-    hot path, apply none of it."""
+    entry point holds its flavors to the types at its window's first
+    degree, through checked_window.  The per_dataset and per_band_degree
+    memos, the hot path, apply none of it."""
     _degree_types(n, flavor)
     require_valid(data)
 
 
-def checked_window(data: MonopoleData,
-                   window: tuple[int, int] | None) -> tuple[int, int]:
+def checked_window(data: MonopoleData, window: tuple[int, int] | None,
+                   *flavors) -> tuple[int, int]:
     """The input contract of every windowed computation: the data must be
-    valid, and default_window(data), which covers the band it reads, and
-    the window, which defaults to it, must be non-empty and at most
-    MAX_WINDOW_DEGREES wide.  Returns (lo, hi); raises InvalidInput."""
+    valid, default_window(data), which covers the band it reads, and the
+    window, which defaults to it, must be non-empty and at most
+    MAX_WINDOW_DEGREES wide, and each of the entry point's flavors must be
+    a Flavor, held to checked_degree's types at the window's first degree.
+    Returns (lo, hi); raises InvalidInput."""
     require_valid(data)
     lo, hi = default_window(data)
     if hi - lo + 1 > MAX_WINDOW_DEGREES:
         raise InvalidInput(f"the dataset's gradings span its default window "
                            f"{lo}:{hi}, more than {MAX_WINDOW_DEGREES} degrees")
-    return _window_bounds((lo, hi) if window is None else window)
+    lo, hi = _window_bounds((lo, hi) if window is None else window)
+    for flavor in flavors:
+        _degree_types(lo, flavor)
+    return lo, hi

@@ -20,6 +20,7 @@ from .complexes import (
     _image_terms,
     _infinity_cells,
     _kept,
+    _layout,
     _reduced_differential,
     _selection,
     _slice,
@@ -72,16 +73,15 @@ class DualityReport:
 @per_dataset
 def _pairing_template(data: MonopoleData, rev: MonopoleData,
                       parity: int) -> SparseIntMatrix:
-    """The partner permutation on Infinity positions of one parity: theta to
-    theta, point p to _toggle_id(p) in rev's id order.  Partners swap eta
-    and 1 and send k to -k - 1 (degree -2 - n), or keep k on Hat (-n)."""
-    theta = 1 - parity  # an even slice starts with theta
-    position = {p.id: theta + i for i, p in enumerate(rev.points)}
-    items = [(0, 0, 1)] * theta + [
-        (theta + i, position[_toggle_id(p.id)], 1)
-        for i, p in enumerate(data.points) if _toggle_id(p.id) in position]
-    return SparseIntMatrix.from_entries(theta + len(data.points),
-                                        theta + len(rev.points), items)
+    """The partner permutation on Infinity positions of one parity, matched
+    through both datasets' layouts: theta to theta, its None to None, and
+    point p to _toggle_id(p).  Partners swap eta and 1 and send k to -k - 1
+    (degree -2 - n), or keep k on Hat (-n)."""
+    ours, theirs = _layout(data, parity), _layout(rev, parity)
+    position = {b: j for j, (_, b, _, _) in enumerate(theirs)}
+    items = [(i, position[b], 1) for i, (_, a, _, _) in enumerate(ours)
+             if (b := None if a is None else _toggle_id(a)) in position]
+    return SparseIntMatrix.from_entries(len(ours), len(theirs), items)
 
 
 def _partner_kept(data: MonopoleData, rev: MonopoleData, n: int,
@@ -110,8 +110,7 @@ def _pairing_proved(data: MonopoleData, rev: MonopoleData) -> bool:
     == P(p) . D_rev(1 - p) on the Infinity templates."""
     for p in (0, 1):
         pairing = _pairing_template(data, rev, p)
-        ours, theirs = (tuple(_infinity_cells(x, m))
-                        for x, m in ((data, p), (rev, -2 - p)))
+        ours, theirs = _infinity_cells(data, p), _infinity_cells(rev, -2 - p)
         if not (_is_perfect(pairing) and all(
                 theirs[j][2] == -1 - ours[i][2] for i, j, _ in pairing.entries)
                 and _template(data, _image_terms, 1, p).transpose().mul(
@@ -242,8 +241,7 @@ def cohomology(data: MonopoleData, flavor: Flavor,
     transposed differential raises degree by one.  No tail claims are made;
     the report carries the windowed groups only.
     """
-    lo, hi = checked_window(data, window)
-    checked_degree(data, lo, flavor)
+    lo, hi = checked_window(data, window, flavor)
     groups = {n: _cohomology_at(data, flavor, n) for n in range(lo, hi + 1)}
     return GradedAbelianGroup((lo, hi), groups, None, None)
 

@@ -174,19 +174,21 @@ def graded_homology(data: MonopoleData, flavor: Flavor,
     """Homology across the window, plus _tail beyond each edge: Infinity
     repeats with period two in every degree, and a flavor that keeps no
     generator past an edge vanishes."""
-    lo, hi = checked_window(data, window)
+    lo, hi = checked_window(data, window, flavor)
     band_lo, band_hi = _band(data)
     # A degree more than two past the band has the group of the degree two
-    # nearer it, the same object by per_band_degree, so homology_at is asked
-    # only near the band, or at the two window degrees nearest it.
+    # nearer it, the same object by per_band_degree, so a presentation is
+    # read only near the band, or at the two window degrees nearest it.
     first = max(lo, min(hi - 1, band_lo - 2))
     last = min(hi, max(lo + 1, band_hi + 2))
-    near = [homology_at(data, flavor, n) for n in range(first, last + 1)]
+    near = [presentation_at(data, flavor, n).invariants
+            for n in range(first, last + 1)]
     groups = {n: near[(n - first) % 2] for n in range(lo, first)}
     groups.update(zip(range(first, last + 1), near))
     groups.update((n, near[last - first - (n - last) % 2])
                   for n in range(last + 1, hi + 1))
-    tails = [_tail(data, edge, step, lambda n: homology_at(data, flavor, n),
+    tails = [_tail(data, edge, step,
+                   lambda n: presentation_at(data, flavor, n).invariants,
                    lambda n: flavor is Flavor.INFINITY
                    or not _kept(data, flavor, n))
              for edge, step in ((hi, 1), (lo, -1))]
@@ -236,7 +238,7 @@ def induced_on_homology(data: MonopoleData, source: Flavor, target: Flavor,
     as the source's starts and ends no later.  A degree whose slices are
     not the rule's selections forms its products.
     """
-    lo, hi = checked_window(data, window)
+    lo, hi = checked_window(data, window, source, target)
     if chain_map.source is not source or chain_map.target is not target:
         raise InvalidInput("chain map flavors disagree with the arguments")
     shift = chain_map.shift
@@ -302,8 +304,7 @@ def structural_chain_map(data: MonopoleData, which: str,
 
 def identity_chain_map(data: MonopoleData, flavor: Flavor,
                        window: tuple[int, int]) -> ChainMapSlice:
-    lo, hi = checked_window(data, window)
-    checked_degree(data, lo, flavor)
+    lo, hi = checked_window(data, window, flavor)
     matrices = {n: _identification(data, flavor, flavor, n)
                 for n in range(lo - 2, hi + 3)}
     return ChainMapSlice(flavor, flavor, 0, matrices, (_same, 0))

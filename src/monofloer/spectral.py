@@ -24,6 +24,7 @@ from .complexes import (
     _band,
     _differential,
     _kept,
+    _layout,
     _pairs,
     _reduced,
     _reduced_differential,
@@ -32,7 +33,7 @@ from .complexes import (
     per_band_degree,
 )
 from .data import CheckFailed, InvalidInput, THETA, per_dataset
-from .homology import graded_homology, homology_at, presentation_at, \
+from .homology import graded_homology, presentation_at, \
     GradedAbelianGroup, TRIVIAL, _kernel, _quotient
 from .intlinalg import (
     AbelianGroupInvariants,
@@ -87,11 +88,10 @@ class StructureTheoremResult:
 @per_band_degree
 def _filtrations(data: MonopoleData, flavor: Flavor,
                  n: int) -> tuple[int, ...]:
-    """The filtration of each kept position of degree n: its point's
-    grading, or 0 for theta, which leads an even slice."""
-    theta = 1 - n % 2
-    return tuple(0 if i < theta else data.points[i - theta].grading
-                 for i in _kept(data, flavor, n))
+    """The filtration of each kept position of degree n: its grading in
+    the layout, a point's or theta's 0."""
+    layout = _layout(data, n % 2)
+    return tuple(layout[i][3] for i in _kept(data, flavor, n))
 
 
 @per_band_degree
@@ -132,7 +132,7 @@ def _check_filtered(data: MonopoleData, flavor: Flavor) -> None:
 
 
 def _filtration_levels(data: MonopoleData) -> list[int]:
-    return sorted({p.grading for p in data.points} | {0})
+    return sorted({grading for *_, grading in _layout(data, 0)})
 
 
 def max_page(data: MonopoleData) -> int:
@@ -328,16 +328,17 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
     and the prediction is carried back through g(n - 1)."""
     source = _cell(data, flavor, 3, p, n)
     target = _cell(data, flavor, 3, 0, n - 1)
-    points = [data.points[i] for i in _kept(data, flavor, n)]
+    layout = _layout(data, n % 2)
+    kept = [layout[i] for i in _kept(data, flavor, n)]
     f = _reduced(data, flavor, n).f
     g = _reduced(data, flavor, n - 1).g
     mat = _dr_matrix(data, flavor, 3, p, n)
     for col, gen in enumerate(source.generators):
         total = 0
-        for point, coeff in zip(points, f.apply(gen.vector)):
-            if coeff and point.grading == 3:
+        for (_, a, _, grading), coeff in zip(kept, f.apply(gen.vector)):
+            if coeff and grading == 3:
                 total += coeff * sum(
-                    data.m_value(point.id, c) * data.n_value(c, THETA)
+                    data.m_value(a, c) * data.n_value(c, THETA)
                     for c in data.ids_at(1))
         predicted = [0] * g.cols
         predicted[0] = total
@@ -448,7 +449,8 @@ def delta_map(data: MonopoleData, k: int) -> SparseIntMatrix:
         raise InvalidInput("the obstruction maps live in odd degrees 2k+1, "
                            "k nonnegative")
     pres = presentation_at(data, Flavor.NONEQUIVARIANT, 2 * k + 1)
-    ids = [data.points[i].id for i in _kept(
+    layout = _layout(data, 1)
+    ids = [layout[i][1] for i in _kept(
         data, Flavor.NONEQUIVARIANT, 2 * k + 1)]
     entries = []
     for col, gen in enumerate(pres.generators):
@@ -491,7 +493,7 @@ def structure_theorem(data: MonopoleData,
     lo, hi = checked_window(data, window)
     delta, t_terms, predicted, actual = {}, {}, {}, {}
     for n in range(lo, hi + 1):
-        base = homology_at(data, Flavor.NONEQUIVARIANT, n)
+        base = presentation_at(data, Flavor.NONEQUIVARIANT, n).invariants
         k = n // 2
         if n >= 0 and k not in t_terms:
             # degrees 2k and 2k + 1 share the degree-(2k + 1) obstruction
@@ -510,7 +512,7 @@ def structure_theorem(data: MonopoleData,
             drop = 1 if any(free) else 0
             predicted[n] = AbelianGroupInvariants(base.free_rank - drop,
                                                   base.torsion)
-        actual[n] = homology_at(data, Flavor.PLUS, n)
+        actual[n] = presentation_at(data, Flavor.PLUS, n).invariants
         if predicted[n] != actual[n]:
             raise CheckFailed(
                 n, f"structure prediction {predicted[n]} but direct "

@@ -312,15 +312,16 @@ def _windowed_entry_points(flavor=Flavor.PLUS):
     from monofloer.cli import verify_all
     from monofloer.duality import cohomology, duality_check, \
         verify_adjointness
-    from monofloer.homology import graded_homology, identity_chain_map, \
-        induced_on_homology, structural_chain_map
+    from monofloer.homology import ChainMapSlice, graded_homology, \
+        identity_chain_map, induced_on_homology, structural_chain_map
     from monofloer.sequences import check_les_hat, check_les_main, hf_red
     from monofloer.spectral import structure_theorem
 
     def induced(data, window):
-        chain = identity_chain_map(data, Flavor.PLUS, (0, 0))
-        return induced_on_homology(data, Flavor.PLUS, Flavor.PLUS, chain,
-                                   window)
+        # a hand-built slice, so that its flavors may be anything
+        chain = ChainMapSlice(flavor, flavor, 0, identity_chain_map(
+            data, Flavor.PLUS, (0, 0)).matrices)
+        return induced_on_homology(data, flavor, flavor, chain, window)
 
     return {
         "graded_homology": lambda d, w: graded_homology(d, flavor, w),
@@ -343,20 +344,20 @@ def _windowed_entry_points(flavor=Flavor.PLUS):
     }
 
 
-# the windowed entry points whose one flavor argument is required; in
-# structural_chain_map, None stands for no flavor, and induced_on_homology
-# takes its flavors from the chain map
+# the windowed entry points whose flavor arguments are required, the one
+# flavor as both source and target of induced_on_homology; in
+# structural_chain_map, None stands for no flavor
 _FLAVORED_WINDOWED = ("graded_homology", "identity_chain_map",
-                      "verify_u_homotopy", "u_module_structure",
-                      "cohomology", "check_d_squared")
+                      "induced_on_homology", "verify_u_homotopy",
+                      "u_module_structure", "cohomology", "check_d_squared")
 
 
 @pytest.mark.parametrize("flavor", ["plus", None, 1])
 @pytest.mark.parametrize("name", _FLAVORED_WINDOWED)
 def test_windowed_entry_points_take_only_flavors(name, flavor):
     """A flavor that is not a Flavor raises checked_degree's InvalidInput,
-    where check_d_squared answered True and cohomology and
-    identity_chain_map raised KeyError."""
+    where check_d_squared answered True and cohomology,
+    identity_chain_map and induced_on_homology raised KeyError."""
     call = _windowed_entry_points(flavor)[name]
     with pytest.raises(InvalidInput, match="a flavor a Flavor"):
         call(by_name("tail-chain"), (0, 2))
@@ -988,8 +989,9 @@ def test_reductions_select_nothing_and_pass_over_the_points_per_parity(
     certified reductions of Minus, Infinity and Plus select no D and make
     no pass over the points in any degree: they read the parity templates
     and their lines, a constant number of passes for more than sixty band
-    degrees."""
-    from monofloer.complexes import _kept
+    degrees.  The warm-up builds the two layouts; dropping them leaves the
+    reductions' own pass per parity to count."""
+    from monofloer.complexes import _kept, _layout
 
     data = performance_instance()
     lo, hi = _band(data)
@@ -997,6 +999,8 @@ def test_reductions_select_nothing_and_pass_over_the_points_per_parity(
         for n in range(lo - 3, hi + 3):
             _kept(data, flavor, n)
     checked_window(data, None)
+    for parity in (0, 1):
+        del data._memo[_layout.__wrapped__, parity]
     object.__setattr__(data, "points", _CountedPasses(data.points))
     work.clear()
     for flavor in REDUCED_FLAVORS:

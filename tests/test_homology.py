@@ -266,6 +266,27 @@ def test_graded_homology_asks_once_per_fold_class(monkeypatch):
                     for n in range(lo, hi + 1)], (data.name, flavor, lo, hi)
 
 
+def test_graded_homology_and_structure_read_no_homology_at(monkeypatch):
+    """The engine's own loops read presentation_at, so the per-degree
+    input contract of homology_at runs at the boundary only: with
+    homology_at made to raise, graded_homology and structure_theorem
+    return the same values on the curated set."""
+    from monofloer import spectral
+
+    def run():
+        return [([graded_homology(data, flavor) for flavor in Flavor],
+                 structure_theorem(data)) for data in curated_instances()]
+
+    want = run()
+
+    def refuse(*args):
+        raise AssertionError("homology_at called inside the engine")
+
+    monkeypatch.setattr(homology, "homology_at", refuse)
+    monkeypatch.setattr(spectral, "homology_at", refuse, raising=False)
+    assert run() == want
+
+
 # the checks of cli.verify_all, in its order, each called as it calls it,
 # with the number of Infinity template rules it reads (D, u, the
 # u-homotopy and the identity, each per orientation)

@@ -84,9 +84,16 @@ MUTANTS = (
            "    Flavor.PLUS: (1, math.inf),",
            ("tests/test_properties.py",)),
     Mutant("hat-keeps-only-etas", "complexes.py",
-           "    etas = flavor is Flavor.NONEQUIVARIANT",
-           "    etas = flavor in (Flavor.NONEQUIVARIANT, Flavor.HAT)",
+           "(kind == KIND_ETA or flavor is not Flavor.NONEQUIVARIANT)",
+           "(kind == KIND_ETA or flavor not in (Flavor.NONEQUIVARIANT, "
+           "Flavor.HAT))",
            ("tests/test_properties.py",)),
+    # the basis order, stated once in the layout
+    Mutant("layout-theta-leads-the-odd-slice", "complexes.py",
+           "    return ((KIND_THETA, None, 0, 0),) * (1 - parity) + tuple(",
+           "    return ((KIND_THETA, None, 0, 0),) * parity + tuple(",
+           ("tests/test_spectral.py::"
+            "test_filtrations_match_the_oracle_at_both_parities",)),
     Mutant("pairs-read-one-slice", "complexes.py",
            "_kept(data, flavor, n), _kept(data, flavor, n - 1)",
            "_kept(data, flavor, n), _kept(data, flavor, n)",
