@@ -357,18 +357,6 @@ class Reduction(NamedTuple):
     critical: tuple[int, ...]
 
 
-def _pairs(data: MonopoleData, flavor: Flavor, n: int):
-    """The pairs down from degree n, the steps of _flow the reduction takes
-    there (_active): (i, j, grading of a) for each eta_a^k of degree n
-    paired with 1_a^(k-1), with i and j their positions in the kept slices
-    of n and n - 1.  O(points), for the filtration check."""
-    above, below = _kept(data, flavor, n), _kept(data, flavor, n - 1)
-    along = _lines(data, n % 2)[3]
-    step = _active(along, flavor, n)
-    return [(bisect_left(above, j), bisect_left(below, s[1]), s[0])
-            for j in along if (s := step(j))]
-
-
 @per_band_degree
 def _critical(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     """The critical positions of degree n for a flavor of REDUCED_FLAVORS,

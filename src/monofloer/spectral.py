@@ -21,13 +21,14 @@ from typing import NamedTuple
 from .complexes import (
     Flavor,
     MonopoleData,
-    _band,
     _differential,
+    _image_terms,
     _kept,
     _layout,
-    _pairs,
+    _lines,
     _reduced,
     _reduced_differential,
+    _template,
     checked_degree,
     checked_window,
     per_band_degree,
@@ -104,31 +105,28 @@ def _critical_filtrations(data: MonopoleData, flavor: Flavor,
 
 
 @per_dataset
-def _check_filtered(data: MonopoleData, flavor: Flavor) -> None:
+def _check_filtered(data: MonopoleData) -> None:
     """Pages past the first are read on the certified reduction, which
-    fixes them only if it is filtered.  It is when no entry of D', f or g
-    raises filtration and every cancelled pair lies in one filtration, as
-    a pair at one point does: then the homotopy the Morse theorem gives
-    keeps filtration too (Mischaikow and Nanda, Discrete Comput. Geom. 50
-    (2013)).  Tests every pair and every entry of every band degree;
-    raises CheckFailed at the first degree where one fails."""
-    lo, hi = _band(data)
-    for n in range(lo, hi + 1):
-        red = _reduced(data, flavor, n)
-        full = _filtrations(data, flavor, n)
-        below = _filtrations(data, flavor, n - 1)
-        if any(full[i] != below[j]
-               for i, j, _ in _pairs(data, flavor, n)):
-            raise CheckFailed(n, "a cancelled pair spans two filtrations")
-        crit = _critical_filtrations(data, flavor, n)
-        for name, mat, rows, cols in (
-                ("D'", red.differential,
-                 _critical_filtrations(data, flavor, n - 1), crit),
-                ("f", red.f, full, crit),
-                ("g", red.g, crit, full)):
-            if any(rows[i] > cols[j] for i, j, _ in mat.entries):
-                raise CheckFailed(
-                    n, f"the reduction's {name} raises filtration")
+    fixes them only if it is filtered.  The Morse data of a matching is
+    filtered when D never raises filtration, every cancelled pair lies in
+    one filtration and the matching is unit-triangular, so that A = D[U, M]
+    is -1 within each filtration (Mischaikow and Nanda, Discrete Comput.
+    Geom. 50 (2013)).  _certify proves the third and that D', f and g are
+    that Morse data; the first two are facts about D's two parity
+    templates, which every flavor's D and pairs are cut from.  So a theorem
+    replaces a scan of D', f and g, and this checks, once per dataset and
+    parity p in O(template entries), that no entry of the template raises
+    grading and that every step of _lines joins an eta to a row of its own
+    grading.  Infinity's D in degree p is the template itself, so a failure
+    raises CheckFailed at degree p."""
+    for p in (0, 1):
+        rows, cols = _layout(data, 1 - p), _layout(data, p)
+        if any(rows[i][3] > cols[j][3]
+               for i, j, _ in _template(data, _image_terms, 1, p).entries):
+            raise CheckFailed(p, "the differential raises filtration")
+        if any(rows[i][3] != grading
+               for grading, i, _, _ in _lines(data, p)[3].values()):
+            raise CheckFailed(p, "a cancelled pair spans two filtrations")
 
 
 def _filtration_levels(data: MonopoleData) -> list[int]:
@@ -360,8 +358,10 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
 
     Cells cover the filtration levels present in the data crossed with the
     default degree window.  Page 0 is read off the complex, later pages
-    off its certified reduction, once _check_filtered has shown that the
-    reduction keeps the filtration.  up_to_r must be an int, not a bool.
+    off its certified reduction, which keeps the filtration once
+    _check_filtered has shown, on D's two parity templates and once for
+    both flavors, that D and the cancelled pairs keep it.  up_to_r must be
+    an int, not a bool.
 
     Each page fills its grid in bulk with the trivial group and the
     shared 0 x 0 zero, then walks, in grid order, only its live keys:
@@ -384,7 +384,7 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     cap = max_page(data)
     if type(up_to_r) is not int or not 0 <= up_to_r <= cap:
         raise InvalidInput(f"page bound must be an integer in [0, {cap}]")
-    _check_filtered(data, flavor)
+    _check_filtered(data)
 
     window = range(lo, hi + 1)
     grid = [(p, n - p) for p in levels for n in window]

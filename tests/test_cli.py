@@ -344,7 +344,7 @@ def test_spectral_reports_a_reduction_that_raises_filtration(
 
     data = by_name("tail-chain")
     n, broken = raising_reduction(data, field)
-    patch_reduction(monkeypatch, n, broken)
+    patch_reduction(monkeypatch, broken)
     path = write_dataset(tmp_path, data)
     code, out, err = run(capsys, ["spectral", "--pages", "3", path])
     assert code == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 
 import pytest
 
@@ -25,8 +26,11 @@ from monofloer.complexes import (
     KIND_THETA,
     MAX_WINDOW_DEGREES,
     REDUCED_FLAVORS,
+    _active,
     _band,
     _certify,
+    _kept,
+    _lines,
     _reduce,
     _reduced,
     _reduction,
@@ -706,6 +710,18 @@ def test_a_broken_g_entry_on_a_paired_column_fails_the_next_degree():
     assert info.value.degree == n + 1
 
 
+def pairs_down(data, flavor, n):
+    """The pairs down from degree n that the reduction cancels: (i, j,
+    grading of a) for each step of the _lines table along n's parity that
+    the pair rule (_active) keeps there, eta_a^k paired with 1_a^(k-1), with
+    i and j their positions in the kept slices of n and n - 1."""
+    above, below = _kept(data, flavor, n), _kept(data, flavor, n - 1)
+    along = _lines(data, n % 2)[3]
+    step = _active(along, flavor, n)
+    return [(bisect_left(above, j), bisect_left(below, s[1]), s[0])
+            for j in along if (s := step(j))]
+
+
 def _homotopic(data, table, field):
     """A band degree n above lo + 1 and a copy of table with f(n) or g(n)
     moved by a chain homotopy that D f = f D', g D = D' g and g f = 1 all
@@ -715,7 +731,7 @@ def _homotopic(data, table, field):
     generator, where D'(n) = 0.  The line of D chosen meets no critical
     position, so f[c] = 1 and g[., c] = 1 still hold; it meets the partner
     of its pair, so f[U], or g[., M], is no longer zero."""
-    from monofloer.complexes import _differential, _pairs
+    from monofloer.complexes import _differential
 
     lo, _ = _band(data)
     for n in sorted(table):
@@ -725,11 +741,11 @@ def _homotopic(data, table, field):
         if field == "f" and table[n + 1].differential.is_zero():
             d = _differential(data, Flavor.PLUS, n + 1)
             lines = {i: [(r, v) for (r, j, v) in d.entries if j == i]
-                     for i, _, _ in _pairs(data, Flavor.PLUS, n + 1)}
+                     for i, _, _ in pairs_down(data, Flavor.PLUS, n + 1)}
         elif field == "g" and table[n].differential.is_zero():
             d = _differential(data, Flavor.PLUS, n)
             lines = {j: [(c, v) for (r, c, v) in d.entries if r == j]
-                     for _, j, _ in _pairs(data, Flavor.PLUS, n)}
+                     for _, j, _ in pairs_down(data, Flavor.PLUS, n)}
         else:
             continue
         line = next((line for line in lines.values()

@@ -29,7 +29,7 @@ from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
     REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
     _band_degree, _certify, _critical, _differential, _identification, \
-    _image_terms, _kept, _pairs, _reduced, _reduction, _restricts, \
+    _image_terms, _kept, _reduced, _reduction, _restricts, \
     _rule_matrix, _same, _slice, _slice_map, _template, check_d_squared, \
     default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
@@ -44,7 +44,7 @@ from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _red_at, connecting_delta, hf_red
 from monofloer.spectral import spectral_pages
 from test_complexes import compare_with_oracle, full_presentation, \
-    oracle_dataset
+    oracle_dataset, pairs_down
 
 # the repository root, for the benchmark's domino instances
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -497,7 +497,7 @@ def _engine_order(basis):
 
 
 def oracle_kept_and_pairs(data, flavor, n):
-    """_kept and _pairs from the oracle's basis, whose generators the
+    """_kept and pairs_down from the oracle's basis, whose generators the
     oracle admits by its own _admissible: the positions in the Infinity
     basis of degree n of the flavor's generators, and each flavor eta_a^k
     of degree n whose partner 1_a^(k-1) is a flavor generator of degree
@@ -531,7 +531,7 @@ def _assert_kept_and_pairs(data):
     lo, hi = _band(data)
     for flavor in Flavor:
         for n in range(lo - 5, hi + 6):
-            assert (_kept(data, flavor, n), _pairs(data, flavor, n)) == \
+            assert (_kept(data, flavor, n), pairs_down(data, flavor, n)) == \
                 oracle_kept_and_pairs(data, flavor, n), (data.name, flavor, n)
             if flavor in REDUCED_FLAVORS:
                 assert _critical(data, flavor, n) == oracle_critical(
@@ -539,11 +539,12 @@ def _assert_kept_and_pairs(data):
 
 
 def test_kept_and_pairs_match_the_oracle_on_the_pool():
-    """_kept and _pairs, one rule over the _POWERS table of kept
-    Omega-powers read off the gradings, are the oracle's admissible
-    generators over band +- 5, on every pool dataset, the curated ones and
-    invalid data alike; so are the critical positions of Minus, Infinity
-    and Plus, which _critical reads off the edge of the pair rule."""
+    """_kept and the pairs the reductions cancel (pairs_down), one rule
+    over the _POWERS table of kept Omega-powers read off the gradings, are
+    the oracle's admissible generators over band +- 5, on every pool
+    dataset, the curated ones and invalid data alike; so are the critical
+    positions of Minus, Infinity and Plus, which _critical reads off the
+    edge of the pair rule."""
     for data in [*POOL, *curated_instances(), invalid_instance()]:
         _assert_kept_and_pairs(data)
 

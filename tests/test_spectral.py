@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,13 +13,15 @@ import pytest
 
 import oracle
 from monofloer.cli import verify_all
-from monofloer.complexes import Flavor, _band, _reduced, default_window
+from monofloer.complexes import Flavor, _band, _image_terms, _layout, \
+    _reduce, _reduction, default_window
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances, generate_instances
 from monofloer.intlinalg import AbelianGroupInvariants, HomologyGenerator, \
     SparseIntMatrix
 from monofloer.spectral import (
     _cell,
+    _check_filtered,
     _composite_vanishes,
     _critical_filtrations,
     _filtration_levels,
@@ -358,69 +361,114 @@ def test_page_zero_cells_are_free_on_unit_vectors():
 
 
 def raising_reduction(data, field):
-    """The first band degree n where the Plus reduction's f, or g, has a
-    slot that raises filtration, and that reduction with a 1 put there."""
+    """The first band degree n where the uncertified Plus reduction's f, or
+    g, has a slot that raises filtration, and its table with a 1 put there
+    in degree n."""
+    table = _reduce(data, Flavor.PLUS)
     lo, hi = _band(data)
     for n in range(lo, hi + 1):
         full = _filtrations(data, Flavor.PLUS, n)
-        crit = _critical_filtrations(data, Flavor.PLUS, n)
+        crit = [full[i] for i in table[n].critical]
         rows, cols = {"f": (full, crit), "g": (crit, full)}[field]
         slot = next(((i, j) for i, a in enumerate(rows)
                      for j, b in enumerate(cols) if a > b), None)
         if slot is not None:
-            red = _reduced(data, Flavor.PLUS, n)
-            mat = getattr(red, field)
-            return n, red._replace(**{field: SparseIntMatrix.from_entries(
-                mat.rows, mat.cols, [*mat.entries, (*slot, 1)])})
+            mat = getattr(table[n], field)
+            return n, {**table, n: table[n]._replace(**{
+                field: SparseIntMatrix.from_entries(
+                    mat.rows, mat.cols, [*mat.entries, (*slot, 1)])})}
     raise AssertionError("no slot raises filtration")
 
 
-def patch_reduction(monkeypatch, n, broken):
-    """spectral reads broken as the Plus reduction in degree n, after the
-    certificate passed on the real one."""
-    import monofloer.spectral as spectral
+def patch_reduction(monkeypatch, broken):
+    """The Plus reduction is built as the table broken, which must then
+    pass the certificate before any page reads it."""
+    import monofloer.complexes as complexes
 
-    real = spectral._reduced
+    real = complexes._reduce
     monkeypatch.setattr(
-        spectral, "_reduced", lambda data, flavor, m: broken
-        if (flavor, m) == (Flavor.PLUS, n) else real(data, flavor, m))
+        complexes, "_reduce", lambda data, flavor: broken
+        if flavor is Flavor.PLUS else real(data, flavor))
 
 
 @pytest.mark.parametrize("field", ["f", "g"])
 def test_a_reduction_that_raises_filtration_fails(monkeypatch, field):
+    """The filtration check reads no reduction: a reduction whose f, or g,
+    raises filtration is refused by the certificate, as every table other
+    than the Morse data of the matching is, at its degree."""
+    check = {"f": "f[c] = 1, f[U] = 0", "g": "g[., c] = 1, g[., M] = 0"}
     n, broken = raising_reduction(by_name("tail-chain"), field)
-    patch_reduction(monkeypatch, n, broken)
-    with pytest.raises(CheckFailed,
-                       match=f"reduction's {field} raises filtration") as info:
+    patch_reduction(monkeypatch, broken)
+    with pytest.raises(CheckFailed, match=re.escape(
+            f"the reduction fails {check[field]}")) as info:
         spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
     assert info.value.degree == n
 
 
 def test_a_pair_across_two_filtrations_fails(monkeypatch):
-    """The filtration check reads the cancelled pairs too: one that joins
-    generators of two filtrations fails at its degree, although D', f and
-    g keep filtration."""
+    """The filtration check reads the cancelled pairs too: a step of _lines
+    that joins an eta to a row of another grading fails at its parity,
+    although D never raises filtration."""
     import monofloer.spectral as spectral
 
+    real = spectral._lines
+    crossed = []  # the parity whose first step is crossed
+
+    def lines(data, p):
+        columns, rows, down, along = real(data, p)
+        if [p] == crossed:
+            j, (grading, _, line, k) = next(iter(along.items()))
+            other = next(i for i, gen in enumerate(_layout(data, 1 - p))
+                         if gen[3] != grading)
+            along = {**along, j: (grading, other, line, k)}
+        return columns, rows, down, along
+
+    monkeypatch.setattr(spectral, "_lines", lines)
+    for parity in (0, 1):
+        crossed[:] = [parity]
+        with pytest.raises(CheckFailed,
+                           match="pair spans two filtrations") as info:
+            spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
+        assert info.value.degree == parity
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_a_template_entry_that_raises_filtration_fails(monkeypatch, parity):
+    """An entry of D's template from a generator to one of a higher grading
+    fails the filtration check at its parity, for Plus and Infinity."""
+    import monofloer.spectral as spectral
+
+    real = spectral._template
+
+    def template(data, rule, drop, p):
+        mat = real(data, rule, drop, p)
+        if (rule, drop, p) != (_image_terms, 1, parity):
+            return mat
+        rows, cols = _layout(data, 1 - p), _layout(data, p)
+        slot = next((i, j) for i, a in enumerate(rows)
+                    for j, b in enumerate(cols) if a[3] > b[3])
+        return SparseIntMatrix.from_entries(
+            mat.rows, mat.cols, [*mat.entries, (*slot, 1)])
+
+    monkeypatch.setattr(spectral, "_template", template)
+    for flavor in (Flavor.PLUS, Flavor.INFINITY):
+        with pytest.raises(CheckFailed,
+                           match="the differential raises filtration") as info:
+            spectral_pages(by_name("tail-chain"), flavor, 3)
+        assert info.value.degree == parity
+
+
+def test_the_filtration_check_reads_no_reduction():
+    """_check_filtered proves filteredness on the templates once per
+    dataset, for Plus and Infinity alike, and builds no reduction."""
     data = by_name("tail-chain")
-    real = spectral._pairs
-    lo, hi = _band(data)
-    for n in range(lo, hi + 1):
-        below = _filtrations(data, Flavor.PLUS, n - 1)
-        pairs = real(data, Flavor.PLUS, n)
-        other = next((j for j, f in enumerate(below) if pairs
-                      and f != below[pairs[0][1]]), None)
-        if other is not None:
-            break
-    (i, _, grading), *rest = pairs
-    crossed = [(i, other, grading), *rest]
-    monkeypatch.setattr(spectral, "_pairs", lambda data, flavor, m: crossed
-                        if (flavor, m) == (Flavor.PLUS, n)
-                        else real(data, flavor, m))
-    with pytest.raises(CheckFailed,
-                       match="pair spans two filtrations") as info:
-        spectral_pages(data, Flavor.PLUS, 3)
-    assert info.value.degree == n
+    _check_filtered(data)
+    assert not any(key[0] is _reduction.__wrapped__ for key in data._memo)
+    for flavor in (Flavor.PLUS, Flavor.INFINITY):
+        spectral_pages(data, flavor, 1)
+    assert [key for key in data._memo
+            if key[0] is _check_filtered.__wrapped__] == [
+        (_check_filtered.__wrapped__,)]
 
 
 def test_composite_vanishes_reads_torsion_orders():

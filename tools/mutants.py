@@ -94,10 +94,6 @@ MUTANTS = (
            "    return ((KIND_THETA, None, 0, 0),) * parity + tuple(",
            ("tests/test_spectral.py::"
             "test_filtrations_match_the_oracle_at_both_parities",)),
-    Mutant("pairs-read-one-slice", "complexes.py",
-           "_kept(data, flavor, n), _kept(data, flavor, n - 1)",
-           "_kept(data, flavor, n), _kept(data, flavor, n)",
-           ("tests/test_properties.py",)),
     # the pair rule of the reductions and the critical positions at its edge
     Mutant("pair-rule-keeps-the-edge", "complexes.py",
            "and low < s[3] + n // 2 <= high",
@@ -226,14 +222,19 @@ MUTANTS = (
            "                if j in crit} == units),",
            ("tests/test_complexes.py::"
             "test_a_homotopic_f_or_g_fails_its_unit_block",)),
+    # the filtration check on D's parity templates and the pairs' steps
+    _drop("filtration-unchecked", "spectral.py",
+          "        if any(rows[i][3] > cols[j][3]\n"
+          "               for i, j, _ in "
+          "_template(data, _image_terms, 1, p).entries):",
+          ("tests/test_spectral.py::"
+           "test_a_template_entry_that_raises_filtration_fails",)),
     _drop("filtration-pairs-unchecked", "spectral.py",
-          "        if any(full[i] != below[j]\n"
-          "               for i, j, _ in _pairs(data, flavor, n)):",
+          "        if any(rows[i][3] != grading\n"
+          "               for grading, i, _, _ in "
+          "_lines(data, p)[3].values()):",
           ("tests/test_spectral.py::"
            "test_a_pair_across_two_filtrations_fails",)),
-    _drop("filtration-unchecked", "spectral.py",
-          "            if any(rows[i] > cols[j] for i, j, _ in mat.entries):",
-          ("tests/test_spectral.py",)),
     Mutant("composite-ignores-torsion", "spectral.py",
            "orders[i] and v % orders[i] == 0",
            "orders[i] and True",
