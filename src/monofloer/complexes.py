@@ -9,7 +9,8 @@ gr(a)) and 1_a (degree 2k + gr(a) + 1); the reducible contributes 1_theta
 differential is assembled from the n and m coefficient families.  Every
 chain-level matrix is built once per parity on Infinity, and a flavor reads
 its submatrix on the basis positions it keeps, which realizes the subcomplex
-and quotient structure of the five variants at the matrix level.
+and quotient structure of the five variants at the matrix level.  The basis
+is ordered by grading, so the positions a flavor keeps are one range.
 
 Minus, Infinity and Plus also carry a certified reduction: cancelling every
 pair eta_a^k -> 1_a^(k-1), whose entry is -1, leaves a homotopy equivalent
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,14 +107,25 @@ def generator_degree(data: MonopoleData, gen: Generator) -> int:
 def _layout(data: MonopoleData, parity: int) -> tuple[tuple, ...]:
     """The Infinity basis order, stated once: (kind, point id, k, grading)
     of each generator of degree parity (0 or 1), in the order of
-    generators_in_degree.  Theta, (KIND_THETA, None, 0, 0), leads the even
-    slice; then comes one generator per point in id order, an eta where
-    parity - gr is even, a one otherwise, with k = (parity - gr) // 2.
-    Degree parity + 2 s lists the same generators with every k raised by
-    s.  Every reader of the basis order reads this table."""
-    return ((KIND_THETA, None, 0, 0),) * (1 - parity) + tuple(
+    generators_in_degree.  One generator per point, an eta where parity -
+    gr is even, a one otherwise, with k = (parity - gr) // 2, and in the
+    even layout theta, (KIND_THETA, None, 0, 0), listed by grading, theta
+    first among grading 0, then by id.  So k never increases along the
+    layout, and every kept set is one range of it (_kept).  Degree parity
+    + 2 s lists the same generators with every k raised by s.  Every
+    reader of the basis order reads this table, or _position."""
+    # theta comes first, and the points in id order: the sort is stable
+    return tuple(sorted(((KIND_THETA, None, 0, 0),) * (1 - parity) + tuple(
         (KIND_ONE if (parity - p.grading) % 2 else KIND_ETA, p.id,
-         (parity - p.grading) // 2, p.grading) for p in data.points)
+         (parity - p.grading) // 2, p.grading) for p in data.points),
+        key=_grading))
+
+
+@per_dataset
+def _position(data: MonopoleData, parity: int) -> dict:
+    """Each generator's position in _layout(data, parity), by point id,
+    theta's by None."""
+    return {a: i for i, (_, a, _, _) in enumerate(_layout(data, parity))}
 
 
 def _infinity_cells(data: MonopoleData, n: int) -> tuple[tuple, ...]:
@@ -131,8 +143,10 @@ def _slice(data: MonopoleData, flavor: Flavor, n: int) -> DegreeSlice:
 
 def generators_in_degree(data: MonopoleData, flavor: Flavor,
                          n: int) -> DegreeSlice:
-    """The canonical degree-n basis: theta generator first, then one
-    generator per point in id order (the parity of n - gr picks the kind)."""
+    """The canonical degree-n basis: one generator per point and, in even
+    degrees, theta, ordered by grading, theta first among grading 0, then
+    by point id (the parity of n - gr picks the kind).  A flavor keeps one
+    contiguous run of the Infinity basis in this order."""
     checked_degree(data, n, flavor)
     return _slice(data, flavor, n)
 
@@ -215,16 +229,29 @@ def per_band_degree(fn):
 
 
 @per_band_degree
-def _kept(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
-    """The ascending positions of the Infinity basis of degree n whose k,
-    the layout's raised by n // 2, lies in the flavor's _POWERS interval;
-    NonEquivariant keeps only the etas there.  So each flavor keeps, in
-    every degree, the positions whose k lies in one interval, and
-    NonEquivariant its etas there."""
+def _kept(data: MonopoleData, flavor: Flavor, n: int) -> range:
+    """The positions of the Infinity basis of degree n whose k, the
+    layout's raised by n // 2, lies in the flavor's _POWERS interval;
+    NonEquivariant keeps only the etas there.  k never increases along the
+    layout, so these are one range, found by bisect: O(log points).
+    NonEquivariant's etas are the block of grading n, less theta at n =
+    0, which leads that grading."""
+    layout = _layout(data, n % 2)
+    if flavor is Flavor.NONEQUIVARIANT:
+        return range(bisect_left(layout, n, key=_grading) + (n == 0),
+                     bisect_right(layout, n, key=_grading))
     low, high = _POWERS[flavor]
-    return tuple(i for i, (kind, _, k, _) in enumerate(_layout(data, n % 2))
-                 if low <= k + n // 2 <= high
-                 and (kind == KIND_ETA or flavor is not Flavor.NONEQUIVARIANT))
+    return range(bisect_left(layout, n // 2 - high, key=_lowered),
+                 bisect_right(layout, n // 2 - low, key=_lowered))
+
+
+def _grading(cell: tuple) -> int:
+    return cell[3]
+
+
+def _lowered(cell: tuple) -> int:
+    # -k, which never decreases along a layout
+    return -cell[2]
 
 
 @per_dataset
@@ -239,7 +266,11 @@ def _template(data: MonopoleData, rule, drop: int,
 def _selection(data: MonopoleData, template, key: tuple, rows,
                cols) -> SparseIntMatrix:
     """template(data, *key) at the positions rows and cols, memoised by
-    them: degrees keeping the same positions share a matrix."""
+    them: degrees keeping the same positions share a matrix.  On kept
+    ranges it is named in O(1) and its entries are cut on first read
+    (SparseIntMatrix.select), so a selection only compared by identity, as
+    verify_u_homotopy and duality._complex_level compare theirs, is never
+    built."""
     return template(data, *key).select(rows, cols)
 
 
@@ -363,19 +394,16 @@ def _critical(data: MonopoleData, flavor: Flavor, n: int) -> tuple[int, ...]:
     ascending in its kept slice: the kept generators no pair uses, which by
     the rule of _active are theta and the generators at the k edge,
     eta_a^low and 1_a^high.  Found through ids_at, each is placed by its
-    point's index, bisected in the points and one place later in the even
-    slice, which theta leads, then by bisect on _kept: O(edge generators
-    times log points), where a scan of the layout costs O(points).  These
-    are the kept positions of n that no pair with n - 1 or n + 1 uses, so
-    they repeat with period two beyond the band, as per_band_degree
-    needs."""
+    layout position (_position) less the kept range's start: O(edge
+    generators), where a scan of the layout costs O(points).  These are
+    the kept positions of n that no pair with n - 1 or n + 1 uses, so they
+    repeat with period two beyond the band, as per_band_degree needs."""
     low, high = _POWERS[flavor]
-    top, kept = 1 - n % 2, _kept(data, flavor, n)
-    edge = [bisect_left(data.points, a, key=lambda p: p.id) + top
-            for grading in (n - 2 * low, n - 2 * high - 1)
+    at, kept = _position(data, n % 2), _kept(data, flavor, n)
+    edge = [a for grading in (n - 2 * low, n - 2 * high - 1)
             for a in data.ids_at(grading)]
-    theta = [0] * (top and low <= n // 2 <= high)
-    return tuple(sorted(bisect_left(kept, p) for p in theta + edge))
+    theta = [None] * (n % 2 == 0 and low <= n // 2 <= high)
+    return tuple(sorted(at[a] - kept.start for a in theta + edge))
 
 
 @per_dataset
@@ -388,15 +416,16 @@ def _lines(data: MonopoleData, parity: int):
     degree parity.  Degree parity + 2 s is the template with every k
     raised by s, so its pairs are the steps _active keeps there.  The
     etas are the layout's, and each partner is placed by its point's
-    index: theta leads the even slice, so a point sits one place later
-    there.  Built once per dataset and parity."""
+    position in the other parity's layout (_position).  Built once per
+    dataset and parity."""
     columns, rows, down, along = {}, {}, {}, {}
     for (i, j, v) in _template(data, _image_terms, 1, parity).entries:
         columns.setdefault(j, {})[i] = v
         rows.setdefault(i, {})[j] = v
-    for j, (kind, _, k, grading) in enumerate(_layout(data, parity)):
+    partner = _position(data, 1 - parity)
+    for j, (kind, a, k, grading) in enumerate(_layout(data, parity)):
         if kind == KIND_ETA:
-            i = j - 1 + 2 * parity
+            i = partner[a]
             down[i] = (-grading, j, columns.get(j, {}), k)
             along[j] = (grading, i, rows.get(i, {}), k)
     return columns, rows, down, along
@@ -491,10 +520,10 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
         for c, q in enumerate(crit):
             rest, added = _flow(down, dict(columns.get(kept[q], {})))
             d_red += [(below[r], c, v) for r, v in rest.items() if r in below]
-            f += [(q, c, 1), *((bisect_left(kept, i), c, v)
+            f += [(q, c, 1), *((i - kept.start, c, v)
                                for i, v in added.items())]
             _, added = _flow(along, dict(rows.get(kept[q], {})))
-            g += [(c, q, 1), *((c, bisect_left(kept, j), v)
+            g += [(c, q, 1), *((c, j - kept.start, v)
                                for j, v in added.items())]
         built[k] = Reduction(
             SparseIntMatrix.from_entries(len(below), len(crit), d_red),
@@ -503,21 +532,20 @@ def _reduce(data: MonopoleData, flavor: Flavor) -> dict[int, Reduction]:
     return {n: built[k] for n, k in key.items()}
 
 
-def _on_template(lines: dict, mat: SparseIntMatrix, source: tuple,
-                 target: tuple, left: bool = False) -> SparseIntMatrix:
-    """T E at the positions target lists, where T is the parity template
-    whose line at position r is lines[r] and E is mat with its rows moved
-    to the positions source lists; with left, E T, with mat's columns moved
-    and T's lines its rows.  A flavor's D(n) f is T E with the columns of
-    D(n)'s template, source _kept(n) and target _kept(n - 1), and exactly
-    so, since f's rows are kept; g D is E T with the rows.  O(entries of
-    mat times their lines)."""
+def _on_template(lines: dict, mat: SparseIntMatrix, source: range,
+                 target: range, left: bool = False) -> SparseIntMatrix:
+    """T E at the positions of the range target, where T is the parity
+    template whose line at position r is lines[r] and E is mat with its
+    rows moved to the positions of the range source; with left, E T, with
+    mat's columns moved and T's lines its rows.  A flavor's D(n) f is T E
+    with the columns of D(n)'s template, source _kept(n) and target
+    _kept(n - 1), and exactly so, since f's rows are kept; g D is E T with
+    the rows.  O(entries of mat times their lines)."""
     if (mat.cols if left else mat.rows) != len(source):
         raise ValueError("shape mismatch in matrix product")
-    items = [(t, c, v * w) for (i, c, v) in (
+    items = [(r - target.start, c, v * w) for (i, c, v) in (
         ((j, c, v) for (c, j, v) in mat.entries) if left else mat.entries)
-        for r, w in lines.get(source[i], {}).items()
-        if (t := bisect_left(target, r)) < len(target) and target[t] == r]
+        for r, w in lines.get(source[i], {}).items() if r in target]
     return SparseIntMatrix.from_entries(
         mat.rows, len(target), ((c, t, v) for (t, c, v) in items)) if left \
         else SparseIntMatrix.from_entries(len(target), mat.cols, items)

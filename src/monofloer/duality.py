@@ -216,6 +216,17 @@ def _complex_level(data: MonopoleData, rev: MonopoleData, lo: int,
     return perfect, True
 
 
+def _dual(mat: SparseIntMatrix) -> SparseIntMatrix:
+    """The transpose of mat with its rows and columns listed in reverse.
+    The basis is in grading order, and reversal sends a grading gr to
+    -gr - 1, so the reversed dual basis is in the grading order of the
+    partners: the coboundary reads like a boundary of the same complexes,
+    and one equal by content to a differential shares its _kernel memo
+    entry.  Reordering a basis changes no group."""
+    return SparseIntMatrix.from_entries(mat.cols, mat.rows, (
+        (mat.cols - 1 - j, mat.rows - 1 - i, v) for (i, j, v) in mat.entries))
+
+
 @per_band_degree
 def _cohomology_at(data: MonopoleData, flavor: Flavor,
                    n: int) -> AbelianGroupInvariants:
@@ -227,9 +238,10 @@ def _cohomology_at(data: MonopoleData, flavor: Flavor,
     transposed matching is unit-triangular too.  So (g^T, f^T) is a
     reduction of the cochain complex, and D' gives the same groups; Hat
     and NonEquivariant have no pairs, and _reduced_differential returns
-    their own D."""
-    delta_out = _reduced_differential(data, flavor, n + 1).transpose()
-    delta_in = _reduced_differential(data, flavor, n).transpose()
+    their own D.  Each transpose is read with its bases reversed
+    (_dual)."""
+    delta_out = _dual(_reduced_differential(data, flavor, n + 1))
+    delta_in = _dual(_reduced_differential(data, flavor, n))
     return _quotient(data, _kernel(data, delta_out), delta_in).invariants
 
 

@@ -19,6 +19,7 @@ homomorphism from Z^c to Z^r acting on column vectors.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -45,7 +46,9 @@ class SparseIntMatrix:
     """Immutable integer matrix stored as sorted (row, col, value) triples.
 
     Entries are row-major sorted, contain no zeros and no duplicate
-    positions; equality is positional equality of the entry list.
+    positions; equality is positional equality of the entry list, so a
+    selection whose entries are cut on first read (`select` on ranges)
+    equals the matrix of the same content.
     """
 
     rows: int
@@ -66,6 +69,14 @@ class SparseIntMatrix:
             prev = (i, j)
 
     _hash = None  # not a field: set on an instance by its first hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseIntMatrix):
+            return NotImplemented
+        # identity first: a selection compared with itself is never cut
+        return self is other or (self.rows == other.rows
+                                 and self.cols == other.cols
+                                 and self.entries == other.entries)
 
     def __hash__(self) -> int:
         # computed once: memo keys hash the same matrices again and again
@@ -154,12 +165,18 @@ class SparseIntMatrix:
     def select(self, rows: Sequence[int],
                cols: Sequence[int]) -> "SparseIntMatrix":
         """The submatrix on ascending lists of rows and columns (itself when
-        they list everything); renumbering keeps the entry order."""
-        if not (all(map(operator.lt, rows, rows[1:]))
+        they list everything); renumbering keeps the entry order.  On two
+        ranges it is a `_Selection`, named in O(1) and cut by the ranges'
+        bounds when its entries are first read."""
+        ranges = all(isinstance(at, range) and at.step == 1
+                     for at in (rows, cols))
+        if not (ranges or all(map(operator.lt, rows, rows[1:]))
                 and all(map(operator.lt, cols, cols[1:]))):
             raise ValueError("selected indices not ascending")
         if len(rows) == self.rows and len(cols) == self.cols:
             return self
+        if ranges:
+            return _Selection(self, rows, cols)
         row_at = {i: k for k, i in enumerate(rows)}
         col_at = {j: k for k, j in enumerate(cols)}
         return SparseIntMatrix._trusted(len(rows), len(cols), tuple(
@@ -211,6 +228,35 @@ class SparseIntMatrix:
             if vec[j]:
                 out[i] += v * vec[j]
         return out
+
+
+class _Selection(SparseIntMatrix):
+    """The submatrix of a template at a range of rows and a range of
+    columns, with its entries cut on first read: a selection that is only
+    compared by identity, or only read for its shape, is never built.  The
+    cut bisects the template's row-major entries for the row range and
+    keeps those inside the column range; it runs once, and then the
+    template is let go."""
+
+    def __init__(self, template: SparseIntMatrix, rows: range, cols: range):
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(cols))
+        object.__setattr__(self, "_source", (template, rows, cols))
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        if self._source is not None:
+            object.__setattr__(self, "_entries", self._cut())
+            object.__setattr__(self, "_source", None)
+        return self._entries
+
+    def _cut(self) -> tuple[tuple[int, int, int], ...]:
+        template, rows, cols = self._source
+        top, left, right = rows.start, cols.start, cols.stop
+        entries = template.entries
+        return tuple([(i - top, j - left, v) for (i, j, v) in entries[
+            bisect_left(entries, (top,)):bisect_left(entries, (rows.stop,))]
+            if left <= j < right])
 
 
 def hstack(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:

@@ -26,6 +26,7 @@ from .complexes import (
     _kept,
     _layout,
     _lines,
+    _position,
     _reduced,
     _reduced_differential,
     _template,
@@ -320,14 +321,17 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
     """The page-3 differential out of a filtration-3 cell must act by the
     two-step coefficient product into the reducible tower.  Plus at odd
     n >= 3 only: slice n has no theta, so each kept position is a point,
-    an eta if of grading 3, and slice n - 1 leads with theta, which is
-    critical, so its cell at filtration 0 is a presentation.  The cells
-    live on the reduction: each source generator is read through f(n),
-    and the prediction is carried back through g(n - 1)."""
+    an eta if of grading 3, and slice n - 1 keeps theta, which is
+    critical, so its cell at filtration 0 is a presentation; theta's kept
+    position there is its layout position (_position) less the kept
+    range's start.  The cells live on the reduction: each source
+    generator is read through f(n), and the prediction is carried back
+    through g(n - 1)."""
     source = _cell(data, flavor, 3, p, n)
     target = _cell(data, flavor, 3, 0, n - 1)
     layout = _layout(data, n % 2)
     kept = [layout[i] for i in _kept(data, flavor, n)]
+    theta = _position(data, 0)[None] - _kept(data, flavor, n - 1).start
     f = _reduced(data, flavor, n).f
     g = _reduced(data, flavor, n - 1).g
     mat = _dr_matrix(data, flavor, 3, p, n)
@@ -339,7 +343,7 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
                     data.m_value(a, c) * data.n_value(c, THETA)
                     for c in data.ids_at(1))
         predicted = [0] * g.cols
-        predicted[0] = total
+        predicted[theta] = total
         # a prediction outside the target cell cannot equal the actual
         # column: the formula under test failed, not the engine
         try:

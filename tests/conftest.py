@@ -11,8 +11,9 @@ import pytest
 def work(monkeypatch):
     """A live count of the engine's work while the test runs: Smith
     factorizations ("factorizations"), sparse products ("mul"), submatrix
-    selections ("select") and generator-by-generator template builds
-    ("slice_map").  Call clear() to start a new count."""
+    selections named ("select"), range selections whose entries are cut
+    ("cut") and generator-by-generator template builds ("slice_map").
+    Call clear() to start a new count."""
     import monofloer.complexes as complexes
     import monofloer.intlinalg as intlinalg
 
@@ -34,6 +35,8 @@ def work(monkeypatch):
                         counted("mul", intlinalg.SparseIntMatrix.mul))
     monkeypatch.setattr(intlinalg.SparseIntMatrix, "select",
                         counted("select", intlinalg.SparseIntMatrix.select))
+    monkeypatch.setattr(intlinalg._Selection, "_cut",
+                        counted("cut", intlinalg._Selection._cut))
     monkeypatch.setattr(complexes, "_slice_map",
                         counted("slice_map", complexes._slice_map))
     return counts

@@ -209,6 +209,40 @@ def oracle_basis(dataset, flavor, degree):
     return basis
 
 
+def id_order(basis):
+    """basis, (kind, point, k) triples, in the order the engine used
+    before it ordered by grading: theta first, then the points by id."""
+    return sorted(basis, key=lambda g: (g[1] is not None, g[1] or ""))
+
+
+def grading_order(dataset, basis):
+    """basis in the engine's order: by the grading of the point, theta's
+    being 0, theta first among grading 0, then by point id."""
+    gr, _, _ = _coeff_maps(dataset)
+    return sorted(basis, key=lambda g: (
+        0 if g[1] is None else gr[g[1]], g[1] is not None, g[1] or ""))
+
+
+def from_id_order(dataset, flavor, degree):
+    """The place in grading_order of each generator of the flavor's degree
+    slice, listed in id_order."""
+    basis = oracle_basis(dataset, flavor, degree)
+    place = {g: i for i, g in enumerate(grading_order(dataset, basis))}
+    return [place[g] for g in id_order(basis)]
+
+
+def regraded(dataset, dense, rows, cols):
+    """dense, a matrix written on the id_order bases of rows and cols,
+    each a (flavor, degree) slice, with its rows and columns moved into
+    grading_order."""
+    row_at, col_at = (from_id_order(dataset, *side) for side in (rows, cols))
+    out = dense_zero(len(row_at), len(col_at))
+    for i, line in enumerate(dense):
+        for j, x in enumerate(line):
+            out[row_at[i]][col_at[j]] = x
+    return out
+
+
 def oracle_differential(dataset, flavor, degree):
     """Dense matrix of the differential from degree to degree - 1."""
     gr, n, m = _coeff_maps(dataset)

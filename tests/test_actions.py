@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from monofloer.data import InvalidInput, curated_instances
 from monofloer.complexes import Flavor, _band, default_window, \
     differential_matrix
 from monofloer.intlinalg import SparseIntMatrix
 from monofloer.homology import presentation_at, structural_chain_map, \
     induced_on_homology
+from test_acceptance import performance_instance
+from test_complexes import oracle_dataset
 from monofloer.actions import (
     homotopy_h,
     u_chain_map,
@@ -25,12 +28,20 @@ def by_name(label):
     return next(d for d in curated_instances() if d.name == label)
 
 
+def regraded(data, dense, n, m):
+    """A Plus matrix from degree n to degree m, frozen in the id order
+    (theta first, then the points by id), in the engine's grading order."""
+    return oracle.regraded(oracle_dataset(data), dense, ("plus", m),
+                           ("plus", n))
+
+
 # -- frozen u matrices ------------------------------------------------------
 
 def test_u_euler_pair_frozen():
     # u(1 x eta_a) = 3 (1 x eta_c); theta tower shifts down
-    mat = u_chain_map(by_name("euler-pair"), Flavor.PLUS, 2)
-    assert mat.to_dense() == [[1, 0, 0], [0, 3, 0]]
+    data = by_name("euler-pair")
+    mat = u_chain_map(data, Flavor.PLUS, 2)
+    assert mat.to_dense() == regraded(data, [[1, 0, 0], [0, 3, 0]], 2, 0)
 
 
 def test_u_theta_tower_frozen():
@@ -43,8 +54,9 @@ def test_u_theta_tower_frozen():
 
 def test_u_theta_pair_frozen():
     # u(1 x 1_a) = 1 x 1_theta via the grading-1 coupling
-    mat = u_chain_map(by_name("theta-coupled-pair"), Flavor.PLUS, 2)
-    assert mat.to_dense() == [[1, 1, 0], [0, 0, 0]]
+    data = by_name("theta-coupled-pair")
+    mat = u_chain_map(data, Flavor.PLUS, 2)
+    assert mat.to_dense() == regraded(data, [[1, 1, 0], [0, 0, 0]], 2, 0)
 
 
 def test_u_rejects_hat_and_nonequivariant():
@@ -60,7 +72,7 @@ def test_u_rejects_hat_and_nonequivariant():
 def test_homotopy_frozen():
     d = by_name("theta-coupled-pair")
     mat = homotopy_h(d, Flavor.PLUS, 2)
-    assert mat.to_dense() == [[0, 1, 0], [0, 0, 0]]
+    assert mat.to_dense() == regraded(d, [[0, 1, 0], [0, 0, 0]], 2, 1)
     empty = by_name("empty")
     for n in range(-4, 7):
         assert homotopy_h(empty, Flavor.PLUS, n).is_zero()
@@ -129,6 +141,35 @@ def test_u_homotopy_checks_the_first_degree_of_its_window(monkeypatch):
 
     monkeypatch.setattr(actions, "homotopy_h", broken)
     assert not verify_u_homotopy(d, Flavor.PLUS, (n, n))
+
+
+def test_a_proved_u_homotopy_cuts_no_selection(monkeypatch, work):
+    """On a fresh 50-point instance, whose template proof holds,
+    verify_u_homotopy names the six selections of every degree and only
+    compares them by identity with _templated's, so it cuts the entries
+    of none; a read replaced at one degree is still checked there, and
+    its products cut what they multiply."""
+    import monofloer.actions as actions
+
+    data = performance_instance()
+    lo, hi = default_window(data)
+    for flavor in U_FLAVORS:
+        work.clear()
+        assert verify_u_homotopy(data, flavor, (lo, hi))
+        assert work["select"] > 0 and work["cut"] == 0, flavor
+    n = next(n for n in range(lo, hi + 1)
+             if not u_chain_map(data, Flavor.PLUS, n).is_zero())
+
+    def broken(data, flavor, m):
+        u = u_chain_map(data, flavor, m)
+        return u.scale(-1) if m == n else u
+
+    monkeypatch.setattr(actions, "u_chain_map", broken)
+    work.clear()
+    assert not verify_u_homotopy(data, Flavor.PLUS, (lo, hi))
+    assert work["cut"] > 0
+    assert verify_u_homotopy(data, Flavor.PLUS, (lo, n - 1))
+    assert verify_u_homotopy(data, Flavor.PLUS, (n + 1, hi))
 
 
 # -- induced module structure -----------------------------------------------

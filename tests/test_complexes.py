@@ -29,6 +29,7 @@ from monofloer.complexes import (
     _active,
     _band,
     _certify,
+    _critical,
     _kept,
     _lines,
     _reduce,
@@ -59,6 +60,19 @@ def gens(data, flavor, n):
             for g in generators_in_degree(data, flavor, n).basis]
 
 
+def regraded(data, dense, rows, cols):
+    """A matrix frozen in the id order (theta first, then the points by
+    id), on the (flavor, degree) slices rows and cols, in the engine's
+    grading order."""
+    return oracle.regraded(oracle_dataset(data), dense,
+                           (rows[0].value, rows[1]), (cols[0].value, cols[1]))
+
+
+def by_grading(data, basis):
+    """A slice frozen in the id order, in the engine's grading order."""
+    return oracle.grading_order(oracle_dataset(data), basis)
+
+
 # -- generator slices -------------------------------------------------------
 
 def test_theta_tower_slices():
@@ -76,11 +90,12 @@ def test_theta_tower_slices():
 
 def test_theta_pair_slice_order():
     d = by_name("theta-coupled-pair")
-    assert gens(d, Flavor.PLUS, 2) == [
-        (KIND_THETA, None, 1), (KIND_ONE, "a", 0), (KIND_ETA, "d", 2)]
-    assert gens(d, Flavor.PLUS, 1) == [(KIND_ETA, "a", 0), (KIND_ONE, "d", 1)]
-    assert gens(d, Flavor.INFINITY, 0) == [
-        (KIND_THETA, None, 0), (KIND_ONE, "a", -1), (KIND_ETA, "d", 1)]
+    assert gens(d, Flavor.PLUS, 2) == by_grading(d, [
+        (KIND_THETA, None, 1), (KIND_ONE, "a", 0), (KIND_ETA, "d", 2)])
+    assert gens(d, Flavor.PLUS, 1) == by_grading(d, [
+        (KIND_ETA, "a", 0), (KIND_ONE, "d", 1)])
+    assert gens(d, Flavor.INFINITY, 0) == by_grading(d, [
+        (KIND_THETA, None, 0), (KIND_ONE, "a", -1), (KIND_ETA, "d", 1)])
     assert gens(d, Flavor.NONEQUIVARIANT, 1) == [(KIND_ETA, "a", 0)]
     assert gens(d, Flavor.NONEQUIVARIANT, -2) == [(KIND_ETA, "d", 0)]
     assert gens(d, Flavor.NONEQUIVARIANT, 0) == []
@@ -114,17 +129,22 @@ def test_differential_empty_data_is_zero():
 def test_differential_theta_pair_frozen():
     d = by_name("theta-coupled-pair")
     plus = differential_matrix(d, Flavor.PLUS, 1)
-    assert plus.to_dense() == [[1, 0], [0, 0]]
+    assert plus.to_dense() == regraded(
+        d, [[1, 0], [0, 0]], (Flavor.PLUS, 0), (Flavor.PLUS, 1))
     inf = differential_matrix(d, Flavor.INFINITY, 1)
-    # rows: theta-one k0, one a k-1, eta d k1; cols: eta a k0, one d k1
-    assert inf.to_dense() == [[1, 0], [-1, 0], [0, 0]]
+    # in id order, rows: theta-one k0, one a k-1, eta d k1; cols: eta a
+    # k0, one d k1
+    assert inf.to_dense() == regraded(
+        d, [[1, 0], [-1, 0], [0, 0]], (Flavor.INFINITY, 0),
+        (Flavor.INFINITY, 1))
 
 
 def test_differential_two_step_frozen():
     d = by_name("two-step")
     plus = differential_matrix(d, Flavor.PLUS, 1)
-    # rows: theta-one k0, eta b k0; cols: eta a k0, one b k0
-    assert plus.to_dense() == [[0, 0], [2, 0]]
+    # in id order, rows: theta-one k0, eta b k0; cols: eta a k0, one b k0
+    assert plus.to_dense() == regraded(
+        d, [[0, 0], [2, 0]], (Flavor.PLUS, 0), (Flavor.PLUS, 1))
     noneq = differential_matrix(d, Flavor.NONEQUIVARIANT, 1)
     assert noneq.to_dense() == [[2]]
 
@@ -216,21 +236,25 @@ def test_omega_inverse_on_theta_tower():
 def test_projection_plus_frozen():
     d = by_name("theta-coupled-pair")
     at1 = structural_map(d, "projection_plus", Flavor.INFINITY, 1)
-    assert at1.to_dense() == [[1, 0], [0, 1]]
+    assert at1.to_dense() == regraded(
+        d, [[1, 0], [0, 1]], (Flavor.PLUS, 1), (Flavor.INFINITY, 1))
     at0 = structural_map(d, "projection_plus", Flavor.INFINITY, 0)
-    assert at0.to_dense() == [[1, 0, 0], [0, 0, 1]]
+    assert at0.to_dense() == regraded(
+        d, [[1, 0, 0], [0, 0, 1]], (Flavor.PLUS, 0), (Flavor.INFINITY, 0))
 
 
 def test_inclusion_minus_frozen():
     d = by_name("theta-coupled-pair")
     at0 = structural_map(d, "inclusion_minus", Flavor.INFINITY, 0)
-    assert at0.to_dense() == [[0], [1], [0]]
+    assert at0.to_dense() == regraded(
+        d, [[0], [1], [0]], (Flavor.INFINITY, 0), (Flavor.MINUS, 0))
 
 
 def test_inclusion_hat_frozen():
     d = by_name("theta-coupled-pair")
     at0 = structural_map(d, "inclusion_hat", Flavor.PLUS, 0)
-    assert at0.to_dense() == [[1], [0]]
+    assert at0.to_dense() == regraded(
+        d, [[1], [0]], (Flavor.PLUS, 0), (Flavor.HAT, 0))
 
 
 def test_short_exact_sequence_degreewise():
@@ -909,20 +933,41 @@ def test_reduced_slices_hold_at_most_two_generators():
 
 
 def _tables_digest(tables):
+    """The digest of (data, flavor, table) triples, each Reduction read in
+    the id order (theta first, then the points by id) it was recorded in:
+    every kept position moves to its place in that order, and each
+    critical generator to its place among the critical ones, so D', f, g
+    and critical are pinned entry by entry."""
     digest = hashlib.sha256()
-    for table in tables:
+    for data, flavor, table in tables:
+        blob = oracle_dataset(data)
+
+        def moved(n, critical):
+            # kept and critical places, from the grading order to id order
+            kept = {new: old for old, new in enumerate(
+                oracle.from_id_order(blob, flavor.value, n))}
+            old = sorted(kept[p] for p in critical)
+            return kept, {c: old.index(kept[p])
+                          for c, p in enumerate(critical)}, tuple(old)
+
         for n in sorted(table):
             red = table[n]
-            digest.update(repr((n, red.critical)).encode())
-            for mat in (red.differential, red.f, red.g):
+            kept, here, critical = moved(n, red.critical)
+            _, below, _ = moved(n - 1, _critical(data, flavor, n - 1))
+            digest.update(repr((n, critical)).encode())
+            for mat, rows, cols in ((red.differential, below, here),
+                                    (red.f, kept, here), (red.g, here, kept)):
+                entries = tuple(sorted(
+                    (rows[i], cols[j], v) for (i, j, v) in mat.entries))
                 digest.update(repr((n, mat.rows, mat.cols,
-                                    mat.entries)).encode())
+                                    entries)).encode())
     return digest.hexdigest()
 
 
 # D', f, g and critical of the Minus, Infinity and Plus tables of the
 # curated datasets and the 50-point instance, as built when g was read off
-# one flow per paired one-generator, together with a homotopy h
+# one flow per paired one-generator, together with a homotopy h, and the
+# basis was in id order
 REDUCTION_TABLES = \
     "ff9c73e3be8de70a0e422e289f4f6ef90f8a0f018667f3b99973662d6dfb327e"
 
@@ -935,7 +980,8 @@ def test_infinity_builds_one_reduction_per_parity():
     for data in datasets:
         table = _reduce(data, Flavor.INFINITY)
         assert len({id(red) for red in table.values()}) <= 2, data.name
-    assert _tables_digest(_reduce(data, flavor) for data in datasets
+    assert _tables_digest((data, flavor, _reduce(data, flavor))
+                          for data in datasets
                           for flavor in REDUCED_FLAVORS) == REDUCTION_TABLES
 
 

@@ -273,6 +273,15 @@ def test_adjointness_forms_four_products_once(work):
     assert work["mul"] == 0
 
 
+def test_proved_pairings_are_compared_uncut(work):
+    """On a fresh 50-point instance the pairing proof covers every slice:
+    verify_adjointness names each pairing selection and compares it by
+    identity, so it cuts the entries of none."""
+    data = performance_instance()
+    assert verify_adjointness(data, default_window(data))
+    assert work["select"] > 0 and work["cut"] == 0
+
+
 def test_frozen_reversal_matches_forced_signs():
     data = probe_instance()
     rev = reverse_orientation(data)

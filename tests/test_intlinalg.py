@@ -386,6 +386,36 @@ def test_public_constructors_reject_malformed_input():
             build()
 
 
+def test_a_range_selection_is_cut_once_on_first_read(work):
+    """select on two ranges names the submatrix without cutting it; its
+    first read of entries cuts it by the ranges' bounds, once, and it then
+    equals and hashes as the same selection made through index lists, on
+    either side of ==.  Comparing it with itself, or reading its shape,
+    cuts nothing."""
+    rng = random.Random(7)
+    for _ in range(50):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        mat = SparseIntMatrix.from_entries(rows, cols, [
+            (rng.randrange(rows), rng.randrange(cols), rng.randint(-3, 3))
+            for _ in range(rows * cols // 2)] if rows and cols else [])
+        top, bottom = sorted(rng.randint(0, rows) for _ in range(2))
+        left, right = sorted(rng.randint(0, cols) for _ in range(2))
+        work.clear()
+        lazy = mat.select(range(top, bottom), range(left, right))
+        assert lazy == lazy
+        assert (lazy.rows, lazy.cols) == (bottom - top, right - left)
+        assert work["cut"] == 0
+        eager = mat.select(list(range(top, bottom)),
+                           list(range(left, right)))
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert lazy.entries == eager.entries
+        if (bottom - top, right - left) != (rows, cols):
+            assert work["cut"] == 1
+        assert lazy.to_dense() == [line[left:right]
+                                   for line in mat.to_dense()[top:bottom]]
+        assert work["cut"] <= 1
+
+
 ONE_BY_TWO = SparseIntMatrix.zero(1, 2)
 
 

@@ -27,11 +27,11 @@ from monofloer.actions import _U_FLAVORS, _h_terms, _u_terms, u_chain_map, \
     u_module_structure, verify_u_homotopy
 from monofloer.cli import main, verify_all
 from monofloer.complexes import KIND_ETA, KIND_ONE, KIND_THETA, \
-    REDUCED_FLAVORS, _STRUCTURAL, DegreeSlice, Flavor, Generator, _band, \
-    _band_degree, _certify, _critical, _differential, _identification, \
-    _image_terms, _kept, _reduced, _reduction, _restricts, \
-    _rule_matrix, _same, _slice, _slice_map, _template, check_d_squared, \
-    default_window
+    REDUCED_FLAVORS, _POWERS, _STRUCTURAL, DegreeSlice, Flavor, Generator, \
+    _band, _band_degree, _certify, _critical, _differential, \
+    _identification, _image_terms, _kept, _layout, _reduced, _reduction, \
+    _restricts, _rule_matrix, _same, _slice, _slice_map, _template, \
+    check_d_squared, default_window
 from monofloer.data import THETA, MonopoleData, _toggle_id, \
     curated_instances, generate_instances, invalid_instance, \
     reverse_orientation, serialize, validate
@@ -429,11 +429,12 @@ def test_every_chain_level_matrix_is_a_selection():
         slices = {}
 
         def oracle_slice(data, flavor, n):
-            # the engine's order: theta first, then the points by id
+            # the engine's order: by grading, theta first among grading
+            # 0, then by id
             if (data.name, flavor, n) not in slices:
-                gens = sorted(
-                    oracle.oracle_basis(oracle_dataset(data), flavor.value, n),
-                    key=lambda g: (g[1] is not None, g[1] or ""))
+                blob = oracle_dataset(data)
+                gens = oracle.grading_order(
+                    blob, oracle.oracle_basis(blob, flavor.value, n))
                 slices[data.name, flavor, n] = DegreeSlice(n, tuple(
                     Generator(_KINDS[kind], point, k)
                     for (kind, point, k) in gens))
@@ -491,11 +492,6 @@ def test_every_chain_level_matrix_is_a_selection():
 
 # -- kept positions and the restriction lemma ------------------------------
 
-def _engine_order(basis):
-    # theta first, then the points by id
-    return sorted(basis, key=lambda g: (g[1] is not None, g[1] or ""))
-
-
 def oracle_kept_and_pairs(data, flavor, n):
     """_kept and pairs_down from the oracle's basis, whose generators the
     oracle admits by its own _admissible: the positions in the Infinity
@@ -505,10 +501,16 @@ def oracle_kept_and_pairs(data, flavor, n):
     reductions must give exactly these pairs."""
     blob = oracle_dataset(data)
     grading = {p.id: p.grading for p in data.points}
-    ambient = _engine_order(oracle.oracle_basis(blob, "infinity", n))
-    here = _engine_order(oracle.oracle_basis(blob, flavor.value, n))
-    below = {g: j for j, g in enumerate(_engine_order(
-        oracle.oracle_basis(blob, flavor.value, n - 1)))}
+
+    def ordered(flavor, n):
+        # the engine's order: by grading, theta first among grading 0,
+        # then by id
+        return oracle.grading_order(
+            blob, oracle.oracle_basis(blob, flavor.value, n))
+
+    ambient = ordered(Flavor.INFINITY, n)
+    here = ordered(flavor, n)
+    below = {g: j for j, g in enumerate(ordered(flavor, n - 1))}
     admitted = set(here)
     kept = tuple(i for i, g in enumerate(ambient) if g in admitted)
     pairs = [(i, below[("one", point, k - 1)], grading[point])
@@ -531,7 +533,8 @@ def _assert_kept_and_pairs(data):
     lo, hi = _band(data)
     for flavor in Flavor:
         for n in range(lo - 5, hi + 6):
-            assert (_kept(data, flavor, n), pairs_down(data, flavor, n)) == \
+            assert (tuple(_kept(data, flavor, n)),
+                    pairs_down(data, flavor, n)) == \
                 oracle_kept_and_pairs(data, flavor, n), (data.name, flavor, n)
             if flavor in REDUCED_FLAVORS:
                 assert _critical(data, flavor, n) == oracle_critical(
@@ -553,6 +556,42 @@ def test_kept_and_pairs_match_the_oracle_on_the_pool():
 @given(gauged)
 def test_kept_and_pairs_match_the_oracle_on_gauged_datasets(pair):
     _assert_kept_and_pairs(pair[1])
+
+
+def _assert_kept_is_the_powers_rule(data):
+    """_layout lists the oracle's Infinity basis in the engine's order (by
+    grading, theta first among grading 0, then by id), and _kept is a
+    range equal to the _POWERS rule over it: the positions whose k, raised
+    by n // 2, lies in the flavor's interval, and for NonEquivariant only
+    the etas there."""
+    blob = oracle_dataset(data)
+    for parity in (0, 1):
+        assert [(kind, point, k) for kind, point, k, _ in _layout(
+            data, parity)] == [(_KINDS[kind], point, k) for kind, point, k in
+                               oracle.grading_order(blob, oracle.oracle_basis(
+                                   blob, "infinity", parity))], data.name
+    lo, hi = _band(data)
+    for flavor in Flavor:
+        low, high = _POWERS[flavor]
+        for n in range(lo - 5, hi + 6):
+            kept = _kept(data, flavor, n)
+            assert type(kept) is range and kept.step == 1, (flavor, n)
+            assert tuple(kept) == tuple(
+                i for i, (kind, _, k, _) in enumerate(_layout(data, n % 2))
+                if low <= k + n // 2 <= high and (
+                    kind == KIND_ETA or flavor is not Flavor.NONEQUIVARIANT)
+            ), (data.name, flavor, n)
+
+
+def test_kept_is_the_powers_rule_on_the_pool():
+    for data in [*POOL, *curated_instances(), invalid_instance()]:
+        _assert_kept_is_the_powers_rule(data)
+
+
+@SETTINGS
+@given(gauged)
+def test_kept_is_the_powers_rule_on_gauged_datasets(pair):
+    _assert_kept_is_the_powers_rule(pair[1])
 
 
 def _scanned(monkeypatch):

@@ -17,7 +17,7 @@ from monofloer.sequences import (
     connecting_delta,
     hf_red,
 )
-from test_complexes import full_presentation
+from test_complexes import full_presentation, oracle_dataset
 
 Z = AbelianGroupInvariants(1)
 ZERO = AbelianGroupInvariants(0)
@@ -49,14 +49,16 @@ def test_delta_frozen_on_theta_pair():
 def test_connecting_delta_refuses_a_wrong_lift(monkeypatch, row, message):
     """The lift on theta-coupled-pair, D from the Plus columns of degree
     -1 to the Infinity rows of degree -2, gains an entry in column 0: at
-    row 2, which Minus does not keep, a lifted boundary leaves the
-    subcomplex; at row 0, theta, a lifted Plus boundary is a nonzero Minus
-    class."""
+    row 2 of the id order (theta first, then the points by id), which
+    Minus does not keep, a lifted boundary leaves the subcomplex; at row 0
+    of it, theta, a lifted Plus boundary is a nonzero Minus class.  Each
+    row is moved to its place in the engine's grading order."""
     import monofloer.complexes as complexes
     from monofloer.complexes import _kept
 
     data = by_name("theta-coupled-pair")
     lift = (_kept(data, Flavor.INFINITY, -2), _kept(data, Flavor.PLUS, -1))
+    row = oracle.from_id_order(oracle_dataset(data), "infinity", -2)[row]
     selection = complexes._selection
 
     def wrong_lift(data, template, key, rows, cols):

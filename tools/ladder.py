@@ -17,9 +17,13 @@ the data is validated, so the time is the reductions' own: kept positions,
 templates, flows and certificates), and prints the seconds; a
 ``verify_all`` report that is not ``ok`` stops the ladder, as does a failed
 page check or certificate.  The last line of output is one JSON object:
-per ladder, the median seconds per size and the slope
-log(t2 / t1) / log(N2 / N1) between neighbouring sizes.  The three ladders
-take about two minutes; they are not part of the test suite.
+per ladder, the median seconds per size, the slope
+log(t2 / t1) / log(N2 / N1) between neighbouring sizes and the work per
+size: the range selections named (``named``), those whose entries were
+cut (``cut``) and the Smith factorizations (``factorizations``), which are
+the same in every run of a size.  A selection named but never cut was only
+compared or read for its shape.  The three ladders take about two minutes;
+they are not part of the test suite.
 """
 
 from __future__ import annotations
@@ -40,13 +44,28 @@ RUNS = 3
 SEED = 2026
 
 CHILD = """
-import sys, time
+import json, sys, time
+from collections import Counter
 from perfbench.inputs import domino_instance
+import monofloer.intlinalg as intlinalg
 from monofloer.cli import verify_all
 from monofloer.complexes import REDUCED_FLAVORS, Flavor, _reduction, \
     require_valid
 from monofloer.spectral import spectral_pages
 
+work = Counter()
+
+def counted(name, fn):
+    def wrapper(*args):
+        work[name] += 1
+        return fn(*args)
+    return wrapper
+
+intlinalg._Selection.__init__ = counted(
+    "named", intlinalg._Selection.__init__)
+intlinalg._Selection._cut = counted("cut", intlinalg._Selection._cut)
+intlinalg._Factorization.__init__ = counted(
+    "factorizations", intlinalg._Factorization.__init__)
 ladder, size, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 data = domino_instance(f"ladder-{size}", size, seed)
 if ladder == "reductions":
@@ -61,11 +80,14 @@ elif ladder == "reductions":
         _reduction(data, flavor)
 else:
     spectral_pages(data, Flavor.PLUS, 3)
-print(time.perf_counter() - start)
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds, "named": work["named"],
+                  "cut": work["cut"],
+                  "factorizations": work["factorizations"]}))
 """
 
 
-def run_once(ladder: str, size: int) -> float:
+def run_once(ladder: str, size: int) -> dict:
     path = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
@@ -74,21 +96,23 @@ def run_once(ladder: str, size: int) -> float:
         text=True, check=False)
     if done.returncode != 0:
         sys.exit(done.stderr.strip() or f"{ladder} failed at N = {size}")
-    return float(done.stdout)
+    return json.loads(done.stdout)
 
 
 def climb(ladder: str) -> dict:
     sizes = LADDERS[ladder]
-    seconds = {}
+    seconds, work = {}, {}
     for size in sizes:
         runs = [run_once(ladder, size) for _ in range(RUNS)]
-        seconds[size] = statistics.median(runs)
-        print(f"{ladder} N = {size}: "
-              + ", ".join(f"{t:.3f}" for t in runs) + " s", file=sys.stderr)
+        times = [run.pop("seconds") for run in runs]
+        seconds[size], work[str(size)] = statistics.median(times), runs[0]
+        print(f"{ladder} N = {size}: " + ", ".join(
+            f"{t:.3f}" for t in times) + f" s, {runs[0]}", file=sys.stderr)
     slopes = {f"{a}-{b}": math.log(seconds[b] / seconds[a]) / math.log(b / a)
               for a, b in zip(sizes, sizes[1:])}
     return {"seconds": {str(n): round(t, 4) for n, t in seconds.items()},
-            "slopes": {k: round(v, 3) for k, v in slopes.items()}}
+            "slopes": {k: round(v, 3) for k, v in slopes.items()},
+            "work": work}
 
 
 def main() -> None:

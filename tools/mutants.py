@@ -84,14 +84,35 @@ MUTANTS = (
            "    Flavor.PLUS: (1, math.inf),",
            ("tests/test_properties.py",)),
     Mutant("hat-keeps-only-etas", "complexes.py",
-           "(kind == KIND_ETA or flavor is not Flavor.NONEQUIVARIANT)",
-           "(kind == KIND_ETA or flavor not in (Flavor.NONEQUIVARIANT, "
-           "Flavor.HAT))",
+           "    if flavor is Flavor.NONEQUIVARIANT:\n        return range(",
+           "    if flavor in (Flavor.NONEQUIVARIANT, Flavor.HAT):\n"
+           "        return range(",
            ("tests/test_properties.py",)),
+    # each kept set is one range of the layout, cut by bisect
+    Mutant("kept-range-start-off-by-one", "complexes.py",
+           "    return range(bisect_left(layout, n // 2 - high, "
+           "key=_lowered),",
+           "    return range(bisect_left(layout, n // 2 - high, "
+           "key=_lowered) + 1,",
+           ("tests/test_properties.py::"
+            "test_kept_is_the_powers_rule_on_the_pool",)),
+    Mutant("kept-range-stop-off-by-one", "complexes.py",
+           "                 bisect_right(layout, n // 2 - low, "
+           "key=_lowered))",
+           "                 bisect_right(layout, n // 2 - low, "
+           "key=_lowered) - 1)",
+           ("tests/test_properties.py::"
+            "test_kept_is_the_powers_rule_on_the_pool",)),
+    Mutant("noneq-keeps-theta", "complexes.py",
+           "bisect_left(layout, n, key=_grading) + (n == 0),",
+           "bisect_left(layout, n, key=_grading),",
+           ("tests/test_properties.py::"
+            "test_kept_is_the_powers_rule_on_the_pool",)),
     # the basis order, stated once in the layout
     Mutant("layout-theta-leads-the-odd-slice", "complexes.py",
-           "    return ((KIND_THETA, None, 0, 0),) * (1 - parity) + tuple(",
-           "    return ((KIND_THETA, None, 0, 0),) * parity + tuple(",
+           "    return tuple(sorted(((KIND_THETA, None, 0, 0),) "
+           "* (1 - parity)",
+           "    return tuple(sorted(((KIND_THETA, None, 0, 0),) * parity",
            ("tests/test_spectral.py::"
             "test_filtrations_match_the_oracle_at_both_parities",)),
     # the pair rule of the reductions and the critical positions at its edge
@@ -101,8 +122,8 @@ MUTANTS = (
            ("tests/test_properties.py::"
             "test_kept_and_pairs_match_the_oracle_on_the_pool",)),
     Mutant("critical-edge-off-by-one", "complexes.py",
-           "            for grading in (n - 2 * low, n - 2 * high - 1)",
-           "            for grading in (n - 2 * low - 2, n - 2 * high - 1)",
+           "    edge = [a for grading in (n - 2 * low, n - 2 * high - 1)",
+           "    edge = [a for grading in (n - 2 * low - 2, n - 2 * high - 1)",
            ("tests/test_properties.py::"
             "test_kept_and_pairs_match_the_oracle_on_the_pool",)),
     Mutant("d2-one-parity", "complexes.py",
@@ -186,9 +207,9 @@ MUTANTS = (
            ("tests/test_complexes.py",)),
     # a template product read at every position its lines reach
     Mutant("template-product-keeps-every-row", "complexes.py",
-           "        if (t := bisect_left(target, r)) < len(target) "
-           "and target[t] == r]",
-           "        if (t := bisect_left(target, r)) < len(target)]",
+           "        for r, w in lines.get(source[i], {}).items() "
+           "if r in target]",
+           "        for r, w in lines.get(source[i], {}).items()]",
            ("tests/test_complexes.py::"
             "test_template_products_are_the_products_of_the_selections",)),
     Mutant("certify-skips-g-f", "complexes.py",
