@@ -15,8 +15,8 @@ homology and refuses to paper over a disagreement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .complexes import (
     Flavor,
@@ -145,73 +145,40 @@ def max_page(data: MonopoleData) -> int:
 def _a_lattice(data: MonopoleData, flavor: Flavor, n: int, p: int,
                r: int) -> Lattice:
     """Degree-n chains of the reduction of filtration at most p whose
-    boundary has filtration at most p - r."""
+    boundary has filtration at most p - r.  The filtrations ascend, so the
+    columns are a prefix of the critical positions and the rows, those
+    above p - r, a suffix: D' is cut by two ranges."""
     source = _critical_filtrations(data, flavor, n)
-    low = [i for i, f in enumerate(source) if f <= p]
-    high = [i for i, f in enumerate(_critical_filtrations(data, flavor, n - 1))
-            if f > p - r]
+    target = _critical_filtrations(data, flavor, n - 1)
+    low = range(bisect_right(source, p))
+    high = range(bisect_right(target, p - r), len(target))
     dropped = _reduced_differential(data, flavor, n).select(high, low)
     return _kernel(data, dropped).included(low, len(source))
 
 
-def _den_lattice(data: MonopoleData, flavor: Flavor, r: int, p: int,
-                 n: int) -> SparseIntMatrix:
-    # not memoised: _live_cell, its only caller, is memoised under the
-    # same key
-    below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
-    above = _reduced_differential(data, flavor, n + 1).mul(
-        _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)
-    return hstack(below, above)
-
-
-class _UnitGenerator(NamedTuple):
-    """A page-0 generator: free, on the unit vector of one kept position of
-    a slice of the given length, which is built only when read."""
-
-    position: int
-    length: int
-    order = 0
-
-    @property
-    def vector(self) -> tuple[int, ...]:
-        return tuple(int(i == self.position) for i in range(self.length))
-
-
-class _FreeCell(NamedTuple):
-    """A free cell: a page-0 cell on the unit generators of its kept
-    positions, or the zero cell."""
-
-    generators: tuple[_UnitGenerator, ...]
-    invariants: AbelianGroupInvariants
-
-
-_EMPTY = _FreeCell((), TRIVIAL)
-
-
-def _grouped(levels: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """The positions of a filtration table, ascending, by filtration."""
-    at: dict[int, list[int]] = {}
-    for i, f in enumerate(levels):
-        at.setdefault(f, []).append(i)
-    return {f: tuple(positions) for f, positions in at.items()}
+def _grouped(levels: tuple[int, ...]) -> dict[int, range]:
+    """The positions of an ascending filtration table by filtration: one
+    range each, found by bisect."""
+    return {f: range(bisect_left(levels, f), bisect_right(levels, f))
+            for f in dict.fromkeys(levels)}
 
 
 @per_band_degree
 def _positions(data: MonopoleData, flavor: Flavor,
-               n: int) -> dict[int, tuple[int, ...]]:
+               n: int) -> dict[int, range]:
     """_filtrations of degree n, grouped by filtration."""
     return _grouped(_filtrations(data, flavor, n))
 
 
 @per_band_degree
 def _critical_positions(data: MonopoleData, flavor: Flavor,
-                        n: int) -> dict[int, tuple[int, ...]]:
+                        n: int) -> dict[int, range]:
     """_critical_filtrations of degree n, grouped by filtration."""
     return _grouped(_critical_filtrations(data, flavor, n))
 
 
 def _generators_at(data: MonopoleData, flavor: Flavor, r: int,
-                   n: int) -> dict[int, tuple[int, ...]]:
+                   n: int) -> dict[int, range]:
     """The generators of degree n that page r's cells are built on, by
     filtration: the kept positions on page 0, the critical ones later.  A
     cell has a generator at p exactly when p is a key."""
@@ -220,28 +187,31 @@ def _generators_at(data: MonopoleData, flavor: Flavor, r: int,
 
 @per_dataset
 def _live_cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
-               n: int) -> QuotientPresentation | _FreeCell:
-    """The page-r cell at filtration p, degree n, which has a generator at
-    p.  Page 0 is F_p / F_(p-1), free on the kept positions at filtration
-    p.  A later page is read on the certified reduction, a filtered
-    homotopy equivalence, which fixes every page past the first."""
-    if r == 0:
-        length = len(_filtrations(data, flavor, n))
-        at = _positions(data, flavor, n)[p]
-        return _FreeCell(tuple(_UnitGenerator(j, length) for j in at),
-                         AbelianGroupInvariants(len(at)))
+               n: int) -> QuotientPresentation:
+    """The page-r cell at filtration p, degree n, for r >= 1 and a critical
+    generator at p.  It is read on the certified reduction, a filtered
+    homotopy equivalence, which fixes every page past the first: the
+    _a_lattice chains at (p, r) modulo those at (p - 1, r - 1) and the
+    boundaries of those at (p + r - 1, r - 1)."""
+    below = _a_lattice(data, flavor, n, p - 1, r - 1).basis
+    above = _reduced_differential(data, flavor, n + 1).mul(
+        _a_lattice(data, flavor, n + 1, p + r - 1, r - 1).basis)
     return _quotient(data, _a_lattice(data, flavor, n, p, r),
-                     _den_lattice(data, flavor, r, p, n))
+                     hstack(below, above))
 
 
-def _cell(data: MonopoleData, flavor: Flavor, r: int, p: int,
-          n: int) -> QuotientPresentation | _FreeCell:
-    """The page-r cell at filtration p, degree n: _live_cell when a
-    generator lies at p, and otherwise _EMPTY, zero on every page, with no
-    memo entry."""
-    if p in _generators_at(data, flavor, r, n):
-        return _live_cell(data, flavor, r, p, n)
-    return _EMPTY
+def _orders(data: MonopoleData, flavor: Flavor, r: int, p: int,
+            n: int) -> tuple[int, ...]:
+    """The shape of the page-r cell at filtration p, degree n: the orders
+    of its generators, () where it has none.  Page 0, F_p / F_(p-1), is
+    free on the kept positions at p and builds nothing; a later page reads
+    _live_cell."""
+    at = _generators_at(data, flavor, r, n).get(p)
+    if at is None:
+        return ()
+    if r == 0:
+        return (0,) * len(at)
+    return tuple(g.order for g in _live_cell(data, flavor, r, p, n).generators)
 
 
 @per_dataset
@@ -251,35 +221,15 @@ def _zero(data: MonopoleData, rows: int, cols: int) -> SparseIntMatrix:
     return SparseIntMatrix.zero(rows, cols)
 
 
-@per_band_degree
-def _d0_blocks(data: MonopoleData, flavor: Flavor,
-               n: int) -> dict[int, SparseIntMatrix]:
-    """d_0 out of degree n at each filtration p with kept positions in
-    degrees n and n - 1: the block of D between the positions at p, all
-    read off D's entries in one pass."""
-    source = _positions(data, flavor, n)
-    target = _positions(data, flavor, n - 1)
-    cols = _filtrations(data, flavor, n)
-    rows = _filtrations(data, flavor, n - 1)
-    col_at = {j: k for at in source.values() for k, j in enumerate(at)}
-    row_at = {i: k for at in target.values() for k, i in enumerate(at)}
-    entries = {p: [] for p in source if p in target}
-    for i, j, v in _differential(data, flavor, n).entries:
-        if rows[i] == cols[j]:
-            entries[cols[j]].append((row_at[i], col_at[j], v))
-    return {p: SparseIntMatrix.from_entries(
-        len(target[p]), len(source[p]), items)
-        for p, items in entries.items()}
-
-
 @per_dataset
 def _live_dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
                     n: int) -> SparseIntMatrix:
     """_dr_matrix between two cells with generators: on page 0 the block
-    of D between the positions at p, later the classes of D' on the source
-    generators."""
+    of D between the ranges of positions at p, later the classes of D' on
+    the source generators."""
     if r == 0:
-        return _d0_blocks(data, flavor, n)[p]
+        return _differential(data, flavor, n).select(
+            _positions(data, flavor, n - 1)[p], _positions(data, flavor, n)[p])
     source = _live_cell(data, flavor, r, p, n)
     target = _live_cell(data, flavor, r, p - r, n - 1)
     d_n = _reduced_differential(data, flavor, n)
@@ -294,11 +244,11 @@ def _dr_matrix(data: MonopoleData, flavor: Flavor, r: int, p: int,
     the cell at p - r, degree n - 1: (target generators) x (source
     generators).  It is _live_dr_matrix when both cells have generators,
     and otherwise the shared zero of that shape."""
-    source = _cell(data, flavor, r, p, n)
-    target = _cell(data, flavor, r, p - r, n - 1)
-    if source.generators and target.generators:
+    rows = len(_orders(data, flavor, r, p - r, n - 1))
+    cols = len(_orders(data, flavor, r, p, n))
+    if rows and cols:
         return _live_dr_matrix(data, flavor, r, p, n)
-    return _zero(data, len(target.generators), len(source.generators))
+    return _zero(data, rows, cols)
 
 
 def _composite_vanishes(second: SparseIntMatrix, first: SparseIntMatrix,
@@ -326,9 +276,12 @@ def _check_d3_formula(data: MonopoleData, flavor: Flavor, p: int,
     position there is its layout position (_position) less the kept
     range's start.  The cells live on the reduction: each source
     generator is read through f(n), and the prediction is carried back
-    through g(n - 1)."""
-    source = _cell(data, flavor, 3, p, n)
-    target = _cell(data, flavor, 3, 0, n - 1)
+    through g(n - 1).  A source with no critical generator at p is zero,
+    with nothing to check."""
+    if p not in _critical_positions(data, flavor, n):
+        return
+    source = _live_cell(data, flavor, 3, p, n)
+    target = _live_cell(data, flavor, 3, 0, n - 1)
     layout = _layout(data, n % 2)
     kept = [layout[i] for i in _kept(data, flavor, n)]
     theta = _position(data, 0)[None] - _kept(data, flavor, n - 1).start
@@ -370,9 +323,10 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
     Each page fills its grid in bulk with the trivial group and the
     shared 0 x 0 zero, then walks, in grid order, only its live keys:
     those whose cell, or whose differential's target, holds a generator
-    (_generators_at).  There it builds the cell and the differential:
-    _live_dr_matrix when both cells have generators, and otherwise the
-    shared zero whose shape is the two cells' generator counts.  Every
+    (_generators_at).  There it reads the cell's shape (_orders: a count
+    on page 0, a presentation later) and the differential: _live_dr_matrix
+    when both cells have generators, and otherwise the shared zero whose
+    shape is the two cells' generator counts.  Every
     page is checked: a differential with entries composes to zero with
     its follower, the page's own d_r out of its target, which is formed
     only where the follower has entries too, since a zero factor gives a
@@ -404,7 +358,9 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
         # in grid order, so that each follower is built before it is read
         for p, q in sorted(cells.keys() & live):
             n = p + q
-            cells[p, q] = _cell(data, flavor, r, p, n).invariants
+            orders = _orders(data, flavor, r, p, n)
+            cells[p, q] = AbelianGroupInvariants(
+                orders.count(0), tuple(filter(None, orders)))
             diffs[p, q] = mat = _dr_matrix(data, flavor, r, p, n)
             if not mat.entries:
                 continue
@@ -413,8 +369,7 @@ def spectral_pages(data: MonopoleData, flavor: Flavor,
             if follow is None:
                 follow = _dr_matrix(data, flavor, r, p - r, n - 1)
             if follow.entries and not _composite_vanishes(
-                    follow, mat, tuple(g.order for g in _cell(
-                        data, flavor, r, p - 2 * r, n - 2).generators)):
+                    follow, mat, _orders(data, flavor, r, p - 2 * r, n - 2)):
                 raise CheckFailed(
                     n, f"page-{r} differentials fail to square to zero at "
                     f"({p}, {q})")

@@ -315,7 +315,7 @@ def test_spectral_reports_a_prediction_outside_its_cell(tmp_path, capsys,
         # the cell refuses it, and nothing else the check reads, since the
         # differential it compares with is built before the cell refuses
         spectral._dr_matrix(data, flavor, 3, p, n)
-        target = spectral._cell(data, flavor, 3, 0, n - 1)
+        target = spectral._live_cell(data, flavor, 3, 0, n - 1)
 
         def coordinate_of(cell, vec):
             if cell is target:

@@ -42,7 +42,8 @@ from monofloer.homology import _commutes_on_templates, graded_homology, \
     homology_at, induced_on_homology, presentation_at, structural_chain_map
 from monofloer.intlinalg import QuotientPresentation, kernel_basis
 from monofloer.sequences import _red_at, connecting_delta, hf_red
-from monofloer.spectral import spectral_pages
+from monofloer.spectral import _critical_filtrations, _filtrations, \
+    _generators_at, spectral_pages
 from test_complexes import compare_with_oracle, full_presentation, \
     oracle_dataset, pairs_down
 
@@ -592,6 +593,38 @@ def test_kept_is_the_powers_rule_on_the_pool():
 @given(gauged)
 def test_kept_is_the_powers_rule_on_gauged_datasets(pair):
     _assert_kept_is_the_powers_rule(pair[1])
+
+
+def _assert_filtration_ranges(data):
+    """_generators_at maps each filtration to a nonempty step-1 range, and
+    the ranges, ascending, partition the kept positions (page 0) or the
+    critical ones (later pages), each at its _filtrations or
+    _critical_filtrations entry, at every band degree +- 5 of Plus and
+    Infinity."""
+    lo, hi = _band(data)
+    for flavor in (Flavor.PLUS, Flavor.INFINITY):
+        for n in range(lo - 5, hi + 6):
+            for r in range(4):
+                levels = (_critical_filtrations if r else _filtrations)(
+                    data, flavor, n)
+                at = _generators_at(data, flavor, r, n)
+                assert all(type(span) is range and span.step == 1 and span
+                           for span in at.values()), (data.name, flavor, n)
+                assert [i for span in at.values() for i in span] == list(
+                    range(len(levels))), (data.name, flavor, r, n)
+                assert all(levels[i] == f for f, span in at.items()
+                           for i in span), (data.name, flavor, r, n)
+
+
+def test_filtration_ranges_partition_the_generators_on_the_pool():
+    for data in [*POOL, *curated_instances()]:
+        _assert_filtration_ranges(data)
+
+
+@SETTINGS
+@given(gauged)
+def test_filtration_ranges_partition_the_generators_on_gauged_datasets(pair):
+    _assert_filtration_ranges(pair[1])
 
 
 def _scanned(monkeypatch):

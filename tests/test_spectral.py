@@ -18,14 +18,15 @@ from monofloer.complexes import Flavor, _band, _image_terms, _layout, \
 from monofloer.data import CheckFailed, InvalidInput, MonopoleData, THETA, \
     curated_instances, generate_instances
 from monofloer.intlinalg import AbelianGroupInvariants, HomologyGenerator, \
-    SparseIntMatrix
+    QuotientPresentation, SparseIntMatrix
 from monofloer.spectral import (
-    _cell,
     _check_filtered,
     _composite_vanishes,
     _critical_filtrations,
     _filtration_levels,
     _filtrations,
+    _live_cell,
+    _orders,
     delta_map,
     nonequivariant_floer,
     spectral_pages,
@@ -189,13 +190,11 @@ def test_next_page_is_cellwise_homology():
                     n = p + q
                     if n == hi:  # the incoming map lies outside the page
                         continue
-                    orders = [g.order for g in
-                              _cell(data, flavor, r, p, n).generators]
+                    orders = _orders(data, flavor, r, p, n)
                     incoming = page.differentials.get(
                         (p + r, q - r + 1),
                         SparseIntMatrix.zero(len(orders), 0))
-                    target = [g.order for g in
-                              _cell(data, flavor, r, p - r, n - 1).generators]
+                    target = _orders(data, flavor, r, p - r, n - 1)
                     got = pages[r + 1].cells[(p, q)]
                     assert (got.free_rank, list(got.torsion)) == \
                         oracle.dense_cell_homology(
@@ -234,11 +233,11 @@ def test_pages_keep_every_cell_and_differential_shape():
 
 
 def test_pages_build_only_the_cells_with_a_generator():
-    """The pages memoise a cell only where a generator lies at its
-    filtration, and a differential only between two cells with generators:
-    the number of memoised cells is the number of (r, p, n) the pages read
-    (a grid cell, its differential's target and that target's own) that
-    have a generator at p."""
+    """The pages memoise a cell only past page 0 and where a generator
+    lies at its filtration, and a differential only between two cells with
+    generators: the number of memoised presentations is the number of
+    (r, p, n) with r >= 1 the pages read (a grid cell, its differential's
+    target and that target's own) that have a generator at p."""
     import monofloer.spectral as spectral
 
     data = domino_instance("spectral-24", 24, 2026)
@@ -249,17 +248,23 @@ def test_pages_build_only_the_cells_with_a_generator():
             for p in _filtration_levels(data) for n in range(lo, hi + 1)
             for k in range(3)}
     live = {(r, p, n) for r, p, n in read
-            if p in spectral._generators_at(data, Flavor.PLUS, r, n)}
+            if r and p in spectral._generators_at(data, Flavor.PLUS, r, n)}
     cells = {key[2:]: value for key, value in memo.items()
              if key[0] is spectral._live_cell.__wrapped__}
-    assert all(cell is not spectral._EMPTY for cell in cells.values())
+    assert all(isinstance(cell, QuotientPresentation)
+               for cell in cells.values())
     assert len(cells) == len(live) and set(cells) == live
     diffs = [key[2:] for key in memo
              if key[0] is spectral._live_dr_matrix.__wrapped__]
-    assert diffs
+    # page 0's blocks and the later pages' classes
+    assert {min(r, 1) for r, _, _ in diffs} == {0, 1}
     for r, p, n in diffs:
-        assert _cell(data, Flavor.PLUS, r, p, n).generators, (r, p, n)
-        assert _cell(data, Flavor.PLUS, r, p - r, n - 1).generators, (r, p, n)
+        for at, degree in ((p, n), (p - r, n - 1)):
+            if r:
+                assert _live_cell(data, Flavor.PLUS, r, at, degree
+                                  ).generators, (r, p, n)
+            else:
+                assert at in spectral._positions(data, Flavor.PLUS, degree)
     assert len(data._memo) == len(memo)
 
 
@@ -318,8 +323,9 @@ def test_infinity_pages_match_the_dense_oracle():
 
 def test_page_zero_and_trivial_cells_build_no_presentation(monkeypatch):
     # page 0 is free on the positions at its filtration, and a later cell
-    # with no critical generator there is zero: neither builds a lattice
-    # quotient.  Fresh datasets hold no memoised presentation to hide one.
+    # with no critical generator there is zero: the shape of neither
+    # builds a lattice quotient.  Fresh datasets hold no memoised
+    # presentation to hide one.
     import monofloer.homology as homology
 
     built = []
@@ -337,27 +343,63 @@ def test_page_zero_and_trivial_cells_build_no_presentation(monkeypatch):
                     for n in range(lo, hi + 1):
                         if r == 0 or p not in _critical_filtrations(
                                 data, flavor, n):
-                            _cell(data, flavor, r, p, n)
+                            _orders(data, flavor, r, p, n)
             assert built == [], (data.name, flavor)
     # the cells with a critical generator at their filtration do build one
     spectral_pages(by_name("tail-chain"), Flavor.PLUS, 3)
     assert built
 
 
-def test_page_zero_cells_are_free_on_unit_vectors():
-    # each generator of a page-0 cell is the unit vector of one kept
-    # position at the cell's filtration, in ascending order
+def test_page_zero_cells_are_free_of_the_oracle_rank():
+    """Each page-0 cell is free, of rank the oracle's number of generators
+    at its filtration, and page 0 builds no presentation: no _live_cell
+    memo entry has r = 0."""
     for data in oracle_datasets():
+        blob = oracle_dataset(data)
         lo, hi = default_window(data)
         for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            cells = spectral_pages(data, flavor, 0)[0].cells
             for p in _filtration_levels(data):
                 for n in range(lo, hi + 1):
-                    levels = _filtrations(data, flavor, n)
-                    assert [(g.order, g.vector) for g in _cell(
-                        data, flavor, 0, p, n).generators] == [
-                        (0, tuple(int(i == j) for i in range(len(levels))))
-                        for j, f in enumerate(levels) if f == p], (
+                    rank = oracle.oracle_filtrations(
+                        blob, flavor.value, n).count(p)
+                    assert _orders(data, flavor, 0, p, n) == (0,) * rank
+                    assert cells[p, n - p] == AbelianGroupInvariants(rank), (
                         data.name, flavor, p, n)
+        assert not any(key[0] is _live_cell.__wrapped__ and key[2] == 0
+                       for key in data._memo), data.name
+
+
+def at_filtration(blob, flavor, n, p):
+    """The oracle's generators of degree n at filtration p, as indices
+    into oracle_basis, in the engine's basis order."""
+    basis = oracle.oracle_basis(blob, flavor, n)
+    filtration = dict(zip(basis, oracle.oracle_filtrations(blob, flavor, n)))
+    index = {g: i for i, g in enumerate(basis)}
+    return [index[g] for g in oracle.grading_order(blob, basis)
+            if filtration[g] == p]
+
+
+def test_page_zero_differentials_are_the_oracle_blocks():
+    """Each page-0 differential d_0 out of (p, n - p) is the dense oracle's
+    differential between the generators of filtration p in degrees n and
+    n - 1, each side in the engine's basis order, zero shapes included."""
+    for data in oracle_datasets():
+        blob = oracle_dataset(data)
+        for flavor in (Flavor.PLUS, Flavor.INFINITY):
+            dense = {}
+            page = spectral_pages(data, flavor, 0)[0]
+            for (p, q), mat in page.differentials.items():
+                n = p + q
+                if n not in dense:
+                    dense[n] = oracle.oracle_differential(
+                        blob, flavor.value, n)
+                rows = at_filtration(blob, flavor.value, n - 1, p)
+                cols = at_filtration(blob, flavor.value, n, p)
+                assert (mat.rows, mat.cols) == (len(rows), len(cols))
+                assert mat.to_dense() == [[dense[n][i][j] for j in cols]
+                                          for i in rows], (
+                    data.name, flavor, p, q)
 
 
 def raising_reduction(data, field):
@@ -531,8 +573,8 @@ def composites(data, flavor, pages, dr_matrix):
             n = p + q
             follow = dr_matrix(data, flavor, r, p - r, n - 1)
             if mat.entries and follow.entries:
-                want.append((follow, mat, tuple(g.order for g in _cell(
-                    data, flavor, r, p - 2 * r, n - 2).generators)))
+                want.append((follow, mat,
+                             _orders(data, flavor, r, p - 2 * r, n - 2)))
     return want
 
 

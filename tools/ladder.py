@@ -20,10 +20,13 @@ page check or certificate.  The last line of output is one JSON object:
 per ladder, the median seconds per size, the slope
 log(t2 / t1) / log(N2 / N1) between neighbouring sizes and the work per
 size: the range selections named (``named``), those whose entries were
-cut (``cut``) and the Smith factorizations (``factorizations``), which are
-the same in every run of a size.  A selection named but never cut was only
-compared or read for its shape.  The three ladders take about two minutes;
-they are not part of the test suite.
+cut (``cut``), the selections on index lists rather than ranges
+(``index_selects``), the Smith factorizations (``factorizations``) and the
+spectral cells presented (``live_cells``, the misses of
+``monofloer.spectral._live_cell``), which are the same in every run of a
+size.  A selection named but never cut was only compared or read for its
+shape.  The three ladders take about two minutes; they are not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import json, sys, time
 from collections import Counter
 from perfbench.inputs import domino_instance
 import monofloer.intlinalg as intlinalg
+import monofloer.spectral as spectral
 from monofloer.cli import verify_all
 from monofloer.complexes import REDUCED_FLAVORS, Flavor, _reduction, \
     require_valid
@@ -66,6 +70,14 @@ intlinalg._Selection.__init__ = counted(
 intlinalg._Selection._cut = counted("cut", intlinalg._Selection._cut)
 intlinalg._Factorization.__init__ = counted(
     "factorizations", intlinalg._Factorization.__init__)
+select = intlinalg.SparseIntMatrix.select
+
+def indexed_select(mat, rows, cols):
+    if not (isinstance(rows, range) and isinstance(cols, range)):
+        work["index_selects"] += 1
+    return select(mat, rows, cols)
+
+intlinalg.SparseIntMatrix.select = indexed_select
 ladder, size, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 data = domino_instance(f"ladder-{size}", size, seed)
 if ladder == "reductions":
@@ -81,9 +93,12 @@ elif ladder == "reductions":
 else:
     spectral_pages(data, Flavor.PLUS, 3)
 seconds = time.perf_counter() - start
+live_cells = sum(1 for key in data._memo
+                 if key[0] is spectral._live_cell.__wrapped__)
 print(json.dumps({"seconds": seconds, "named": work["named"],
-                  "cut": work["cut"],
-                  "factorizations": work["factorizations"]}))
+                  "cut": work["cut"], "index_selects": work["index_selects"],
+                  "factorizations": work["factorizations"],
+                  "live_cells": live_cells}))
 """
 
 

@@ -272,16 +272,13 @@ MUTANTS = (
             "tests/test_spectral.py::"
             "test_page_zero_and_trivial_cells_build_no_presentation")),
     Mutant("empty-source-zero-drops-target-rows", "spectral.py",
-           "    return _zero(data, len(target.generators), "
-           "len(source.generators))",
-           "    return _zero(data, len(target.generators) "
-           "if source.generators else 0,\n"
-           "                 len(source.generators))",
+           "    return _zero(data, rows, cols)",
+           "    return _zero(data, rows if cols else 0, cols)",
            ("tests/test_spectral.py::"
             "test_pages_keep_every_cell_and_differential_shape",)),
     Mutant("dr-built-with-one-empty-end", "spectral.py",
-           "    if source.generators and target.generators:",
-           "    if source.generators or target.generators:",
+           "    if rows and cols:",
+           "    if rows or cols:",
            ("tests/test_spectral.py::"
             "test_pages_build_only_the_cells_with_a_generator",)),
     Mutant("follow-from-previous-page", "spectral.py",
@@ -292,8 +289,8 @@ MUTANTS = (
            ("tests/test_spectral.py::"
             "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
     Mutant("orders-of-the-follow-source", "spectral.py",
-           "data, flavor, r, p - 2 * r, n - 2).generators",
-           "data, flavor, r, p - r, n - 1).generators",
+           "_orders(data, flavor, r, p - 2 * r, n - 2)",
+           "_orders(data, flavor, r, p - r, n - 1)",
            ("tests/test_spectral.py::"
             "test_the_d_squared_check_composes_each_cell_with_its_follower",)),
     Mutant("follow-below-the-grid-skipped", "spectral.py",
@@ -311,6 +308,18 @@ MUTANTS = (
            "())",
            ("tests/test_spectral.py::"
             "test_pages_keep_every_cell_and_differential_shape",)),
+    # the filtration-bounded columns and rows of _a_lattice: a prefix and a
+    # suffix of the critical positions, cut by bisect
+    Mutant("a-lattice-prefix-off-by-one", "spectral.py",
+           "    low = range(bisect_right(source, p))",
+           "    low = range(bisect_left(source, p))",
+           ("tests/test_spectral.py::"
+            "test_plus_pages_match_the_dense_oracle",)),
+    Mutant("a-lattice-suffix-off-by-one", "spectral.py",
+           "    high = range(bisect_right(target, p - r), len(target))",
+           "    high = range(bisect_left(target, p - r), len(target))",
+           ("tests/test_spectral.py::"
+            "test_plus_pages_match_the_dense_oracle",)),
     _drop("composite-shape-unchecked", "spectral.py",
           "    if second.cols != first.rows:",
           ("tests/test_spectral.py::"
